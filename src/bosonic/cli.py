@@ -8,7 +8,6 @@ field so data payloads stay byte-identical across runs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import sys
@@ -477,6 +476,8 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
             for eps_val in eps_list
         ]
         if workers > 1:
+            import concurrent.futures  # only a parallel sweep pays for the import
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_row, jobs_list))
         else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .states import GaussianState, reduce_state, symplectic_form
 
@@ -53,10 +52,22 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Symplectic eigenvalues in descending order, satisfying
         ``S @ diag(d_1, d_1, ...) @ S.T == cov``.
 
+    Raises
+    ------
+    ValueError
+        If ``cov`` is not 2n x 2n or not positive definite.
+
     Notes
     -----
-    Uses the real Schur form of ``W Omega W`` with ``W = cov^(1/2)``: the
-    Schur blocks are ``[[0, d_i], [-d_i, 0]]`` and ``S = W Q D^(-1/2)``.
+    With ``W = cov^(1/2)`` the matrix ``K = W Omega W`` is real and
+    antisymmetric, so ``i K`` is Hermitian with eigenvalues ``-d_1 <= ... <=
+    -d_n < 0 < d_n <= ... <= d_1``.  One Hermitian eigensolve gives them in
+    that order.  A unit eigenvector ``v`` of ``-d_j`` yields the orthonormal
+    pair ``q_a = sqrt(2) Re v``, ``q_b = sqrt(2) Im v`` with ``K q_a = -d_j q_b``
+    and ``K q_b = d_j q_a``; eigenvectors of a repeated ``d_j`` give mutually
+    orthogonal pairs because ``v`` and its conjugate lie in opposite
+    eigenspaces.  Then ``Q^T K Q`` has blocks ``[[0, d_j], [-d_j, 0]]`` and
+    ``S = W Q D^(-1/2)``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
@@ -69,22 +80,11 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     omega = symplectic_form(n)
     skew = w @ omega @ w
     skew = (skew - skew.T) / 2.0
-    t, q = scipy.linalg.schur(skew, output="real")
-
-    d = np.empty(n)
-    for j in range(n):
-        a, b = 2 * j, 2 * j + 1
-        if t[a, b] < 0.0:  # normalize block sign to [[0, d], [-d, 0]]
-            q[:, [a, b]] = q[:, [b, a]]
-            t[a, b], t[b, a] = t[b, a], t[a, b]
-        d[j] = (t[a, b] - t[b, a]) / 2.0
-
-    order = np.argsort(-d)
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = 2 * order
-    perm[1::2] = 2 * order + 1
-    q = q[:, perm]
-    d = d[order]
+    lam, vecs = np.linalg.eigh(1j * skew)
+    d = -lam[:n]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = np.sqrt(2.0) * vecs[:, :n].real
+    q[:, 1::2] = np.sqrt(2.0) * vecs[:, :n].imag
 
     scale = np.repeat(1.0 / np.sqrt(d), 2)
     s = w @ q @ np.diag(scale)
@@ -94,15 +94,15 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of ``cov`` in descending order.
 
-    Computed as the positive eigenvalue magnitudes of ``i V Omega``; each
-    value appears once (pairs collapsed).
+    The ``d`` of ``williamson``: the negated negative eigenvalues of the
+    Hermitian matrix ``i cov^(1/2) Omega cov^(1/2)``, each value once.
+
+    Raises
+    ------
+    ValueError
+        If ``cov`` is not 2n x 2n or not positive definite.
     """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    omega = symplectic_form(n)
-    mags = np.abs(np.linalg.eigvals(1j * cov @ omega))
-    mags.sort()
-    return mags[::2][::-1].copy()
+    return williamson(cov)[1]
 
 
 def h_function(x: float) -> float:

@@ -29,8 +29,6 @@ __all__ = [
     "apply_transform",
     "beam_splitter",
     "cov_norm_bound",
-    "dilate_pure_amplifier",
-    "dilate_pure_loss",
     "displacement",
     "mean_photon_number",
     "reduce_state",
@@ -83,6 +81,13 @@ class GaussianState:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InvalidStateError("state contains non-finite entries")
+        # rounding-level asymmetry is removed below; anything larger is bad input
+        defect = float(np.max(np.abs(cov - cov.T)))
+        tol = UNCERTAINTY_TOL * max(1.0, float(np.max(np.abs(cov))))
+        if defect > tol:
+            raise InvalidStateError(
+                f"covariance is not symmetric: defect {defect:.3e} exceeds {tol:.1e}"
+            )
         mean = mean.copy()
         cov = (cov + cov.T) / 2.0  # store the symmetric part
         mean.flags.writeable = False
@@ -372,21 +377,12 @@ class PureAmplifier:
 Channel = PureLoss | PureAmplifier
 
 
-def dilate_pure_loss(transmissivity: float) -> Transform:
-    """Stinespring dilation of the loss channel: (input, vacuum env) -> (output, env)."""
-    return beam_splitter(transmissivity)
-
-
-def dilate_pure_amplifier(gain: float) -> Transform:
-    """Stinespring dilation of the amplifier: (input, vacuum env) -> (output, env)."""
-    return two_mode_squeezer(gain)
-
-
 def dilation(channel: Channel) -> Transform:
+    """Stinespring dilation of ``channel``: (input, vacuum env) -> (output, env)."""
     if isinstance(channel, PureLoss):
-        return dilate_pure_loss(channel.transmissivity)
+        return beam_splitter(channel.transmissivity)
     if isinstance(channel, PureAmplifier):
-        return dilate_pure_amplifier(channel.gain)
+        return two_mode_squeezer(channel.gain)
     raise TypeError(f"not a channel: {channel!r}")
 
 

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from click.testing import CliRunner
 
+import bosonic
 from bosonic.cli import main
 
 
@@ -58,6 +61,14 @@ def test_state_validate_failure_exit_code(runner, tmp_path):
     report = json.loads(res.output)
     assert report["ok"] is False
     assert report["uncertainty_margin"] == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_state_validate_rejects_asymmetric_covariance(runner, tmp_path):
+    skew = write_state(tmp_path, "skew.json",
+                       {"modes": 1, "mean": [0.0, 0.0], "cov": [[1.5, 5.0], [-5.0, 1.5]]})
+    res = runner.invoke(main, ["state", "validate", skew])
+    assert res.exit_code == 2
+    assert "not symmetric" in res.output
 
 
 def test_state_evolve_and_reduce(runner, tmp_path):
@@ -239,3 +250,35 @@ def test_float_format_seventeen_digits(runner):
     # eps shows its shortest 17-digit form and round-trips exactly
     assert '"eps": 0.10000000000000001' in payload
     assert json.loads(payload)["eps"] == 0.1
+
+
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import sys
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+    import bosonic as b
+    from bosonic.cli import main
+    assert "concurrent.futures" not in sys.modules, "bosonic.cli imported concurrent.futures"
+    assert not [m for m in sys.modules if m.startswith("scipy.")], "bosonic loaded scipy"
+    st = b.stinespring_output(b.PureLoss(0.6), b.tmsv_state(1.0))
+    b.williamson(st.cov)
+    b.symplectic_eigenvalues(st.cov)
+    b.petz_conditional_entropy_half(b.reduce_state(st, [0, 1]), [0])
+    b.aep_lower_bound_generic(b.PureLoss(0.6), b.tmsv_state(1.0), 100, 0.1, "Q2")
+    main(["capacity", "--channel", "loss", "--lam", "0.5", "--task", "Q2",
+          "--method", "improved", "--n", "100", "--eps", "0.1"], standalone_mode=False)
+    main(["tracedist", sys.argv[1], sys.argv[1], "--eps", "1e-3"], standalone_mode=False)
+""")
+
+
+def test_runs_without_scipy(tmp_path):
+    vac = write_state(tmp_path, "vac.json", {"modes": 1, "mean": [0.0, 0.0],
+                                             "cov": [[1.0, 0.0], [0.0, 1.0]]})
+    src = os.path.dirname(os.path.dirname(bosonic.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, vac],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[0])["value"] == pytest.approx(79.44, abs=0.01)
+    assert json.loads(lines[1])["estimate"] == 0.0

@@ -30,12 +30,46 @@ def test_williamson_reconstruction():
             assert np.all(d >= 1.0 - 1e-9)
 
 
+def _symplectic_eigenvalues_non_hermitian(cov):
+    """Reference route: moduli of the eigenvalues of ``i V Omega``, pairs collapsed."""
+    mags = np.abs(np.linalg.eigvals(1j * cov @ b.symplectic_form(cov.shape[0] // 2)))
+    mags.sort()
+    return mags[::2][::-1]
+
+
 def test_symplectic_eigenvalues_match_williamson():
     rng = np.random.default_rng(19)
-    st = random_state(rng, 3)
-    _, d_w = b.williamson(st.cov)
-    d_e = b.symplectic_eigenvalues(st.cov)
-    assert np.allclose(d_w, d_e, atol=1e-10)
+    for modes in (1, 2, 3, 4):
+        for _ in range(5):
+            st = random_state(rng, modes)
+            _, d_w = b.williamson(st.cov)
+            d_e = b.symplectic_eigenvalues(st.cov)
+            assert np.allclose(d_w, d_e, atol=1e-10)
+            assert np.allclose(d_e, _symplectic_eigenvalues_non_hermitian(st.cov),
+                               rtol=0, atol=1e-10)
+
+
+def test_williamson_degenerate_spectra():
+    rng = np.random.default_rng(41)
+    s3 = random_symplectic(rng, 3, max_squeeze=2.0)
+    cases = [
+        (b.tensor([b.thermal_state(1.5)] * 3).cov, [4.0, 4.0, 4.0]),
+        (b.tmsv_state(2.0).cov, [1.0, 1.0]),
+        (s3 @ np.diag(np.repeat([2.5, 2.5, 1.0], 2)) @ s3.T, [2.5, 2.5, 1.0]),
+    ]
+    for cov, expect in cases:
+        s, d = b.williamson(cov)
+        assert np.allclose(d, expect, rtol=1e-12, atol=0)
+        om = b.symplectic_form(cov.shape[0] // 2)
+        assert np.max(np.abs(s @ om @ s.T - om)) <= 1e-12 * np.linalg.norm(s, 2) ** 2
+        rebuilt = s @ np.diag(np.repeat(d, 2)) @ s.T
+        assert np.max(np.abs(rebuilt - cov)) <= 1e-12 * np.linalg.norm(cov, 2)
+
+
+def test_symplectic_eigenvalues_reject_non_positive_definite():
+    for cov in (np.diag([1.0, -0.5]), np.zeros((2, 2)), np.diag([2.0, 1.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="positive definite"):
+            b.symplectic_eigenvalues(cov)
 
 
 def test_entropy_known_values():

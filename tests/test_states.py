@@ -49,6 +49,18 @@ def test_state_validation():
     assert rep2.ok and rep2.warnings
 
 
+def test_asymmetric_covariance_rejected():
+    skew = [[1.5, 5.0], [-5.0, 1.5]]
+    with pytest.raises(InvalidStateError, match="not symmetric"):
+        GaussianState(np.zeros(2), skew)
+    with pytest.raises(InvalidStateError, match="not symmetric"):
+        b.state_from_dict({"modes": 1, "mean": [0.0, 0.0], "cov": skew})
+    # rounding-level asymmetry is accepted and stored symmetrized
+    st = GaussianState(np.zeros(2), [[3.0, 1e-13], [0.0, 3.0]])
+    assert np.array_equal(st.cov, st.cov.T)
+    assert b.validate_state(st).symmetry_defect == 0.0
+
+
 def test_state_shape_errors():
     with pytest.raises(InvalidStateError):
         GaussianState(np.zeros(3), np.eye(2))
