@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -282,3 +283,124 @@ def test_runs_without_scipy(tmp_path):
     lines = proc.stdout.splitlines()
     assert json.loads(lines[0])["value"] == pytest.approx(79.44, abs=0.01)
     assert json.loads(lines[1])["estimate"] == 0.0
+
+
+# ------------------------------------------------------ characterization ---
+#
+# Every `capacity --method` x task x channel x (--ns given or absent), every
+# `complexity` task x channel x --ns, and one sweep per channel, recorded as
+# stdout (or exit code and stderr) in tests/data/cli_characterization.json.
+# Strings, ints, bools, exit codes and messages compare exactly; floats at
+# rel 1e-15, so another libm may move the last digit.  Re-record with
+# `PYTHONPATH=src python tests/test_cli.py` only when a change is meant to
+# alter CLI output.
+
+_CHAR_PATH = pathlib.Path(__file__).parent / "data" / "cli_characterization.json"
+_CHAR_CHANNELS = {"loss": ("--lam", "0.7"), "amp": ("--g", "2.5")}
+_CHAR_METHODS = ("asymptotic", "aep", "improved", "ec-aep", "ec-variance", "best", "upper")
+_CHAR_TASKS = ("Q", "Q2", "K")
+# the amp sweep leaves out ec-variance, which aborted amp sweeps before it
+# was skipped like improved (see test_sweep_skips_loss_only_families_on_amp)
+_CHAR_SWEEPS = {
+    "loss": ("--methods", ",".join(_CHAR_METHODS), "--lam", "0.3:0.9:3"),
+    "amp": ("--methods", "asymptotic,aep,improved,ec-aep,best,upper", "--g", "1.5:4:3"),
+}
+
+
+def _char_calls():
+    for channel, flag in _CHAR_CHANNELS.items():
+        for task in _CHAR_TASKS:
+            for ns in ((), ("--ns", "1.5")):
+                for method in _CHAR_METHODS:
+                    # n = 10 sits below the AEP threshold 2 log2(2/eps^2), n = 2000 above
+                    for n in ("10", "2000"):
+                        yield ("capacity", "--channel", channel, *flag, "--task", task,
+                               "--method", method, "--n", n, "--eps", "0.05", *ns)
+                yield ("complexity", "--channel", channel, *flag, "--task", task,
+                       "--k", "500", "--eps", "0.05", *ns)
+
+
+def _char_runner():
+    try:
+        return CliRunner(mix_stderr=False)  # click < 8.2 mixes stderr in by default
+    except TypeError:
+        return CliRunner()
+
+
+def _char_record(runner, args):
+    res = runner.invoke(main, list(args))
+    return {"args": list(args), "exit_code": res.exit_code,
+            "stdout": res.stdout, "stderr": res.stderr}
+
+
+def _char_sweep(runner, tmp_dir, channel):
+    out = os.path.join(tmp_dir, f"{channel}.csv")
+    args = ["sweep", "--channel", channel, *_CHAR_SWEEPS[channel], "--tasks", "Q,Q2,K",
+            "--ns", "0.5:2:2", "--n", "10:5000:3:log", "--eps", "0.01:0.1:2", "--out", out]
+    rec = _char_record(runner, args)
+    with open(out, encoding="utf-8") as fh:
+        rec["csv"] = fh.read()
+    rec["args"][-1] = rec["stdout"] = None  # both hold the temporary path
+    return rec
+
+
+def _char_capture(tmp_dir) -> dict:
+    runner = _char_runner()
+    return {"calls": [_char_record(runner, args) for args in _char_calls()],
+            "sweeps": {ch: _char_sweep(runner, tmp_dir, ch) for ch in _CHAR_SWEEPS}}
+
+
+def _same(actual, expected) -> bool:
+    if isinstance(expected, float):
+        return isinstance(actual, float) and (
+            actual == expected or math.isclose(actual, expected, rel_tol=1e-15)
+            or (math.isnan(actual) and math.isnan(expected)))
+    if isinstance(expected, dict):
+        return (isinstance(actual, dict) and list(actual) == list(expected)
+                and all(_same(actual[k], expected[k]) for k in expected))
+    if isinstance(expected, list):
+        return (isinstance(actual, list) and len(actual) == len(expected)
+                and all(_same(a, e) for a, e in zip(actual, expected)))
+    return type(actual) is type(expected) and actual == expected
+
+
+def _csv_cells(text: str) -> list:
+    def cell(tok):
+        for parse in (int, float):
+            try:
+                return parse(tok)
+            except ValueError:
+                pass
+        return tok
+
+    return [[cell(tok) for tok in line.split(",")] for line in text.splitlines()]
+
+
+def _parsed(rec: dict) -> dict:
+    out = dict(rec)
+    if "csv" in out:
+        out["csv"] = _csv_cells(out["csv"])
+    elif out["stdout"]:
+        out["stdout"] = json.loads(out["stdout"])
+    return out
+
+
+def test_cli_characterization(tmp_path):
+    expected = json.loads(_CHAR_PATH.read_text())
+    actual = _char_capture(str(tmp_path))
+    assert [c["args"] for c in actual["calls"]] == [c["args"] for c in expected["calls"]]
+    bad = [" ".join(e["args"]) for a, e in zip(actual["calls"], expected["calls"])
+           if not _same(_parsed(a), _parsed(e))]
+    bad += [f"sweep --channel {ch}" for ch in expected["sweeps"]
+            if not _same(_parsed(actual["sweeps"][ch]), _parsed(expected["sweeps"][ch]))]
+    assert not bad, f"{len(bad)} calls changed, first: {bad[:3]}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = _char_capture(tmp)
+    _CHAR_PATH.parent.mkdir(exist_ok=True)
+    _CHAR_PATH.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {len(record['calls'])} calls and {len(record['sweeps'])} sweeps to {_CHAR_PATH}")
