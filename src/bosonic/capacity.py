@@ -9,13 +9,23 @@ and is reported with its breakdown, so bounds can be inverted for the
 number of channel uses needed to reach a target.  Lower bounds may be
 negative; they are reported raw and flagged vacuous.  Rates are in bits
 (qubits, ebits or key bits) per the whole n-use block.
+
+The closed-form lower bounds come in four families, listed once in
+``BOUND_FAMILIES``: "improved" (pure loss, no sqrt(n) term), "aep" (loss
+and amplifier), and the energy-constrained "ec-aep" (loss and amplifier)
+and "ec-variance" (pure loss), which need a mean photon number.  Each
+entry records the channels it covers, whether it needs photons, whether
+it carries the AEP blocklength threshold n >= 2 log2(2/eps^2), and its
+(a, b, c).  ``BoundFamily.evaluate`` turns an entry into a
+``CapacityBound``; the named bound functions, ``best_lower_bound``,
+``channel_uses_sufficient`` and the CLI all read the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +46,8 @@ from .states import (
 )
 
 __all__ = [
+    "BOUND_FAMILIES",
+    "BoundFamily",
     "CapacityBound",
     "TASKS",
     "aep_lower_bound_amplifier",
@@ -113,6 +125,12 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def _check_photons(photons: float) -> float:
+    if photons < 0:
+        raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    return float(photons)
+
+
 def _channel_params(channel: Channel) -> dict:
     if isinstance(channel, PureLoss):
         return {"lambda": channel.transmissivity}
@@ -142,9 +160,7 @@ def asymptotic_capacity(channel: Channel, task: str) -> float:
 def ec_asymptotic(channel: Channel, task: str, photons: float) -> float:
     """Energy-constrained rate at input mean photon number ``photons``."""
     _check_task(task)
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
-    ns = float(photons)
+    ns = _check_photons(photons)
     if isinstance(channel, PureLoss):
         lam = channel.transmissivity
         if task == "Q":
@@ -249,32 +265,21 @@ def _aep_threshold(eps: float) -> float:
     return 2.0 * math.log2(2.0 / eps**2)
 
 
-def _q_sqrt_log(eps: float) -> float:
-    return math.sqrt(math.log2(2.0**9 / eps**2))
+def _aep_eps_terms(eps: float, task: str) -> tuple[float, float]:
+    """(sqrt(n) factor, constant) of the AEP bounds; task Q has its own pair."""
+    if task == "Q":
+        return math.sqrt(math.log2(2.0**9 / eps**2)), math.log2(2.0**18 / (3.0 * eps**4))
+    return math.sqrt(math.log2(8.0 / eps)), math.log2(16.0 / eps**2)
 
 
-def _q_const(eps: float) -> float:
-    return math.log2(2.0**18 / (3.0 * eps**4))
+def _aep_coeff(r_first: float, r_second: float) -> float:
+    """4 log2(r1 + r2 + 1), the AEP sqrt(n) coefficient, with r = 2^(H_{1/2}/2)."""
+    return 4.0 * math.log2(r_first + r_second + 1.0)
 
 
-def _q2_sqrt_log(eps: float) -> float:
-    return math.sqrt(math.log2(8.0 / eps))
-
-
-def _q2_const(eps: float) -> float:
-    return math.log2(16.0 / eps**2)
-
-
-def _aep_coeff(h_first: float, h_second: float) -> float:
-    """4 log2( 2^(h1/2) + 2^(h2/2) + 1 ), the AEP sqrt(n) coefficient."""
-    return 4.0 * math.log2(2.0 ** (h_first / 2.0) + 2.0 ** (h_second / 2.0) + 1.0)
-
-
-def _improved_q_const(eps: float) -> float:
-    return math.log2(2.0**23 * (32.0 - eps) ** 2 / ((16.0 - eps) * eps**6))
-
-
-def _improved_q2_const(eps: float) -> float:
+def _improved_const(eps: float, task: str) -> float:
+    if task == "Q":
+        return math.log2(2.0**23 * (32.0 - eps) ** 2 / ((16.0 - eps) * eps**6))
     se = math.sqrt(eps)
     return math.log2(2.0**6 * 3.0 * (4.0 - se) ** 2 / ((2.0 - se) * eps**3))
 
@@ -326,40 +331,32 @@ def _assemble(
 
 
 # ---------------------------------------------------------------------------
-# coefficient extraction per bound family (shared with the inverters)
+# coefficients (a, b, c) per bound family, all called as
+# coeffs(channel, photons, eps, task)
 
 
-def _coeffs_aep_loss(lam: float, eps: float, task: str) -> tuple[float, float, float]:
-    mu = 1.0 - lam
-    if task == "Q":
-        a = math.log2(lam / mu) if 0.0 < lam < 1.0 else (math.inf if lam == 1.0 else -math.inf)
-        coeff = _aep_coeff_from_sqrt(math.sqrt(mu / lam) if lam > 0.0 else math.inf,
-                                     math.sqrt(lam / mu) if mu > 0.0 else math.inf)
-        return a, coeff * _q_sqrt_log(eps), _q_const(eps)
-    a = math.inf if lam == 1.0 else math.log2(1.0 / mu)
-    coeff = _aep_coeff_from_sqrt(math.sqrt(mu), math.inf if mu == 0.0 else math.sqrt(1.0 / mu))
-    return a, coeff * _q2_sqrt_log(eps), _q2_const(eps)
+def _coeffs_aep(channel: Channel, photons, eps: float, task: str):
+    if isinstance(channel, PureLoss):
+        lam = channel.transmissivity
+        mu = 1.0 - lam
+        if task == "Q":
+            a = math.log2(lam / mu) if 0.0 < lam < 1.0 else (math.inf if lam == 1.0 else -math.inf)
+            r = (math.sqrt(mu / lam) if lam > 0.0 else math.inf,
+                 math.sqrt(lam / mu) if mu > 0.0 else math.inf)
+        else:
+            a = math.inf if lam == 1.0 else math.log2(1.0 / mu)
+            r = (math.sqrt(mu), math.inf if mu == 0.0 else math.sqrt(1.0 / mu))
+    else:
+        g = channel.gain
+        gm = g - 1.0
+        a = math.inf if gm == 0.0 else math.log2(g / gm)
+        r = (math.sqrt(gm / g), math.inf if gm == 0.0 else math.sqrt(g / gm))
+    sqrt_log, const = _aep_eps_terms(eps, task)
+    return a, _aep_coeff(*r) * sqrt_log, const
 
 
-def _aep_coeff_from_sqrt(r_first: float, r_second: float) -> float:
-    return 4.0 * math.log2(r_first + r_second + 1.0)
-
-
-def _coeffs_aep_amp(g: float, eps: float, task: str) -> tuple[float, float, float]:
-    gm = g - 1.0
-    a = math.inf if gm == 0.0 else math.log2(g / gm)
-    coeff = _aep_coeff_from_sqrt(
-        math.sqrt(gm / g), math.inf if gm == 0.0 else math.sqrt(g / gm)
-    )
-    if task == "Q":
-        return a, coeff * _q_sqrt_log(eps), _q_const(eps)
-    return a, coeff * _q2_sqrt_log(eps), _q2_const(eps)
-
-
-def _coeffs_improved(lam: float, eps: float, task: str) -> tuple[float, float, float]:
-    a = asymptotic_capacity(PureLoss(lam), task)
-    c = _improved_q_const(eps) if task == "Q" else _improved_q2_const(eps)
-    return a, 0.0, c
+def _coeffs_improved(channel: Channel, photons, eps: float, task: str):
+    return asymptotic_capacity(channel, task), 0.0, _improved_const(eps, task)
 
 
 def _coeffs_ec_aep(channel: Channel, photons: float, eps: float, task: str):
@@ -370,20 +367,94 @@ def _coeffs_ec_aep(channel: Channel, photons: float, eps: float, task: str):
     else:
         terms = petz_terms_amplifier(channel.gain, photons)
         pair = ("A|B", "A|E")
-    coeff = _aep_coeff(terms[pair[0]], terms[pair[1]])
-    if task == "Q":
-        return a, coeff * _q_sqrt_log(eps), _q_const(eps)
-    return a, coeff * _q2_sqrt_log(eps), _q2_const(eps)
+    sqrt_log, const = _aep_eps_terms(eps, task)
+    return a, _aep_coeff(*(2.0 ** (terms[h] / 2.0) for h in pair)) * sqrt_log, const
 
 
-def _coeffs_ec_variance(lam: float, photons: float, eps: float, task: str):
+def _coeffs_ec_variance(channel: Channel, photons: float, eps: float, task: str):
+    lam = channel.transmissivity
     if task == "Q":
         a = h_function(lam * photons) - h_function((1.0 - lam) * photons)
         var = entropy_variance_pure_loss(lam, photons, "A|E")
-        return a, 4.0 * math.sqrt(var / eps), _improved_q_const(eps)
-    a = h_function(photons) - h_function((1.0 - lam) * photons)
-    var = entropy_variance_pure_loss(lam, photons, "B|E")
-    return a, math.sqrt(2.0 * var / math.sqrt(eps)), _improved_q2_const(eps)
+        b = 4.0 * math.sqrt(var / eps)
+    else:
+        a = h_function(photons) - h_function((1.0 - lam) * photons)
+        var = entropy_variance_pure_loss(lam, photons, "B|E")
+        b = math.sqrt(2.0 * var / math.sqrt(eps))
+    return a, b, _improved_const(eps, task)
+
+
+# ---------------------------------------------------------------------------
+# the table of lower-bound families
+
+_CHANNEL_NAMES = {PureLoss: "pure loss", PureAmplifier: "pure amplifier"}
+
+
+@dataclass(frozen=True)
+class BoundFamily:
+    """One lower-bound family ``a n - b sqrt(n) - c`` and where it applies.
+
+    ``coeffs(channel, photons, eps, task)`` returns (a, b, c).  A family with
+    ``aep_threshold`` is proven for n >= 2 log2(2/eps^2) only: below that it
+    is reported with ``preconditions_met`` false, and its inversion starts
+    there.
+    """
+
+    method: str
+    channels: tuple[type, ...]
+    needs_photons: bool
+    aep_threshold: bool
+    coeffs: Callable[..., tuple[float, float, float]]
+
+    def covers(self, channel: Channel) -> bool:
+        return isinstance(channel, self.channels)
+
+    def evaluate(
+        self, channel: Channel, n: int, eps: float, task: str, photons: float | None = None
+    ) -> CapacityBound:
+        """The bound at (n, eps, task).
+
+        ``photons`` (``--ns`` on the command line) is ignored by a family
+        that does not need it.
+        """
+        if not self.covers(channel):
+            names = " or ".join(_CHANNEL_NAMES[kind] for kind in self.channels)
+            # "ec-variance" is "the variance bound"
+            raise ValueError(f"the {self.method.split('-')[-1]} bound covers the "
+                             f"{names} channel only")
+        if self.needs_photons and photons is None:
+            raise ValueError(f"method {self.method} needs --ns")
+        n = _check_n(n)
+        eps = _check_eps(eps)
+        _check_task(task)
+        params = _channel_params(channel)
+        if self.needs_photons:
+            photons = _check_photons(photons)
+            params = params | {"Ns": photons}
+        a, b, c = self.coeffs(channel, photons, eps, task)
+        met = n >= _aep_threshold(eps) if self.aep_threshold else True
+        return _assemble(
+            a=a, b=b, c=c, n=n, eps=eps, task=task, method=self.method, params=params,
+            preconditions_met=met,
+            note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
+        )
+
+
+#: every lower-bound family by method name; ``best_lower_bound`` breaks ties
+#: in this order
+BOUND_FAMILIES: dict[str, BoundFamily] = {
+    family.method: family
+    for family in (
+        BoundFamily("improved", (PureLoss,), needs_photons=False, aep_threshold=False,
+                    coeffs=_coeffs_improved),
+        BoundFamily("aep", (PureLoss, PureAmplifier), needs_photons=False, aep_threshold=True,
+                    coeffs=_coeffs_aep),
+        BoundFamily("ec-aep", (PureLoss, PureAmplifier), needs_photons=True, aep_threshold=True,
+                    coeffs=_coeffs_ec_aep),
+        BoundFamily("ec-variance", (PureLoss,), needs_photons=True, aep_threshold=False,
+                    coeffs=_coeffs_ec_variance),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
@@ -398,34 +469,12 @@ def aep_lower_bound_pure_loss(
     Valid once n >= 2 log2(2/eps^2); below that the bound is still reported
     but flagged.
     """
-    lam = PureLoss(transmissivity).transmissivity
-    n = _check_n(n)
-    eps = _check_eps(eps)
-    _check_task(task)
-    a, b, c = _coeffs_aep_loss(lam, eps, task)
-    met = n >= _aep_threshold(eps)
-    return _assemble(
-        a=a, b=b, c=c, n=n, eps=eps, task=task, method="aep",
-        params={"lambda": lam},
-        preconditions_met=met,
-        note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
-    )
+    return BOUND_FAMILIES["aep"].evaluate(PureLoss(transmissivity), n, eps, task)
 
 
 def aep_lower_bound_amplifier(gain: float, n: int, eps: float, task: str) -> CapacityBound:
     """Closed-form AEP lower bound for the pure amplifier channel."""
-    g = PureAmplifier(gain).gain
-    n = _check_n(n)
-    eps = _check_eps(eps)
-    _check_task(task)
-    a, b, c = _coeffs_aep_amp(g, eps, task)
-    met = n >= _aep_threshold(eps)
-    return _assemble(
-        a=a, b=b, c=c, n=n, eps=eps, task=task, method="aep",
-        params={"g": g},
-        preconditions_met=met,
-        note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
-    )
+    return BOUND_FAMILIES["aep"].evaluate(PureAmplifier(gain), n, eps, task)
 
 
 def aep_lower_bound_generic(
@@ -458,39 +507,29 @@ def aep_lower_bound_generic(
     rho_ae = reduce_state(psi, a_modes + [e_mode])
     ab_a = list(range(k - 1))
 
-    ic_direct = coherent_information(rho_ab, ab_a)
-    h_ab = petz_conditional_entropy_half(rho_ab, ab_a)
-    h_ae = petz_conditional_entropy_half(rho_ae, ab_a)
-
     params = _channel_params(channel) | {"input_modes": k}
     met = n >= _aep_threshold(eps)
-    note = "" if met else f"needs n >= {_aep_threshold(eps):.2f}"
+    sqrt_log, const = _aep_eps_terms(eps, task)
 
-    if task == "Q":
+    def line(rate: float, extra: dict, h_pair: dict) -> CapacityBound:
+        coeff = _aep_coeff(*(2.0 ** (h / 2.0) for h in h_pair.values()))
         return _assemble(
-            a=ic_direct, b=_aep_coeff(h_ab, h_ae) * _q_sqrt_log(eps), c=_q_const(eps),
-            n=n, eps=eps, task=task, method="aep-generic",
-            params=params | {"H(A|B)": h_ab, "H(A|E)": h_ae},
-            preconditions_met=met, note=note,
+            a=rate, b=coeff * sqrt_log, c=const, n=n, eps=eps, task=task,
+            method="aep-generic", params=params | extra | h_pair,
+            preconditions_met=met, note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
         )
 
-    ic_reverse = coherent_information(rho_ab, [k - 1])
-    h_ba = petz_conditional_entropy_half(rho_ab, [k - 1])
-    rho_be = reduce_state(psi, [b_mode, e_mode])
-    h_be = petz_conditional_entropy_half(rho_be, [0])
+    h_direct = {"H(A|B)": petz_conditional_entropy_half(rho_ab, ab_a),
+                "H(A|E)": petz_conditional_entropy_half(rho_ae, ab_a)}
+    ic_direct = coherent_information(rho_ab, ab_a)
+    if task == "Q":
+        return line(ic_direct, {}, h_direct)
 
-    direct = _assemble(
-        a=ic_direct, b=_aep_coeff(h_ab, h_ae) * _q2_sqrt_log(eps), c=_q2_const(eps),
-        n=n, eps=eps, task=task, method="aep-generic",
-        params=params | {"line": "direct", "H(A|B)": h_ab, "H(A|E)": h_ae},
-        preconditions_met=met, note=note,
-    )
-    reverse = _assemble(
-        a=ic_reverse, b=_aep_coeff(h_ba, h_be) * _q2_sqrt_log(eps), c=_q2_const(eps),
-        n=n, eps=eps, task=task, method="aep-generic",
-        params=params | {"line": "reverse", "H(B|A)": h_ba, "H(B|E)": h_be},
-        preconditions_met=met, note=note,
-    )
+    rho_be = reduce_state(psi, [b_mode, e_mode])
+    h_reverse = {"H(B|A)": petz_conditional_entropy_half(rho_ab, [k - 1]),
+                 "H(B|E)": petz_conditional_entropy_half(rho_be, [0])}
+    direct = line(ic_direct, {"line": "direct"}, h_direct)
+    reverse = line(coherent_information(rho_ab, [k - 1]), {"line": "reverse"}, h_reverse)
     return direct if direct.value >= reverse.value else reverse
 
 
@@ -498,49 +537,21 @@ def improved_lower_bound_pure_loss(
     transmissivity: float, n: int, eps: float, task: str
 ) -> CapacityBound:
     """Pure-loss lower bound with no sqrt(n) penalty and no n threshold."""
-    lam = PureLoss(transmissivity).transmissivity
-    n = _check_n(n)
-    eps = _check_eps(eps)
-    _check_task(task)
-    a, b, c = _coeffs_improved(lam, eps, task)
-    return _assemble(
-        a=a, b=b, c=c, n=n, eps=eps, task=task, method="improved",
-        params={"lambda": lam},
-    )
+    return BOUND_FAMILIES["improved"].evaluate(PureLoss(transmissivity), n, eps, task)
 
 
 def ec_aep_lower_bound(
     channel: Channel, photons: float, n: int, eps: float, task: str
 ) -> CapacityBound:
     """Energy-constrained AEP bound with a TMSV input of ``photons`` photons."""
-    n = _check_n(n)
-    eps = _check_eps(eps)
-    _check_task(task)
-    a, b, c = _coeffs_ec_aep(channel, photons, eps, task)
-    met = n >= _aep_threshold(eps)
-    return _assemble(
-        a=a, b=b, c=c, n=n, eps=eps, task=task, method="ec-aep",
-        params=_channel_params(channel) | {"Ns": float(photons)},
-        preconditions_met=met,
-        note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
-    )
+    return BOUND_FAMILIES["ec-aep"].evaluate(channel, n, eps, task, photons)
 
 
 def ec_variance_lower_bound(
     transmissivity: float, photons: float, n: int, eps: float, task: str
 ) -> CapacityBound:
     """Energy-constrained pure-loss bound via entropy variances; no n threshold."""
-    lam = PureLoss(transmissivity).transmissivity
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
-    n = _check_n(n)
-    eps = _check_eps(eps)
-    _check_task(task)
-    a, b, c = _coeffs_ec_variance(lam, float(photons), eps, task)
-    return _assemble(
-        a=a, b=b, c=c, n=n, eps=eps, task=task, method="ec-variance",
-        params={"lambda": lam, "Ns": float(photons)},
-    )
+    return BOUND_FAMILIES["ec-variance"].evaluate(PureLoss(transmissivity), n, eps, task, photons)
 
 
 def upper_bound_nshot(channel: Channel, n: int, eps: float, task: str = "Q2") -> CapacityBound:
@@ -568,23 +579,12 @@ def best_lower_bound(
     channel: Channel, n: int, eps: float, task: str, photons: float | None = None
 ) -> CapacityBound:
     """Largest applicable lower bound; ``photons`` enables the EC families."""
-    candidates = []
-    if isinstance(channel, PureLoss):
-        lam = channel.transmissivity
-        candidates.append(improved_lower_bound_pure_loss(lam, n, eps, task))
-        candidates.append(aep_lower_bound_pure_loss(lam, n, eps, task))
-        if photons is not None:
-            candidates.append(ec_aep_lower_bound(channel, photons, n, eps, task))
-            candidates.append(ec_variance_lower_bound(lam, photons, n, eps, task))
-    else:
-        candidates.append(aep_lower_bound_amplifier(channel.gain, n, eps, task))
-        if photons is not None:
-            candidates.append(ec_aep_lower_bound(channel, photons, n, eps, task))
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.value > best.value:
-            best = cand
-    return best
+    candidates = [
+        family.evaluate(channel, n, eps, task, photons)
+        for family in BOUND_FAMILIES.values()
+        if family.covers(channel) and (photons is not None or not family.needs_photons)
+    ]
+    return max(candidates, key=lambda bound: bound.value)  # first of equals wins
 
 
 # ---------------------------------------------------------------------------
@@ -630,36 +630,26 @@ def channel_uses_sufficient(
 ) -> int:
     """Channel uses guaranteed to suffice for k bits at error eps.
 
-    Uses the improved bound for unconstrained pure loss (no sqrt(n) term),
-    the AEP closed form for the unconstrained amplifier, and the better of
-    the two EC families when ``photons`` is given.  Raises ``ValueError``
-    when every applicable rate is zero (the task is impossible).
+    The fewest uses over the families that cover ``channel``: the
+    unconstrained ones without ``photons``, the energy-constrained ones with
+    it.  Raises ``ValueError`` when every applicable rate is zero (the task
+    is impossible).
     """
     eps = _check_eps(eps)
     _check_task(task)
     if k <= 0:
         raise ValueError(f"target bits must be positive, got {k}")
-
-    threshold = math.ceil(_aep_threshold(eps))
-    families: list[tuple[float, float, float, int]] = []
-    if photons is None:
-        if isinstance(channel, PureLoss):
-            a, b, c = _coeffs_improved(channel.transmissivity, eps, task)
-            families.append((a, b, c, 1))
-        else:
-            a, b, c = _coeffs_aep_amp(channel.gain, eps, task)
-            families.append((a, b, c, threshold))
-    else:
-        a, b, c = _coeffs_ec_aep(channel, photons, eps, task)
-        families.append((a, b, c, threshold))
-        if isinstance(channel, PureLoss):
-            a, b, c = _coeffs_ec_variance(channel.transmissivity, photons, eps, task)
-            families.append((a, b, c, 1))
+    if photons is not None:
+        photons = _check_photons(photons)
 
     best: int | None = None
-    for a, b, c, min_n in families:
+    for family in BOUND_FAMILIES.values():
+        if not family.covers(channel) or family.needs_photons != (photons is not None):
+            continue
+        a, b, c = family.coeffs(channel, photons, eps, task)
         if not a > 0.0:
             continue
+        min_n = math.ceil(_aep_threshold(eps)) if family.aep_threshold else 1
         n = invert_sqrt_bound(a, b, c, k, min_n=min_n)
         if best is None or n < best:
             best = n

@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from typing import Sequence
 
 import click
 import numpy as np
@@ -285,24 +284,8 @@ def _evaluate_method(method, channel, task, n, eps, photons):
                 "task": task, "method": "asymptotic", "Ns": photons}
     if n is None or eps is None:
         raise ValueError(f"method {method} needs --n and --eps")
-    if method == "aep":
-        if isinstance(channel, PureLoss):
-            return cap_mod.aep_lower_bound_pure_loss(channel.transmissivity, n, eps, task)
-        return cap_mod.aep_lower_bound_amplifier(channel.gain, n, eps, task)
-    if method == "improved":
-        if not isinstance(channel, PureLoss):
-            raise ValueError("the improved bound covers the pure loss channel only")
-        return cap_mod.improved_lower_bound_pure_loss(channel.transmissivity, n, eps, task)
-    if method == "ec-aep":
-        if photons is None:
-            raise ValueError("method ec-aep needs --ns")
-        return cap_mod.ec_aep_lower_bound(channel, photons, n, eps, task)
-    if method == "ec-variance":
-        if not isinstance(channel, PureLoss):
-            raise ValueError("the variance bound covers the pure loss channel only")
-        if photons is None:
-            raise ValueError("method ec-variance needs --ns")
-        return cap_mod.ec_variance_lower_bound(channel.transmissivity, photons, n, eps, task)
+    if method in cap_mod.BOUND_FAMILIES:
+        return cap_mod.BOUND_FAMILIES[method].evaluate(channel, n, eps, task, photons)
     if method == "best":
         return cap_mod.best_lower_bound(channel, n, eps, task, photons=photons)
     if method == "upper":
@@ -375,8 +358,7 @@ def _parse_range(spec_str: str) -> list[float]:
     return [float(v) for v in vals]
 
 
-def _sweep_row(job) -> list[str]:
-    method, task, channel_kind, param, ns, n, eps = job
+def _sweep_row(method, task, channel_kind, param, ns, n, eps) -> list[str]:
     ch = PureLoss(param) if channel_kind == "loss" else PureAmplifier(param)
     result = _evaluate_method(method, ch, task, n, eps, ns)
     if isinstance(result, cap_mod.CapacityBound):
@@ -419,12 +401,13 @@ _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,precondit
 @click.option("--n", default=None, help="Channel-use range.")
 @click.option("--eps", default=None, help="Error range.")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
-@click.option("--jobs", type=int, default=1, help="Parallel workers.")
+@click.option("--jobs", type=int, default=None,
+              help="Accepted for compatibility (at least 1); rows are computed serially.")
 def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
     """Evaluate bounds over a parameter grid and write CSV.
 
     Row order follows the nested loops (method, task, channel parameter,
-    Ns, n, eps) regardless of --jobs.
+    Ns, n, eps).
     """
 
     def body():
@@ -441,8 +424,8 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
         kind = pick(channel, "channel")
         if kind is None:
             raise ValueError("sweep needs --channel (flag or config)")
-        method_list = str(pick(methods, "methods", "best")).split(",")
-        task_list = str(pick(tasks, "tasks", "Q2")).split(",")
+        method_list = [m.strip() for m in str(pick(methods, "methods", "best")).split(",")]
+        task_list = [t.strip() for t in str(pick(tasks, "tasks", "Q2")).split(",")]
         if kind == "loss":
             params = _parse_range(pick(lam, "lam", "0.5"))
         else:
@@ -454,34 +437,27 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
         out_path = pick(out, "out")
         if out_path is None:
             raise ValueError("sweep needs --out (flag or config)")
-        workers = int(pick(jobs if jobs != 1 else None, "jobs", 1))
+        # --jobs is still accepted, but every row is computed serially
+        requested_jobs = pick(jobs, "jobs", 1)
+        if int(requested_jobs) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {requested_jobs}")
 
-        def defined(method: str, task: str) -> bool:
-            # grids stay total: combinations with no defined quantity are
-            # skipped rather than aborting the sweep
-            if method == "upper" and task == "Q":
-                return False
-            if method == "improved" and kind == "amp":
-                return False
-            return True
-
-        jobs_list = [
-            (method.strip(), task.strip(), kind, param, ns_val, n_val, eps_val)
+        # grids stay total: a family skips the channel it does not cover and
+        # the converse skips Q, rather than aborting the sweep
+        channel_type = PureLoss if kind == "loss" else PureAmplifier
+        uncovered = {method for method, family in cap_mod.BOUND_FAMILIES.items()
+                     if channel_type not in family.channels}
+        rows = [
+            _sweep_row(method, task, kind, param, ns_val, n_val, eps_val)
             for method in method_list
+            if method not in uncovered
             for task in task_list
-            if defined(method.strip(), task.strip())
+            if not (method == "upper" and task == "Q")
             for param in params
             for ns_val in ns_list
             for n_val in n_list
             for eps_val in eps_list
         ]
-        if workers > 1:
-            import concurrent.futures  # only a parallel sweep pays for the import
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_row, jobs_list))
-        else:
-            rows = [_sweep_row(job) for job in jobs_list]
 
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_SWEEP_HEADER + "\n")

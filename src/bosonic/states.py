@@ -102,7 +102,12 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a physicality check, with margins for diagnostics."""
+    """Outcome of a physicality check, with margins for diagnostics.
+
+    ``symmetry_defect`` is always 0.0: ``GaussianState`` rejects an
+    asymmetric covariance and stores the symmetric part of the rest.  The
+    field stays because CLI payloads carry it.
+    """
 
     ok: bool
     modes: int
@@ -120,10 +125,8 @@ def validate_state(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> Valida
     Margins within ``[-tol, 0)`` pass with a warning (eigensolver noise on
     pure states); anything below ``-tol`` fails.
     """
-    cov = np.asarray(state.cov)
-    symmetry_defect = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
     omega = symplectic_form(state.modes)
-    margin = float(np.min(np.linalg.eigvalsh(cov + 1j * omega)))
+    margin = float(np.min(np.linalg.eigvalsh(state.cov + 1j * omega)))
     warnings: list[str] = []
     ok = True
     if margin < -tol:
@@ -132,12 +135,10 @@ def validate_state(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> Valida
         warnings.append(
             f"uncertainty margin {margin:.3e} is negative but within tolerance {tol:.1e}"
         )
-    if symmetry_defect > tol:
-        ok = False
     return ValidationReport(
         ok=ok,
         modes=state.modes,
-        symmetry_defect=symmetry_defect,
+        symmetry_defect=0.0,
         uncertainty_margin=margin,
         warnings=tuple(warnings),
     )
@@ -148,8 +149,7 @@ def require_valid(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> Gaussia
     report = validate_state(state, tol)
     if not report.ok:
         raise InvalidStateError(
-            f"unphysical state: uncertainty margin {report.uncertainty_margin:.3e}, "
-            f"symmetry defect {report.symmetry_defect:.3e}"
+            f"unphysical state: uncertainty margin {report.uncertainty_margin:.3e}"
         )
     return state
 

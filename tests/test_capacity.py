@@ -365,6 +365,23 @@ def test_channel_uses_sufficient_amplifier_and_energy():
     assert b.best_lower_bound(PureLoss(0.5), n_ec, 0.1, "Q2", photons=1e6).value >= 100.0
 
 
+def test_channel_uses_sufficient_unconstrained_loss_is_improved():
+    # without photons the pure-loss count is the minimum over improved and
+    # aep; aep's sqrt(n) penalty and n threshold mean improved always wins
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        task = str(rng.choice(["Q", "Q2", "K"]))
+        lam = float(rng.uniform(0.5 if task == "Q" else 0.0, 1.0))
+        eps = float(10.0 ** rng.uniform(-6, np.log10(0.5)))
+        k = float(10.0 ** rng.uniform(0, 6))
+        brk = b.improved_lower_bound_pure_loss(lam, 1, eps, task).breakdown
+        if not brk["per_use"] > 0.0:
+            continue
+        expect = b.invert_sqrt_bound(brk["per_use"], brk["sqrt_coefficient"],
+                                     -brk["constant"], k)
+        assert b.channel_uses_sufficient(PureLoss(lam), k, eps, task) == expect
+
+
 def test_channel_uses_zero_capacity():
     with pytest.raises(ValueError):
         b.channel_uses_sufficient(PureLoss(0.3), 10.0, 0.1, "Q")

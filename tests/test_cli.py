@@ -226,10 +226,34 @@ def test_sweep_config_precedence(runner, tmp_path):
     res2 = invoke(runner, "sweep", "--config", str(conf), "--methods", "upper", "--out", out_b)
     assert res2.exit_code == 0
     assert (tmp_path / "b.csv").read_text().splitlines()[1].startswith("upper")
+    # --jobs below 1 is a domain error, from the flag or from the config
+    for flag in ("0", "-3"):
+        res3 = runner.invoke(main, ["sweep", "--config", str(conf), "--jobs", flag])
+        assert res3.exit_code == 2
+        assert "--jobs must be at least 1" in res3.output
+    conf.write_text(json.dumps(json.loads(conf.read_text()) | {"jobs": 0}))
+    assert runner.invoke(main, ["sweep", "--config", str(conf)]).exit_code == 2
+    assert invoke(runner, "sweep", "--config", str(conf), "--jobs", "2").exit_code == 0
+
+
+def test_sweep_skips_loss_only_families_on_amp(runner, tmp_path):
+    # improved and ec-variance cover the pure loss channel only: an amp sweep
+    # skips their rows instead of aborting
+    grid = ["--channel", "amp", "--tasks", "Q2,K", "--g", "1.5:3:2", "--ns", "1",
+            "--n", "100", "--eps", "0.1"]
+    out = tmp_path / "amp.csv"
+    res = invoke(runner, "sweep", *grid, "--methods", "improved,ec-variance,aep",
+                 "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4 and {row.split(",")[0] for row in rows} == {"aep"}
+    only = tmp_path / "aep.csv"
+    invoke(runner, "sweep", *grid, "--methods", "aep", "--out", str(only))
+    assert only.read_text() == out.read_text()
 
 
 def test_sweep_parallel_determinism(tmp_path):
-    # ProcessPool path exercised through the real executable
+    # --jobs is accepted and has no effect: rows are computed serially
     conf = tmp_path / "conf.json"
     base = ["--channel", "loss", "--methods", "improved,aep,upper", "--tasks", "Q2,Q",
             "--lam", "0.3:0.9:3", "--n", "50:150:2", "--eps", "0.1"]
