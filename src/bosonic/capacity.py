@@ -387,27 +387,27 @@ def _coeffs_ec_variance(channel: Channel, photons: float, eps: float, task: str)
 # ---------------------------------------------------------------------------
 # the table of lower-bound families
 
-_CHANNEL_NAMES = {PureLoss: "pure loss", PureAmplifier: "pure amplifier"}
-
 
 @dataclass(frozen=True)
 class BoundFamily:
     """One lower-bound family ``a n - b sqrt(n) - c`` and where it applies.
 
-    ``coeffs(channel, photons, eps, task)`` returns (a, b, c).  A family with
-    ``aep_threshold`` is proven for n >= 2 log2(2/eps^2) only: below that it
-    is reported with ``preconditions_met`` false, and its inversion starts
-    there.
+    ``noun`` names the bound in error messages.  ``coeffs(channel, photons,
+    eps, task)`` returns (a, b, c).  A family with ``aep_threshold`` is
+    proven for n >= 2 log2(2/eps^2) only: below that it is reported with
+    ``preconditions_met`` false, and its inversion starts there.
     """
 
     method: str
+    noun: str
     channels: tuple[type, ...]
     needs_photons: bool
     aep_threshold: bool
     coeffs: Callable[..., tuple[float, float, float]]
 
-    def covers(self, channel: Channel) -> bool:
-        return isinstance(channel, self.channels)
+    def covers(self, kind: type) -> bool:
+        """Whether the family applies to channels of type ``kind``."""
+        return issubclass(kind, self.channels)
 
     def evaluate(
         self, channel: Channel, n: int, eps: float, task: str, photons: float | None = None
@@ -417,11 +417,9 @@ class BoundFamily:
         ``photons`` (``--ns`` on the command line) is ignored by a family
         that does not need it.
         """
-        if not self.covers(channel):
-            names = " or ".join(_CHANNEL_NAMES[kind] for kind in self.channels)
-            # "ec-variance" is "the variance bound"
-            raise ValueError(f"the {self.method.split('-')[-1]} bound covers the "
-                             f"{names} channel only")
+        if not self.covers(type(channel)):
+            # every family that leaves out a channel leaves out the amplifier
+            raise ValueError(f"the {self.noun} bound covers the pure loss channel only")
         if self.needs_photons and photons is None:
             raise ValueError(f"method {self.method} needs --ns")
         n = _check_n(n)
@@ -445,14 +443,14 @@ class BoundFamily:
 BOUND_FAMILIES: dict[str, BoundFamily] = {
     family.method: family
     for family in (
-        BoundFamily("improved", (PureLoss,), needs_photons=False, aep_threshold=False,
-                    coeffs=_coeffs_improved),
-        BoundFamily("aep", (PureLoss, PureAmplifier), needs_photons=False, aep_threshold=True,
-                    coeffs=_coeffs_aep),
-        BoundFamily("ec-aep", (PureLoss, PureAmplifier), needs_photons=True, aep_threshold=True,
-                    coeffs=_coeffs_ec_aep),
-        BoundFamily("ec-variance", (PureLoss,), needs_photons=True, aep_threshold=False,
-                    coeffs=_coeffs_ec_variance),
+        BoundFamily("improved", "improved", (PureLoss,),
+                    needs_photons=False, aep_threshold=False, coeffs=_coeffs_improved),
+        BoundFamily("aep", "AEP", (PureLoss, PureAmplifier),
+                    needs_photons=False, aep_threshold=True, coeffs=_coeffs_aep),
+        BoundFamily("ec-aep", "EC-AEP", (PureLoss, PureAmplifier),
+                    needs_photons=True, aep_threshold=True, coeffs=_coeffs_ec_aep),
+        BoundFamily("ec-variance", "variance", (PureLoss,),
+                    needs_photons=True, aep_threshold=False, coeffs=_coeffs_ec_variance),
     )
 }
 
@@ -582,7 +580,7 @@ def best_lower_bound(
     candidates = [
         family.evaluate(channel, n, eps, task, photons)
         for family in BOUND_FAMILIES.values()
-        if family.covers(channel) and (photons is not None or not family.needs_photons)
+        if family.covers(type(channel)) and (photons is not None or not family.needs_photons)
     ]
     return max(candidates, key=lambda bound: bound.value)  # first of equals wins
 
@@ -595,7 +593,10 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
     """Smallest integer n >= min_n with ``a n - b sqrt(n) - c >= k``.
 
     Solved through the quadratic in sqrt(n), then verified by substitution
-    (and tightened downward) so rounding cannot produce an off-by-one.
+    so rounding cannot produce an off-by-one.  The check brackets the
+    answer with steps that double away from the estimate and then bisects,
+    so it stays short when a -> 0+ puts n near 1e30, where the two large
+    terms cancel and the substituted value no longer moves by one unit.
     """
     if not a > 0.0:
         raise ValueError(f"per-use rate must be positive, got {a}")
@@ -614,15 +615,26 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
     else:
         root = (b + math.sqrt(disc)) / (2.0 * a)
         n = max(min_n, math.ceil(root * root))
-    guard = 0
-    while not satisfied(n):
-        n += 1
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("inversion failed to converge; bound may be vacuous")
-    while n > min_n and satisfied(n - 1):
-        n -= 1
-    return n
+    # bracket: lo fails (or lies below min_n), hi passes
+    step = 1
+    if satisfied(n):
+        lo, hi = n - 1, n
+        while lo >= min_n and satisfied(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, min_n - 1)
+    else:
+        lo, hi = n, n + 1
+        while not satisfied(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if satisfied(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def channel_uses_sufficient(
@@ -644,7 +656,7 @@ def channel_uses_sufficient(
 
     best: int | None = None
     for family in BOUND_FAMILIES.values():
-        if not family.covers(channel) or family.needs_photons != (photons is not None):
+        if not family.covers(type(channel)) or family.needs_photons != (photons is not None):
             continue
         a, b, c = family.coeffs(channel, photons, eps, task)
         if not a > 0.0:

@@ -446,7 +446,7 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
         # the converse skips Q, rather than aborting the sweep
         channel_type = PureLoss if kind == "loss" else PureAmplifier
         uncovered = {method for method, family in cap_mod.BOUND_FAMILIES.items()
-                     if channel_type not in family.channels}
+                     if not family.covers(channel_type)}
         rows = [
             _sweep_row(method, task, kind, param, ns_val, n_val, eps_val)
             for method in method_list

@@ -338,6 +338,11 @@ def test_invert_sqrt_bound():
     assert f(n) >= 40.0 and f(n - 1) < 40.0
     assert b.invert_sqrt_bound(1.0, 0.0, 0.0, 5.0, min_n=12) == 12
     assert b.invert_sqrt_bound(2.0, 1.0, 1.0, -math.inf) == 1
+    # a -> 0+ puts n near 1e28, where a*n and b*sqrt(n) nearly cancel
+    a, bb, c, k = 1e-12, 100.0, 30.0, 100.0
+    n = b.invert_sqrt_bound(a, bb, c, k)
+    f = lambda m: a * m - bb * math.sqrt(m) - c
+    assert n > 1e28 and f(n) >= k and f(n - 1) < k
     with pytest.raises(ValueError):
         b.invert_sqrt_bound(0.0, 1.0, 1.0, 10.0)
 
@@ -380,6 +385,14 @@ def test_channel_uses_sufficient_unconstrained_loss_is_improved():
         expect = b.invert_sqrt_bound(brk["per_use"], brk["sqrt_coefficient"],
                                      -brk["constant"], k)
         assert b.channel_uses_sufficient(PureLoss(lam), k, eps, task) == expect
+    # rates near zero, where the aep count is near 1e28 and improved's is
+    # ceil((c + k)/a)
+    for lam, task in ((1e-12, "Q2"), (0.5 + 1e-12, "Q")):
+        brk = b.improved_lower_bound_pure_loss(lam, 1, 0.1, task).breakdown
+        a, c = brk["per_use"], -brk["constant"]
+        expect = math.ceil((c + 100.0) / a)
+        assert b.invert_sqrt_bound(a, 0.0, c, 100.0) == expect
+        assert b.channel_uses_sufficient(PureLoss(lam), 100.0, 0.1, task) == expect
 
 
 def test_channel_uses_zero_capacity():
