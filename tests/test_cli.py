@@ -268,6 +268,149 @@ def test_sweep_parallel_determinism(tmp_path):
     assert out_s.read_text() == out_p.read_text()
 
 
+# --------------------------------------------------- sweep row oracle ---
+#
+# Every CSV line of a sweep must equal, as a string, the line built from
+# the public per-row library calls.  The grids reach every method, task
+# and channel, --ns given and absent, the boundaries lambda = 0, lambda = 1
+# and g = 1 (where a bound's a n - b sqrt(n) is inf - inf and reads +inf),
+# n on both sides of the AEP threshold 2 log2(2/eps^2), and single values.
+
+_SWEEP_GRIDS = {
+    "loss-ns": ("loss", "asymptotic,aep,improved,ec-aep,ec-variance,best,upper",
+                "0:1:3", "0.5:2:2"),
+    "amp-ns": ("amp", "asymptotic,aep,improved,ec-aep,ec-variance,best,upper",
+               "1:3:3", "0.5:2:2"),
+    "loss": ("loss", "asymptotic,aep,improved,best,upper", "0:1:3", None),
+    "amp": ("amp", "asymptotic,aep,improved,best,upper", "1:3:3", None),
+}
+
+
+def _oracle_line(method, task, kind, param, ns, n, eps):
+    """One sweep CSV line from the library's per-row calls, or None where
+    the sweep skips the combination."""
+    from bosonic.cli import _fmt_float
+
+    channel = bosonic.PureLoss(param) if kind == "loss" else bosonic.PureAmplifier(param)
+    family = bosonic.capacity.BOUND_FAMILIES.get(method)
+    if (family is not None and not family.covers(type(channel))) or (
+            method == "upper" and task == "Q"):
+        return None
+    if method == "asymptotic":
+        value = (bosonic.asymptotic_capacity(channel, task) if ns is None
+                 else bosonic.ec_asymptotic(channel, task, ns))
+        direction, vacuous, met = "exact", value < 0, True
+    else:
+        if method == "best":
+            bound = bosonic.best_lower_bound(channel, n, eps, task, photons=ns)
+        elif method == "upper":
+            bound = bosonic.upper_bound_nshot(channel, n, eps, task)
+        else:
+            bound = family.evaluate(channel, n, eps, task, ns)
+        direction, value = bound.direction, bound.value
+        vacuous, met = bound.vacuous, bound.preconditions_met
+    cells = [method, task, direction,
+             _fmt_float(param) if kind == "loss" else "",
+             _fmt_float(param) if kind == "amp" else "",
+             "" if ns is None else _fmt_float(ns), str(n), _fmt_float(eps), _fmt_float(value),
+             "true" if vacuous else "false", "true" if met else "false"]
+    return ",".join(cells)
+
+
+def _sweep_and_oracle(runner, out, kind, methods, tasks, params, ns, n, eps):
+    from bosonic.cli import _parse_range
+
+    args = ["sweep", "--channel", kind, "--methods", methods, "--tasks", tasks,
+            "--lam" if kind == "loss" else "--g", params, "--n", n, "--eps", eps,
+            "--out", str(out)]
+    if ns is not None:
+        args += ["--ns", ns]
+    res = invoke(runner, *args)
+    assert res.exit_code == 0, res.output
+    expected = [
+        _oracle_line(m, t, kind, p, s, nv, e)
+        for m in methods.split(",")
+        for t in tasks.split(",")
+        for p in _parse_range(params)
+        for s in ([None] if ns is None else _parse_range(ns))
+        for nv in (int(v) for v in _parse_range(n))
+        for e in _parse_range(eps)
+    ]
+    expected = [line for line in expected if line is not None]
+    lines = out.read_text().splitlines()
+    assert lines[0] == "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,preconditions_met"
+    return lines[1:], expected
+
+
+@pytest.mark.parametrize("grid", sorted(_SWEEP_GRIDS))
+def test_sweep_rows_match_library_calls(runner, tmp_path, grid):
+    kind, methods, params, ns = _SWEEP_GRIDS[grid]
+    # n = 5 lies below the AEP threshold at both eps, n = 2000 above it
+    rows, expected = _sweep_and_oracle(runner, tmp_path / "sweep.csv", kind, methods,
+                                       "Q,Q2,K", params, ns, "5:2000:4:log", "0.01:0.2:2")
+    assert len(rows) == len(expected)
+    bad = [(got, want) for got, want in zip(rows, expected) if got != want]
+    assert not bad, f"{len(bad)} rows differ, first: {bad[0]}"
+    # the boundary rows were reached
+    assert "Infinity" in {row.split(",")[8] for row in rows}
+    thresholds = {row.split(",")[10] for row in rows if row.split(",")[0] == "aep"}
+    assert thresholds == {"true", "false"}
+
+
+@pytest.mark.parametrize("kind,param", [("loss", "0.7"), ("amp", "2.5")])
+def test_sweep_single_values_match_library_calls(runner, tmp_path, kind, param):
+    rows, expected = _sweep_and_oracle(
+        runner, tmp_path / "one.csv", kind, "asymptotic,aep,improved,ec-aep,ec-variance,best,upper",
+        "Q,Q2,K", param, "1.5", "100", "0.05")
+    assert rows == expected
+
+
+# a valid one-row grid; each case below spoils one axis after a valid value,
+# so rows have been computed when the sweep fails
+_GRID = ("--channel", "loss", "--methods", "aep", "--tasks", "Q2", "--lam", "0.5",
+         "--n", "100", "--eps", "0.1")
+_METHOD_NAMES = "('asymptotic', 'aep', 'improved', 'ec-aep', 'ec-variance', 'best', 'upper')"
+_INVALID_GRIDS = [
+    (("--methods", "aep,bogus"), f"method must be one of {_METHOD_NAMES}, got 'bogus'"),
+    (("--tasks", "Q2,X"), "task must be one of ('Q', 'Q2', 'K'), got 'X'"),
+    (("--methods", "upper", "--tasks", "Q2,X"),
+     "the weak-converse bound covers tasks Q2/K, got 'X'"),
+    (("--methods", "asymptotic", "--tasks", "K,X"), "task must be one of ('Q', 'Q2', 'K'), got 'X'"),
+    (("--eps", "0.1:1.5:2"), "eps must lie in (0, 1), got 1.5"),
+    (("--methods", "best,upper", "--eps", "0.1:1.5:2"), "eps must lie in (0, 1), got 1.5"),
+    (("--n", "100:0:2"), "n must be a positive integer, got 0"),
+    (("--methods", "upper", "--n", "100:0:2"), "n must be a positive integer, got 0"),
+    (("--methods", "best", "--ns", "1:-1:2"), "mean photon number must be >= 0, got -1.0"),
+    (("--methods", "asymptotic", "--ns", "1:-1:2"), "mean photon number must be >= 0, got -1.0"),
+    (("--methods", "ec-aep"), "method ec-aep needs --ns"),
+    (("--lam", "0.5:1.2:2"), "transmissivity must lie in [0, 1], got 1.2"),
+    (("--channel", "amp", "--g", "2:0.5:2"), "gain must be >= 1, got 0.5"),
+]
+
+
+@pytest.mark.parametrize("spoil,message", _INVALID_GRIDS)
+def test_sweep_invalid_grid_writes_nothing(tmp_path, spoil, message):
+    out = tmp_path / "sweep.csv"
+    res = _char_runner().invoke(main, ["sweep", *_GRID, *spoil, "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil,rows", [
+    # the asymptotic rate reads neither n nor eps, and aep/upper ignore --ns
+    (("--methods", "asymptotic", "--eps", "1.5"), 1),
+    (("--methods", "asymptotic", "--n", "100:0:2"), 2),
+    (("--methods", "aep,upper", "--ns", "1:-1:2"), 4),
+])
+def test_sweep_unchecked_axes_still_succeed(tmp_path, spoil, rows):
+    out = tmp_path / "sweep.csv"
+    res = _char_runner().invoke(main, ["sweep", *_GRID, *spoil, "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
+    assert len(out.read_text().splitlines()) == 1 + rows
+
+
 def test_float_format_seventeen_digits(runner):
     res = invoke(runner, "capacity", "--channel", "loss", "--lam", "0.1", "--task", "Q2",
                  "--method", "upper", "--n", "7", "--eps", "0.1")
