@@ -18,7 +18,14 @@ entry records the channels it covers, whether it needs photons, whether
 it carries the AEP blocklength threshold n >= 2 log2(2/eps^2), and its
 (a, b, c).  ``BoundFamily.evaluate`` turns an entry into a
 ``CapacityBound``; the named bound functions, ``best_lower_bound``,
-``channel_uses_sufficient`` and the CLI all read the table.
+``channel_uses_sufficient`` and the CLI all read the table.  The weak
+converse has the same shape with b = 0 (``converse_coeffs``).
+
+(a, b, c) do not depend on n.  ``bound_value`` is the one place a value
+is summed from them and ``first_max`` the one tie rule of
+``best_lower_bound``, so the CLI sweep computes each family's coefficients
+once per (method, task, channel parameter, Ns, eps) and evaluates every n
+from them, to the same bits as the per-call functions.
 """
 
 from __future__ import annotations
@@ -54,12 +61,17 @@ __all__ = [
     "aep_lower_bound_generic",
     "aep_lower_bound_pure_loss",
     "asymptotic_capacity",
+    "best_families",
     "best_lower_bound",
+    "bound_value",
     "channel_uses_necessary",
     "channel_uses_sufficient",
+    "check_n",
+    "converse_coeffs",
     "ec_aep_lower_bound",
     "ec_asymptotic",
     "ec_variance_lower_bound",
+    "first_max",
     "improved_lower_bound_pure_loss",
     "invert_sqrt_bound",
     "petz_terms_amplifier",
@@ -119,7 +131,8 @@ def _check_eps(eps: float) -> float:
     return float(eps)
 
 
-def _check_n(n: int) -> int:
+def check_n(n: int) -> int:
+    """``n`` as an int; ``ValueError`` unless it is a positive integer."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     return int(n)
@@ -288,6 +301,25 @@ def _upper_const(eps: float) -> float:
     return math.log2(6.0) + 2.0 * math.log2((1.0 + eps) / (1.0 - eps))
 
 
+def bound_value(a: float, b: float, c: float, n: int) -> tuple[float, bool]:
+    """``a n - b sqrt(n) - c``, and whether it fell on the boundary.
+
+    The terms a n, -b sqrt(n) and -c are summed in that order.  A NaN sum is
+    only reachable at the lambda = 1 / g = 1 boundary, where the linear term
+    and the sqrt(n) coefficient both diverge: it reads +inf, and the flag
+    is set.
+    """
+    value = a * n + -b * math.sqrt(n) + -c
+    if math.isnan(value):
+        return math.inf, True
+    return value, False
+
+
+def first_max(values: list[float]) -> int:
+    """Index of the first largest value: ties go to the earlier entry."""
+    return values.index(max(values))
+
+
 def _assemble(
     *,
     a: float,
@@ -301,14 +333,8 @@ def _assemble(
     preconditions_met: bool = True,
     note: str = "",
 ) -> CapacityBound:
-    linear = a * n
-    sqrt_term = -b * math.sqrt(n)
-    const_term = -c
-    value = linear + sqrt_term + const_term
-    if math.isnan(value):
-        # only reachable at the lambda = 1 / g = 1 boundary where the linear
-        # term and the sqrt(n) coefficient both diverge
-        value = math.inf
+    value, boundary = bound_value(a, b, c, n)
+    if boundary:
         note = (note + "; " if note else "") + "boundary: capacity is infinite"
     return CapacityBound(
         value=value,
@@ -319,9 +345,9 @@ def _assemble(
         eps=eps,
         params=params,
         breakdown={
-            "linear": linear,
-            "sqrt": sqrt_term,
-            "constant": const_term,
+            "linear": a * n,
+            "sqrt": -b * math.sqrt(n),
+            "constant": -c,
             "per_use": a,
             "sqrt_coefficient": b,
         },
@@ -409,6 +435,28 @@ class BoundFamily:
         """Whether the family applies to channels of type ``kind``."""
         return issubclass(kind, self.channels)
 
+    def check_applies(self, channel: Channel, photons: float | None) -> None:
+        """``ValueError`` unless the family covers ``channel`` and is given
+        the photon number it needs."""
+        if not self.covers(type(channel)):
+            # every family that leaves out a channel leaves out the amplifier
+            raise ValueError(f"the {self.noun} bound covers the pure loss channel only")
+        if self.needs_photons and photons is None:
+            raise ValueError(f"method {self.method} needs --ns")
+
+    def checked_coeffs(
+        self, channel: Channel, eps: float, task: str, photons: float | None = None
+    ) -> tuple[float, float, float, float]:
+        """(a, b, c, n_min) at (eps, task), after the eps, task and photon
+        checks of ``evaluate``; ``n_min`` is the AEP threshold, or 0.0 for a
+        family proven at every n.  Call ``check_applies`` first."""
+        eps = _check_eps(eps)
+        _check_task(task)
+        if self.needs_photons:
+            photons = _check_photons(photons)
+        a, b, c = self.coeffs(channel, photons, eps, task)
+        return a, b, c, (_aep_threshold(eps) if self.aep_threshold else 0.0)
+
     def evaluate(
         self, channel: Channel, n: int, eps: float, task: str, photons: float | None = None
     ) -> CapacityBound:
@@ -417,24 +465,16 @@ class BoundFamily:
         ``photons`` (``--ns`` on the command line) is ignored by a family
         that does not need it.
         """
-        if not self.covers(type(channel)):
-            # every family that leaves out a channel leaves out the amplifier
-            raise ValueError(f"the {self.noun} bound covers the pure loss channel only")
-        if self.needs_photons and photons is None:
-            raise ValueError(f"method {self.method} needs --ns")
-        n = _check_n(n)
-        eps = _check_eps(eps)
-        _check_task(task)
+        self.check_applies(channel, photons)
+        n = check_n(n)
+        a, b, c, n_min = self.checked_coeffs(channel, eps, task, photons)
         params = _channel_params(channel)
         if self.needs_photons:
-            photons = _check_photons(photons)
-            params = params | {"Ns": photons}
-        a, b, c = self.coeffs(channel, photons, eps, task)
-        met = n >= _aep_threshold(eps) if self.aep_threshold else True
+            params = params | {"Ns": float(photons)}
+        met = n >= n_min
         return _assemble(
-            a=a, b=b, c=c, n=n, eps=eps, task=task, method=self.method, params=params,
-            preconditions_met=met,
-            note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
+            a=a, b=b, c=c, n=n, eps=float(eps), task=task, method=self.method, params=params,
+            preconditions_met=met, note="" if met else f"needs n >= {n_min:.2f}",
         )
 
 
@@ -484,7 +524,7 @@ def aep_lower_bound_generic(
     act as the reference system A.  For "Q" the direct line A>B is used; for
     "Q2"/"K" the better of the direct and reverse lines.
     """
-    n = _check_n(n)
+    n = check_n(n)
     eps = _check_eps(eps)
     _check_task(task)
     if input_state.modes < 2:
@@ -552,37 +592,55 @@ def ec_variance_lower_bound(
     return BOUND_FAMILIES["ec-variance"].evaluate(PureLoss(transmissivity), n, eps, task, photons)
 
 
-def upper_bound_nshot(channel: Channel, n: int, eps: float, task: str = "Q2") -> CapacityBound:
-    """Converse: n Q2 + log2(6) + 2 log2((1+eps)/(1-eps)), for Q2/K only."""
-    n = _check_n(n)
+def converse_coeffs(
+    channel: Channel, eps: float, task: str
+) -> tuple[float, float, float, float]:
+    """(a, b, c, n_min) of the weak converse, after its eps and task checks.
+
+    The converse n Q2 + log2(6) + 2 log2((1+eps)/(1-eps)) is the shape
+    a n - b sqrt(n) - c with b = 0 and c the negated constant, and holds
+    at every n.
+    """
     eps = _check_eps(eps)
     if task not in ("Q2", "K"):
         raise ValueError(f"the weak-converse bound covers tasks Q2/K, got {task!r}")
-    q2 = asymptotic_capacity(channel, "Q2")
-    linear = q2 * n
-    const = _upper_const(eps)
+    return asymptotic_capacity(channel, "Q2"), 0.0, -_upper_const(eps), 0.0
+
+
+def upper_bound_nshot(channel: Channel, n: int, eps: float, task: str = "Q2") -> CapacityBound:
+    """Converse: n Q2 + log2(6) + 2 log2((1+eps)/(1-eps)), for Q2/K only."""
+    n = check_n(n)
+    a, b, c, _ = converse_coeffs(channel, eps, task)
     return CapacityBound(
-        value=linear + const,
+        value=bound_value(a, b, c, n)[0],
         direction="upper",
         task=task,
         method="upper",
         n=n,
-        eps=eps,
+        eps=float(eps),
         params=_channel_params(channel),
-        breakdown={"linear": linear, "constant": const, "per_use": q2},
+        breakdown={"linear": a * n, "constant": -c, "per_use": a},
     )
+
+
+def best_families(kind: type, photons_given: bool) -> list[BoundFamily]:
+    """The families ``best_lower_bound`` compares on channels of type
+    ``kind``, in table order; the energy-constrained ones only when a photon
+    number is given."""
+    return [family for family in BOUND_FAMILIES.values()
+            if family.covers(kind) and (photons_given or not family.needs_photons)]
 
 
 def best_lower_bound(
     channel: Channel, n: int, eps: float, task: str, photons: float | None = None
 ) -> CapacityBound:
-    """Largest applicable lower bound; ``photons`` enables the EC families."""
-    candidates = [
-        family.evaluate(channel, n, eps, task, photons)
-        for family in BOUND_FAMILIES.values()
-        if family.covers(type(channel)) and (photons is not None or not family.needs_photons)
-    ]
-    return max(candidates, key=lambda bound: bound.value)  # first of equals wins
+    """Largest applicable lower bound; ``photons`` enables the EC families.
+
+    Ties go to the family listed first in ``BOUND_FAMILIES``.
+    """
+    candidates = [family.evaluate(channel, n, eps, task, photons)
+                  for family in best_families(type(channel), photons is not None)]
+    return candidates[first_max([bound.value for bound in candidates])]
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +716,10 @@ def channel_uses_sufficient(
     for family in BOUND_FAMILIES.values():
         if not family.covers(type(channel)) or family.needs_photons != (photons is not None):
             continue
-        a, b, c = family.coeffs(channel, photons, eps, task)
+        a, b, c, n_min = family.checked_coeffs(channel, eps, task, photons)
         if not a > 0.0:
             continue
-        min_n = math.ceil(_aep_threshold(eps)) if family.aep_threshold else 1
-        n = invert_sqrt_bound(a, b, c, k, min_n=min_n)
+        n = invert_sqrt_bound(a, b, c, k, min_n=math.ceil(n_min))
         if best is None or n < best:
             best = n
     if best is None:

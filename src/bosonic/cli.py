@@ -48,14 +48,12 @@ from .tracedist import gaussian_trace_distance
 
 
 def _fmt_float(x: float) -> str:
+    if math.isfinite(x):
+        s = format(float(x), ".17g")  # "g" writes its exponent with a lowercase e
+        return s if "." in s or "e" in s else s + ".0"
     if math.isnan(x):
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    s = format(float(x), ".17g")
-    if not any(ch in s for ch in ".eE"):
-        s += ".0"
-    return s
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def _encode(obj) -> str:
@@ -275,22 +273,30 @@ def tracedist_cmd(path_a, path_b, eps, dump_prefix):
 _METHODS = ("asymptotic", "aep", "improved", "ec-aep", "ec-variance", "best", "upper")
 
 
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+
+
+def _rate(channel, task, photons):
+    """The asymptotic rate: unconstrained, or at ``photons`` input photons."""
+    if photons is None:
+        return cap_mod.asymptotic_capacity(channel, task)
+    return cap_mod.ec_asymptotic(channel, task, photons)
+
+
 def _evaluate_method(method, channel, task, n, eps, photons):
+    _check_method(method)
     if method == "asymptotic":
-        if photons is None:
-            return {"value": cap_mod.asymptotic_capacity(channel, task),
-                    "task": task, "method": "asymptotic"}
-        return {"value": cap_mod.ec_asymptotic(channel, task, photons),
-                "task": task, "method": "asymptotic", "Ns": photons}
+        result = {"value": _rate(channel, task, photons), "task": task, "method": "asymptotic"}
+        return result if photons is None else result | {"Ns": photons}
     if n is None or eps is None:
         raise ValueError(f"method {method} needs --n and --eps")
     if method in cap_mod.BOUND_FAMILIES:
         return cap_mod.BOUND_FAMILIES[method].evaluate(channel, n, eps, task, photons)
     if method == "best":
         return cap_mod.best_lower_bound(channel, n, eps, task, photons=photons)
-    if method == "upper":
-        return cap_mod.upper_bound_nshot(channel, n, eps, task)
-    raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    return cap_mod.upper_bound_nshot(channel, n, eps, task)
 
 
 @main.command("capacity")
@@ -358,32 +364,73 @@ def _parse_range(spec_str: str) -> list[float]:
     return [float(v) for v in vals]
 
 
-def _sweep_row(method, task, channel_kind, param, ns, n, eps) -> list[str]:
-    ch = PureLoss(param) if channel_kind == "loss" else PureAmplifier(param)
-    result = _evaluate_method(method, ch, task, n, eps, ns)
-    if isinstance(result, cap_mod.CapacityBound):
-        direction = result.direction
-        value = result.value
-        vacuous = result.vacuous
-        met = result.preconditions_met
-    else:  # asymptotic: a bare rate
-        direction = "exact"
-        value = result["value"]
-        vacuous = value < 0
-        met = True
-    return [
-        method,
-        task,
-        direction,
-        _fmt_float(param) if channel_kind == "loss" else "",
-        _fmt_float(param) if channel_kind == "amp" else "",
-        "" if ns is None else _fmt_float(ns),
-        str(n),
-        _fmt_float(eps),
-        _fmt_float(value),
-        "true" if vacuous else "false",
-        "true" if met else "false",
-    ]
+def _sweep_block(method, channel, task, ns, n_list, eps_list) -> list[str]:
+    """The value, vacuous and preconditions_met cells of the rows at one
+    (method, task, channel parameter, Ns), for every n and then every eps.
+
+    A bound's candidate families and their (a, b, c, n_min) are computed
+    once per eps; rows then differ only in n.  The checks run in the order
+    the per-row library calls make them, so an invalid grid fails with the
+    error of its first invalid row.
+    """
+    _check_method(method)
+    if method == "asymptotic":  # a bare rate: reads neither n nor eps
+        value = _rate(channel, task, ns)
+        cells = f"{_fmt_float(value)},{'true' if value < 0 else 'false'},true"
+        return [cells] * (len(n_list) * len(eps_list))
+    if method == "upper":
+        cap_mod.check_n(n_list[0])
+        candidates = [[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]
+    else:
+        if method == "best":
+            families = cap_mod.best_families(type(channel), ns is not None)
+        else:
+            families = [cap_mod.BOUND_FAMILIES[method]]
+            families[0].check_applies(channel, ns)
+        cap_mod.check_n(n_list[0])
+        candidates = [[family.checked_coeffs(channel, eps, task, ns) for family in families]
+                      for eps in eps_list]
+    lower = method != "upper"
+    cells = []
+    for n in n_list:
+        cap_mod.check_n(n)
+        for coeffs in candidates:
+            values = [cap_mod.bound_value(a, b, c, n)[0] for a, b, c, _ in coeffs]
+            best = cap_mod.first_max(values)
+            value = values[best]
+            vacuous = lower and value < 0
+            met = n >= coeffs[best][3]
+            cells.append(f"{_fmt_float(value)},{'true' if vacuous else 'false'},"
+                         f"{'true' if met else 'false'}")
+    return cells
+
+
+def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> list[str]:
+    """The CSV rows of a sweep grid, each one string ending in a newline."""
+    make_channel = PureLoss if kind == "loss" else PureAmplifier
+    channels = {}  # by position, built at first use as the per-row calls would
+    param_cells = [f"{_fmt_float(p)}," if kind == "loss" else f",{_fmt_float(p)}"
+                   for p in params]
+    ns_cells = ["" if ns is None else _fmt_float(ns) for ns in ns_list]
+    n_eps_cells = [f"{n},{_fmt_float(eps)}," for n in n_list for eps in eps_list]
+    lines = []
+    for method in methods:
+        family = cap_mod.BOUND_FAMILIES.get(method)
+        if family is not None and not family.covers(make_channel):
+            continue  # a family skips the channel it does not cover
+        direction = {"asymptotic": "exact", "upper": "upper"}.get(method, "lower")
+        for task in tasks:
+            if method == "upper" and task == "Q":
+                continue  # the converse covers Q2/K only
+            for i, (param, param_cell) in enumerate(zip(params, param_cells)):
+                if i not in channels:
+                    channels[i] = make_channel(param)
+                channel = channels[i]
+                for ns, ns_cell in zip(ns_list, ns_cells):
+                    head = f"{method},{task},{direction},{param_cell},{ns_cell},"
+                    cells = _sweep_block(method, channel, task, ns, n_list, eps_list)
+                    lines += [f"{head}{mid}{tail}\n" for mid, tail in zip(n_eps_cells, cells)]
+    return lines
 
 
 _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,preconditions_met"
@@ -407,7 +454,9 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
     """Evaluate bounds over a parameter grid and write CSV.
 
     Row order follows the nested loops (method, task, channel parameter,
-    Ns, n, eps).
+    Ns, n, eps).  Each family's coefficients are computed once per
+    (method, task, channel parameter, Ns, eps), so rows differ only in n.
+    The file is written only after every row is computed.
     """
 
     def body():
@@ -442,27 +491,10 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
         if int(requested_jobs) < 1:
             raise ValueError(f"--jobs must be at least 1, got {requested_jobs}")
 
-        # grids stay total: a family skips the channel it does not cover and
-        # the converse skips Q, rather than aborting the sweep
-        channel_type = PureLoss if kind == "loss" else PureAmplifier
-        uncovered = {method for method, family in cap_mod.BOUND_FAMILIES.items()
-                     if not family.covers(channel_type)}
-        rows = [
-            _sweep_row(method, task, kind, param, ns_val, n_val, eps_val)
-            for method in method_list
-            if method not in uncovered
-            for task in task_list
-            if not (method == "upper" and task == "Q")
-            for param in params
-            for ns_val in ns_list
-            for n_val in n_list
-            for eps_val in eps_list
-        ]
-
+        rows = _sweep_lines(method_list, task_list, kind, params, ns_list, n_list, eps_list)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_SWEEP_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            fh.writelines(rows)
         click.echo(f"wrote {len(rows)} rows to {out_path}")
 
     _guarded(body)

@@ -313,6 +313,30 @@ def test_best_lower_bound_picks_maximum():
     assert best_amp.method == "aep"
 
 
+def test_best_lower_bound_ties_go_to_table_order():
+    # at lambda = 1 improved and aep both read +inf (aep through its
+    # inf - inf boundary): the earlier family in the table wins
+    for task in ("Q", "Q2", "K"):
+        best = b.best_lower_bound(PureLoss(1.0), 100, 0.1, task, photons=1.0)
+        assert best.value == math.inf and best.method == "improved"
+        assert b.capacity.bound_value(math.inf, math.inf, 1.0, 100) == (math.inf, True)
+    assert b.capacity.first_max([1.0, 3.0, 3.0, -math.inf]) == 1
+    assert b.capacity.first_max([-0.0, 0.0]) == 0
+
+
+def test_converse_has_the_bound_shape():
+    # the weak converse as (a, 0, c): n Q2 + log2 6 + 2 log2((1+eps)/(1-eps))
+    for channel in (PureLoss(0.3), PureLoss(1.0), PureAmplifier(2.5)):
+        for n in (1, 7, 1000):
+            a, bq, c, n_min = b.capacity.converse_coeffs(channel, 0.05, "K")
+            up = b.upper_bound_nshot(channel, n, 0.05, "K")
+            assert (bq, n_min) == (0.0, 0.0)
+            assert up.value == b.asymptotic_capacity(channel, "Q2") * n + up.breakdown["constant"]
+            assert up.breakdown["constant"] == -c
+    with pytest.raises(ValueError, match="weak-converse"):
+        b.capacity.converse_coeffs(PureLoss(0.3), 0.05, "Q")
+
+
 def test_capacity_bound_record():
     res = b.improved_lower_bound_pure_loss(0.5, 100, 0.1, "Q2")
     d = res.to_dict()
