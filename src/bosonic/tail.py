@@ -233,9 +233,9 @@ def trace_distance_truncation_bound(state: GaussianState, cutoff: int) -> TailBo
 def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
     """Smallest cutoff M with ``trace_distance_truncation_bound <= eps``.
 
-    Scans M by doubling, then binary-searches the bracket.  Raises
-    ``CutoffCapError`` above ``cap`` (the certified cutoff would not fit in
-    memory anyway).
+    Scans M by doubling, with the last step clipped to ``cap``, then
+    binary-searches the bracket.  Raises ``CutoffCapError`` when even
+    ``cap`` fails (the certified cutoff would not fit in memory anyway).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -245,15 +245,15 @@ def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
 
     if ok(0):
         return 0
-    m = 1
-    while not ok(m):
-        m *= 2
-        if m > cap:
+    lo, hi = 0, 1
+    while not ok(hi):
+        if hi >= cap:
             raise CutoffCapError(
-                f"no cutoff below {cap} reaches truncation error {eps}; "
+                f"no cutoff up to {cap} reaches truncation error {eps}; "
                 "the state is too energetic for a certified truncation"
             )
-    lo, hi = m // 2, m  # ok(lo) is False, ok(hi) is True
+        lo, hi = hi, min(2 * hi, cap)
+    # ok(lo) is False, ok(hi) is True
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):

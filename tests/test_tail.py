@@ -127,6 +127,17 @@ def test_cutoff_cap_raises():
         b.cutoff_for_error(b.thermal_state(50.0), 1e-9, cap=10)
 
 
+def test_cutoff_at_the_cap_is_found():
+    # the answer 23 lies between the last doubling (16) and the next (32):
+    # a cap of exactly 23 returns it, one below raises
+    st = b.thermal_state(1.0)
+    assert b.cutoff_for_error(st, 1e-3) == 23
+    for cap in (23, 24, 31):
+        assert b.cutoff_for_error(st, 1e-3, cap=cap) == 23
+    with pytest.raises(b.CutoffCapError, match="no cutoff up to 22"):
+        b.cutoff_for_error(st, 1e-3, cap=22)
+
+
 def test_cutoff_nongaussian():
     assert b.cutoff_nongaussian(1.0, 0.1) == 900
     assert b.cutoff_nongaussian(2.0, 0.05) == math.ceil(9 * 2.0 / 0.05**2)
