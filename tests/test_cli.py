@@ -359,10 +359,12 @@ def test_sweep_rows_match_library_calls(runner, tmp_path, grid):
 
 @pytest.mark.parametrize("kind,param", [("loss", "0.7"), ("amp", "2.5")])
 def test_sweep_single_values_match_library_calls(runner, tmp_path, kind, param):
+    # n = 14 is exactly the AEP threshold 2 log2(2/eps^2) at eps = 1/8
     rows, expected = _sweep_and_oracle(
         runner, tmp_path / "one.csv", kind, "asymptotic,aep,improved,ec-aep,ec-variance,best,upper",
-        "Q,Q2,K", param, "1.5", "100", "0.05")
+        "Q,Q2,K", param, "1.5", "14", "0.125")
     assert rows == expected
+    assert all(row.endswith(",true") for row in rows)
 
 
 # a valid one-row grid; each case below spoils one axis after a valid value,
@@ -418,6 +420,12 @@ def test_float_format_seventeen_digits(runner):
     # eps shows its shortest 17-digit form and round-trips exactly
     assert '"eps": 0.10000000000000001' in payload
     assert json.loads(payload)["eps"] == 0.1
+    from bosonic.cli import _fmt_float
+
+    cases = {100.0: "100.0", -0.0: "-0.0", 1e20: "1e+20", 2.5e-7: "2.4999999999999999e-07",
+             123456789012345678.0: "1.2345678901234568e+17", 5e-324: "4.9406564584124654e-324",
+             math.inf: "Infinity", -math.inf: "-Infinity", math.nan: "NaN"}
+    assert {x: _fmt_float(x) for x in cases} == cases
 
 
 _NO_SCIPY_SCRIPT = textwrap.dedent("""
