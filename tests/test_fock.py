@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bosonic as b
+from conftest import photon_distribution, random_orthogonal_symplectic, random_state
 
 
 def test_basis_enumeration():
@@ -105,6 +106,34 @@ def test_hermiticity_and_psd_of_output():
     assert np.allclose(f.matrix, f.matrix.T.conj(), atol=1e-14)
     evals = np.linalg.eigvalsh(f.matrix)
     assert evals.min() >= -1e-12
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, 20), (2, 8), (3, 4)])
+def test_trace_matches_exact_photon_distribution(modes, cutoff):
+    # mixed, squeezed, displaced and (for 2-3 modes) actively mixed states
+    rng = np.random.default_rng(100 + modes)
+    for _ in range(6):
+        st = random_state(rng, modes)
+        exact = float(np.sum(photon_distribution(st)[: cutoff + 1]))
+        assert b.fock_matrix_elements(st, cutoff).trace == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 6), (3, 3)])
+def test_block_distance_invariant_under_passive_unitary(modes, cutoff):
+    # a passive unitary keeps the total photon number, so it acts unitarily
+    # on the truncated space and leaves the distance between blocks unchanged
+    rng = np.random.default_rng(200 + modes)
+
+    def distance(x, y):
+        return b.finite_trace_distance(
+            b.truncate_normalize(b.fock_matrix_elements(x, cutoff)),
+            b.truncate_normalize(b.fock_matrix_elements(y, cutoff)))
+
+    for _ in range(4):
+        x, y = random_state(rng, modes), random_state(rng, modes)
+        rot = b.Transform(random_orthogonal_symplectic(rng, modes), np.zeros(2 * modes))
+        turned = distance(b.apply_transform(x, rot), b.apply_transform(y, rot))
+        assert turned == pytest.approx(distance(x, y), abs=1e-12)
 
 
 def test_beam_splitter_coeffs_single_photon_reduction():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bosonic as b
-from conftest import random_state
+from conftest import random_state, random_symplectic
 
 
 def thermal_distance_oracle(n1: float, n2: float, terms: int = 6000) -> float:
@@ -110,3 +110,28 @@ def test_domain_errors():
 def test_resource_cap_propagates():
     with pytest.raises(b.DimensionCapError):
         b.gaussian_trace_distance(b.thermal_state(1.0), b.thermal_state(2.0), 1e-4, cap=10)
+
+
+def test_thermal_product_under_common_active_symplectic():
+    # the true distance is invariant under a common Gaussian unitary; the
+    # actively mixed pair must be computed, and agree within both certificates
+    x = b.tensor([b.thermal_state(0.3), b.thermal_state(0.8)])
+    y = b.tensor([b.thermal_state(0.6), b.thermal_state(0.2)])
+    plain = b.gaussian_trace_distance(x, y, 1e-3)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        s = b.Transform(random_symplectic(rng, 2, 1.5), np.zeros(4))
+        mixed = b.gaussian_trace_distance(b.apply_transform(x, s), b.apply_transform(y, s), 1e-3)
+        slack = mixed.certified_error + plain.certified_error
+        assert abs(mixed.estimate - plain.estimate) <= slack
+
+
+def test_two_mode_pure_pairs_match_overlap_identity():
+    # for pure states D = sqrt(1 - tr(rho sigma)) exactly
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        x = random_state(rng, 2, pure=True, max_squeeze=1.3, max_shift=0.5)
+        y = random_state(rng, 2, pure=True, max_squeeze=1.3, max_shift=0.5)
+        res = b.gaussian_trace_distance(x, y, 1e-3)
+        exact = math.sqrt(1.0 - b.gaussian_overlap(x, y))
+        assert abs(res.estimate - exact) <= res.certified_error
