@@ -51,6 +51,7 @@ from .tail import (
 from .fock import (
     DimensionCapError,
     FockMatrix,
+    FockTraceError,
     basis_dimension,
     beam_splitter_fock_coeffs,
     enumerate_basis,

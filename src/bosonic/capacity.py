@@ -66,7 +66,9 @@ __all__ = [
     "bound_value",
     "channel_uses_necessary",
     "channel_uses_sufficient",
+    "check_eps",
     "check_n",
+    "check_photons",
     "converse_coeffs",
     "ec_aep_lower_bound",
     "ec_asymptotic",
@@ -125,7 +127,8 @@ def _check_task(task: str) -> str:
     return task
 
 
-def _check_eps(eps: float) -> float:
+def check_eps(eps: float) -> float:
+    """``eps`` as a float; ``ValueError`` unless 0 < eps < 1."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return float(eps)
@@ -138,7 +141,8 @@ def check_n(n: int) -> int:
     return int(n)
 
 
-def _check_photons(photons: float) -> float:
+def check_photons(photons: float) -> float:
+    """``photons`` as a float; ``ValueError`` if it is negative."""
     if photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {photons}")
     return float(photons)
@@ -173,7 +177,7 @@ def asymptotic_capacity(channel: Channel, task: str) -> float:
 def ec_asymptotic(channel: Channel, task: str, photons: float) -> float:
     """Energy-constrained rate at input mean photon number ``photons``."""
     _check_task(task)
-    ns = _check_photons(photons)
+    ns = check_photons(photons)
     if isinstance(channel, PureLoss):
         lam = channel.transmissivity
         if task == "Q":
@@ -450,10 +454,10 @@ class BoundFamily:
         """(a, b, c, n_min) at (eps, task), after the eps, task and photon
         checks of ``evaluate``; ``n_min`` is the AEP threshold, or 0.0 for a
         family proven at every n.  Call ``check_applies`` first."""
-        eps = _check_eps(eps)
+        eps = check_eps(eps)
         _check_task(task)
         if self.needs_photons:
-            photons = _check_photons(photons)
+            photons = check_photons(photons)
         a, b, c = self.coeffs(channel, photons, eps, task)
         return a, b, c, (_aep_threshold(eps) if self.aep_threshold else 0.0)
 
@@ -525,7 +529,7 @@ def aep_lower_bound_generic(
     "Q2"/"K" the better of the direct and reverse lines.
     """
     n = check_n(n)
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     _check_task(task)
     if input_state.modes < 2:
         raise ValueError("input must carry a reference system (at least 2 modes)")
@@ -601,7 +605,7 @@ def converse_coeffs(
     a n - b sqrt(n) - c with b = 0 and c the negated constant, and holds
     at every n.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if task not in ("Q2", "K"):
         raise ValueError(f"the weak-converse bound covers tasks Q2/K, got {task!r}")
     return asymptotic_capacity(channel, "Q2"), 0.0, -_upper_const(eps), 0.0
@@ -705,12 +709,12 @@ def channel_uses_sufficient(
     it.  Raises ``ValueError`` when every applicable rate is zero (the task
     is impossible).
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     _check_task(task)
     if k <= 0:
         raise ValueError(f"target bits must be positive, got {k}")
     if photons is not None:
-        photons = _check_photons(photons)
+        photons = check_photons(photons)
 
     best: int | None = None
     for family in BOUND_FAMILIES.values():
@@ -732,7 +736,7 @@ def channel_uses_sufficient(
 
 def channel_uses_necessary(channel: Channel, k: float, eps: float) -> int:
     """Channel uses below which k bits at error eps are impossible (Q2/K)."""
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if k <= 0:
         raise ValueError(f"target bits must be positive, got {k}")
     q2 = asymptotic_capacity(channel, "Q2")

@@ -369,9 +369,9 @@ def _sweep_block(method, channel, task, ns, n_list, eps_list) -> list[str]:
     (method, task, channel parameter, Ns), for every n and then every eps.
 
     A bound's candidate families and their (a, b, c, n_min) are computed
-    once per eps; rows then differ only in n.  The checks run in the order
-    the per-row library calls make them, so an invalid grid fails with the
-    error of its first invalid row.
+    once per eps; rows then differ only in n.  The n, eps and Ns axes are
+    checked before any block; the method, task and channel checks run in
+    the order the per-row library calls make them.
     """
     _check_method(method)
     if method == "asymptotic":  # a bare rate: reads neither n nor eps
@@ -379,7 +379,6 @@ def _sweep_block(method, channel, task, ns, n_list, eps_list) -> list[str]:
         cells = f"{_fmt_float(value)},{'true' if value < 0 else 'false'},true"
         return [cells] * (len(n_list) * len(eps_list))
     if method == "upper":
-        cap_mod.check_n(n_list[0])
         candidates = [[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]
     else:
         if method == "best":
@@ -387,13 +386,11 @@ def _sweep_block(method, channel, task, ns, n_list, eps_list) -> list[str]:
         else:
             families = [cap_mod.BOUND_FAMILIES[method]]
             families[0].check_applies(channel, ns)
-        cap_mod.check_n(n_list[0])
         candidates = [[family.checked_coeffs(channel, eps, task, ns) for family in families]
                       for eps in eps_list]
     lower = method != "upper"
     cells = []
     for n in n_list:
-        cap_mod.check_n(n)
         for coeffs in candidates:
             values = [cap_mod.bound_value(a, b, c, n)[0] for a, b, c, _ in coeffs]
             best = cap_mod.first_max(values)
@@ -445,7 +442,9 @@ _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,precondit
 @click.option("--lam", default=None, help="Transmissivity range start:stop:count[:log].")
 @click.option("--g", default=None, help="Gain range start:stop:count[:log].")
 @click.option("--ns", default=None, help="Photon-number range (optional).")
-@click.option("--n", default=None, help="Channel-use range.")
+@click.option("--n", default=None,
+              help="Channel-use range; range points are truncated toward zero, "
+                   "a single value must be an integer.")
 @click.option("--eps", default=None, help="Error range.")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
 @click.option("--jobs", type=int, default=None,
@@ -479,10 +478,13 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
             params = _parse_range(pick(lam, "lam", "0.5"))
         else:
             params = _parse_range(pick(g, "g", "2.0"))
+        # every listed n, eps and Ns is checked, whether or not a method reads it
         ns_raw = pick(ns, "ns")
-        ns_list = [None] if ns_raw is None else _parse_range(ns_raw)
-        n_list = [int(v) for v in _parse_range(pick(n, "n", "100"))]
-        eps_list = _parse_range(pick(eps, "eps", "0.1"))
+        ns_list = [None] if ns_raw is None else [cap_mod.check_photons(v)
+                                                 for v in _parse_range(ns_raw)]
+        n_raw = str(pick(n, "n", "100"))
+        n_list = [cap_mod.check_n(int(v) if ":" in n_raw else v) for v in _parse_range(n_raw)]
+        eps_list = [cap_mod.check_eps(v) for v in _parse_range(pick(eps, "eps", "0.1"))]
         out_path = pick(out, "out")
         if out_path is None:
             raise ValueError("sweep needs --out (flag or config)")

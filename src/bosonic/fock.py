@@ -9,10 +9,19 @@ Matrix elements come from the Bargmann kernel of the density operator,
     <alpha| rho |beta> e^{(|alpha|^2+|beta|^2)/2}
         = C exp( z^T F z / 2 + u^T z ),     z = (conj(alpha), beta),
 
-whose (F, u) data follow from the complex Husimi parametrization of (m, V).
+whose data follow from the Husimi function: with G = (V + I)^-1 and
+y = sqrt(2) (Re beta_i, Im beta_i) per mode, the diagonal kernel is
+C exp(|beta|^2 - (y - m)^T G (y - m)).  Continuing conj(beta) -> conj(alpha)
+and writing sqrt(2) y = r z, with r the matrix of entries 1 and +-i, gives
+
+    quad = r^T G r,    F = X - quad,    u = quad (conj(mu), mu),
+
+where X exchanges conj(alpha) and beta and mu = (m_x + i m_p) / sqrt(2).
 Taylor coefficients of the kernel obey a three-term recurrence over the
 combined bra/ket multi-index; running it on sqrt(k! l!)-scaled coefficients
-yields <k|rho|l> directly and keeps every intermediate bounded by 1.
+yields <k|rho|l> directly and keeps every intermediate bounded by 1.  A
+block's trace is 1 - P(N > M); one above 1 + ``TRACE_TOL`` raises
+``FockTraceError``.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +38,7 @@ from .states import GaussianState, require_valid
 __all__ = [
     "DimensionCapError",
     "FockMatrix",
+    "FockTraceError",
     "basis_dimension",
     "beam_splitter_fock_coeffs",
     "enumerate_basis",
@@ -42,11 +52,16 @@ DEFAULT_DIM_CAP = 20000
 #: environment override for the basis-dimension cap
 CAP_ENV_VAR = "BOSONIC_FOCK_CAP"
 
-_TRACE_EXCESS_TOL = 1e-6
+#: slack on the block-trace invariant 1 - tail - TRACE_TOL <= trace <= 1 + TRACE_TOL
+TRACE_TOL = 1e-6
 
 
 class DimensionCapError(RuntimeError):
     """Truncated basis would exceed the configured dimension cap."""
+
+
+class FockTraceError(RuntimeError):
+    """A Fock block's trace leaves [1 - tail bound, 1] by more than ``TRACE_TOL``."""
 
 
 def basis_dimension(modes: int, cutoff: int) -> int:
@@ -115,27 +130,14 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
     m = state.mean
     g = np.linalg.inv(state.cov + np.eye(2 * n))
 
-    gxx = g[0::2, 0::2]
-    gxp = g[0::2, 1::2]
-    gpx = g[1::2, 0::2]
-    gpp = g[1::2, 1::2]
-    # bilinear form in w = (beta, conj(beta)) reproducing m-centred y^T G y
-    bb = 0.5 * ((gxx - gpp) - 1j * (gxp + gpx))
-    bc = 0.5 * ((gxx + gpp) + 1j * (gpx - gxp))
-    cb = 0.5 * ((gxx + gpp) - 1j * (gpx - gxp))
-    cc = 0.5 * ((gxx - gpp) + 1j * (gxp + gpx))
-    g_w = np.block([[bb, bc], [cb, cc]])
-
+    # sqrt(2) y = r z: x_i -> conj(alpha_i) + beta_i, p_i -> i conj(alpha_i) - i beta_i
+    eye = np.eye(n)
+    r = np.hstack([np.kron(eye, [[1.0], [1j]]), np.kron(eye, [[1.0], [-1j]])])
+    quad = r.T @ g @ r
+    exchange = np.kron([[0.0, 1.0], [1.0, 0.0]], eye)
     mu = (m[0::2] + 1j * m[1::2]) / math.sqrt(2.0)
-    w_mu = np.concatenate([mu, np.conj(mu)])
-
-    swap = np.r_[n : 2 * n, 0:n]
-    exchange = np.zeros((2 * n, 2 * n))
-    exchange[:n, n:] = np.eye(n)
-    exchange[n:, :n] = np.eye(n)
-
-    f_mat = exchange - 2.0 * g_w[np.ix_(swap, swap)]
-    u_vec = 2.0 * (g_w @ w_mu)[swap]
+    f_mat = exchange - quad
+    u_vec = quad @ np.concatenate([np.conj(mu), mu])
 
     det = np.linalg.det((state.cov + np.eye(2 * n)) / 2.0)
     if not (det > 0.0 and math.isfinite(det)):
@@ -164,68 +166,55 @@ def fock_matrix_elements(
 
     Raises:
         DimensionCapError: basis dimension exceeds the cap.
-        RuntimeError: trace exceeds 1 + 1e-6, signalling recursion instability.
+        FockTraceError: the block's trace exceeds 1 + ``TRACE_TOL``, which
+            no truncation of a density operator can.
     """
     dim = _check_dimension(state.modes, cutoff, cap)
     require_valid(state)
     n = state.modes
     basis = enumerate_basis(n, cutoff)
-    rank = {occ: i for i, occ in enumerate(basis)}
+    index = {occ: b for b, occ in enumerate(basis)}
 
     c0, f_mat, u_vec = _kernel_data(state)
 
-    # per-mode column gathers: index of l - e_i and sqrt(l_i), zero-padded
-    occ_arr = np.asarray(basis, dtype=int)
-    lower = np.zeros((n, dim), dtype=int)
-    sqrt_cnt = np.zeros((n, dim))
-    for i in range(n):
-        for b, occ in enumerate(basis):
-            if occ[i] > 0:
-                low = list(occ)
-                low[i] -= 1
-                lower[i, b] = rank[tuple(low)]
-                sqrt_cnt[i, b] = math.sqrt(occ[i])
+    # per mode i and basis index b: the index of occ_b - e_i and sqrt(occ_b[i]),
+    # both 0 where mode i is empty; first[b] is the first occupied mode of occ_b
+    lower = np.array([[index.get(occ[:i] + (occ[i] - 1,) + occ[i + 1:], 0) for occ in basis]
+                      for i in range(n)])
+    sqrt_cnt = np.sqrt(np.array(basis, dtype=float).T)
+    first = np.argmax(sqrt_cnt > 0.0, axis=0)
 
     out = np.zeros((dim, dim), dtype=complex)
     out[0, 0] = c0
 
     # bra side empty: recurse along the ket index only
     for b in range(1, dim):
-        occ = basis[b]
-        j = next(i for i, c in enumerate(occ) if c)
-        low = list(occ)
-        low[j] -= 1
-        prev = rank[tuple(low)]
+        j = first[b]
+        prev = lower[j, b]
         val = u_vec[n + j] * out[0, prev]
         for i in range(n):
-            if low[i] > 0:
-                step = list(low)
-                step[i] -= 1
-                val += f_mat[n + j, n + i] * math.sqrt(low[i]) * out[0, rank[tuple(step)]]
-        out[0, b] = val / math.sqrt(occ[j])
+            if sqrt_cnt[i, prev]:
+                val += f_mat[n + j, n + i] * sqrt_cnt[i, prev] * out[0, lower[i, prev]]
+        out[0, b] = val / sqrt_cnt[j, b]
 
     # remaining rows, vectorized across the ket index
     for a in range(1, dim):
-        occ = basis[a]
-        j = next(i for i, c in enumerate(occ) if c)
-        low = list(occ)
-        low[j] -= 1
-        prev = rank[tuple(low)]
+        j = first[a]
+        prev = lower[j, a]
         row = u_vec[j] * out[prev]
         for i in range(n):
-            if low[i] > 0:
-                step = list(low)
-                step[i] -= 1
-                row = row + f_mat[j, i] * math.sqrt(low[i]) * out[rank[tuple(step)]]
+            if sqrt_cnt[i, prev]:
+                row = row + f_mat[j, i] * sqrt_cnt[i, prev] * out[lower[i, prev]]
             row = row + f_mat[j, n + i] * (sqrt_cnt[i] * out[prev, lower[i]])
-        out[a] = row / math.sqrt(occ[j])
+        out[a] = row / sqrt_cnt[j, a]
 
-    out = (out + out.conj().T) / 2.0
+    out += out.conj().T
+    out /= 2.0
     result = FockMatrix(matrix=out, modes=n, cutoff=cutoff)
-    if result.trace > 1.0 + _TRACE_EXCESS_TOL:
-        raise RuntimeError(
-            f"truncated trace {result.trace} exceeds 1; the recursion lost "
-            "precision for this state (try a lower cutoff or less energy)"
+    if result.trace > 1.0 + TRACE_TOL:
+        raise FockTraceError(
+            f"Fock block trace {result.trace!r} exceeds 1 by more than {TRACE_TOL}; "
+            "the block is not a truncation of a density operator"
         )
     return result
 

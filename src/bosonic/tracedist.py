@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockMatrix, basis_dimension, fock_matrix_elements, truncate_normalize
+from .fock import (
+    TRACE_TOL,
+    FockMatrix,
+    FockTraceError,
+    basis_dimension,
+    fock_matrix_elements,
+    truncate_normalize,
+)
 from .states import GaussianState
 from .tail import cutoff_for_error, trace_distance_truncation_bound
 
@@ -63,6 +70,22 @@ def finite_trace_distance(a, b, tol: float = 1e-12) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(herm)))) / 2.0
 
 
+def _normalized_block(
+    state: GaussianState, cutoff: int, tail: float, cap: int | None
+) -> FockMatrix:
+    """The Fock block of ``state`` rescaled to unit trace, once its raw trace
+    is checked against the truncation bound ``tail`` (a trace distance, so
+    the photon tail is at most ``tail**2``)."""
+    raw = fock_matrix_elements(state, cutoff, cap=cap)
+    floor = 1.0 - tail * tail
+    if raw.trace < floor - TRACE_TOL:
+        raise FockTraceError(
+            f"Fock block trace {raw.trace!r} falls below 1 - tail bound = {floor!r} "
+            f"by more than {TRACE_TOL}; the block misses weight the tail cannot hold"
+        )
+    return truncate_normalize(raw)
+
+
 def gaussian_trace_distance(
     state_a: GaussianState, state_b: GaussianState, eps: float, cap: int | None = None
 ) -> TraceDistanceResult:
@@ -77,6 +100,11 @@ def gaussian_trace_distance(
     Returns:
         ``TraceDistanceResult`` with the estimate clamped to [0, 1] and an
         honest certificate for the realized error.
+
+    Raises:
+        DimensionCapError: a Fock block would exceed the dimension cap.
+        FockTraceError: a raw block's trace leaves [1 - tail^2, 1] by more
+            than ``TRACE_TOL``.
     """
     if state_a.modes != state_b.modes:
         raise ValueError(
@@ -91,11 +119,11 @@ def gaussian_trace_distance(
     )
     dim = basis_dimension(state_a.modes, cutoff)
 
-    block_a = truncate_normalize(fock_matrix_elements(state_a, cutoff, cap=cap))
-    block_b = truncate_normalize(fock_matrix_elements(state_b, cutoff, cap=cap))
-
     tail_a = trace_distance_truncation_bound(state_a, cutoff).bound
     tail_b = trace_distance_truncation_bound(state_b, cutoff).bound
+
+    block_a = _normalized_block(state_a, cutoff, tail_a, cap)
+    block_b = _normalized_block(state_b, cutoff, tail_b, cap)
 
     estimate = finite_trace_distance(block_a, block_b)
     # symmetric eigensolve is backward stable; residual ~ dim * ulp * ||diff||

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from bosonic import GaussianState
+from bosonic import GaussianState, fock
 
 
 def interleave(mat_xxpp: np.ndarray) -> np.ndarray:
@@ -66,3 +66,14 @@ def photon_distribution(state: GaussianState, points: int = 1 << 11) -> np.ndarr
         log_g -= 0.5 * np.log(((1.0 + v) - z * (v - 1.0)) / 2.0)
         log_g -= (1.0 - z) * m * m / ((1.0 - z) * v + 1.0 + z)
     return np.fft.fft(np.exp(log_g)).real / points
+
+
+def scale_blocks(monkeypatch, factor: float) -> None:
+    """Make every Fock block ``factor`` times its true value."""
+    kernel = fock._kernel_data
+
+    def scaled(state):
+        c0, f_mat, u_vec = kernel(state)
+        return factor * c0, f_mat, u_vec
+
+    monkeypatch.setattr(fock, "_kernel_data", scaled)

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import bosonic
 from bosonic.cli import main
+from conftest import scale_blocks
 
 
 @pytest.fixture()
@@ -150,6 +151,15 @@ def test_tracedist_cap_exit_three(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("BOSONIC_FOCK_CAP", "5")
     res = runner.invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
     assert res.exit_code == 3
+
+
+def test_tracedist_trace_error_exit_two(runner, tmp_path, monkeypatch):
+    vac = thermal_file(tmp_path, runner, 0.0, "vac.json")
+    t1 = thermal_file(tmp_path, runner, 1.0, "t1.json")
+    scale_blocks(monkeypatch, 0.99)
+    res = _char_runner().invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: Fock block trace ")
 
 
 def test_capacity_command(runner):
@@ -400,17 +410,31 @@ def test_sweep_invalid_grid_writes_nothing(tmp_path, spoil, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spoil,rows", [
-    # the asymptotic rate reads neither n nor eps, and aep/upper ignore --ns
-    (("--methods", "asymptotic", "--eps", "1.5"), 1),
-    (("--methods", "asymptotic", "--n", "100:0:2"), 2),
-    (("--methods", "aep,upper", "--ns", "1:-1:2"), 4),
+@pytest.mark.parametrize("spoil,message", [
+    # the asymptotic rate reads neither n nor eps, and aep/upper ignore --ns,
+    # but every listed axis value is checked
+    pytest.param(("--methods", "asymptotic", "--eps", "1.5"),
+                 "eps must lie in (0, 1), got 1.5", id="asymptotic-eps"),
+    pytest.param(("--methods", "asymptotic", "--n", "100:0:2"),
+                 "n must be a positive integer, got 0", id="asymptotic-n"),
+    pytest.param(("--methods", "aep,upper", "--ns", "1:-1:2"),
+                 "mean photon number must be >= 0, got -1.0", id="aep-upper-ns"),
+    # range points are truncated toward zero, a single n is not
+    pytest.param(("--n", "2.5"), "n must be a positive integer, got 2.5", id="single-n"),
 ])
-def test_sweep_unchecked_axes_still_succeed(tmp_path, spoil, rows):
+def test_sweep_checks_axes_no_method_reads(tmp_path, spoil, message):
     out = tmp_path / "sweep.csv"
     res = _char_runner().invoke(main, ["sweep", *_GRID, *spoil, "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_truncates_range_points(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = _char_runner().invoke(main, ["sweep", *_GRID, "--n", "2.5:3.5:2", "--out", str(out)])
     assert res.exit_code == 0, res.stderr
-    assert len(out.read_text().splitlines()) == 1 + rows
+    assert [row.split(",")[6] for row in out.read_text().splitlines()[1:]] == ["2", "3"]
 
 
 def test_float_format_seventeen_digits(runner):

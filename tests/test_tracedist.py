@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bosonic as b
-from conftest import random_state, random_symplectic
+from conftest import random_state, random_symplectic, scale_blocks
 
 
 def thermal_distance_oracle(n1: float, n2: float, terms: int = 6000) -> float:
@@ -135,3 +135,11 @@ def test_two_mode_pure_pairs_match_overlap_identity():
         res = b.gaussian_trace_distance(x, y, 1e-3)
         exact = math.sqrt(1.0 - b.gaussian_overlap(x, y))
         assert abs(res.estimate - exact) <= res.certified_error
+
+
+@pytest.mark.parametrize("factor,defect", [(1.01, "exceeds 1"), (0.99, "falls below 1 - tail")])
+def test_block_trace_invariant_both_sides(monkeypatch, factor, defect):
+    # a block may neither hold more than the state nor lose more than the tail
+    scale_blocks(monkeypatch, factor)
+    with pytest.raises(b.FockTraceError, match=defect):
+        b.gaussian_trace_distance(b.thermal_state(0.5), b.thermal_state(1.0), 1e-3)
