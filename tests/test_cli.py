@@ -377,8 +377,8 @@ def test_sweep_single_values_match_library_calls(runner, tmp_path, kind, param):
     assert all(row.endswith(",true") for row in rows)
 
 
-# a valid one-row grid; each case below spoils one axis after a valid value,
-# so rows have been computed when the sweep fails
+# a valid one-row grid; most cases below spoil one axis after a valid value,
+# so a sweep that checked only the first value of an axis would pass
 _GRID = ("--channel", "loss", "--methods", "aep", "--tasks", "Q2", "--lam", "0.5",
          "--n", "100", "--eps", "0.1")
 _METHOD_NAMES = "('asymptotic', 'aep', 'improved', 'ec-aep', 'ec-variance', 'best', 'upper')"
@@ -397,6 +397,16 @@ _INVALID_GRIDS = [
     (("--methods", "ec-aep"), "method ec-aep needs --ns"),
     (("--lam", "0.5:1.2:2"), "transmissivity must lie in [0, 1], got 1.2"),
     (("--channel", "amp", "--g", "2:0.5:2"), "gain must be >= 1, got 0.5"),
+    # the asymptotic rate reads neither n nor eps, and aep/upper ignore --ns,
+    # but every listed axis value is checked
+    pytest.param(("--methods", "asymptotic", "--eps", "1.5"),
+                 "eps must lie in (0, 1), got 1.5", id="asymptotic-eps"),
+    pytest.param(("--methods", "asymptotic", "--n", "100:0:2"),
+                 "n must be a positive integer, got 0", id="asymptotic-n"),
+    pytest.param(("--methods", "aep,upper", "--ns", "1:-1:2"),
+                 "mean photon number must be >= 0, got -1.0", id="aep-upper-ns"),
+    # range points are truncated toward zero, a single n is not
+    pytest.param(("--n", "2.5"), "n must be a positive integer, got 2.5", id="single-n"),
 ]
 
 
@@ -408,33 +418,6 @@ def test_sweep_invalid_grid_writes_nothing(tmp_path, spoil, message):
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
     assert not out.exists()
-
-
-@pytest.mark.parametrize("spoil,message", [
-    # the asymptotic rate reads neither n nor eps, and aep/upper ignore --ns,
-    # but every listed axis value is checked
-    pytest.param(("--methods", "asymptotic", "--eps", "1.5"),
-                 "eps must lie in (0, 1), got 1.5", id="asymptotic-eps"),
-    pytest.param(("--methods", "asymptotic", "--n", "100:0:2"),
-                 "n must be a positive integer, got 0", id="asymptotic-n"),
-    pytest.param(("--methods", "aep,upper", "--ns", "1:-1:2"),
-                 "mean photon number must be >= 0, got -1.0", id="aep-upper-ns"),
-    # range points are truncated toward zero, a single n is not
-    pytest.param(("--n", "2.5"), "n must be a positive integer, got 2.5", id="single-n"),
-])
-def test_sweep_checks_axes_no_method_reads(tmp_path, spoil, message):
-    out = tmp_path / "sweep.csv"
-    res = _char_runner().invoke(main, ["sweep", *_GRID, *spoil, "--out", str(out)])
-    assert res.exit_code == 2
-    assert res.stderr == f"error: {message}\n"
-    assert not out.exists()
-
-
-def test_sweep_truncates_range_points(tmp_path):
-    out = tmp_path / "sweep.csv"
-    res = _char_runner().invoke(main, ["sweep", *_GRID, "--n", "2.5:3.5:2", "--out", str(out)])
-    assert res.exit_code == 0, res.stderr
-    assert [row.split(",")[6] for row in out.read_text().splitlines()[1:]] == ["2", "3"]
 
 
 def test_float_format_seventeen_digits(runner):

@@ -117,11 +117,11 @@ def test_thermal_product_under_common_active_symplectic():
     # actively mixed pair must be computed, and agree within both certificates
     x = b.tensor([b.thermal_state(0.3), b.thermal_state(0.8)])
     y = b.tensor([b.thermal_state(0.6), b.thermal_state(0.2)])
-    plain = b.gaussian_trace_distance(x, y, 1e-3)
+    plain = b.gaussian_trace_distance(x, y, 1e-2)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        s = b.Transform(random_symplectic(rng, 2, 1.5), np.zeros(4))
-        mixed = b.gaussian_trace_distance(b.apply_transform(x, s), b.apply_transform(y, s), 1e-3)
+        s = b.Transform(random_symplectic(rng, 2, 1.2), np.zeros(4))
+        mixed = b.gaussian_trace_distance(b.apply_transform(x, s), b.apply_transform(y, s), 1e-2)
         slack = mixed.certified_error + plain.certified_error
         assert abs(mixed.estimate - plain.estimate) <= slack
 
