@@ -478,7 +478,8 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
             params = _parse_range(pick(lam, "lam", "0.5"))
         else:
             params = _parse_range(pick(g, "g", "2.0"))
-        # every listed n, eps and Ns is checked, whether or not a method reads it
+        # every listed n, eps and Ns is checked, whether or not a method reads it;
+        # n range points are truncated toward zero, a single n must be an integer
         ns_raw = pick(ns, "ns")
         ns_list = [None] if ns_raw is None else [cap_mod.check_photons(v)
                                                  for v in _parse_range(ns_raw)]
