@@ -100,6 +100,18 @@ class FockMatrix:
         return enumerate_basis(self.modes, self.cutoff)
 
     @property
+    def totals(self) -> np.ndarray:
+        """Total photon number of each basis index: the sector view.
+
+        Photon-number sector k is the contiguous index range
+        [C(k-1+n, n), C(k+n, n)) of the graded basis, and the parity sectors
+        are the even and the odd totals; both follow from (modes, cutoff)
+        alone, without enumerating the basis.
+        """
+        sizes = [math.comb(k + self.modes - 1, k) for k in range(self.cutoff + 1)]
+        return np.repeat(np.arange(self.cutoff + 1), sizes)
+
+    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 

@@ -17,6 +17,11 @@ def test_basis_enumeration():
     assert basis[0] == (0, 0)
     # one-mode case is the integer ladder
     assert b.enumerate_basis(1, 3) == [(0,), (1,), (2,), (3,)]
+    # the sector view follows from (modes, cutoff) without the tuples
+    for modes, cutoff in [(1, 3), (2, 2), (3, 4), (2, 0)]:
+        dim = b.basis_dimension(modes, cutoff)
+        block = b.FockMatrix(np.zeros((dim, dim)), modes=modes, cutoff=cutoff)
+        assert list(block.totals) == [sum(occ) for occ in b.enumerate_basis(modes, cutoff)]
 
 
 def test_vacuum_matrix():

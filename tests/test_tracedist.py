@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import bosonic as b
-from conftest import random_state, random_symplectic, scale_blocks
+from conftest import (
+    interleave,
+    random_orthogonal_symplectic,
+    random_state,
+    random_symplectic,
+    scale_blocks,
+)
 
 
 def thermal_distance_oracle(n1: float, n2: float, terms: int = 6000) -> float:
@@ -33,6 +39,109 @@ def test_finite_trace_distance_rejects_non_hermitian():
     m = np.array([[0.5, 1.0], [0.0, 0.5]])
     with pytest.raises(ValueError):
         b.finite_trace_distance(m, np.eye(2) / 2.0)
+
+
+@pytest.mark.parametrize("m,modes", [
+    # a size-1 photon-number sector, read off the diagonal
+    (np.diag([0.5, 0.5 + 1e-6j]), 1),
+    # inside the two-index photon-number sector of two modes
+    (np.array([[0.4, 0.0, 0.0], [0.0, 0.3, 1e-3], [0.0, 0.0, 0.3]]), 2),
+])
+def test_sector_blocks_reject_non_hermitian(m, modes):
+    a, ref = (b.FockMatrix(x, modes=modes, cutoff=1) for x in (m, np.diag(np.diag(m).real)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        b.finite_trace_distance(a, ref)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(5, 1), (2, 3)])
+def test_finite_trace_distance_rejects_blocks_on_different_bases(modes, cutoff):
+    # (1, 5) against (5, 1) agree in dimension, 6, but not in basis
+    dim = b.basis_dimension(modes, cutoff)
+    a = b.FockMatrix(np.eye(6) / 6.0, modes=1, cutoff=5)
+    other = b.FockMatrix(np.eye(dim) / dim, modes=modes, cutoff=cutoff)
+    with pytest.raises(ValueError, match=rf"\(modes 1, cutoff 5\) and \(modes {modes}, cutoff {cutoff}\)"):
+        b.finite_trace_distance(a, other)
+
+
+def _real_passive(rng, modes):
+    """Beam-splitter network without phases: one orthogonal Q on x and on p."""
+    q, _ = np.linalg.qr(rng.normal(size=(modes, modes)))
+    return interleave(np.kron(np.eye(2), q))
+
+
+#: the Gaussian unitary each family applies to a thermal product
+_SECTOR_MAPS = {
+    "real-passive": _real_passive,
+    "complex-passive": random_orthogonal_symplectic,
+    "active": random_symplectic,
+}
+
+
+def _sector_pair(family, modes, rng):
+    """Two states of ``family``: zero-mean unless displaced or pure."""
+    if family == "pure":
+        return tuple(random_state(rng, modes, pure=True, max_squeeze=1.3, max_shift=0.5)
+                     for _ in range(2))
+    pair = []
+    for _ in range(2):
+        st = b.tensor([b.thermal_state(n) for n in rng.uniform(0.2, 0.8, size=modes)])
+        sym = _SECTOR_MAPS[family](rng, modes) if family in _SECTOR_MAPS else np.eye(2 * modes)
+        shift = rng.uniform(-0.5, 0.5, size=2 * modes) if family == "displaced" else np.zeros(2 * modes)
+        pair.append(b.apply_transform(st, b.Transform(sym, shift)))
+    return tuple(pair)
+
+
+_SECTOR_CASES = [
+    ("thermal", 1, "number"), ("thermal", 2, "number"), ("thermal", 3, "number"),
+    ("real-passive", 2, "number"), ("real-passive", 3, "number"),
+    ("complex-passive", 2, "parity"), ("complex-passive", 3, "parity"),
+    ("active", 1, "parity"), ("active", 2, "parity"), ("active", 3, "parity"),
+    ("displaced", 1, "whole"), ("displaced", 2, "whole"), ("displaced", 3, "whole"),
+    ("pure", 1, "whole"), ("pure", 2, "whole"), ("pure", 3, "whole"),
+]
+
+
+@pytest.mark.parametrize("family,modes,partition", _SECTOR_CASES)
+def test_sector_split_matches_dense_eigensolve(monkeypatch, family, modes, partition):
+    # the eigensolve runs once per sector of more than one index; size-1
+    # sectors are read off the diagonal
+    cutoff = {1: 12, 2: 7, 3: 4}[modes]
+    x, y = _sector_pair(family, modes, np.random.default_rng(300 + modes))
+    fa, fb = (b.truncate_normalize(b.fock_matrix_elements(st, cutoff)) for st in (x, y))
+    dim = fa.matrix.shape[0]
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(m):
+        sizes.append(m.shape[0])
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    split = b.finite_trace_distance(fa, fb)
+    totals = np.array([sum(occ) for occ in b.enumerate_basis(modes, cutoff)])
+    expected = {
+        "number": [s for s in np.bincount(totals) if s > 1],
+        "parity": list(np.bincount(totals % 2)),
+        "whole": [dim],
+    }[partition]
+    assert sizes == expected
+    dense = b.finite_trace_distance(fa.matrix, fb.matrix)
+    assert sizes[len(expected):] == [dim]
+    assert abs(split - dense) <= 2 * dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("modes,pure", [(1, True), (2, False)])
+def test_undecoupled_estimate_is_bitwise_the_dense_eigensolve(modes, pure):
+    # a displaced pair couples every parity, so the one-sector path must
+    # return exactly what the dense eigensolve of the whole difference does
+    rng = np.random.default_rng(17 + modes)
+    x, y = (random_state(rng, modes, pure=pure, max_squeeze=1.3, max_shift=0.6)
+            for _ in range(2))
+    res = b.gaussian_trace_distance(x, y, 1e-3)
+    diff = (b.truncate_normalize(b.fock_matrix_elements(x, res.cutoff)).matrix
+            - b.truncate_normalize(b.fock_matrix_elements(y, res.cutoff)).matrix)
+    herm = (diff + diff.conj().T) / 2.0
+    assert res.estimate == float(np.sum(np.abs(np.linalg.eigvalsh(herm)))) / 2.0
 
 
 def test_vacuum_vs_thermal():
