@@ -95,6 +95,14 @@ class FockMatrix:
     modes: int
     cutoff: int
 
+    def __post_init__(self):
+        dim = basis_dimension(self.modes, self.cutoff)
+        if np.shape(self.matrix) != (dim, dim):
+            raise ValueError(
+                f"matrix of shape {np.shape(self.matrix)} does not fit the "
+                f"{dim} x {dim} basis of {self.modes} modes at cutoff {self.cutoff}"
+            )
+
     @property
     def basis(self) -> list[tuple[int, ...]]:
         return enumerate_basis(self.modes, self.cutoff)

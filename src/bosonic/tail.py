@@ -18,6 +18,13 @@ simplifies to M/(4N + 2) nats and p(x) <= 2^(n/2) e^(1/2);
 ``tail_bound_optimized`` minimizes over x numerically and is never worse.
 The square root of the optimized bound certifies the trace-distance error
 of a Fock-space truncation at cutoff M.
+
+``cutoff_for_error`` inverts the bound instead of searching M with it.  At
+fixed t = arccoth(x) the log bound f(t) - 2tM is linear in M, so the
+smallest cutoff whose bound reaches eps is the ceiling of the minimum over
+t of M*(t) = (f(t) - 2 ln eps) / (2t): one golden search.  Two bound
+evaluations confirm that guess -- it passes and one photon fewer fails --
+so the cutoff is the one a search over M with the bound itself returns.
 """
 
 from __future__ import annotations
@@ -152,23 +159,8 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     photons = mean_photon_number(state)
     evals, mean_rot = _spectral_data(state)
-    norm = float(evals[-1])
-
     objective = _make_objective(evals, mean_rot, cutoff)
-
-    t_cap = _T_CAP_NATS / (2.0 * cutoff + 1.0)
-    t_lo = _arccoth(10.0 * (8.0 * photons + 4.0))
-    delta = 1e-6 * (1.0 + norm)
-    if norm > 1.0 + delta:
-        t_hi = min(_arccoth(norm + delta), t_cap)
-    else:
-        # every direction is (numerically) vacuum-tight: the prefactor stays
-        # bounded, so push the exponent to the cap
-        t_hi = t_cap
-    if not t_hi > t_lo:  # nat cap binds at very large cutoffs
-        t_lo = t_hi / 2.0
-
-    t_best, log_best = _golden_min(objective, t_lo, t_high=t_hi)
+    t_best, log_best = _golden_min(objective, *_t_bracket(photons, evals, cutoff))
 
     x0 = 8.0 * photons + 4.0
     if not math.isfinite(log_best):
@@ -185,6 +177,23 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
         decay_rate=rate,
         optimizer_x=_coth(t_best),
     )
+
+
+def _t_bracket(photons: float, evals: np.ndarray, cutoff: int) -> tuple[float, float]:
+    """The t = arccoth(x) interval searched for the bound at ``cutoff``."""
+    norm = float(evals[-1])
+    t_cap = _T_CAP_NATS / (2.0 * cutoff + 1.0)
+    t_lo = _arccoth(10.0 * (8.0 * photons + 4.0))
+    delta = 1e-6 * (1.0 + norm)
+    if norm > 1.0 + delta:
+        t_hi = min(_arccoth(norm + delta), t_cap)
+    else:
+        # every direction is (numerically) vacuum-tight: the prefactor stays
+        # bounded, so push the exponent to the cap
+        t_hi = t_cap
+    if not t_hi > t_lo:  # nat cap binds at very large cutoffs
+        t_lo = t_hi / 2.0
+    return t_lo, t_hi
 
 
 def _arccoth(x: float) -> float:
@@ -230,29 +239,64 @@ def trace_distance_truncation_bound(state: GaussianState, cutoff: int) -> TailBo
     )
 
 
+def _estimate_cutoff(state: GaussianState, eps: float) -> float:
+    """min over t of M*(t) = (f(t) - 2 ln eps) / (2t), the smallest real M
+    whose bound at some t reaches ``eps``; f is the M = 0 objective."""
+    evals, mean_rot = _spectral_data(state)
+    objective = _make_objective(evals, mean_rot, 0)
+    log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
+
+    def needed(t: float) -> float:
+        return (objective(t) - log_target) / (2.0 * t)
+
+    bracket = _t_bracket(mean_photon_number(state), evals, 0)
+    return _golden_min(needed, *bracket)[1]
+
+
 def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
     """Smallest cutoff M with ``trace_distance_truncation_bound <= eps``.
 
-    Scans M by doubling, with the last step clipped to ``cap``, then
-    binary-searches the bracket.  Raises ``CutoffCapError`` when even
-    ``cap`` fails (the certified cutoff would not fit in memory anyway).
+    The log bound at fixed t = arccoth(x) is f(t) - 2tM, linear in M, so
+    the bound first reaches ``eps`` at M = min over t of
+    (f(t) - 2 ln eps) / (2t).  One golden search over the bound's own t
+    bracket gives that minimum; its ceiling, clamped to [0, cap], is the
+    guess M^.  Two calls of ``trace_distance_truncation_bound`` then
+    certify it: M^ passes and M^ - 1 fails (no call below 0).  Should a
+    check fail -- the nat cap on t shrinks the bracket at large M, and a
+    minimum within rounding of an integer can round either way -- the
+    search steps outward from M^ by 1, 2, 4, ... and bisects the last
+    step, so a wrong guess costs a logarithmic number of extra calls and
+    never a wrong cutoff.  Raises ``CutoffCapError`` when even ``cap``
+    fails (the certified cutoff would not fit in memory anyway).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
 
     def ok(m: int) -> bool:
-        return trace_distance_truncation_bound(state, m).bound <= eps
+        # no cutoff lies below 0: m = -1 fails without a call
+        return m >= 0 and trace_distance_truncation_bound(state, m).bound <= eps
 
-    if ok(0):
-        return 0
-    lo, hi = 0, 1
-    while not ok(hi):
-        if hi >= cap:
-            raise CutoffCapError(
-                f"no cutoff up to {cap} reaches truncation error {eps}; "
-                "the state is too energetic for a certified truncation"
-            )
-        lo, hi = hi, min(2 * hi, cap)
+    estimate = _estimate_cutoff(state, eps)
+    guess = min(max(math.ceil(estimate), 0), cap) if math.isfinite(estimate) else 0
+    step = 1
+    if ok(guess):
+        hi = guess
+        while ok(lo := max(hi - step, -1)):
+            hi, step = lo, 2 * step
+    else:
+        lo = guess
+        while True:
+            if lo >= cap:
+                raise CutoffCapError(
+                    f"no cutoff up to {cap} reaches truncation error {eps}; "
+                    "the state is too energetic for a certified truncation"
+                )
+            hi = min(lo + step, cap)
+            if ok(hi):
+                break
+            lo, step = hi, 2 * step
     # ok(lo) is False, ok(hi) is True
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -186,3 +186,11 @@ def test_invalid_state_for_fock():
     bad = b.GaussianState(np.zeros(2), 0.2 * np.eye(2))
     with pytest.raises((ValueError, RuntimeError)):
         b.fock_matrix_elements(bad, 5)
+
+
+def test_fock_matrix_shape_checked_on_construction():
+    # a 4 x 4 block cannot live on the 6-dimensional basis of one mode at cutoff 5
+    with pytest.raises(ValueError, match=r"shape \(4, 4\).*6 x 6 basis"):
+        b.FockMatrix(np.eye(4) / 4, modes=1, cutoff=5)
+    with pytest.raises(ValueError, match="does not fit"):
+        b.FockMatrix(np.ones((6, 5)), modes=1, cutoff=5)

@@ -128,7 +128,7 @@ def test_cutoff_cap_raises():
 
 
 def test_cutoff_at_the_cap_is_found():
-    # the answer 23 lies between the last doubling (16) and the next (32):
+    # the answer 23 lies strictly between the powers of two 16 and 32:
     # a cap of exactly 23 returns it, one below raises
     st = b.thermal_state(1.0)
     assert b.cutoff_for_error(st, 1e-3) == 23
@@ -136,6 +136,50 @@ def test_cutoff_at_the_cap_is_found():
         assert b.cutoff_for_error(st, 1e-3, cap=cap) == 23
     with pytest.raises(b.CutoffCapError, match="no cutoff up to 22"):
         b.cutoff_for_error(st, 1e-3, cap=22)
+
+
+def test_cutoff_cap_below_one():
+    st = b.thermal_state(0.001)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        b.cutoff_for_error(st, 0.2, cap=-5)
+    # the bound at M = 0 is 1 for every state: cap 0 fails ...
+    with pytest.raises(b.CutoffCapError, match="no cutoff up to 0 "):
+        b.cutoff_for_error(st, 0.2, cap=0)
+
+
+def test_cutoff_zero_when_it_passes(monkeypatch):
+    # ... unless the bound says otherwise; then 0 is the answer, cap 0 included
+    monkeypatch.setattr(b.tail, "trace_distance_truncation_bound",
+                        lambda state, cutoff: b.TailBoundResult(bound=0.0, decay_rate=0.0))
+    for cap in (0, 10**6):
+        assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3, cap=cap) == 0
+
+
+def test_cutoff_matches_linear_scan():
+    # the oracle: the first M of a linear scan whose bound reaches eps
+    rng = np.random.default_rng(17)
+    states = [b.vacuum_state(), b.thermal_state(20.0)]
+    states += [random_state(rng, modes) for modes in (1, 2, 3) for _ in range(2)]
+    cap = 300
+    for st in states:
+        bounds = [b.trace_distance_truncation_bound(st, m).bound for m in range(cap + 1)]
+        for eps in (0.9, 0.5, 1e-3, 1e-10, 1e-100):
+            passing = [m for m, bound in enumerate(bounds) if bound <= eps]
+            if passing:
+                assert b.cutoff_for_error(st, eps, cap=cap) == passing[0], (st, eps)
+            else:
+                with pytest.raises(b.CutoffCapError):
+                    b.cutoff_for_error(st, eps, cap=cap)
+
+
+def test_cutoff_inversion_needs_two_checks(monkeypatch):
+    # the inverted exponent lands on the answer: one check passes M, one fails M - 1
+    calls = []
+    bound = b.tail.trace_distance_truncation_bound
+    monkeypatch.setattr(b.tail, "trace_distance_truncation_bound",
+                        lambda state, cutoff: calls.append(cutoff) or bound(state, cutoff))
+    assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3) == 23
+    assert len(calls) <= 2
 
 
 def test_cutoff_nongaussian():
