@@ -48,9 +48,11 @@ from .states import (
     GaussianState,
     PureAmplifier,
     PureLoss,
+    check_gain,
     reduce_state,
     stinespring_output,
 )
+from .tail import smallest_passing
 
 __all__ = [
     "BOUND_FAMILIES",
@@ -136,16 +138,27 @@ def check_eps(eps: float) -> float:
 
 def check_n(n: int) -> int:
     """``n`` as an int; ``ValueError`` unless it is a positive integer."""
-    if n < 1 or int(n) != n:
+    if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     return int(n)
 
 
 def check_photons(photons: float) -> float:
-    """``photons`` as a float; ``ValueError`` if it is negative."""
+    """``photons`` as a float; ``ValueError`` if it is negative or not finite."""
     if photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    if not math.isfinite(photons):
+        raise ValueError(f"mean photon number must be finite, got {photons}")
     return float(photons)
+
+
+def _check_bits(k: float) -> float:
+    """``k`` unless it is not a positive, finite number of target bits."""
+    if k <= 0:
+        raise ValueError(f"target bits must be positive, got {k}")
+    if not math.isfinite(k):
+        raise ValueError(f"target bits must be finite, got {k}")
+    return k
 
 
 def _channel_params(channel: Channel) -> dict:
@@ -253,10 +266,8 @@ def _petz_half_rank_one(alpha: float, beta: float, gamma: float,
 
 def petz_terms_amplifier(gain: float, photons: float) -> dict[str, float]:
     """H_{1/2} terms {"A|B", "A|E"} of the amplifier tripartite state, in bits."""
-    g = float(gain)
+    g = check_gain(float(gain))
     ns = float(photons)
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {g}")
     if ns < 0:
         raise ValueError(f"mean photon number must be >= 0, got {ns}")
 
@@ -655,8 +666,8 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
     """Smallest integer n >= min_n with ``a n - b sqrt(n) - c >= k``.
 
     Solved through the quadratic in sqrt(n), then verified by substitution
-    so rounding cannot produce an off-by-one.  The check brackets the
-    answer with steps that double away from the estimate and then bisects,
+    so rounding cannot produce an off-by-one.  ``smallest_passing`` brackets
+    the answer with steps that double away from the estimate and bisects,
     so it stays short when a -> 0+ puts n near 1e30, where the two large
     terms cancel and the substituted value no longer moves by one unit.
     """
@@ -673,30 +684,11 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
 
     disc = b * b + 4.0 * a * (c + k)
     if disc < 0.0:
-        n = min_n
+        guess = min_n
     else:
         root = (b + math.sqrt(disc)) / (2.0 * a)
-        n = max(min_n, math.ceil(root * root))
-    # bracket: lo fails (or lies below min_n), hi passes
-    step = 1
-    if satisfied(n):
-        lo, hi = n - 1, n
-        while lo >= min_n and satisfied(lo):
-            hi, step = lo, 2 * step
-            lo = hi - step
-        lo = max(lo, min_n - 1)
-    else:
-        lo, hi = n, n + 1
-        while not satisfied(hi):
-            lo, step = hi, 2 * step
-            hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        guess = math.ceil(root * root)
+    return smallest_passing(satisfied, guess, min_n - 1)
 
 
 def channel_uses_sufficient(
@@ -711,8 +703,7 @@ def channel_uses_sufficient(
     """
     eps = check_eps(eps)
     _check_task(task)
-    if k <= 0:
-        raise ValueError(f"target bits must be positive, got {k}")
+    k = _check_bits(k)
     if photons is not None:
         photons = check_photons(photons)
 
@@ -737,8 +728,7 @@ def channel_uses_sufficient(
 def channel_uses_necessary(channel: Channel, k: float, eps: float) -> int:
     """Channel uses below which k bits at error eps are impossible (Q2/K)."""
     eps = check_eps(eps)
-    if k <= 0:
-        raise ValueError(f"target bits must be positive, got {k}")
+    k = _check_bits(k)
     q2 = asymptotic_capacity(channel, "Q2")
     if q2 == 0.0:
         raise ValueError("channel has zero capacity; no finite n transmits k bits")

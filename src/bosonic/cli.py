@@ -103,16 +103,22 @@ def _load_state(path: str) -> GaussianState:
         return state_from_dict(json.load(fh))
 
 
+#: channel name -> (the option that sets its parameter, the channel type)
+_CHANNELS = {"loss": ("lam", PureLoss), "amp": ("g", PureAmplifier)}
+
+
+def _channel_entry(kind) -> tuple[str, type]:
+    if kind not in ("loss", "amp"):
+        raise ValueError(f"channel must be loss or amp, got {kind!r}")
+    return _CHANNELS[kind]
+
+
 def _parse_channel(channel: str, lam: float | None, g: float | None):
-    if channel == "loss":
-        if lam is None:
-            raise ValueError("--channel loss needs --lam")
-        return PureLoss(lam)
-    if channel == "amp":
-        if g is None:
-            raise ValueError("--channel amp needs --g")
-        return PureAmplifier(g)
-    raise ValueError(f"channel must be loss or amp, got {channel!r}")
+    option, make = _channel_entry(channel)
+    param = lam if option == "lam" else g
+    if param is None:
+        raise ValueError(f"--channel {channel} needs --{option}")
+    return make(param)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +410,7 @@ def _sweep_block(method, channel, task, ns, n_list, eps_list) -> list[str]:
 
 def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> list[str]:
     """The CSV rows of a sweep grid, each one string ending in a newline."""
-    make_channel = PureLoss if kind == "loss" else PureAmplifier
+    make_channel = _channel_entry(kind)[1]
     channels = {}  # by position, built at first use as the per-row calls would
     param_cells = [f"{_fmt_float(p)}," if kind == "loss" else f",{_fmt_float(p)}"
                    for p in params]
@@ -431,6 +437,8 @@ def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> lis
 
 
 _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,preconditions_met"
+#: the keys a sweep config file may set: the options of the same names
+_SWEEP_CONFIG_KEYS = ("channel", "methods", "tasks", "lam", "g", "ns", "n", "eps", "out")
 
 
 @main.command("sweep")
@@ -447,9 +455,7 @@ _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,precondit
                    "a single value must be an integer.")
 @click.option("--eps", default=None, help="Error range.")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
-@click.option("--jobs", type=int, default=None,
-              help="Accepted for compatibility (at least 1); rows are computed serially.")
-def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
+def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
     """Evaluate bounds over a parameter grid and write CSV.
 
     Row order follows the nested loops (method, task, channel parameter,
@@ -463,6 +469,10 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
         if config is not None:
             with open(config, "r", encoding="utf-8") as fh:
                 conf = json.load(fh)
+            unknown = [key for key in conf if key not in _SWEEP_CONFIG_KEYS]
+            if unknown:
+                raise ValueError(f"unknown sweep config key {unknown[0]!r}; "
+                                 f"expected one of {_SWEEP_CONFIG_KEYS}")
 
         def pick(flag_val, key, default=None):
             if flag_val is not None:
@@ -472,28 +482,22 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out, jobs):
         kind = pick(channel, "channel")
         if kind is None:
             raise ValueError("sweep needs --channel (flag or config)")
+        _channel_entry(kind)  # a config file may name any channel
         method_list = [m.strip() for m in str(pick(methods, "methods", "best")).split(",")]
         task_list = [t.strip() for t in str(pick(tasks, "tasks", "Q2")).split(",")]
-        if kind == "loss":
-            params = _parse_range(pick(lam, "lam", "0.5"))
-        else:
-            params = _parse_range(pick(g, "g", "2.0"))
+        params = _parse_range(pick(lam, "lam", "0.5") if kind == "loss" else pick(g, "g", "2.0"))
         # every listed n, eps and Ns is checked, whether or not a method reads it;
         # n range points are truncated toward zero, a single n must be an integer
         ns_raw = pick(ns, "ns")
         ns_list = [None] if ns_raw is None else [cap_mod.check_photons(v)
                                                  for v in _parse_range(ns_raw)]
         n_raw = str(pick(n, "n", "100"))
-        n_list = [cap_mod.check_n(int(v) if ":" in n_raw else v) for v in _parse_range(n_raw)]
+        n_list = [cap_mod.check_n(int(v) if ":" in n_raw and math.isfinite(v) else v)
+                  for v in _parse_range(n_raw)]
         eps_list = [cap_mod.check_eps(v) for v in _parse_range(pick(eps, "eps", "0.1"))]
         out_path = pick(out, "out")
         if out_path is None:
             raise ValueError("sweep needs --out (flag or config)")
-        # --jobs is still accepted, but every row is computed serially
-        requested_jobs = pick(jobs, "jobs", 1)
-        if int(requested_jobs) < 1:
-            raise ValueError(f"--jobs must be at least 1, got {requested_jobs}")
-
         rows = _sweep_lines(method_list, task_list, kind, params, ns_list, n_list, eps_list)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_SWEEP_HEADER + "\n")

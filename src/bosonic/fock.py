@@ -124,16 +124,12 @@ class FockMatrix:
         return float(np.trace(self.matrix).real)
 
 
-def _dimension_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _check_dimension(modes: int, cutoff: int) -> int:
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_DIM_CAP
-
-
-def _check_dimension(modes: int, cutoff: int, cap: int | None) -> int:
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {env!r}")
+    limit = int(env) if env else DEFAULT_DIM_CAP
     dim = basis_dimension(modes, cutoff)
-    limit = _dimension_cap(cap)
     if dim > limit:
         raise DimensionCapError(
             f"cutoff {cutoff} on {modes} modes needs a {dim}-dimensional basis "
@@ -171,25 +167,23 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
     return c0, f_mat, u_vec
 
 
-def fock_matrix_elements(
-    state: GaussianState, cutoff: int, cap: int | None = None
-) -> FockMatrix:
+def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     """Exact Fock matrix elements <k|rho|l> for all totals up to ``cutoff``.
 
     Args:
         state: the Gaussian state.
         cutoff: maximum total photon number retained.
-        cap: basis-dimension cap; defaults to BOSONIC_FOCK_CAP or 20000.
 
     Returns:
         ``FockMatrix`` whose trace equals one minus the photon-number tail.
 
     Raises:
-        DimensionCapError: basis dimension exceeds the cap.
+        DimensionCapError: basis dimension exceeds ``BOSONIC_FOCK_CAP`` or 20000.
+        ValueError: ``BOSONIC_FOCK_CAP`` is set but not a positive integer.
         FockTraceError: the block's trace exceeds 1 + ``TRACE_TOL``, which
             no truncation of a density operator can.
     """
-    dim = _check_dimension(state.modes, cutoff, cap)
+    dim = _check_dimension(state.modes, cutoff)
     require_valid(state)
     n = state.modes
     basis = enumerate_basis(n, cutoff)

@@ -14,6 +14,7 @@ States are value objects: every operation returns a new ``GaussianState``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,6 +29,7 @@ __all__ = [
     "ValidationReport",
     "apply_transform",
     "beam_splitter",
+    "check_gain",
     "cov_norm_bound",
     "displacement",
     "mean_photon_number",
@@ -119,21 +121,20 @@ class ValidationReport:
         return dataclasses.asdict(self) | {"warnings": list(self.warnings)}
 
 
-def validate_state(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> ValidationReport:
+def validate_state(state: GaussianState) -> ValidationReport:
     """Check the uncertainty relation ``V + i*Omega >= 0``.
 
-    Margins within ``[-tol, 0)`` pass with a warning (eigensolver noise on
-    pure states); anything below ``-tol`` fails.
+    Margins within ``[-UNCERTAINTY_TOL, 0)`` pass with a warning
+    (eigensolver noise on pure states); anything below fails.
     """
     omega = symplectic_form(state.modes)
     margin = float(np.min(np.linalg.eigvalsh(state.cov + 1j * omega)))
+    ok = margin >= -UNCERTAINTY_TOL
     warnings: list[str] = []
-    ok = True
-    if margin < -tol:
-        ok = False
-    elif margin < 0.0:
+    if ok and margin < 0.0:
         warnings.append(
-            f"uncertainty margin {margin:.3e} is negative but within tolerance {tol:.1e}"
+            f"uncertainty margin {margin:.3e} is negative but within tolerance "
+            f"{UNCERTAINTY_TOL:.1e}"
         )
     return ValidationReport(
         ok=ok,
@@ -144,9 +145,9 @@ def validate_state(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> Valida
     )
 
 
-def require_valid(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> GaussianState:
+def require_valid(state: GaussianState) -> GaussianState:
     """Return ``state`` unchanged, raising ``InvalidStateError`` if unphysical."""
-    report = validate_state(state, tol)
+    report = validate_state(state)
     if not report.ok:
         raise InvalidStateError(
             f"unphysical state: uncertainty margin {report.uncertainty_margin:.3e}"
@@ -210,7 +211,7 @@ class Transform:
             raise ValueError(f"shift shape {r.shape} does not match matrix {s.shape}")
         omega = symplectic_form(s.shape[0] // 2)
         defect = np.max(np.abs(s @ omega @ s.T - omega))
-        if defect > 1e-8:
+        if not defect <= 1e-8:  # a NaN defect fails too
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         object.__setattr__(self, "symplectic", s)
         object.__setattr__(self, "shift", r)
@@ -244,11 +245,18 @@ def beam_splitter(transmissivity: float) -> Transform:
     return Transform(s, np.zeros(4))
 
 
+def check_gain(gain: float) -> float:
+    """``gain`` unless it is below 1 or not finite."""
+    if gain < 1.0:
+        raise ValueError(f"gain must be >= 1, got {gain}")
+    if not math.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain}")
+    return gain
+
+
 def two_mode_squeezer(gain: float) -> Transform:
     """Two-mode squeezer of gain ``gain >= 1``; mode 0 carries the amplified signal."""
-    g = float(gain)
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {g}")
+    g = check_gain(float(gain))
     sz = np.diag([1.0, -1.0])
     eye = np.eye(2)
     s = np.block(
@@ -370,8 +378,7 @@ class PureAmplifier:
     gain: float
 
     def __post_init__(self):
-        if self.gain < 1.0:
-            raise ValueError(f"gain must be >= 1, got {self.gain}")
+        check_gain(self.gain)
 
 
 Channel = PureLoss | PureAmplifier

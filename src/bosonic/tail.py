@@ -25,12 +25,14 @@ smallest cutoff whose bound reaches eps is the ceiling of the minimum over
 t of M*(t) = (f(t) - 2 ln eps) / (2t): one golden search.  Two bound
 evaluations confirm that guess -- it passes and one photon fewer fails --
 so the cutoff is the one a search over M with the bound itself returns.
+A failed check (the nat cap on t shrinks the bracket at large M, or the
+minimum rounds the wrong way) only makes the search step outward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +53,8 @@ __all__ = [
 _T_CAP_NATS = 700.0
 # golden-section iterations; shrinks the bracket by ~1e13
 _GOLDEN_ITERS = 64
+#: every photon-tail bound is at least this; no cutoff certifies eps below its root
+TAIL_FLOOR = 1e-300
 
 
 class CutoffCapError(RuntimeError):
@@ -110,9 +114,9 @@ def tail_bound_closed(state: GaussianState, cutoff: int) -> TailBoundResult:
 def _clamp_exp(log_bound: float) -> float:
     if log_bound >= 0.0:
         return 1.0
-    # floor at 1e-300: rounding a certified bound up is always sound, and the
+    # rounding a certified bound up to the floor is always sound, and the
     # result never collapses to an (unsound) exact zero
-    return max(math.exp(log_bound), 1e-300)
+    return max(math.exp(log_bound), TAIL_FLOOR)
 
 
 def _log_x_minus_one(t: float) -> float:
@@ -162,14 +166,9 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
     objective = _make_objective(evals, mean_rot, cutoff)
     t_best, log_best = _golden_min(objective, *_t_bracket(photons, evals, cutoff))
 
-    x0 = 8.0 * photons + 4.0
     if not math.isfinite(log_best):
-        log_fallback = _log_prefactor(evals, mean_rot, x0) - cutoff / (4.0 * photons + 2.0)
-        return TailBoundResult(
-            bound=_clamp_exp(log_fallback),
-            decay_rate=math.log2(math.e) / (4.0 * photons + 2.0),
-            optimizer_x=x0,
-            fallback=True,
+        return replace(
+            tail_bound_closed(state, cutoff), optimizer_x=8.0 * photons + 4.0, fallback=True
         )
     rate = 2.0 * t_best * math.log2(math.e)
     return TailBoundResult(
@@ -231,11 +230,8 @@ def trace_distance_truncation_bound(state: GaussianState, cutoff: int) -> TailBo
     """Certified bound on ``(1/2)||rho - rho_M||_1``: the square root of the
     optimized photon-number tail bound."""
     tail = tail_bound_optimized(state, cutoff)
-    return TailBoundResult(
-        bound=min(1.0, math.sqrt(tail.bound)),
-        decay_rate=tail.decay_rate / 2.0,
-        optimizer_x=tail.optimizer_x,
-        fallback=tail.fallback,
+    return replace(
+        tail, bound=min(1.0, math.sqrt(tail.bound)), decay_rate=tail.decay_rate / 2.0
     )
 
 
@@ -253,51 +249,27 @@ def _estimate_cutoff(state: GaussianState, eps: float) -> float:
     return _golden_min(needed, *bracket)[1]
 
 
-def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
-    """Smallest cutoff M with ``trace_distance_truncation_bound <= eps``.
-
-    The log bound at fixed t = arccoth(x) is f(t) - 2tM, linear in M, so
-    the bound first reaches ``eps`` at M = min over t of
-    (f(t) - 2 ln eps) / (2t).  One golden search over the bound's own t
-    bracket gives that minimum; its ceiling, clamped to [0, cap], is the
-    guess M^.  Two calls of ``trace_distance_truncation_bound`` then
-    certify it: M^ passes and M^ - 1 fails (no call below 0).  Should a
-    check fail -- the nat cap on t shrinks the bracket at large M, and a
-    minimum within rounding of an integer can round either way -- the
-    search steps outward from M^ by 1, 2, 4, ... and bisects the last
-    step, so a wrong guess costs a logarithmic number of extra calls and
-    never a wrong cutoff.  Raises ``CutoffCapError`` when even ``cap``
-    fails (the certified cutoff would not fit in memory anyway).
+def smallest_passing(ok, guess: int, floor: int, cap: int | None = None) -> int | None:
+    """Smallest integer m in (floor, cap] with ``ok(m)``, or None when
+    ``ok(cap)`` fails.  ``ok`` must be False up to the answer and True from
+    it on; ``floor`` is known to fail and is never checked.  The search
+    steps away from ``guess``, clamped into (floor, cap], by 1, 2, 4, ...
+    and bisects the last step: a right guess costs two checks (one at
+    floor + 1), a wrong one a logarithmic number more.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-
-    def ok(m: int) -> bool:
-        # no cutoff lies below 0: m = -1 fails without a call
-        return m >= 0 and trace_distance_truncation_bound(state, m).bound <= eps
-
-    estimate = _estimate_cutoff(state, eps)
-    guess = min(max(math.ceil(estimate), 0), cap) if math.isfinite(estimate) else 0
+    top = math.inf if cap is None else cap
+    hi = min(max(guess, floor + 1), top)
     step = 1
-    if ok(guess):
-        hi = guess
-        while ok(lo := max(hi - step, -1)):
+    if ok(hi):
+        while (lo := max(hi - step, floor)) > floor and ok(lo):
             hi, step = lo, 2 * step
     else:
-        lo = guess
-        while True:
-            if lo >= cap:
-                raise CutoffCapError(
-                    f"no cutoff up to {cap} reaches truncation error {eps}; "
-                    "the state is too energetic for a certified truncation"
-                )
-            hi = min(lo + step, cap)
-            if ok(hi):
-                break
+        lo = hi
+        while lo < top and not ok(hi := min(lo + step, top)):
             lo, step = hi, 2 * step
-    # ok(lo) is False, ok(hi) is True
+        if lo >= top:
+            return None
+    # ok(lo) is False (or lo is the floor), ok(hi) is True
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -305,6 +277,35 @@ def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
         else:
             lo = mid
     return hi
+
+
+def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
+    """Smallest cutoff M with ``trace_distance_truncation_bound <= eps``:
+    the inverted exponent (see the module docstring), confirmed by
+    ``smallest_passing``.
+
+    Raises ``ValueError`` for an eps below sqrt(``TAIL_FLOOR``), which no
+    cutoff reaches, and ``CutoffCapError`` when even ``cap`` fails (the
+    certified cutoff would not fit in memory anyway).
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if eps < math.sqrt(TAIL_FLOOR):
+        raise ValueError(f"eps {eps} lies below {math.sqrt(TAIL_FLOOR)}, the square root of "
+                         f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
+    def ok(m: int) -> bool:
+        return trace_distance_truncation_bound(state, m).bound <= eps
+
+    estimate = _estimate_cutoff(state, eps)
+    guess = math.ceil(estimate) if math.isfinite(estimate) else 0
+    cutoff = smallest_passing(ok, guess, -1, cap)
+    if cutoff is None:
+        raise CutoffCapError(f"no cutoff up to {cap} reaches truncation error {eps}; "
+                             "the state is too energetic for a certified truncation")
+    return cutoff
 
 
 def cutoff_nongaussian(photons: float, eps: float) -> int:

@@ -38,6 +38,9 @@ __all__ = [
     "gaussian_trace_distance",
 ]
 
+#: largest tolerated non-Hermiticity of a sector block of the difference
+HERMITIAN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TraceDistanceResult:
@@ -89,16 +92,16 @@ def _sector_labels(totals: np.ndarray | None, diff: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _hermitian_part(block: np.ndarray, limit: float) -> np.ndarray:
-    """(block + block^H) / 2, once ``block`` is Hermitian to within ``limit``;
-    a 1-D ``block`` is read as a diagonal."""
+def _hermitian_part(block: np.ndarray) -> np.ndarray:
+    """(block + block^H) / 2, once ``block`` is Hermitian to within
+    ``HERMITIAN_TOL``; a 1-D ``block`` is read as a diagonal."""
     skew = np.max(np.abs(block - block.conj().T)) if block.size else 0.0
-    if skew > limit:
+    if skew > HERMITIAN_TOL:
         raise ValueError(f"difference is not Hermitian (defect {skew:.3e})")
     return (block + block.conj().T) / 2.0
 
 
-def finite_trace_distance(a, b, tol: float = 1e-12) -> float:
+def finite_trace_distance(a, b) -> float:
     """(1/2) sum |eig(a - b)| for Hermitian blocks ``a``, ``b``.
 
     Two ``FockMatrix`` blocks must share (modes, cutoff).  Their difference
@@ -108,35 +111,30 @@ def finite_trace_distance(a, b, tol: float = 1e-12) -> float:
     sum d_s^3 instead of dim^3; size-1 sectors are read off the diagonal.
     Plain arrays, and blocks that no partition decouples, are one sector.
 
-    ``tol`` bounds the tolerated non-Hermiticity of each sector block; the
+    Each sector block must be Hermitian to within ``HERMITIAN_TOL``; the
     eigensolver itself is accurate to machine precision.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     totals = _common_totals(a, b)
     diff = _as_matrix(a) - _as_matrix(b)
     if diff.shape[0] != diff.shape[1]:
         raise ValueError(f"blocks must be square, got {diff.shape}")
-    limit = max(tol, 1e-9)
     labels = _sector_labels(totals, diff)
     sizes = np.bincount(labels)
-    eigs = [_hermitian_part(np.diagonal(diff)[sizes[labels] == 1], limit).real]
+    eigs = [_hermitian_part(np.diagonal(diff)[sizes[labels] == 1]).real]
     for sector in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == sector)
         lo, hi = idx[0], idx[-1] + 1
         # contiguous sectors (photon number, the whole matrix) are views
         block = diff[lo:hi, lo:hi] if hi - lo == idx.size else diff[np.ix_(idx, idx)]
-        eigs.append(np.linalg.eigvalsh(_hermitian_part(block, limit)))
+        eigs.append(np.linalg.eigvalsh(_hermitian_part(block)))
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
 
 
-def _normalized_block(
-    state: GaussianState, cutoff: int, tail: float, cap: int | None
-) -> FockMatrix:
+def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMatrix:
     """The Fock block of ``state`` rescaled to unit trace, once its raw trace
     is checked against the truncation bound ``tail`` (a trace distance, so
     the photon tail is at most ``tail**2``)."""
-    raw = fock_matrix_elements(state, cutoff, cap=cap)
+    raw = fock_matrix_elements(state, cutoff)
     floor = 1.0 - tail * tail
     if raw.trace < floor - TRACE_TOL:
         raise FockTraceError(
@@ -147,7 +145,7 @@ def _normalized_block(
 
 
 def gaussian_trace_distance(
-    state_a: GaussianState, state_b: GaussianState, eps: float, cap: int | None = None
+    state_a: GaussianState, state_b: GaussianState, eps: float
 ) -> TraceDistanceResult:
     """Trace distance between two Gaussian states to additive accuracy eps.
 
@@ -155,14 +153,14 @@ def gaussian_trace_distance(
         state_a: first state.
         state_b: second state, on the same number of modes.
         eps: target accuracy in (0, 1).
-        cap: optional Fock-dimension cap override.
 
     Returns:
         ``TraceDistanceResult`` with the estimate clamped to [0, 1] and an
         honest certificate for the realized error.
 
     Raises:
-        DimensionCapError: a Fock block would exceed the dimension cap.
+        DimensionCapError: a Fock block would exceed the dimension cap,
+            ``BOSONIC_FOCK_CAP`` or 20000.
         FockTraceError: a raw block's trace leaves [1 - tail^2, 1] by more
             than ``TRACE_TOL``.
     """
@@ -182,8 +180,8 @@ def gaussian_trace_distance(
     tail_a = trace_distance_truncation_bound(state_a, cutoff).bound
     tail_b = trace_distance_truncation_bound(state_b, cutoff).bound
 
-    block_a = _normalized_block(state_a, cutoff, tail_a, cap)
-    block_b = _normalized_block(state_b, cutoff, tail_b, cap)
+    block_a = _normalized_block(state_a, cutoff, tail_a)
+    block_b = _normalized_block(state_b, cutoff, tail_b)
 
     estimate = finite_trace_distance(block_a, block_b)
     # symmetric eigensolve is backward stable; residual ~ dim * ulp * ||diff||

@@ -236,14 +236,6 @@ def test_sweep_config_precedence(runner, tmp_path):
     res2 = invoke(runner, "sweep", "--config", str(conf), "--methods", "upper", "--out", out_b)
     assert res2.exit_code == 0
     assert (tmp_path / "b.csv").read_text().splitlines()[1].startswith("upper")
-    # --jobs below 1 is a domain error, from the flag or from the config
-    for flag in ("0", "-3"):
-        res3 = runner.invoke(main, ["sweep", "--config", str(conf), "--jobs", flag])
-        assert res3.exit_code == 2
-        assert "--jobs must be at least 1" in res3.output
-    conf.write_text(json.dumps(json.loads(conf.read_text()) | {"jobs": 0}))
-    assert runner.invoke(main, ["sweep", "--config", str(conf)]).exit_code == 2
-    assert invoke(runner, "sweep", "--config", str(conf), "--jobs", "2").exit_code == 0
 
 
 def test_sweep_skips_loss_only_families_on_amp(runner, tmp_path):
@@ -260,22 +252,6 @@ def test_sweep_skips_loss_only_families_on_amp(runner, tmp_path):
     only = tmp_path / "aep.csv"
     invoke(runner, "sweep", *grid, "--methods", "aep", "--out", str(only))
     assert only.read_text() == out.read_text()
-
-
-def test_sweep_parallel_determinism(tmp_path):
-    # --jobs is accepted and has no effect: rows are computed serially
-    conf = tmp_path / "conf.json"
-    base = ["--channel", "loss", "--methods", "improved,aep,upper", "--tasks", "Q2,Q",
-            "--lam", "0.3:0.9:3", "--n", "50:150:2", "--eps", "0.1"]
-    out_s = tmp_path / "serial.csv"
-    out_p = tmp_path / "parallel.csv"
-    for out, jobs in ((out_s, "1"), (out_p, "3")):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bosonic.cli", "sweep", *base, "--jobs", jobs,
-             "--out", str(out)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-    assert out_s.read_text() == out_p.read_text()
 
 
 # --------------------------------------------------- sweep row oracle ---
@@ -407,6 +383,10 @@ _INVALID_GRIDS = [
                  "mean photon number must be >= 0, got -1.0", id="aep-upper-ns"),
     # range points are truncated toward zero, a single n is not
     pytest.param(("--n", "2.5"), "n must be a positive integer, got 2.5", id="single-n"),
+    # non-finite axis values
+    pytest.param(("--ns", "nan"), "mean photon number must be finite, got nan", id="ns-nan"),
+    pytest.param(("--channel", "amp", "--g", "inf"), "gain must be finite, got inf", id="g-inf"),
+    pytest.param(("--n", "inf"), "n must be a positive integer, got inf", id="n-inf"),
 ]
 
 
@@ -418,6 +398,77 @@ def test_sweep_invalid_grid_writes_nothing(tmp_path, spoil, message):
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
     assert not out.exists()
+
+
+def test_sweep_jobs_option_is_gone(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = _char_runner().invoke(main, ["sweep", *_GRID, "--jobs", "2", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--jobs" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"methds": "upper"}, "unknown sweep config key 'methds'"),
+    ({"jobs": 2}, "unknown sweep config key 'jobs'"),
+    ({"channel": "bogus"}, "channel must be loss or amp, got 'bogus'"),
+])
+def test_sweep_config_rejects_bad_settings(tmp_path, setting, message):
+    out = tmp_path / "sweep.csv"
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"channel": "loss", "lam": "0.5", "out": str(out)} | setting))
+    res = _char_runner().invoke(main, ["sweep", "--config", str(conf)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {message}")
+    assert res.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1", "0"])
+def test_bad_fock_cap_setting_exit_two(runner, tmp_path, monkeypatch, cap):
+    vac = thermal_file(tmp_path, runner, 0.0, "vac.json")
+    prefix = tmp_path / "blocks"
+    monkeypatch.setenv("BOSONIC_FOCK_CAP", cap)
+    res = _char_runner().invoke(main, ["tracedist", vac, vac, "--eps", "1e-3",
+                                       "--dump-fock", str(prefix)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: BOSONIC_FOCK_CAP must be a positive integer, got {cap!r}\n"
+    assert res.stdout == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "vac.json"]
+
+
+def test_eps_below_the_tail_floor_exit_two(runner, tmp_path):
+    # no cutoff certifies a truncation error below sqrt(1e-300) = 1e-150
+    a = thermal_file(tmp_path, runner, 0.5)
+    for args in (["tail", a, "--target-eps", "1e-160"], ["tracedist", a, a, "--eps", "1e-160"]):
+        res = _char_runner().invoke(main, args)
+        assert res.exit_code == 2
+        assert "floor 1e-300 on every tail bound" in res.stderr
+        assert res.stdout == ""
+
+
+_LOSS = ("--channel", "loss", "--lam", "0.5", "--task", "Q2")
+_AMP = ("--channel", "amp", "--task", "Q2")
+_NSHOT = ("--method", "aep", "--n", "100", "--eps", "0.1")
+
+
+@pytest.mark.parametrize("args,message", [
+    (("capacity", *_AMP, "--g", "nan", *_NSHOT), "gain must be finite, got nan"),
+    (("capacity", *_AMP, "--g", "inf", *_NSHOT), "gain must be finite, got inf"),
+    (("capacity", *_LOSS, "--method", "best", "--n", "100", "--eps", "0.1", "--ns", "nan"),
+     "mean photon number must be finite, got nan"),
+    (("capacity", *_LOSS, "--method", "asymptotic", "--ns", "inf"),
+     "mean photon number must be finite, got inf"),
+    (("complexity", *_LOSS, "--k", "inf", "--eps", "0.1"), "target bits must be finite, got inf"),
+    (("complexity", *_LOSS, "--k", "nan", "--eps", "0.1"), "target bits must be finite, got nan"),
+    (("complexity", *_AMP, "--g", "inf", "--k", "100", "--eps", "0.1"),
+     "gain must be finite, got inf"),
+])
+def test_non_finite_inputs_exit_two(args, message):
+    res = _char_runner().invoke(main, list(args))
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
 
 
 def test_float_format_seventeen_digits(runner):

@@ -78,6 +78,17 @@ def test_symplectic_form_and_transform_check():
         b.Transform(np.diag([2.0, 1.0]), np.zeros(2))  # not symplectic
 
 
+def test_non_finite_transforms_and_gains_rejected():
+    # a NaN defect compares False with any tolerance: it must still fail
+    with pytest.raises(ValueError, match="not symplectic"):
+        b.Transform(np.full((2, 2), np.nan), np.zeros(2))
+    for gain in (math.nan, math.inf):
+        for make in (PureAmplifier, b.two_mode_squeezer,
+                     lambda g: b.petz_terms_amplifier(g, 1.0)):
+            with pytest.raises(ValueError, match="gain must be finite"):
+                make(gain)
+
+
 def test_beam_splitter_action():
     # transmitted arm of a thermal state is thermal with lam*N photons
     lam, n = 0.7, 2.0

@@ -182,6 +182,59 @@ def test_cutoff_inversion_needs_two_checks(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_cutoff_eps_below_the_tail_floor(monkeypatch):
+    # every tail bound is at least TAIL_FLOOR = 1e-300, so no cutoff reaches a
+    # truncation error below 1e-150: rejected before any bound call
+    calls = []
+    bound = b.tail.trace_distance_truncation_bound
+    monkeypatch.setattr(b.tail, "trace_distance_truncation_bound",
+                        lambda state, cutoff: calls.append(cutoff) or bound(state, cutoff))
+    with pytest.raises(ValueError, match="floor 1e-300"):
+        b.cutoff_for_error(b.vacuum_state(), 1e-160)
+    assert calls == []
+    m = b.cutoff_for_error(b.vacuum_state(), 1e-149)
+    assert bound(b.vacuum_state(), m).bound <= 1e-149 < bound(b.vacuum_state(), m - 1).bound
+
+
+def test_smallest_passing_matches_linear_scan():
+    from bosonic.tail import smallest_passing
+
+    for answer in (0, 1, 2, 5, 23, 64, 1000):
+        for floor in (-1, 0, 4):
+            for cap in (None, 0, 5, 23, 30, 2000):
+                if cap is not None and cap <= floor:
+                    continue
+                top = 5000 if cap is None else cap
+                scan = next((m for m in range(floor + 1, top + 1) if m >= answer), None)
+                guesses = {answer - 7, answer - 1, answer, answer + 1, answer + 9,
+                           floor, floor + 1, top}
+                for guess in guesses:
+                    calls = []
+
+                    def ok(m):
+                        calls.append(m)
+                        return m >= answer
+
+                    assert smallest_passing(ok, guess, floor, cap) == scan, (answer, floor, cap)
+                    assert all(floor < m <= top for m in calls)
+                    if guess == answer and floor + 1 < answer <= top:
+                        assert len(calls) == 2  # the guess passes, one below fails
+
+
+def test_optimizer_fallback_is_the_closed_form(monkeypatch):
+    # a search that finds nothing finite falls back to the closed-form point
+    # x = 8N + 4, bit for bit
+    rng = np.random.default_rng(5)
+    states = [b.thermal_state(1.5), random_state(rng, 1), random_state(rng, 2)]
+    monkeypatch.setattr(b.tail, "_golden_min", lambda fun, lo, hi: (lo, math.inf))
+    for st in states:
+        for cutoff in (0, 7, 40):
+            got = b.tail_bound_optimized(st, cutoff)
+            closed = b.tail_bound_closed(st, cutoff)
+            assert (got.bound, got.decay_rate) == (closed.bound, closed.decay_rate)
+            assert got.fallback and got.optimizer_x == 8.0 * b.mean_photon_number(st) + 4.0
+
+
 def test_cutoff_nongaussian():
     assert b.cutoff_nongaussian(1.0, 0.1) == 900
     assert b.cutoff_nongaussian(2.0, 0.05) == math.ceil(9 * 2.0 / 0.05**2)

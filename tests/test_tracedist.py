@@ -216,9 +216,10 @@ def test_domain_errors():
         b.gaussian_trace_distance(b.vacuum_state(), b.vacuum_state(), 1.5)
 
 
-def test_resource_cap_propagates():
+def test_resource_cap_propagates(monkeypatch):
+    monkeypatch.setenv("BOSONIC_FOCK_CAP", "10")
     with pytest.raises(b.DimensionCapError):
-        b.gaussian_trace_distance(b.thermal_state(1.0), b.thermal_state(2.0), 1e-4, cap=10)
+        b.gaussian_trace_distance(b.thermal_state(1.0), b.thermal_state(2.0), 1e-4)
 
 
 def test_thermal_product_under_common_active_symplectic():
