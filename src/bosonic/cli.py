@@ -359,6 +359,9 @@ def _parse_range(spec_str: str) -> list[float]:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError(f"range count must be >= 1, got {count}")
+    for text, value in zip(parts, (start, stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"range endpoints must be finite, got {text!r} in {spec_str!r}")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ValueError(f"range suffix must be 'log', got {parts[3]!r}")

@@ -22,14 +22,50 @@ combined bra/ket multi-index; running it on sqrt(k! l!)-scaled coefficients
 yields <k|rho|l> directly and keeps every intermediate bounded by 1.  A
 block's trace is 1 - P(N > M); one above 1 + ``TRACE_TOL`` raises
 ``FockTraceError``.
+
+Entry (a, b), a != 0, with j the first occupied mode of a and p = a - e_j,
+is
+
+    <a|rho|b> = (u_j <p|rho|b> + sum_i F_{j,i} sqrt(p_i) <p - e_i|rho|b>
+                 + sum_i F_{j,n+i} sqrt(b_i) <p|rho|b - e_i>) / sqrt(a_j),
+
+and row 0 runs the same recursion along the ket index with u_{n+j} and the
+ket-ket block of F.  Rows of total k read rows of totals k - 1 and k - 2
+only, so the build runs row 0 and then one photon-number shell at a time,
+each shell's rows in one vectorized step per term.
+
+Sectors come from exact zeros of the kernel data.  If u is all 0.0 the
+block is a parity block; if the bra-bra and ket-ket blocks of F are all 0.0
+as well, a photon-number block; otherwise the whole basis.  By induction on
+total(a) + total(b): in a parity block every term of an entry between even
+and odd totals is 0.0 times a finite number (the u term) or reads an entry
+of the same kind ((p - e_i, b) and (p, b - e_i) keep the mismatch of parity),
+and row 0 starts from <0|rho|0> = C alone; in a photon-number block the
+F_{j,i} terms drop as well, and (p, b - e_i) keeps total(a) - total(b).  A
+product with a 0.0 factor and a sum of 0.0s are exactly 0.0 in floating
+point, so every entry outside the sector is exactly 0.0, not merely small.
+The build therefore computes only the sector's columns of each shell and
+leaves the rest at 0.0; the F_{j,i} terms of a photon-number block and the
+u terms of a sector block are left out.  Real passive mixes of thermal
+states come out as photon-number blocks; passive mixes with complex phases
+leave bra-bra F entries of about 1e-17 and fall to parity, as do zero-mean
+actively mixed states; displaced states use the whole basis.  The terms of each
+entry are summed in the row-by-row order with the same left operands, so
+the block is the row-by-row block entry for entry.
+
+Row 0 keeps its scalar loop: numpy's scalar complex arithmetic rounds
+differently from its array loops, so a vectorized row 0 would not give the
+same bits.  The block is then symmetrized as (out + out^H) / 2 tile by
+tile, over diagonal tiles of whole shells alone for a photon-number block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -113,11 +149,11 @@ class FockMatrix:
 
         Photon-number sector k is the contiguous index range
         [C(k-1+n, n), C(k+n, n)) of the graded basis, and the parity sectors
-        are the even and the odd totals; both follow from (modes, cutoff)
-        alone, without enumerating the basis.
+        are the even and the odd totals; the shell starts come from the
+        cached basis tables the Fock build uses.
         """
-        sizes = [math.comb(k + self.modes - 1, k) for k in range(self.cutoff + 1)]
-        return np.repeat(np.arange(self.cutoff + 1), sizes)
+        starts = _basis_tables(self.modes, self.cutoff).starts
+        return np.repeat(np.arange(self.cutoff + 1), np.diff(starts))
 
     @property
     def trace(self) -> float:
@@ -167,6 +203,85 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
     return c0, f_mat, u_vec
 
 
+class _BasisTables(NamedTuple):
+    """Index tables of the graded basis of (modes, cutoff).
+
+    Per mode i and basis index b, ``lower[i, b]`` is the index of occ_b - e_i
+    and ``sqrt_cnt[i, b]`` is sqrt(occ_b[i]), both 0 where mode i is empty;
+    ``first[b]`` is the first occupied mode of occ_b (0 for the vacuum).
+    Shell k, the occupations of total k, is the index range
+    [starts[k], starts[k + 1]).
+    """
+
+    lower: np.ndarray
+    sqrt_cnt: np.ndarray
+    first: np.ndarray
+    starts: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _basis_tables(modes: int, cutoff: int) -> _BasisTables:
+    """The read-only ``_BasisTables`` of (modes, cutoff), shared by both
+    blocks of a pair and by ``FockMatrix.totals``."""
+    basis = enumerate_basis(modes, cutoff)
+    index = {occ: b for b, occ in enumerate(basis)}
+    lower = np.array([[index.get(occ[:i] + (occ[i] - 1,) + occ[i + 1:], 0) for occ in basis]
+                      for i in range(modes)])
+    sqrt_cnt = np.sqrt(np.array(basis, dtype=float).T)
+    first = np.argmax(sqrt_cnt > 0.0, axis=0)
+    starts = np.array([basis_dimension(modes, k - 1) for k in range(cutoff + 2)])
+    tables = _BasisTables(lower, sqrt_cnt, first, starts)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _sector(f_mat: np.ndarray, u_vec: np.ndarray) -> str:
+    """The sector of a block with kernel data (F, u), read off exact zeros:
+    "parity" when u is 0.0, "number" when the bra-bra and ket-ket blocks of
+    F are 0.0 as well, else "whole".  Every entry of the block between two
+    photon totals (number) or between even and odd totals (parity) is then
+    exactly 0.0; see the module docstring."""
+    n = u_vec.size // 2
+    if u_vec.any():
+        return "whole"
+    if f_mat[:n, :n].any() or f_mat[n:, n:].any():
+        return "parity"
+    return "number"
+
+
+#: tile edge of the blockwise symmetrization
+_TILE = 256
+#: width from which a photon-number block symmetrizes a run of shells on its
+#: own; a wider run would write, and so make resident, pages of the block
+#: that hold only its zeros (256 raised the td-large peak RSS by 4 MB)
+_SHELL_RUN = 16
+
+
+def _symmetrize(out: np.ndarray, shells: np.ndarray | None) -> None:
+    """out <- (out + out^H) / 2 in place, tile by tile, without a dim x dim
+    transposed temporary.  With the shell start offsets ``shells`` (a
+    photon-number block) only diagonal tiles of whole shells are touched,
+    one shell or a run of shells narrower than ``_SHELL_RUN`` each: every
+    entry between two shells is exactly 0.0 on both sides."""
+    dim = out.shape[0]
+    edges = [*range(0, dim, _TILE), dim]
+    if shells is not None:
+        runs = np.searchsorted(shells, range(0, dim, _SHELL_RUN))
+        edges = sorted({*shells[runs].tolist(), dim})
+    spans = list(zip(edges[:-1], edges[1:]))
+    for a, (lo, hi) in enumerate(spans):
+        for lo2, hi2 in spans[a:a + 1] if shells is not None else spans[a:]:
+            # both tiles from the old values, each as its own sum, so that
+            # even the signs of zeros match out + out^H
+            sym = out[lo:hi, lo2:hi2] + out[lo2:hi2, lo:hi].conj().T
+            if lo2 != lo:
+                out[lo2:hi2, lo:hi] += out[lo:hi, lo2:hi2].conj().T
+                out[lo2:hi2, lo:hi] /= 2.0
+            sym /= 2.0
+            out[lo:hi, lo2:hi2] = sym
+
+
 def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     """Exact Fock matrix elements <k|rho|l> for all totals up to ``cutoff``.
 
@@ -186,23 +301,25 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     dim = _check_dimension(state.modes, cutoff)
     require_valid(state)
     n = state.modes
-    basis = enumerate_basis(n, cutoff)
-    index = {occ: b for b, occ in enumerate(basis)}
+    lower, sqrt_cnt, first, starts = _basis_tables(n, cutoff)
 
     c0, f_mat, u_vec = _kernel_data(state)
-
-    # per mode i and basis index b: the index of occ_b - e_i and sqrt(occ_b[i]),
-    # both 0 where mode i is empty; first[b] is the first occupied mode of occ_b
-    lower = np.array([[index.get(occ[:i] + (occ[i] - 1,) + occ[i + 1:], 0) for occ in basis]
-                      for i in range(n)])
-    sqrt_cnt = np.sqrt(np.array(basis, dtype=float).T)
-    first = np.argmax(sqrt_cnt > 0.0, axis=0)
+    kind = _sector(f_mat, u_vec)
+    whole, number = kind == "whole", kind == "number"
+    if number:  # rows of total k: the columns of total k
+        sector = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    elif not whole:  # rows of total k: the columns of total k mod 2
+        halves = [np.flatnonzero(np.repeat(np.arange(cutoff + 1) % 2 == p, np.diff(starts)))
+                  for p in (0, 1)]
+        sector = [halves[k % 2] for k in range(cutoff + 1)]
+    else:
+        sector = [slice(None)] * (cutoff + 1)
 
     out = np.zeros((dim, dim), dtype=complex)
     out[0, 0] = c0
 
-    # bra side empty: recurse along the ket index only
-    for b in range(1, dim):
+    # bra side empty: recurse along the ket index only, in scalar arithmetic
+    for b in np.arange(dim)[sector[0]][1:].tolist():
         j = first[b]
         prev = lower[j, b]
         val = u_vec[n + j] * out[0, prev]
@@ -211,19 +328,46 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
                 val += f_mat[n + j, n + i] * sqrt_cnt[i, prev] * out[0, lower[i, prev]]
         out[0, b] = val / sqrt_cnt[j, b]
 
-    # remaining rows, vectorized across the ket index
-    for a in range(1, dim):
-        j = first[a]
-        prev = lower[j, a]
-        row = u_vec[j] * out[prev]
-        for i in range(n):
-            if sqrt_cnt[i, prev]:
-                row = row + f_mat[j, i] * sqrt_cnt[i, prev] * out[lower[i, prev]]
-            row = row + f_mat[j, n + i] * (sqrt_cnt[i] * out[prev, lower[i]])
-        out[a] = row / sqrt_cnt[j, a]
+    # per row a, with j = first[a]: the row prev = a - e_j it recurses from,
+    # its divisor sqrt(occ_a[j]), u_j and F[j, :], and per mode i the
+    # coefficient F[j, i] sqrt(occ_prev[i]) and the row prev - e_i of its
+    # bra-bra term (0.0 and row 0 where mode i of prev is empty)
+    at = np.arange(dim)
+    prev = lower[first, at]
+    div = sqrt_cnt[first, at][:, None]
+    u_rows = u_vec[first][:, None]
+    f_rows = f_mat[first]
+    bra = [((f_rows[:, i] * sqrt_cnt[i, prev])[:, None], lower[i, prev]) for i in range(n)]
 
-    out += out.conj().T
-    out /= 2.0
+    def terms(rows, cols):
+        """The row-by-row recursion's terms for the rows ``rows`` of one shell
+        on the columns ``cols``, in its order and with its left operands;
+        the terms the sector makes exactly 0.0 are left out."""
+        if whole:
+            above = out.take(prev[rows], axis=0)
+            yield u_rows[rows] * above
+        for i in range(n):
+            if not number:
+                coef, src = bra[i]
+                term = out.take(src[rows], axis=0) if whole else out[src[rows, None], cols]
+                yield np.multiply(coef[rows], term, out=term)
+            term = above.take(lower[i], axis=1) if whole else out[prev[rows, None], lower[i, cols]]
+            np.multiply(sqrt_cnt[i, cols], term, out=term)
+            yield np.multiply(f_rows[rows, n + i, None], term, out=term)
+
+    # the other rows one shell at a time: rows of total k read rows of
+    # totals k - 1 and k - 2 only
+    bounds = starts.tolist()
+    for k in range(1, cutoff + 1):
+        rows = slice(bounds[k], bounds[k + 1])
+        shell = terms(rows, sector[k])
+        acc = next(shell)
+        for term in shell:
+            acc += term
+        acc /= div[rows]
+        out[rows, sector[k]] = acc
+
+    _symmetrize(out, starts if number else None)
     result = FockMatrix(matrix=out, modes=n, cutoff=cutoff)
     if result.trace > 1.0 + TRACE_TOL:
         raise FockTraceError(

@@ -209,9 +209,14 @@ class Transform:
             raise ValueError(f"symplectic matrix has bad shape {s.shape}")
         if r.shape != (s.shape[0],):
             raise ValueError(f"shift shape {r.shape} does not match matrix {s.shape}")
+        # before the product, where inf * 0 would warn and turn into NaN
+        if not np.all(np.isfinite(s)):
+            raise ValueError("matrix is not symplectic: it has non-finite entries")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("shift has non-finite entries")
         omega = symplectic_form(s.shape[0] // 2)
         defect = np.max(np.abs(s @ omega @ s.T - omega))
-        if not defect <= 1e-8:  # a NaN defect fails too
+        if not defect <= 1e-8:  # a NaN defect (from overflow) fails too
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         object.__setattr__(self, "symplectic", s)
         object.__setattr__(self, "shift", r)

@@ -17,6 +17,7 @@ certificate is unchanged: nothing is dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .fock import (
     truncate_normalize,
 )
 from .states import GaussianState
-from .tail import cutoff_for_error, trace_distance_truncation_bound
+from .tail import TAIL_FLOOR, cutoff_for_error, trace_distance_truncation_bound
 
 __all__ = [
     "TraceDistanceResult",
@@ -163,6 +164,8 @@ def gaussian_trace_distance(
             ``BOSONIC_FOCK_CAP`` or 20000.
         FockTraceError: a raw block's trace leaves [1 - tail^2, 1] by more
             than ``TRACE_TOL``.
+        ValueError: eps lies outside (0, 1), or below 3 sqrt(``TAIL_FLOOR``),
+            which no cutoff certifies.
     """
     if state_a.modes != state_b.modes:
         raise ValueError(
@@ -170,6 +173,11 @@ def gaussian_trace_distance(
         )
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if eps / 3.0 < math.sqrt(TAIL_FLOOR):
+        raise ValueError(f"eps {eps} lies below 3 x {math.sqrt(TAIL_FLOOR)}: each of the two "
+                         f"truncations gets eps/3, and no cutoff certifies less than "
+                         f"{math.sqrt(TAIL_FLOOR)}, the square root of the floor {TAIL_FLOOR} "
+                         "on every tail bound")
 
     cutoff = max(
         cutoff_for_error(state_a, eps / 3.0),

@@ -77,3 +77,50 @@ def scale_blocks(monkeypatch, factor: float) -> None:
         return factor * c0, f_mat, u_vec
 
     monkeypatch.setattr(fock, "_kernel_data", scaled)
+
+
+def rowwise_fock_matrix(state: GaussianState, cutoff: int) -> np.ndarray:
+    """The Fock block by the row-by-row recursion over the whole basis, an
+    oracle for the shell-by-shell, sector-restricted build of
+    ``fock.fock_matrix_elements``: every entry is computed, none skipped."""
+    dim = fock.basis_dimension(state.modes, cutoff)
+    n = state.modes
+    basis = fock.enumerate_basis(n, cutoff)
+    index = {occ: b for b, occ in enumerate(basis)}
+
+    c0, f_mat, u_vec = fock._kernel_data(state)
+
+    # per mode i and basis index b: the index of occ_b - e_i and sqrt(occ_b[i]),
+    # both 0 where mode i is empty; first[b] is the first occupied mode of occ_b
+    lower = np.array([[index.get(occ[:i] + (occ[i] - 1,) + occ[i + 1:], 0) for occ in basis]
+                      for i in range(n)])
+    sqrt_cnt = np.sqrt(np.array(basis, dtype=float).T)
+    first = np.argmax(sqrt_cnt > 0.0, axis=0)
+
+    out = np.zeros((dim, dim), dtype=complex)
+    out[0, 0] = c0
+
+    # bra side empty: recurse along the ket index only
+    for b in range(1, dim):
+        j = first[b]
+        prev = lower[j, b]
+        val = u_vec[n + j] * out[0, prev]
+        for i in range(n):
+            if sqrt_cnt[i, prev]:
+                val += f_mat[n + j, n + i] * sqrt_cnt[i, prev] * out[0, lower[i, prev]]
+        out[0, b] = val / sqrt_cnt[j, b]
+
+    # remaining rows, vectorized across the ket index
+    for a in range(1, dim):
+        j = first[a]
+        prev = lower[j, a]
+        row = u_vec[j] * out[prev]
+        for i in range(n):
+            if sqrt_cnt[i, prev]:
+                row = row + f_mat[j, i] * sqrt_cnt[i, prev] * out[lower[i, prev]]
+            row = row + f_mat[j, n + i] * (sqrt_cnt[i] * out[prev, lower[i]])
+        out[a] = row / sqrt_cnt[j, a]
+
+    out += out.conj().T
+    out /= 2.0
+    return out

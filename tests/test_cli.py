@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -387,13 +388,21 @@ _INVALID_GRIDS = [
     pytest.param(("--ns", "nan"), "mean photon number must be finite, got nan", id="ns-nan"),
     pytest.param(("--channel", "amp", "--g", "inf"), "gain must be finite, got inf", id="g-inf"),
     pytest.param(("--n", "inf"), "n must be a positive integer, got inf", id="n-inf"),
+    # a range endpoint is named as written, before numpy spaces the points
+    pytest.param(("--lam", "0:inf:2"), "range endpoints must be finite, got 'inf' in '0:inf:2'",
+                 id="lam-range-inf"),
+    pytest.param(("--n", "1:inf:2"), "range endpoints must be finite, got 'inf' in '1:inf:2'",
+                 id="n-range-inf"),
 ]
 
 
 @pytest.mark.parametrize("spoil,message", _INVALID_GRIDS)
 def test_sweep_invalid_grid_writes_nothing(tmp_path, spoil, message):
     out = tmp_path / "sweep.csv"
-    res = _char_runner().invoke(main, ["sweep", *_GRID, *spoil, "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _char_runner().invoke(main, ["sweep", *_GRID, *spoil, "--out", str(out)])
+    assert [str(w.message) for w in caught] == []  # e.g. no RuntimeWarning from numpy
     assert res.exit_code == 2
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
@@ -444,6 +453,7 @@ def test_eps_below_the_tail_floor_exit_two(runner, tmp_path):
         res = _char_runner().invoke(main, args)
         assert res.exit_code == 2
         assert "floor 1e-300 on every tail bound" in res.stderr
+        assert "1e-160" in res.stderr  # the eps as given, not a third of it
         assert res.stdout == ""
 
 

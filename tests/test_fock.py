@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import bosonic as b
-from conftest import photon_distribution, random_orthogonal_symplectic, random_state
+from bosonic import fock, tracedist
+from conftest import (
+    interleave,
+    photon_distribution,
+    random_orthogonal_symplectic,
+    random_state,
+    random_symplectic,
+    rowwise_fock_matrix,
+)
 
 
 def test_basis_enumeration():
@@ -194,3 +202,94 @@ def test_fock_matrix_shape_checked_on_construction():
         b.FockMatrix(np.eye(4) / 4, modes=1, cutoff=5)
     with pytest.raises(ValueError, match="does not fit"):
         b.FockMatrix(np.ones((6, 5)), modes=1, cutoff=5)
+
+
+# ---------------------------------------------------------------------------
+# shell-by-shell, sector-restricted build against the row-by-row oracle
+
+#: family -> the sector its kernel data select on two or more modes
+_SECTORS = {
+    "thermal": "number",
+    "real passive": "number",
+    "complex passive": "parity",
+    "active": "parity",
+    "displaced": "whole",
+    "pure": "whole",
+}
+
+
+def _family_state(family: str, modes: int, seed: int = 0) -> b.GaussianState:
+    """A state of ``family`` on ``modes`` modes, thermal at unequal
+    temperatures where it is mixed."""
+    rng = np.random.default_rng([modes, len(family), seed])
+    thermal = np.diag(np.repeat(1.0 + (1 + seed) * np.linspace(0.4, 1.6, modes), 2))
+    if family == "real passive":
+        q, _ = np.linalg.qr(rng.normal(size=(modes, modes)))
+        s = interleave(np.kron(np.eye(2), q))
+    elif family == "complex passive":
+        s = random_orthogonal_symplectic(rng, modes)
+    elif family == "active":
+        s = random_symplectic(rng, modes)
+    else:
+        s = np.eye(2 * modes)
+    if family in ("displaced", "pure"):
+        return random_state(rng, modes, pure=family == "pure")
+    return b.GaussianState(np.zeros(2 * modes), s @ thermal @ s.T)
+
+
+_BUILDS = [(family, modes, cutoff) for family in _SECTORS for modes in (1, 2, 3)
+           for cutoff in (0, 1, 4, {1: 25, 2: 22, 3: 11}[modes])]  # dims 276, 364 > fock._TILE
+
+
+@pytest.mark.parametrize("family,modes,cutoff", _BUILDS)
+def test_shell_build_matches_rowwise_oracle(family, modes, cutoff):
+    st = _family_state(family, modes)
+    built = b.fock_matrix_elements(st, cutoff)
+    assert np.array_equal(built.matrix, rowwise_fock_matrix(st, cutoff))
+
+
+@pytest.mark.parametrize("family", list(_SECTORS))
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_sector_of_each_family_and_its_exact_zeros(family, modes):
+    st = _family_state(family, modes)
+    _, f_mat, u_vec = fock._kernel_data(st)
+    kind = fock._sector(f_mat, u_vec)
+    if modes > 1 or family not in ("complex passive", "active"):
+        assert kind == _SECTORS[family]
+    else:
+        # one mode: a phase turn of a thermal state may round to number
+        assert kind in ("number", "parity")
+    block = b.fock_matrix_elements(st, 6 if modes < 3 else 4)
+    totals = block.totals
+    label = {"number": totals, "parity": totals % 2, "whole": np.zeros_like(totals)}[kind]
+    outside = label[:, None] != label
+    assert np.all(block.matrix[outside] == 0.0)
+    if kind != "whole":  # the exact zeros are the kernel's, not the build's
+        assert np.all(rowwise_fock_matrix(st, block.cutoff)[outside] == 0.0)
+
+
+@pytest.mark.parametrize("family", list(_SECTORS))
+def test_trace_distance_bit_equal_to_rowwise_build(family, monkeypatch):
+    x, y = _family_state(family, 2), _family_state(family, 2, seed=1)
+    fast = tracedist.gaussian_trace_distance(x, y, 1e-3)
+
+    def rowwise(state, cutoff):
+        return b.FockMatrix(rowwise_fock_matrix(state, cutoff), state.modes, cutoff)
+
+    monkeypatch.setattr(tracedist, "fock_matrix_elements", rowwise)
+    slow = tracedist.gaussian_trace_distance(x, y, 1e-3)
+    assert fast == slow  # estimate, certificate, cutoff and tails, bit for bit
+
+
+def test_basis_tables_cached_and_read_only():
+    fock._basis_tables.cache_clear()
+    b.gaussian_trace_distance(b.thermal_state(0.3), b.thermal_state(0.5), 1e-3)
+    info = fock._basis_tables.cache_info()
+    # the first block builds the tables; the second block and the sector
+    # view of the trace distance reuse them
+    assert info.misses == 1 and info.hits >= 1
+    tables = fock._basis_tables(2, 5)
+    assert [t.shape for t in tables] == [(2, 21), (2, 21), (21,), (7,)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1

@@ -1,6 +1,7 @@
 """States, transforms, channels, and the serialization round trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ def test_non_finite_transforms_and_gains_rejected():
     # a NaN defect compares False with any tolerance: it must still fail
     with pytest.raises(ValueError, match="not symplectic"):
         b.Transform(np.full((2, 2), np.nan), np.zeros(2))
+    # an infinite entry is rejected before S Omega S^T, where inf * 0 warns,
+    # and an infinite shift before it reaches a state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symplectic: it has non-finite entries"):
+            b.Transform(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="shift has non-finite entries"):
+            b.Transform(np.eye(2), np.array([np.inf, 0.0]))
     for gain in (math.nan, math.inf):
         for make in (PureAmplifier, b.two_mode_squeezer,
                      lambda g: b.petz_terms_amplifier(g, 1.0)):
