@@ -57,14 +57,23 @@ Row 0 keeps its scalar loop: numpy's scalar complex arithmetic rounds
 differently from its array loops, so a vectorized row 0 would not give the
 same bits.  The block is then symmetrized as (out + out^H) / 2 tile by
 tile, over diagonal tiles of whole shells alone for a photon-number block.
+
+The block records the sector it was built in as ``FockMatrix.sector``, a
+field no constructor argument sets, so a block made by hand or read by
+``fock_from_dict`` has none.  ``truncate_normalize`` keeps the sector and,
+for a photon-number block, divides only the diagonal tiles of whole shells:
+every other entry is the 0.0 of a fresh ``np.zeros``, as 0.0 / trace would
+be, and its pages are never touched.  The trace distance reads its
+partition from the two blocks' sectors (see ``bosonic.tracedist``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -125,11 +134,18 @@ def enumerate_basis(modes: int, cutoff: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Density-matrix block on the truncated basis, plus its trace deficit."""
+    """Density-matrix block on the truncated basis, plus its trace deficit.
+
+    ``sector`` is the sector ``fock_matrix_elements`` read off the kernel
+    data ("number", "parity" or "whole"), kept by ``truncate_normalize``; a
+    block made by hand or by ``fock_from_dict`` has none, and no caller can
+    set one.
+    """
 
     matrix: np.ndarray
     modes: int
     cutoff: int
+    sector: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         dim = basis_dimension(self.modes, self.cutoff)
@@ -176,17 +192,27 @@ def _check_dimension(modes: int, cutoff: int) -> int:
     return dim
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_constants(modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only matrices r (sqrt(2) y = r z) and X (the exchange of
+    conj(alpha) and beta) of the kernel data on ``modes`` modes."""
+    # x_i -> conj(alpha_i) + beta_i, p_i -> i conj(alpha_i) - i beta_i
+    eye = np.eye(modes)
+    r = np.hstack([np.kron(eye, [[1.0], [1j]]), np.kron(eye, [[1.0], [-1j]])])
+    exchange = np.kron([[0.0, 1.0], [1.0, 0.0]], eye)
+    for table in (r, exchange):
+        table.flags.writeable = False
+    return r, exchange
+
+
 def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]:
     """(C, F, u) of the Bargmann kernel for ``state``."""
     n = state.modes
     m = state.mean
     g = np.linalg.inv(state.cov + np.eye(2 * n))
 
-    # sqrt(2) y = r z: x_i -> conj(alpha_i) + beta_i, p_i -> i conj(alpha_i) - i beta_i
-    eye = np.eye(n)
-    r = np.hstack([np.kron(eye, [[1.0], [1j]]), np.kron(eye, [[1.0], [-1j]])])
+    r, exchange = _kernel_constants(n)
     quad = r.T @ g @ r
-    exchange = np.kron([[0.0, 1.0], [1.0, 0.0]], eye)
     mu = (m[0::2] + 1j * m[1::2]) / math.sqrt(2.0)
     f_mat = exchange - quad
     u_vec = quad @ np.concatenate([np.conj(mu), mu])
@@ -258,18 +284,25 @@ _TILE = 256
 _SHELL_RUN = 16
 
 
+def _shell_spans(shells: np.ndarray) -> list[tuple[int, int]]:
+    """Index spans of whole shells, given the shell start offsets ``shells``
+    (ending in dim): one shell, or a run of shells narrower than
+    ``_SHELL_RUN``, each.  The diagonal tiles of these spans hold every
+    entry a photon-number block may have off 0.0."""
+    dim = int(shells[-1])
+    runs = np.searchsorted(shells, range(0, dim, _SHELL_RUN))
+    edges = sorted({*shells[runs].tolist(), dim})
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _symmetrize(out: np.ndarray, shells: np.ndarray | None) -> None:
     """out <- (out + out^H) / 2 in place, tile by tile, without a dim x dim
     transposed temporary.  With the shell start offsets ``shells`` (a
-    photon-number block) only diagonal tiles of whole shells are touched,
-    one shell or a run of shells narrower than ``_SHELL_RUN`` each: every
-    entry between two shells is exactly 0.0 on both sides."""
+    photon-number block) only the diagonal tiles of ``_shell_spans`` are
+    touched: every entry between two shells is exactly 0.0 on both sides."""
     dim = out.shape[0]
     edges = [*range(0, dim, _TILE), dim]
-    if shells is not None:
-        runs = np.searchsorted(shells, range(0, dim, _SHELL_RUN))
-        edges = sorted({*shells[runs].tolist(), dim})
-    spans = list(zip(edges[:-1], edges[1:]))
+    spans = list(zip(edges[:-1], edges[1:])) if shells is None else _shell_spans(shells)
     for a, (lo, hi) in enumerate(spans):
         for lo2, hi2 in spans[a:a + 1] if shells is not None else spans[a:]:
             # both tiles from the old values, each as its own sum, so that
@@ -368,21 +401,42 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
         out[rows, sector[k]] = acc
 
     _symmetrize(out, starts if number else None)
-    result = FockMatrix(matrix=out, modes=n, cutoff=cutoff)
-    if result.trace > 1.0 + TRACE_TOL:
+    result = _with_sector(FockMatrix(matrix=out, modes=n, cutoff=cutoff), kind)
+    trace = result.trace
+    if not trace <= 1.0 + TRACE_TOL:  # a NaN trace fails as well
         raise FockTraceError(
-            f"Fock block trace {result.trace!r} exceeds 1 by more than {TRACE_TOL}; "
+            f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
+            f"Fock block trace {trace!r} exceeds 1 by more than {TRACE_TOL}; "
             "the block is not a truncation of a density operator"
         )
     return result
 
 
+def _with_sector(block: FockMatrix, sector: str | None) -> FockMatrix:
+    """``block`` with the sector its builder read off; the field is not an
+    argument of the constructor, so no other caller sets it."""
+    object.__setattr__(block, "sector", sector)
+    return block
+
+
 def truncate_normalize(fock: FockMatrix) -> FockMatrix:
-    """Rescale the truncated block to unit trace."""
+    """Rescale the truncated block to unit trace, keeping its sector.
+
+    A photon-number block is divided on the diagonal tiles of whole shells
+    only; every other entry is exactly 0.0 before and after, so it stays the
+    never-written 0.0 of a fresh ``np.zeros``.
+    """
     tr = fock.trace
-    if tr <= 0.0:
+    if not tr > 0.0:  # a NaN trace fails as well
         raise ValueError(f"cannot normalize trace {tr}")
-    return FockMatrix(matrix=fock.matrix / tr, modes=fock.modes, cutoff=fock.cutoff)
+    if fock.sector == "number":
+        out = np.zeros(fock.matrix.shape, dtype=fock.matrix.dtype)
+        for lo, hi in _shell_spans(_basis_tables(fock.modes, fock.cutoff).starts):
+            np.divide(fock.matrix[lo:hi, lo:hi], tr, out=out[lo:hi, lo:hi])
+    else:
+        out = fock.matrix / tr
+    return _with_sector(FockMatrix(matrix=out, modes=fock.modes, cutoff=fock.cutoff),
+                        fock.sector)
 
 
 def beam_splitter_fock_coeffs(i: int, j: int, transmissivity: float) -> np.ndarray:
@@ -435,16 +489,42 @@ def fock_to_dict(fock: FockMatrix) -> dict:
     }
 
 
-def fock_from_dict(payload: dict) -> FockMatrix:
-    """Inverse of :func:`fock_to_dict`."""
+def _entry(index: int, pair) -> complex:
+    """Entry ``index`` of a payload, a [re, im] pair of numbers."""
     try:
-        modes = int(payload["modes"])
-        cutoff = int(payload["cutoff"])
-        entries = payload["entries"]
+        re, im = pair
+        return complex(re, im)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed fock payload: entry {index} is {pair!r}, not a [re, im] pair "
+            f"of numbers ({exc})"
+        ) from exc
+
+
+def fock_from_dict(payload: dict) -> FockMatrix:
+    """Inverse of :func:`fock_to_dict`.  The block has no sector.
+
+    Raises ``ValueError`` ("malformed fock payload: ...") for a missing key,
+    a mode count or cutoff that is not an integer, a basis of no modes or a
+    negative cutoff, an entry count that does not fit the basis, an entry
+    that is not a [re, im] pair of numbers, and a non-finite entry.
+    """
+    try:
+        modes = operator.index(payload["modes"])
+        cutoff = operator.index(payload["cutoff"])
+        entries = list(payload["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fock payload: {exc}") from exc
+    if modes < 1 or cutoff < 0:
+        raise ValueError(f"malformed fock payload: {modes} modes at cutoff {cutoff}; "
+                         "need at least one mode and a cutoff >= 0")
     dim = basis_dimension(modes, cutoff)
     if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+        raise ValueError(f"malformed fock payload: expected {dim * dim} entries, "
+                         f"got {len(entries)}")
+    flat = np.array([_entry(k, pair) for k, pair in enumerate(entries)], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"malformed fock payload: {bad.size} non-finite entries, "
+                         f"the first at index {bad[0]}: {entries[bad[0]]!r}")
     return FockMatrix(matrix=flat.reshape(dim, dim), modes=modes, cutoff=cutoff)

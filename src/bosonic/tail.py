@@ -126,8 +126,9 @@ def _log_x_minus_one(t: float) -> float:
 
 def _make_objective(evals: np.ndarray, mean_rot: np.ndarray, cutoff: int):
     """ln of the optimized-bound objective as a function of t = arccoth(x)."""
-    one_minus = 1.0 - evals  # positive on squeezed/vacuum directions
-    msq = mean_rot**2
+    # Python floats are numpy's float64 doubles, in the same order: same bits, no scalar dispatch
+    one_minus = (1.0 - evals).tolist()  # positive on squeezed/vacuum directions
+    msq = (mean_rot**2).tolist()
 
     def objective(t: float) -> float:
         log_s = _log_x_minus_one(t)

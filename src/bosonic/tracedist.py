@@ -9,10 +9,22 @@ is then within eps/3 + eps/3 of the true value.  The realized certificate
 The difference of the two blocks is diagonalized per exactly decoupled
 sector.  Zero-mean phase-insensitive states commute with the total photon
 number N and zero-mean Gaussian states with the parity (-1)^N, so their
-difference is block diagonal in photon number or in parity.  Where every
-computed entry between sectors is exactly 0.0, the trace norm is the sum
+difference is block diagonal in photon number or in parity.  Every
+computed entry between sectors is exactly 0.0, so the trace norm is the sum
 over the sector blocks, at sum d_s^3 cost instead of dim^3, and the
 certificate is unchanged: nothing is dropped.
+
+Blocks that ``fock_matrix_elements`` built, and ``truncate_normalize``
+rescaled, are trusted: each carries the sector the build read off the
+kernel data (``FockMatrix.sector``), every entry outside it is exactly 0.0
+by construction, and the tile-wise symmetrization leaves exact conjugate
+pairs with a real diagonal.  Their difference is split by the coarser of
+the two sectors and taken sector block by sector block, with no dim x dim
+difference, no scan for zeros and no re-symmetrization; a Hermitian part
+of an exactly Hermitian block is the block itself, bit for bit.  Anything
+else -- plain arrays, hand-made or deserialized blocks -- is checked: its
+entries must be finite and its difference Hermitian to within
+``HERMITIAN_TOL``, and it is diagonalized as one sector.
 """
 
 from __future__ import annotations
@@ -39,8 +51,11 @@ __all__ = [
     "gaussian_trace_distance",
 ]
 
-#: largest tolerated non-Hermiticity of a sector block of the difference
+#: largest tolerated non-Hermiticity of the difference of two checked blocks
 HERMITIAN_TOL = 1e-9
+
+#: the sectors a built block may carry, finest first
+_SECTORS = ("number", "parity", "whole")
 
 
 @dataclass(frozen=True)
@@ -64,9 +79,9 @@ def _as_matrix(block) -> np.ndarray:
     return np.asarray(block)
 
 
-def _common_totals(a, b) -> np.ndarray | None:
-    """Photon totals of the basis two Fock blocks share, or None unless both
-    blocks are ``FockMatrix``."""
+def _shared_sector(a, b) -> str | None:
+    """The coarser of the sectors two built ``FockMatrix`` blocks carry, or
+    None unless both blocks carry one."""
     if not (isinstance(a, FockMatrix) and isinstance(b, FockMatrix)):
         return None
     if (a.modes, a.cutoff) != (b.modes, b.cutoff):
@@ -74,60 +89,72 @@ def _common_totals(a, b) -> np.ndarray | None:
             f"blocks live on different bases: (modes {a.modes}, cutoff {a.cutoff}) "
             f"and (modes {b.modes}, cutoff {b.cutoff})"
         )
-    return a.totals
+    if a.sector is None or b.sector is None:
+        return None
+    return max(a.sector, b.sector, key=_SECTORS.index)
 
 
-def _sector_labels(totals: np.ndarray | None, diff: np.ndarray) -> np.ndarray:
-    """Sector of each basis index under the finest partition -- photon
-    number, then parity, then the whole matrix -- whose off-sector entries
-    of ``diff`` are all exactly 0.0."""
-    labels = np.zeros(diff.shape[0], dtype=int)
-    if totals is None:
-        return labels
-    coupled = diff != 0.0
-    # each partition refines the one before, so the first that fails ends it
-    for finer in (totals % 2, totals):
-        if np.any(coupled & (finer[:, None] != finer)):
-            break
-        labels = finer
-    return labels
-
-
-def _hermitian_part(block: np.ndarray) -> np.ndarray:
-    """(block + block^H) / 2, once ``block`` is Hermitian to within
-    ``HERMITIAN_TOL``; a 1-D ``block`` is read as a diagonal."""
-    skew = np.max(np.abs(block - block.conj().T)) if block.size else 0.0
+def _checked_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Hermitian part (d + d^H) / 2 of d = a - b, once both blocks are
+    finite and d is square and Hermitian to within ``HERMITIAN_TOL``."""
+    for name, block in (("first", a), ("second", b)):
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            shown = ", ".join(str(tuple(ix)) for ix in bad[:3].tolist())
+            raise ValueError(f"{name} block has {len(bad)} non-finite entries, at {shown}"
+                             + (", ..." if len(bad) > 3 else ""))
+    diff = a - b
+    if diff.ndim != 2 or diff.shape[0] != diff.shape[1]:
+        raise ValueError(f"blocks must be square, got {diff.shape}")
+    skew = np.max(np.abs(diff - diff.conj().T)) if diff.size else 0.0
     if skew > HERMITIAN_TOL:
         raise ValueError(f"difference is not Hermitian (defect {skew:.3e})")
-    return (block + block.conj().T) / 2.0
+    return (diff + diff.conj().T) / 2.0
 
 
 def finite_trace_distance(a, b) -> float:
     """(1/2) sum |eig(a - b)| for Hermitian blocks ``a``, ``b``.
 
-    Two ``FockMatrix`` blocks must share (modes, cutoff).  Their difference
-    is diagonalized per sector of the finest partition -- photon number,
-    then parity -- under which every off-sector entry is exactly 0.0, so
-    the sector blocks hold the whole difference and the eigensolve costs
-    sum d_s^3 instead of dim^3; size-1 sectors are read off the diagonal.
-    Plain arrays, and blocks that no partition decouples, are one sector.
+    Two ``FockMatrix`` blocks must share (modes, cutoff).  When both carry
+    the sector their build read off (see the module docstring), they are
+    trusted: the difference is taken and diagonalized per sector of the
+    coarser of the two -- photon number, parity or the whole basis -- so
+    the eigensolve costs sum d_s^3 instead of dim^3; size-1 sectors are
+    read off the diagonal.
 
-    Each sector block must be Hermitian to within ``HERMITIAN_TOL``; the
+    Plain arrays, and blocks without a sector, are checked and form one
+    sector: every entry must be finite, and the difference Hermitian to
+    within ``HERMITIAN_TOL``; its Hermitian part is diagonalized.  The
     eigensolver itself is accurate to machine precision.
+
+    Raises:
+        ValueError: the blocks live on different bases, or a checked block
+            is not square, has a non-finite entry or a non-Hermitian
+            difference.
     """
-    totals = _common_totals(a, b)
-    diff = _as_matrix(a) - _as_matrix(b)
-    if diff.shape[0] != diff.shape[1]:
-        raise ValueError(f"blocks must be square, got {diff.shape}")
-    labels = _sector_labels(totals, diff)
+    kind = _shared_sector(a, b)
+    if kind is None:
+        herm = _checked_difference(_as_matrix(a), _as_matrix(b))
+        labels = np.zeros(herm.shape[0], dtype=int)
+
+        def entries(index):
+            return herm[index]
+    else:
+        totals = a.totals
+        labels = {"number": totals, "parity": totals % 2}.get(kind, np.zeros_like(totals))
+
+        def entries(index):
+            return a.matrix[index] - b.matrix[index]
+
     sizes = np.bincount(labels)
-    eigs = [_hermitian_part(np.diagonal(diff)[sizes[labels] == 1]).real]
+    single = np.flatnonzero(sizes[labels] == 1)
+    eigs = [entries((single, single)).real]
     for sector in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == sector)
         lo, hi = idx[0], idx[-1] + 1
-        # contiguous sectors (photon number, the whole matrix) are views
-        block = diff[lo:hi, lo:hi] if hi - lo == idx.size else diff[np.ix_(idx, idx)]
-        eigs.append(np.linalg.eigvalsh(_hermitian_part(block)))
+        # contiguous sectors (photon number, the whole basis) are slices
+        square = (slice(lo, hi),) * 2 if hi - lo == idx.size else np.ix_(idx, idx)
+        eigs.append(np.linalg.eigvalsh(entries(square)))
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
 
 
@@ -137,10 +164,12 @@ def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMat
     the photon tail is at most ``tail**2``)."""
     raw = fock_matrix_elements(state, cutoff)
     floor = 1.0 - tail * tail
-    if raw.trace < floor - TRACE_TOL:
+    trace = raw.trace
+    if not trace >= floor - TRACE_TOL:  # a NaN trace fails as well
         raise FockTraceError(
-            f"Fock block trace {raw.trace!r} falls below 1 - tail bound = {floor!r} "
-            f"by more than {TRACE_TOL}; the block misses weight the tail cannot hold"
+            f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
+            f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
+            f"than {TRACE_TOL}; the block misses weight the tail cannot hold"
         )
     return truncate_normalize(raw)
 

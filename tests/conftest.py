@@ -1,8 +1,11 @@
-"""Shared helpers: seeded random Gaussian states and symplectics."""
+"""Shared helpers: seeded random Gaussian states and symplectics, and the
+earlier implementations the faster ones must match bit for bit."""
+
+import math
 
 import numpy as np
 
-from bosonic import GaussianState, fock
+from bosonic import GaussianState, fock, tail
 
 
 def interleave(mat_xxpp: np.ndarray) -> np.ndarray:
@@ -124,3 +127,75 @@ def rowwise_fock_matrix(state: GaussianState, cutoff: int) -> np.ndarray:
     out += out.conj().T
     out /= 2.0
     return out
+
+
+def numpy_scalar_objective(evals: np.ndarray, mean_rot: np.ndarray, cutoff: int):
+    """The tail objective on numpy scalars, an oracle for the Python-float
+    loop of ``tail._make_objective``: the same operations in the same order."""
+    one_minus = 1.0 - evals  # positive on squeezed/vacuum directions
+    msq = mean_rot**2
+
+    def objective(t: float) -> float:
+        log_s = tail._log_x_minus_one(t)
+        s = math.exp(log_s)  # x - 1; may underflow to 0 for huge t
+        total = -2.0 * t * cutoff
+        for lam_gap, m2 in zip(one_minus, msq):
+            gap = s + lam_gap  # x - eval, computed without cancellation
+            if lam_gap == 0.0:
+                log_gap = log_s
+            elif gap <= 0.0:
+                return math.inf
+            else:
+                log_gap = math.log(gap)
+            if m2 != 0.0:
+                if gap <= 0.0:
+                    return math.inf
+                total += m2 / gap
+            total -= 0.25 * (log_gap - log_s)
+        return total
+
+    return objective
+
+
+def _scan_sector_labels(totals, diff: np.ndarray) -> np.ndarray:
+    """Sector of each basis index under the finest partition -- photon
+    number, then parity, then the whole matrix -- whose off-sector entries
+    of ``diff`` are all exactly 0.0."""
+    labels = np.zeros(diff.shape[0], dtype=int)
+    if totals is None:
+        return labels
+    coupled = diff != 0.0
+    # each partition refines the one before, so the first that fails ends it
+    for finer in (totals % 2, totals):
+        if np.any(coupled & (finer[:, None] != finer)):
+            break
+        labels = finer
+    return labels
+
+
+def _scan_hermitian_part(block: np.ndarray) -> np.ndarray:
+    """(block + block^H) / 2, once ``block`` is Hermitian to within 1e-9; a
+    1-D ``block`` is read as a diagonal."""
+    skew = np.max(np.abs(block - block.conj().T)) if block.size else 0.0
+    if skew > 1e-9:
+        raise ValueError(f"difference is not Hermitian (defect {skew:.3e})")
+    return (block + block.conj().T) / 2.0
+
+
+def scanned_trace_distance(a: fock.FockMatrix, b: fock.FockMatrix) -> float:
+    """(1/2) sum |eig(a - b)| per sector of the finest partition the dim x
+    dim difference decouples by exact zeros, each sector block re-checked
+    and re-symmetrized: an oracle for the trace distance of built blocks,
+    which reads the partition off the blocks' sectors instead."""
+    totals = a.totals
+    diff = a.matrix - b.matrix
+    labels = _scan_sector_labels(totals, diff)
+    sizes = np.bincount(labels)
+    eigs = [_scan_hermitian_part(np.diagonal(diff)[sizes[labels] == 1]).real]
+    for sector in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(labels == sector)
+        lo, hi = idx[0], idx[-1] + 1
+        # contiguous sectors (photon number, the whole matrix) are views
+        block = diff[lo:hi, lo:hi] if hi - lo == idx.size else diff[np.ix_(idx, idx)]
+        eigs.append(np.linalg.eigvalsh(_scan_hermitian_part(block)))
+    return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0

@@ -190,6 +190,33 @@ def test_fock_serialization_roundtrip():
     assert np.array_equal(back.matrix, f.matrix)
 
 
+@pytest.mark.parametrize("entry,reason", [
+    (["nan", 0], r"entry 1 is \['nan', 0\], not a \[re, im\] pair"),
+    ([1.0], r"entry 1 is \[1\.0\], not a \[re, im\] pair"),
+    (0.5, r"entry 1 is 0\.5, not a \[re, im\] pair"),
+    ([math.nan, 0], r"1 non-finite entries, the first at index 1: \[nan, 0\]"),
+    ([0.0, -math.inf], r"1 non-finite entries, the first at index 1: \[0\.0, -inf\]"),
+])
+def test_fock_from_dict_rejects_malformed_entries(entry, reason):
+    payload = {"modes": 1, "cutoff": 1, "entries": [[0.5, 0.0], entry, [0.0, 0.0], [0.5, 0.0]]}
+    with pytest.raises(ValueError, match="malformed fock payload: " + reason):
+        b.fock_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload,reason", [
+    ({"modes": 1, "cutoff": 1}, "'entries'"),
+    ({"modes": 1.5, "cutoff": 1, "entries": []}, "'float' object cannot be interpreted"),
+    ({"modes": 1, "cutoff": "1", "entries": []}, "'str' object cannot be interpreted"),
+    ({"modes": 1, "cutoff": 1, "entries": 4}, "not iterable"),
+    ({"modes": 0, "cutoff": 1, "entries": [[1.0, 0.0]]}, "0 modes at cutoff 1"),
+    ({"modes": 1, "cutoff": -1, "entries": []}, "1 modes at cutoff -1"),
+    ({"modes": 1, "cutoff": 1, "entries": [[1.0, 0.0]]}, "expected 4 entries, got 1"),
+])
+def test_fock_from_dict_rejects_malformed_payloads(payload, reason):
+    with pytest.raises(ValueError, match="malformed fock payload: .*" + reason):
+        b.fock_from_dict(payload)
+
+
 def test_invalid_state_for_fock():
     bad = b.GaussianState(np.zeros(2), 0.2 * np.eye(2))
     with pytest.raises((ValueError, RuntimeError)):
@@ -260,6 +287,7 @@ def test_sector_of_each_family_and_its_exact_zeros(family, modes):
         # one mode: a phase turn of a thermal state may round to number
         assert kind in ("number", "parity")
     block = b.fock_matrix_elements(st, 6 if modes < 3 else 4)
+    assert block.sector == kind and b.truncate_normalize(block).sector == kind
     totals = block.totals
     label = {"number": totals, "parity": totals % 2, "whole": np.zeros_like(totals)}[kind]
     outside = label[:, None] != label
@@ -274,11 +302,26 @@ def test_trace_distance_bit_equal_to_rowwise_build(family, monkeypatch):
     fast = tracedist.gaussian_trace_distance(x, y, 1e-3)
 
     def rowwise(state, cutoff):
-        return b.FockMatrix(rowwise_fock_matrix(state, cutoff), state.modes, cutoff)
+        # a hand-made block has no sector: give it the one the kernel data
+        # select, so that both pairs take the same split
+        block = b.FockMatrix(rowwise_fock_matrix(state, cutoff), state.modes, cutoff)
+        return fock._with_sector(block, fock._sector(*fock._kernel_data(state)[1:]))
 
     monkeypatch.setattr(tracedist, "fock_matrix_elements", rowwise)
     slow = tracedist.gaussian_trace_distance(x, y, 1e-3)
     assert fast == slow  # estimate, certificate, cutoff and tails, bit for bit
+
+
+def test_kernel_constants_cached_and_read_only():
+    fock._kernel_constants.cache_clear()
+    b.gaussian_trace_distance(b.thermal_state(0.3), b.thermal_state(0.5), 1e-3)
+    info = fock._kernel_constants.cache_info()
+    assert info.misses == 1 and info.hits >= 1  # both kernels of the pair
+    r, exchange = fock._kernel_constants(2)
+    assert r.shape == (4, 4) and exchange.shape == (4, 4)
+    for table in (r, exchange):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
 
 
 def test_basis_tables_cached_and_read_only():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import bosonic as b
-from conftest import random_state
+from bosonic import tail
+from conftest import numpy_scalar_objective, random_state
 
 
 def exact_thermal_tail(n_mean: float, cutoff: int) -> float:
@@ -255,3 +256,63 @@ def test_random_states_bounded_by_one_at_zero_cutoff_decay():
 def test_invalid_cutoff():
     with pytest.raises(ValueError):
         b.tail_bound_closed(b.vacuum_state(), -1)
+
+
+# ---------------------------------------------------------------------------
+# the Python-float objective against the numpy-scalar one, bit for bit
+
+
+def _objective_states():
+    """Random mixed and pure states on 1-3 modes, displaced and not, and
+    states with vacuum-tight directions (an eigenvalue of V exactly 1)."""
+    rng = np.random.default_rng(2024)
+    states = [random_state(rng, modes, pure=pure, max_shift=shift)
+              for modes in (1, 2, 3) for pure in (False, True) for shift in (0.0, 1.5)]
+    vacuum = b.vacuum_state()
+    states += [
+        vacuum,
+        b.apply_transform(vacuum, b.displacement([0.7, -0.2])),
+        b.tensor([vacuum, b.thermal_state(0.8)]),
+        b.tensor([b.thermal_state(0.3), vacuum, vacuum]),
+    ]
+    return states
+
+
+def _objective_points(state, cutoff):
+    """Both ends of the bound's t bracket, points inside it, a t past the
+    covariance spectrum (some gap <= 0) and one where x - 1 underflows."""
+    evals = np.linalg.eigvalsh(state.cov)
+    lo, hi = tail._t_bracket(b.mean_photon_number(state), evals, cutoff)
+    return [lo, hi, (lo + hi) / 2.0, lo + 1e-3 * (hi - lo), 2.0 * hi + 1.0, 400.0]
+
+
+@pytest.mark.parametrize("cutoff", [0, 7, 60])
+def test_objective_bit_equal_to_numpy_scalar_loop(cutoff):
+    seen = {"vacuum-tight": 0, "gap <= 0": 0, "s underflows": 0}
+    for state in _objective_states():
+        evals, mean_rot = tail._spectral_data(state)
+        fast = tail._make_objective(evals, mean_rot, cutoff)
+        slow = numpy_scalar_objective(evals, mean_rot, cutoff)
+        for t in _objective_points(state, cutoff):
+            got, want = fast(t), slow(t)
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (state, t)
+            seen["gap <= 0"] += got == math.inf
+            seen["s underflows"] += math.exp(tail._log_x_minus_one(t)) == 0.0
+        seen["vacuum-tight"] += bool(np.any(1.0 - evals == 0.0))
+    assert all(seen.values()), seen
+
+
+def test_bounds_and_cutoffs_bit_equal_to_numpy_scalar_loop(monkeypatch):
+    states = _objective_states()
+    got = []
+    for objective in (tail._make_objective, numpy_scalar_objective):
+        monkeypatch.setattr(tail, "_make_objective", objective)
+        got.append([])
+        for state in states:
+            for cutoff in (0, 5, 40):
+                r = b.tail_bound_optimized(state, cutoff)
+                got[-1].append((r.bound.hex(), float(r.decay_rate).hex(),
+                                float(r.optimizer_x).hex(), r.fallback))
+            got[-1] += [b.cutoff_for_error(state, eps) for eps in (1e-2, 1e-6, 1e-12)]
+    assert got[0] == got[1]

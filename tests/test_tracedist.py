@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import bosonic as b
+from bosonic import tracedist
 from conftest import (
     interleave,
     random_orthogonal_symplectic,
     random_state,
     random_symplectic,
     scale_blocks,
+    scanned_trace_distance,
 )
 
 
@@ -128,6 +130,76 @@ def test_sector_split_matches_dense_eigensolve(monkeypatch, family, modes, parti
     dense = b.finite_trace_distance(fa.matrix, fb.matrix)
     assert sizes[len(expected):] == [dim]
     assert abs(split - dense) <= 2 * dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("family,modes,partition", _SECTOR_CASES)
+def test_built_blocks_carry_their_sector_and_match_the_scan(family, modes, partition):
+    # the build's sector, kept through the normalization, gives the partition
+    # the zero scan of the whole difference found, and the same bits
+    cutoff = {1: 12, 2: 7, 3: 4}[modes]
+    x, y = _sector_pair(family, modes, np.random.default_rng(300 + modes))
+    raw = [b.fock_matrix_elements(st, cutoff) for st in (x, y)]
+    fa, fb = (b.truncate_normalize(block) for block in raw)
+    assert [f.sector for f in (fa, fb)] == [f.sector for f in raw]
+    assert {fa.sector, fb.sector} <= set(tracedist._SECTORS)
+    coarser = max(fa.sector, fb.sector, key=tracedist._SECTORS.index)
+    assert coarser == partition
+    assert b.finite_trace_distance(fa, fb).hex() == scanned_trace_distance(fa, fb).hex()
+
+
+def test_number_blocks_normalize_on_their_shells_only():
+    # the entries outside the shells stay the 0.0 they were, with their bits
+    raw = b.fock_matrix_elements(b.tensor([b.thermal_state(0.4), b.thermal_state(0.9)]), 9)
+    assert raw.sector == "number"
+    normalized = b.truncate_normalize(raw)
+    assert normalized.matrix.tobytes() == (raw.matrix / raw.trace).tobytes()
+
+
+def test_hand_made_and_deserialized_blocks_have_no_sector():
+    m = np.array([[0.4, 0.0, 0.0], [0.0, 0.3, 1e-3], [0.0, 0.0, 0.3]])
+    hand = b.FockMatrix(m, modes=2, cutoff=1)
+    loaded = b.fock_from_dict(b.fock_to_dict(hand))
+    assert hand.sector is None and loaded.sector is None
+    assert b.truncate_normalize(loaded).sector is None
+    with pytest.raises(TypeError):
+        b.FockMatrix(m, modes=2, cutoff=1, sector="number")
+    # no sector: the difference is checked, here found not Hermitian
+    ref = b.FockMatrix(np.diag(np.diag(m)), modes=2, cutoff=1)
+    for block in (hand, loaded):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            b.finite_trace_distance(block, ref)
+
+
+@pytest.mark.parametrize("a,b_", [(np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones(3))])
+def test_checked_blocks_must_be_square(a, b_):
+    with pytest.raises(ValueError, match="blocks must be square"):
+        b.finite_trace_distance(a, b_)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_checked_blocks_reject_non_finite_entries(bad):
+    m = np.eye(3) / 3.0
+    broken = m.copy()
+    broken[1, 2] = bad
+    with pytest.raises(ValueError, match=r"first block has 1 non-finite entries, at \(1, 2\)"):
+        b.finite_trace_distance(broken, m)
+    with pytest.raises(ValueError, match=r"second block .* at \(1, 2\)"):
+        b.finite_trace_distance(b.FockMatrix(m, modes=2, cutoff=1),
+                                b.FockMatrix(broken, modes=2, cutoff=1))
+
+
+def test_nan_block_traces_rejected(monkeypatch):
+    nan_block = b.FockMatrix(np.full((2, 2), math.nan), modes=1, cutoff=1)
+    with pytest.raises(ValueError, match="cannot normalize trace nan"):
+        b.truncate_normalize(nan_block)
+    # a NaN trace fails the build's check and the check against 1 - tail
+    monkeypatch.setattr(tracedist, "fock_matrix_elements", lambda state, cutoff: nan_block)
+    with pytest.raises(b.FockTraceError, match="trace nan is not a number"):
+        b.gaussian_trace_distance(b.thermal_state(0.5), b.thermal_state(1.0), 0.9)
+    monkeypatch.undo()
+    scale_blocks(monkeypatch, math.nan)
+    with pytest.raises(b.FockTraceError, match="trace nan is not a number"):
+        b.fock_matrix_elements(b.thermal_state(0.5), 3)
 
 
 @pytest.mark.parametrize("modes,pure", [(1, True), (2, False)])
