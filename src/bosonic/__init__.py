@@ -34,7 +34,6 @@ from .spectral import (
     petz_conditional_entropy_half,
     symplectic_eigenvalues,
     thermal_entropy_variance,
-    trace_sqrt,
     v_sqrt,
     von_neumann_entropy,
     williamson,
@@ -55,7 +54,6 @@ from .fock import (
     basis_dimension,
     beam_splitter_fock_coeffs,
     enumerate_basis,
-    fock_from_dict,
     fock_matrix_elements,
     fock_to_dict,
     truncate_normalize,

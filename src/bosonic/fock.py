@@ -59,19 +59,20 @@ same bits.  The block is then symmetrized as (out + out^H) / 2 tile by
 tile, over diagonal tiles of whole shells alone for a photon-number block.
 
 The block records the sector it was built in as ``FockMatrix.sector``, a
-field no constructor argument sets, so a block made by hand or read by
-``fock_from_dict`` has none.  ``truncate_normalize`` keeps the sector and,
-for a photon-number block, divides only the diagonal tiles of whole shells:
-every other entry is the 0.0 of a fresh ``np.zeros``, as 0.0 / trace would
-be, and its pages are never touched.  The trace distance reads its
-partition from the two blocks' sectors (see ``bosonic.tracedist``).
+field no constructor argument sets, so a block made by hand has none.
+``truncate_normalize`` keeps the sector and, for a photon-number block,
+divides only the diagonal tiles of whole shells: every other entry is the
+0.0 of a fresh ``np.zeros``, as 0.0 / trace would be, and its pages are
+never touched.  The trace distance takes built blocks only and reads its
+partition from their sectors (see ``bosonic.tracedist``).  Blocks are
+written out by ``fock_to_dict`` (``tracedist --dump-fock``); nothing reads
+them back.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -87,7 +88,6 @@ __all__ = [
     "basis_dimension",
     "beam_splitter_fock_coeffs",
     "enumerate_basis",
-    "fock_from_dict",
     "fock_matrix_elements",
     "fock_to_dict",
     "truncate_normalize",
@@ -138,8 +138,8 @@ class FockMatrix:
 
     ``sector`` is the sector ``fock_matrix_elements`` read off the kernel
     data ("number", "parity" or "whole"), kept by ``truncate_normalize``; a
-    block made by hand or by ``fock_from_dict`` has none, and no caller can
-    set one.
+    block made by hand has none, and no caller can set one.  Only blocks
+    with a sector have a trace distance (``bosonic.tracedist``).
     """
 
     matrix: np.ndarray
@@ -154,10 +154,6 @@ class FockMatrix:
                 f"matrix of shape {np.shape(self.matrix)} does not fit the "
                 f"{dim} x {dim} basis of {self.modes} modes at cutoff {self.cutoff}"
             )
-
-    @property
-    def basis(self) -> list[tuple[int, ...]]:
-        return enumerate_basis(self.modes, self.cutoff)
 
     @property
     def totals(self) -> np.ndarray:
@@ -487,44 +483,3 @@ def fock_to_dict(fock: FockMatrix) -> dict:
         "cutoff": fock.cutoff,
         "entries": [[float(z.real), float(z.imag)] for z in flat],
     }
-
-
-def _entry(index: int, pair) -> complex:
-    """Entry ``index`` of a payload, a [re, im] pair of numbers."""
-    try:
-        re, im = pair
-        return complex(re, im)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"malformed fock payload: entry {index} is {pair!r}, not a [re, im] pair "
-            f"of numbers ({exc})"
-        ) from exc
-
-
-def fock_from_dict(payload: dict) -> FockMatrix:
-    """Inverse of :func:`fock_to_dict`.  The block has no sector.
-
-    Raises ``ValueError`` ("malformed fock payload: ...") for a missing key,
-    a mode count or cutoff that is not an integer, a basis of no modes or a
-    negative cutoff, an entry count that does not fit the basis, an entry
-    that is not a [re, im] pair of numbers, and a non-finite entry.
-    """
-    try:
-        modes = operator.index(payload["modes"])
-        cutoff = operator.index(payload["cutoff"])
-        entries = list(payload["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed fock payload: {exc}") from exc
-    if modes < 1 or cutoff < 0:
-        raise ValueError(f"malformed fock payload: {modes} modes at cutoff {cutoff}; "
-                         "need at least one mode and a cutoff >= 0")
-    dim = basis_dimension(modes, cutoff)
-    if len(entries) != dim * dim:
-        raise ValueError(f"malformed fock payload: expected {dim * dim} entries, "
-                         f"got {len(entries)}")
-    flat = np.array([_entry(k, pair) for k, pair in enumerate(entries)], dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ValueError(f"malformed fock payload: {bad.size} non-finite entries, "
-                         f"the first at index {bad[0]}: {entries[bad[0]]!r}")
-    return FockMatrix(matrix=flat.reshape(dim, dim), modes=modes, cutoff=cutoff)

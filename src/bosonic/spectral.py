@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import GaussianState, reduce_state, symplectic_form
+from .states import GaussianState, _embedding_indices, reduce_state, symplectic_form
 
 __all__ = [
     "coherent_information",
@@ -21,7 +21,6 @@ __all__ = [
     "petz_conditional_entropy_half",
     "symplectic_eigenvalues",
     "thermal_entropy_variance",
-    "trace_sqrt",
     "v_sqrt",
     "von_neumann_entropy",
     "williamson",
@@ -150,21 +149,6 @@ def v_sqrt(cov: np.ndarray) -> np.ndarray:
     return _symmetrize(s @ np.diag(diag) @ s.T)
 
 
-def trace_sqrt(state: GaussianState) -> float:
-    """``tr sqrt(rho) = det(V_sqrt)^(1/4)`` (mean independent)."""
-    sign, logdet = np.linalg.slogdet(v_sqrt(state.cov))
-    if sign <= 0:
-        raise ValueError("square-root covariance has non-positive determinant")
-    return float(np.exp(logdet / 4.0))
-
-
-def _quadrature_coords(modes: Sequence[int]) -> np.ndarray:
-    out = []
-    for m in modes:
-        out.extend((2 * m, 2 * m + 1))
-    return np.asarray(out, dtype=int)
-
-
 def petz_conditional_entropy_half(state: GaussianState, a_modes: Sequence[int]) -> float:
     """Conditional Petz-Renyi entropy of order 1/2, ``H_{1/2}(A|B)``, in bits.
 
@@ -183,7 +167,7 @@ def petz_conditional_entropy_half(state: GaussianState, a_modes: Sequence[int]) 
         raise ValueError("cut must leave both sides non-empty")
     w_ab = v_sqrt(state.cov)
     w_b = v_sqrt(reduce_state(state, b).cov)
-    bc = _quadrature_coords(b)
+    bc = _embedding_indices(b, state.modes)
     w_ab_on_b = w_ab[np.ix_(bc, bc)]
 
     _, logdet_ab = np.linalg.slogdet(w_ab)

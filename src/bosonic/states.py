@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -423,16 +424,27 @@ def state_to_dict(state: GaussianState) -> dict:
 
 
 def state_from_dict(payload: dict) -> GaussianState:
-    """Parse the shared schema; raises ``InvalidStateError`` on malformed payloads."""
+    """Parse the shared schema; raises ``InvalidStateError`` on malformed payloads.
+
+    ``modes`` must be an integer (not a bool), and ``mean`` and ``cov``
+    arrays of integers or floats: strings, booleans and fractional mode
+    counts are rejected, not converted.
+    """
     try:
-        modes = int(payload["modes"])
-        mean = np.asarray(payload["mean"], dtype=float)
-        cov = np.asarray(payload["cov"], dtype=float)
+        modes = payload["modes"]
+        if isinstance(modes, bool):
+            raise TypeError(f"modes is {modes!r}, not an integer")
+        modes = operator.index(modes)
+        arrays = {key: np.asarray(payload[key]) for key in ("mean", "cov")}
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStateError(f"malformed state payload: {exc}") from exc
-    state = GaussianState(mean, cov)
+    for key, arr in arrays.items():
+        if arr.dtype.kind not in "iuf":
+            raise InvalidStateError(f"malformed state payload: {key} has {arr.dtype} "
+                                    "entries, not integers or floats")
+    state = GaussianState(arrays["mean"], arrays["cov"])
     if state.modes != modes:
         raise InvalidStateError(
-            f"declared {modes} modes but mean has length {mean.size}"
+            f"declared {modes} modes but mean has length {state.mean.size}"
         )
     return state

@@ -14,17 +14,15 @@ computed entry between sectors is exactly 0.0, so the trace norm is the sum
 over the sector blocks, at sum d_s^3 cost instead of dim^3, and the
 certificate is unchanged: nothing is dropped.
 
-Blocks that ``fock_matrix_elements`` built, and ``truncate_normalize``
-rescaled, are trusted: each carries the sector the build read off the
-kernel data (``FockMatrix.sector``), every entry outside it is exactly 0.0
-by construction, and the tile-wise symmetrization leaves exact conjugate
-pairs with a real diagonal.  Their difference is split by the coarser of
-the two sectors and taken sector block by sector block, with no dim x dim
-difference, no scan for zeros and no re-symmetrization; a Hermitian part
-of an exactly Hermitian block is the block itself, bit for bit.  Anything
-else -- plain arrays, hand-made or deserialized blocks -- is checked: its
-entries must be finite and its difference Hermitian to within
-``HERMITIAN_TOL``, and it is diagonalized as one sector.
+The distance takes blocks that ``fock_matrix_elements`` built, raw or
+rescaled by ``truncate_normalize``, and nothing else: each carries the sector
+the build read off the kernel data (``FockMatrix.sector``), every entry
+outside it is exactly 0.0 by construction, and the tile-wise symmetrization
+leaves exact conjugate pairs with a real diagonal.  Their difference is
+split by the coarser of the two sectors and taken sector block by sector
+block, with no dim x dim difference, no scan for zeros and no
+re-symmetrization; a Hermitian part of an exactly Hermitian block is the
+block itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +49,6 @@ __all__ = [
     "gaussian_trace_distance",
 ]
 
-#: largest tolerated non-Hermiticity of the difference of two checked blocks
-HERMITIAN_TOL = 1e-9
-
 #: the sectors a built block may carry, finest first
 _SECTORS = ("number", "parity", "whole")
 
@@ -73,88 +68,47 @@ class TraceDistanceResult:
     tail_bounds: tuple[float, float]
 
 
-def _as_matrix(block) -> np.ndarray:
-    if isinstance(block, FockMatrix):
-        return block.matrix
-    return np.asarray(block)
-
-
-def _shared_sector(a, b) -> str | None:
-    """The coarser of the sectors two built ``FockMatrix`` blocks carry, or
-    None unless both blocks carry one."""
-    if not (isinstance(a, FockMatrix) and isinstance(b, FockMatrix)):
-        return None
+def _shared_sector(a, b) -> str:
+    """The coarser of the sectors of two built blocks on one basis."""
+    for name, block in (("first", a), ("second", b)):
+        if not isinstance(block, FockMatrix) or block.sector is None:
+            raise ValueError(f"{name} block was not built by fock_matrix_elements: "
+                             "only built blocks carry the sector the distance splits by")
     if (a.modes, a.cutoff) != (b.modes, b.cutoff):
         raise ValueError(
             f"blocks live on different bases: (modes {a.modes}, cutoff {a.cutoff}) "
             f"and (modes {b.modes}, cutoff {b.cutoff})"
         )
-    if a.sector is None or b.sector is None:
-        return None
     return max(a.sector, b.sector, key=_SECTORS.index)
 
 
-def _checked_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Hermitian part (d + d^H) / 2 of d = a - b, once both blocks are
-    finite and d is square and Hermitian to within ``HERMITIAN_TOL``."""
-    for name, block in (("first", a), ("second", b)):
-        bad = np.argwhere(~np.isfinite(block))
-        if bad.size:
-            shown = ", ".join(str(tuple(ix)) for ix in bad[:3].tolist())
-            raise ValueError(f"{name} block has {len(bad)} non-finite entries, at {shown}"
-                             + (", ..." if len(bad) > 3 else ""))
-    diff = a - b
-    if diff.ndim != 2 or diff.shape[0] != diff.shape[1]:
-        raise ValueError(f"blocks must be square, got {diff.shape}")
-    skew = np.max(np.abs(diff - diff.conj().T)) if diff.size else 0.0
-    if skew > HERMITIAN_TOL:
-        raise ValueError(f"difference is not Hermitian (defect {skew:.3e})")
-    return (diff + diff.conj().T) / 2.0
+def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
+    """(1/2) sum |eig(a - b)| for two blocks built by ``fock_matrix_elements``.
 
-
-def finite_trace_distance(a, b) -> float:
-    """(1/2) sum |eig(a - b)| for Hermitian blocks ``a``, ``b``.
-
-    Two ``FockMatrix`` blocks must share (modes, cutoff).  When both carry
-    the sector their build read off (see the module docstring), they are
-    trusted: the difference is taken and diagonalized per sector of the
-    coarser of the two -- photon number, parity or the whole basis -- so
-    the eigensolve costs sum d_s^3 instead of dim^3; size-1 sectors are
-    read off the diagonal.
-
-    Plain arrays, and blocks without a sector, are checked and form one
-    sector: every entry must be finite, and the difference Hermitian to
-    within ``HERMITIAN_TOL``; its Hermitian part is diagonalized.  The
+    Both blocks, raw or after ``truncate_normalize``, must share (modes,
+    cutoff).  The difference is taken and diagonalized per sector of the
+    coarser of their two sectors (see the module docstring) -- photon
+    number, parity or the whole basis -- so the eigensolve costs sum d_s^3
+    instead of dim^3; size-1 sectors are read off the diagonal.  The
     eigensolver itself is accurate to machine precision.
 
     Raises:
-        ValueError: the blocks live on different bases, or a checked block
-            is not square, has a non-finite entry or a non-Hermitian
-            difference.
+        ValueError: a block was not built by ``fock_matrix_elements`` (a
+            plain array, or a ``FockMatrix`` made by hand), or the blocks
+            live on different bases.
     """
     kind = _shared_sector(a, b)
-    if kind is None:
-        herm = _checked_difference(_as_matrix(a), _as_matrix(b))
-        labels = np.zeros(herm.shape[0], dtype=int)
-
-        def entries(index):
-            return herm[index]
-    else:
-        totals = a.totals
-        labels = {"number": totals, "parity": totals % 2}.get(kind, np.zeros_like(totals))
-
-        def entries(index):
-            return a.matrix[index] - b.matrix[index]
-
+    totals = a.totals
+    labels = {"number": totals, "parity": totals % 2}.get(kind, np.zeros_like(totals))
     sizes = np.bincount(labels)
     single = np.flatnonzero(sizes[labels] == 1)
-    eigs = [entries((single, single)).real]
+    eigs = [(a.matrix[single, single] - b.matrix[single, single]).real]
     for sector in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == sector)
         lo, hi = idx[0], idx[-1] + 1
         # contiguous sectors (photon number, the whole basis) are slices
         square = (slice(lo, hi),) * 2 if hi - lo == idx.size else np.ix_(idx, idx)
-        eigs.append(np.linalg.eigvalsh(entries(square)))
+        eigs.append(np.linalg.eigvalsh(a.matrix[square] - b.matrix[square]))
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
 
 

@@ -99,7 +99,7 @@ def test_criterion_05_fock_fidelity():
     assert np.count_nonzero(f.matrix - np.diag(np.diag(f.matrix))) == 0
 
     ftm = b.fock_matrix_elements(b.tmsv_state(1.0), 4)
-    basis = ftm.basis
+    basis = b.enumerate_basis(ftm.modes, ftm.cutoff)
     for i, ka in enumerate(basis):
         for j, kb in enumerate(basis):
             expect = 0.0

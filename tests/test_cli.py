@@ -9,6 +9,7 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -140,10 +141,15 @@ def test_tracedist_dump_fock(runner, tmp_path):
     prefix = str(tmp_path / "blocks")
     res = invoke(runner, "tracedist", vac, t1, "--eps", "1e-2", "--dump-fock", prefix)
     assert res.exit_code == 0
-    for suffix in ("a", "b"):
+    cutoff = json.loads(res.output)["cutoff"]
+    for suffix, photons in (("a", 0.0), ("b", 1.0)):
         blob = json.loads((tmp_path / f"blocks.{suffix}.json").read_text())
-        assert blob["modes"] == 1
-        assert len(blob["entries"]) == (blob["cutoff"] + 1) ** 2
+        assert (blob["modes"], blob["cutoff"]) == (1, cutoff)
+        assert len(blob["entries"]) == (cutoff + 1) ** 2
+        # the raw block, rebuilt bit for bit from its 17-digit [re, im] pairs
+        block = np.array(blob["entries"], dtype=float).view(complex).reshape(cutoff + 1, -1)
+        built = bosonic.fock_matrix_elements(bosonic.thermal_state(photons), cutoff)
+        assert np.array_equal(block, built.matrix)
 
 
 def test_tracedist_cap_exit_three(runner, tmp_path, monkeypatch):

@@ -112,9 +112,24 @@ def test_v_sqrt_thermal():
 
 
 def test_trace_sqrt_thermal():
-    # spectrum 2^-(n+1): sum of square roots is 1 + sqrt(2)
-    assert b.trace_sqrt(b.thermal_state(1.0)) == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
-    assert b.trace_sqrt(b.vacuum_state()) == pytest.approx(1.0, abs=1e-12)
+    # tr sqrt(rho) = det(v_sqrt(V))^(1/4); spectrum 2^-(n+1): the sum of
+    # square roots is 1 + sqrt(2)
+    def trace_sqrt(state):
+        return np.linalg.det(b.v_sqrt(state.cov)) ** 0.25
+
+    assert trace_sqrt(b.thermal_state(1.0)) == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
+    assert trace_sqrt(b.vacuum_state()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _petz_on_coords(state, bc):
+    """H_{1/2}(A|B) with the B quadratures listed by hand as ``bc``: the
+    same determinants, so the same bits as the library's index array."""
+    w_ab = b.v_sqrt(state.cov)
+    w_b = b.v_sqrt(state.cov[np.ix_(bc, bc)])
+    _, logdet_ab = np.linalg.slogdet(w_ab)
+    _, logdet_b = np.linalg.slogdet(w_b)
+    _, logdet_mix = np.linalg.slogdet((w_ab[np.ix_(bc, bc)] + w_b) / 2.0)
+    return float((0.5 * (logdet_ab + logdet_b) - logdet_mix) / np.log(2.0))
 
 
 def test_petz_conditional_entropy_product_state():
@@ -122,6 +137,11 @@ def test_petz_conditional_entropy_product_state():
     prod = b.tensor([b.thermal_state(1.0), b.vacuum_state()])
     got = b.petz_conditional_entropy_half(prod, [0])
     assert got == pytest.approx(2.0 * math.log2(1.0 + math.sqrt(2.0)), abs=1e-10)
+    assert got.hex() == _petz_on_coords(prod, [2, 3]).hex()
+    out = b.stinespring_output(b.PureLoss(0.3), b.tmsv_state(0.8))
+    for a_modes, bc in [([0], [2, 3, 4, 5]), ([2], [0, 1, 2, 3]), ([0, 2], [2, 3])]:
+        got = b.petz_conditional_entropy_half(out, a_modes)
+        assert got.hex() == _petz_on_coords(out, bc).hex()
 
 
 def test_petz_conditional_entropy_tmsv_schmidt_oracle():
@@ -131,6 +151,7 @@ def test_petz_conditional_entropy_tmsv_schmidt_oracle():
     oracle = 2.0 * math.log2(sum(2.0 ** (-1.5 * (n + 1)) for n in range(400)))
     assert got == pytest.approx(oracle, abs=1e-10)
     assert got == pytest.approx(-1.7412062532355603, abs=1e-10)
+    assert got.hex() == _petz_on_coords(b.tmsv_state(1.0), [2, 3]).hex()
 
 
 def test_gaussian_overlap_values():

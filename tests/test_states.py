@@ -220,6 +220,25 @@ def test_serialization_roundtrip():
         b.state_from_dict({"modes": 1, "mean": [0, 0]})
 
 
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("modes", 1.5, "'float' object cannot be interpreted as an integer"),
+    ("modes", "1", "'str' object cannot be interpreted as an integer"),
+    ("modes", True, "modes is True, not an integer"),
+    ("mean", ["0", "0"], "mean has <U1 entries, not integers or floats"),
+    ("mean", [True, False], "mean has bool entries, not integers or floats"),
+    ("cov", [["1", "0"], ["0", "1"]], "cov has <U1 entries"),
+    ("cov", [[True, False], [False, True]], "cov has bool entries"),
+])
+def test_state_from_dict_rejects_what_it_would_have_to_convert(field, value, reason):
+    # each payload reads as the vacuum once converted; none is converted
+    payload = {"modes": 1, "mean": [0, 0], "cov": _EYE} | {field: value}
+    with pytest.raises(InvalidStateError, match="^malformed state payload: " + reason):
+        b.state_from_dict(payload)
+
+
 def test_random_symplectics_are_symplectic():
     rng = np.random.default_rng(3)
     for modes in (1, 2, 3):
