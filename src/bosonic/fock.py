@@ -53,10 +53,21 @@ actively mixed states; displaced states use the whole basis.  The terms of each
 entry are summed in the row-by-row order with the same left operands, so
 the block is the row-by-row block entry for entry.
 
-Row 0 keeps its scalar loop: numpy's scalar complex arithmetic rounds
-differently from its array loops, so a vectorized row 0 would not give the
-same bits.  The block is then symmetrized as (out + out^H) / 2 tile by
-tile, over diagonal tiles of whole shells alone for a photon-number block.
+Row 0 keeps its scalar loop, on Python complex numbers from ``tolist()``
+rather than numpy scalars, which cost a dispatch per operation.  numpy's
+scalar complex arithmetic rounds differently from its array loops, so a
+vectorized row 0 would not give the same bits; the Python one does.  Sums
+and products are the same formulas, with each real factor made complex
+first, as numpy promotes it.  Division is the exception: numpy divides by
+a real d with Smith's formula on (d, 0.0), which is (re + 0.0 im) / d +
+i (im - 0.0 re) / d with 1 / d taken first, while Python's v / d rounds
+differently (on random v, d about 4 in 10 quotients differ in the last
+bit).  So row 0 writes numpy's formula out.  The basis-only arrays of the
+recursion (``prev``, ``div``, ``sqrt_cnt[i, prev]``, ``lower[i, prev]``)
+come with the basis tables, one table per mode count, grown on demand: the
+graded basis at cutoff M is a prefix of the one at any larger cutoff.  The
+block is then symmetrized as (out + out^H) / 2 tile by tile, over diagonal
+tiles of whole shells alone for a photon-number block.
 
 The block records the sector it was built in as ``FockMatrix.sector``, a
 field no constructor argument sets, so a block made by hand has none.
@@ -232,19 +243,43 @@ class _BasisTables(NamedTuple):
     and ``sqrt_cnt[i, b]`` is sqrt(occ_b[i]), both 0 where mode i is empty;
     ``first[b]`` is the first occupied mode of occ_b (0 for the vacuum).
     Shell k, the occupations of total k, is the index range
-    [starts[k], starts[k + 1]).
+    [starts[k], starts[k + 1]).  Per row b of the recursion, with
+    j = first[b]: ``prev[b]`` is the index of occ_b - e_j, ``div[b, 0]`` is
+    sqrt(occ_b[j]), and per mode i ``sqrt_prev[i, b]`` and ``lower_prev[i, b]``
+    are ``sqrt_cnt[i, prev[b]]`` and ``lower[i, prev[b]]``.
     """
 
     lower: np.ndarray
     sqrt_cnt: np.ndarray
     first: np.ndarray
     starts: np.ndarray
+    prev: np.ndarray
+    div: np.ndarray
+    sqrt_prev: np.ndarray
+    lower_prev: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
+#: per mode count, the tables at the largest cutoff asked for so far
+_TABLES: dict[int, _BasisTables] = {}
+
+
 def _basis_tables(modes: int, cutoff: int) -> _BasisTables:
     """The read-only ``_BasisTables`` of (modes, cutoff), shared by both
-    blocks of a pair and by ``FockMatrix.totals``."""
+    blocks of a pair and by ``FockMatrix.totals``.  The graded basis at
+    cutoff M is a prefix of the basis at any M' > M, so one table per mode
+    count, rebuilt when a larger cutoff is asked for, serves every smaller
+    cutoff by prefix views."""
+    full = _TABLES.get(modes)
+    if full is None or full.starts.size < cutoff + 2:
+        full = _TABLES[modes] = _build_tables(modes, cutoff)
+    dim = int(full.starts[cutoff + 1])
+    lower, sqrt_cnt, first, starts, prev, div, sqrt_prev, lower_prev = full
+    return _BasisTables(lower[:, :dim], sqrt_cnt[:, :dim], first[:dim], starts[:cutoff + 2],
+                        prev[:dim], div[:dim], sqrt_prev[:, :dim], lower_prev[:, :dim])
+
+
+def _build_tables(modes: int, cutoff: int) -> _BasisTables:
+    """``_BasisTables`` of (modes, cutoff), enumerated afresh, read-only."""
     basis = enumerate_basis(modes, cutoff)
     index = {occ: b for b, occ in enumerate(basis)}
     lower = np.array([[index.get(occ[:i] + (occ[i] - 1,) + occ[i + 1:], 0) for occ in basis]
@@ -252,7 +287,10 @@ def _basis_tables(modes: int, cutoff: int) -> _BasisTables:
     sqrt_cnt = np.sqrt(np.array(basis, dtype=float).T)
     first = np.argmax(sqrt_cnt > 0.0, axis=0)
     starts = np.array([basis_dimension(modes, k - 1) for k in range(cutoff + 2)])
-    tables = _BasisTables(lower, sqrt_cnt, first, starts)
+    at = np.arange(len(basis))
+    prev = lower[first, at]
+    tables = _BasisTables(lower, sqrt_cnt, first, starts, prev, sqrt_cnt[first, at][:, None],
+                          sqrt_cnt[:, prev], lower[:, prev])
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -311,6 +349,36 @@ def _symmetrize(out: np.ndarray, shells: np.ndarray | None) -> None:
             out[lo:hi, lo2:hi2] = sym
 
 
+def _row_zero(c0: float, f_ket: np.ndarray, u_ket: np.ndarray, cols: np.ndarray,
+              tables: _BasisTables) -> list[complex]:
+    """Row 0 of a block: the recursion along the ket index alone, with the
+    ket-ket block ``f_ket`` of F and the ket half ``u_ket`` of u, over the
+    columns ``cols`` (0 not among them) on Python scalars; c0 at column 0
+    and 0j wherever ``cols`` does not reach.  Each step is the numpy-scalar
+    step bit for bit (see the module docstring)."""
+    n = u_ket.size
+    f_ket, u_ket = f_ket.tolist(), u_ket.tolist()
+    first, prev, div = tables.first.tolist(), tables.prev.tolist(), tables.div[:, 0].tolist()
+    # complex, so that every product is the full complex product numpy forms
+    sqrt_prev = tables.sqrt_prev.astype(complex).tolist()
+    lower_prev = tables.lower_prev.tolist()
+    row = [0j] * len(first)
+    row[0] = complex(c0)
+    for b in cols.tolist():
+        j = first[b]
+        val = u_ket[j] * row[prev[b]]
+        for i in range(n):
+            s = sqrt_prev[i][b]
+            if s:
+                val += f_ket[j][i] * s * row[lower_prev[i][b]]
+        # numpy's complex / real division: Smith's formula on (d, 0.0), so
+        # 1 / d scales val + i 0.0 val, signs of zeros included
+        scl = 1.0 / div[b]
+        re, im = val.real, val.imag
+        row[b] = complex((re + im * 0.0) * scl, (im - re * 0.0) * scl)
+    return row
+
+
 def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     """Exact Fock matrix elements <k|rho|l> for all totals up to ``cutoff``.
 
@@ -330,7 +398,8 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     dim = _check_dimension(state.modes, cutoff)
     require_valid(state)
     n = state.modes
-    lower, sqrt_cnt, first, starts = _basis_tables(n, cutoff)
+    tables = _basis_tables(n, cutoff)
+    lower, sqrt_cnt, first, starts, prev, div, sqrt_prev, lower_prev = tables
 
     c0, f_mat, u_vec = _kernel_data(state)
     kind = _sector(f_mat, u_vec)
@@ -346,27 +415,17 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
 
     out = np.zeros((dim, dim), dtype=complex)
     out[0, 0] = c0
-
-    # bra side empty: recurse along the ket index only, in scalar arithmetic
-    for b in np.arange(dim)[sector[0]][1:].tolist():
-        j = first[b]
-        prev = lower[j, b]
-        val = u_vec[n + j] * out[0, prev]
-        for i in range(n):
-            if sqrt_cnt[i, prev]:
-                val += f_mat[n + j, n + i] * sqrt_cnt[i, prev] * out[0, lower[i, prev]]
-        out[0, b] = val / sqrt_cnt[j, b]
+    cols = np.arange(dim)[sector[0]][1:]
+    if cols.size:
+        out[0] = _row_zero(c0, f_mat[n:, n:], u_vec[n:], cols, tables)
 
     # per row a, with j = first[a]: the row prev = a - e_j it recurses from,
     # its divisor sqrt(occ_a[j]), u_j and F[j, :], and per mode i the
     # coefficient F[j, i] sqrt(occ_prev[i]) and the row prev - e_i of its
     # bra-bra term (0.0 and row 0 where mode i of prev is empty)
-    at = np.arange(dim)
-    prev = lower[first, at]
-    div = sqrt_cnt[first, at][:, None]
     u_rows = u_vec[first][:, None]
     f_rows = f_mat[first]
-    bra = [((f_rows[:, i] * sqrt_cnt[i, prev])[:, None], lower[i, prev]) for i in range(n)]
+    bra = [((f_rows[:, i] * sqrt_prev[i])[:, None], lower_prev[i]) for i in range(n)]
 
     def terms(rows, cols):
         """The row-by-row recursion's terms for the rows ``rows`` of one shell

@@ -26,7 +26,20 @@ t of M*(t) = (f(t) - 2 ln eps) / (2t): one golden search.  Two bound
 evaluations confirm that guess -- it passes and one photon fewer fails --
 so the cutoff is the one a search over M with the bound itself returns.
 A failed check (the nat cap on t shrinks the bracket at large M, or the
-minimum rounds the wrong way) only makes the search step outward.
+minimum rounds the wrong way) only makes the search step outward.  So the
+guess need not be sharp: any guess gives the same cutoff, and a wrong one
+costs only extra checks.  The estimate therefore runs a short golden
+search (``_ESTIMATE_ITERS``), and the estimate and every check share one
+eigendecomposition of V and one mean photon number.
+
+A check is ``trace_distance_truncation_bound(state, M).bound <= eps`` on
+that shared data, with one shortcut: it passes at the first t whose log
+bound lies below 2 ln eps - 1e-9.  That is exact.  Golden section keeps
+the smaller of its two inner values, so the kept value never rises, and
+the minimum it returns is at most every value it evaluated; a log bound
+that far below 2 ln eps leaves a square-rooted bound below eps after
+rounding.  A failing check runs the whole search, and a search with no
+finite value takes the closed-form point, as the public bound does.
 """
 
 from __future__ import annotations
@@ -53,6 +66,11 @@ __all__ = [
 _T_CAP_NATS = 700.0
 # golden-section iterations; shrinks the bracket by ~1e13
 _GOLDEN_ITERS = 64
+# iterations of the cutoff estimate, which is only rounded up and confirmed
+_ESTIMATE_ITERS = 24
+# a check passes early once a log bound lies this far below 2 ln eps
+_EARLY_MARGIN = 1e-9
+_LN2 = math.log(2.0)
 #: every photon-tail bound is at least this; no cutoff certifies eps below its root
 TAIL_FLOOR = 1e-300
 
@@ -104,11 +122,16 @@ def tail_bound_closed(state: GaussianState, cutoff: int) -> TailBoundResult:
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     photons = mean_photon_number(state)
-    x0 = 8.0 * photons + 4.0
     evals, mean_rot = _spectral_data(state)
-    log_bound = _log_prefactor(evals, mean_rot, x0) - cutoff / (4.0 * photons + 2.0)
+    log_bound = _log_closed(photons, evals, mean_rot, cutoff)
     rate = math.log2(math.e) / (4.0 * photons + 2.0)
     return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=rate)
+
+
+def _log_closed(photons: float, evals: np.ndarray, mean_rot: np.ndarray, cutoff: int) -> float:
+    """ln of the closed-form bound at x = 8N + 4."""
+    x0 = 8.0 * photons + 4.0
+    return _log_prefactor(evals, mean_rot, x0) - cutoff / (4.0 * photons + 2.0)
 
 
 def _clamp_exp(log_bound: float) -> float:
@@ -119,32 +142,28 @@ def _clamp_exp(log_bound: float) -> float:
     return max(math.exp(log_bound), TAIL_FLOOR)
 
 
-def _log_x_minus_one(t: float) -> float:
-    """ln(coth(t) - 1), stable for all t > 0."""
-    return math.log(2.0) - 2.0 * t - math.log1p(-math.exp(-2.0 * t))
-
-
 def _make_objective(evals: np.ndarray, mean_rot: np.ndarray, cutoff: int):
     """ln of the optimized-bound objective as a function of t = arccoth(x)."""
     # Python floats are numpy's float64 doubles, in the same order: same bits, no scalar dispatch
-    one_minus = (1.0 - evals).tolist()  # positive on squeezed/vacuum directions
-    msq = (mean_rot**2).tolist()
+    # (1 - eval, rotated mean squared) per direction; 1 - eval > 0 on squeezed/vacuum ones
+    terms = list(zip((1.0 - evals).tolist(), (mean_rot**2).tolist()))
+    exp, log, log1p, inf = math.exp, math.log, math.log1p, math.inf
 
     def objective(t: float) -> float:
-        log_s = _log_x_minus_one(t)
-        s = math.exp(log_s)  # x - 1; may underflow to 0 for huge t
+        log_s = _LN2 - 2.0 * t - log1p(-exp(-2.0 * t))  # ln(coth(t) - 1), stable for t > 0
+        s = exp(log_s)  # x - 1; may underflow to 0 for huge t
         total = -2.0 * t * cutoff
-        for lam_gap, m2 in zip(one_minus, msq):
+        for lam_gap, m2 in terms:
             gap = s + lam_gap  # x - eval, computed without cancellation
             if lam_gap == 0.0:
                 log_gap = log_s
             elif gap <= 0.0:
-                return math.inf
+                return inf
             else:
-                log_gap = math.log(gap)
+                log_gap = log(gap)
             if m2 != 0.0:
                 if gap <= 0.0:
-                    return math.inf
+                    return inf
                 total += m2 / gap
             total -= 0.25 * (log_gap - log_s)
         return total
@@ -164,8 +183,7 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     photons = mean_photon_number(state)
     evals, mean_rot = _spectral_data(state)
-    objective = _make_objective(evals, mean_rot, cutoff)
-    t_best, log_best = _golden_min(objective, *_t_bracket(photons, evals, cutoff))
+    t_best, log_best = _search_log_bound(photons, evals, mean_rot, cutoff)
 
     if not math.isfinite(log_best):
         return replace(
@@ -177,6 +195,14 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
         decay_rate=rate,
         optimizer_x=_coth(t_best),
     )
+
+
+def _search_log_bound(photons: float, evals: np.ndarray, mean_rot: np.ndarray, cutoff: int,
+                      stop: float = -math.inf) -> tuple[float, float]:
+    """(t, ln bound) at the golden-section minimum over the bound's t bracket
+    at ``cutoff``, or at the first value below ``stop``."""
+    objective = _make_objective(evals, mean_rot, cutoff)
+    return _golden_min(objective, *_t_bracket(photons, evals, cutoff), stop=stop)
 
 
 def _t_bracket(photons: float, evals: np.ndarray, cutoff: int) -> tuple[float, float]:
@@ -206,22 +232,32 @@ def _coth(t: float) -> float:
     return 1.0 / math.tanh(t)
 
 
-def _golden_min(fun, t_low: float, t_high: float) -> tuple[float, float]:
-    """Golden-section minimum of ``fun`` on [t_low, t_high], endpoint-aware."""
+def _golden_min(fun, t_low: float, t_high: float, iters: int = _GOLDEN_ITERS,
+                stop: float = -math.inf) -> tuple[float, float]:
+    """Golden-section minimum of ``fun`` on [t_low, t_high], endpoint-aware,
+    after ``iters`` iterations.  The first inner value below ``stop`` is
+    returned at once; the kept value never rises, so the full search would
+    have returned a value at most as large."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = t_low, t_high
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(_GOLDEN_ITERS):
+    if fc < stop or fd < stop:
+        return (c, fc) if fc < stop else (d, fd)
+    for _ in range(iters):
         if fc <= fd or math.isnan(fd):
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
             fc = fun(c)
+            if fc < stop:
+                return c, fc
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = fun(d)
+            if fd < stop:
+                return d, fd
     candidates = [(fun(t_low), t_low), (fc, c), (fd, d), (fun(t_high), t_high)]
     best = min((f, t) for f, t in candidates if not math.isnan(f))
     return best[1], best[0]
@@ -236,18 +272,30 @@ def trace_distance_truncation_bound(state: GaussianState, cutoff: int) -> TailBo
     )
 
 
-def _estimate_cutoff(state: GaussianState, eps: float) -> float:
-    """min over t of M*(t) = (f(t) - 2 ln eps) / (2t), the smallest real M
-    whose bound at some t reaches ``eps``; f is the M = 0 objective."""
-    evals, mean_rot = _spectral_data(state)
+def _estimate_cutoff(photons: float, evals: np.ndarray, mean_rot: np.ndarray,
+                     log_target: float) -> float:
+    """About min over t of M*(t) = (f(t) - log_target) / (2t), the smallest
+    real M whose log bound at some t reaches ``log_target``; f is the M = 0
+    objective.  A short search: the guess is only rounded up and confirmed."""
     objective = _make_objective(evals, mean_rot, 0)
-    log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
 
     def needed(t: float) -> float:
         return (objective(t) - log_target) / (2.0 * t)
 
-    bracket = _t_bracket(mean_photon_number(state), evals, 0)
-    return _golden_min(needed, *bracket)[1]
+    bracket = _t_bracket(photons, evals, 0)
+    return _golden_min(needed, *bracket, iters=_ESTIMATE_ITERS)[1]
+
+
+def _bound_passes(photons: float, evals: np.ndarray, mean_rot: np.ndarray, cutoff: int,
+                  eps: float, log_target: float) -> bool:
+    """``trace_distance_truncation_bound(state, cutoff).bound <= eps`` from the
+    state's mean photon number and spectral data, passing at the first log
+    bound below ``log_target = 2 ln eps`` by ``_EARLY_MARGIN`` (see the module
+    docstring)."""
+    log_best = _search_log_bound(photons, evals, mean_rot, cutoff, log_target - _EARLY_MARGIN)[1]
+    if not math.isfinite(log_best):
+        log_best = _log_closed(photons, evals, mean_rot, cutoff)
+    return min(1.0, math.sqrt(_clamp_exp(log_best))) <= eps
 
 
 def smallest_passing(ok, guess: int, floor: int, cap: int | None = None) -> int | None:
@@ -297,10 +345,14 @@ def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
 
-    def ok(m: int) -> bool:
-        return trace_distance_truncation_bound(state, m).bound <= eps
+    photons = mean_photon_number(state)
+    evals, mean_rot = _spectral_data(state)
+    log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
 
-    estimate = _estimate_cutoff(state, eps)
+    def ok(m: int) -> bool:
+        return _bound_passes(photons, evals, mean_rot, m, eps, log_target)
+
+    estimate = _estimate_cutoff(photons, evals, mean_rot, log_target)
     guess = math.ceil(estimate) if math.isfinite(estimate) else 0
     cutoff = smallest_passing(ok, guess, -1, cap)
     if cutoff is None:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from bosonic import GaussianState, fock, tail
+from bosonic.states import mean_photon_number
 
 
 def interleave(mat_xxpp: np.ndarray) -> np.ndarray:
@@ -129,6 +130,34 @@ def rowwise_fock_matrix(state: GaussianState, cutoff: int) -> np.ndarray:
     return out
 
 
+def log_x_minus_one(t: float) -> float:
+    """ln(coth(t) - 1), stable for all t > 0."""
+    return math.log(2.0) - 2.0 * t - math.log1p(-math.exp(-2.0 * t))
+
+
+def numpy_scalar_row_zero(c0: float, f_mat: np.ndarray, u_vec: np.ndarray, cols: np.ndarray,
+                          tables) -> np.ndarray:
+    """Row 0 of a Fock block by the numpy-scalar loop over the columns
+    ``cols`` of the row-0 sector, from the full kernel data (F, u): an
+    oracle for ``fock._row_zero``, which runs the same steps on Python
+    scalars."""
+    n = u_vec.size // 2
+    lower, sqrt_cnt, first = tables.lower, tables.sqrt_cnt, tables.first
+    out = np.zeros((1, first.size), dtype=complex)
+    out[0, 0] = c0
+
+    # bra side empty: recurse along the ket index only, in scalar arithmetic
+    for b in cols.tolist():
+        j = first[b]
+        prev = lower[j, b]
+        val = u_vec[n + j] * out[0, prev]
+        for i in range(n):
+            if sqrt_cnt[i, prev]:
+                val += f_mat[n + j, n + i] * sqrt_cnt[i, prev] * out[0, lower[i, prev]]
+        out[0, b] = val / sqrt_cnt[j, b]
+    return out[0]
+
+
 def numpy_scalar_objective(evals: np.ndarray, mean_rot: np.ndarray, cutoff: int):
     """The tail objective on numpy scalars, an oracle for the Python-float
     loop of ``tail._make_objective``: the same operations in the same order."""
@@ -136,7 +165,7 @@ def numpy_scalar_objective(evals: np.ndarray, mean_rot: np.ndarray, cutoff: int)
     msq = mean_rot**2
 
     def objective(t: float) -> float:
-        log_s = tail._log_x_minus_one(t)
+        log_s = log_x_minus_one(t)
         s = math.exp(log_s)  # x - 1; may underflow to 0 for huge t
         total = -2.0 * t * cutoff
         for lam_gap, m2 in zip(one_minus, msq):
@@ -199,3 +228,43 @@ def scanned_trace_distance(a: fock.FockMatrix, b: fock.FockMatrix) -> float:
         block = diff[lo:hi, lo:hi] if hi - lo == idx.size else diff[np.ix_(idx, idx)]
         eigs.append(np.linalg.eigvalsh(_scan_hermitian_part(block)))
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
+
+
+def full_search_cutoff(state: GaussianState, eps: float, cap: int = 10**6) -> int:
+    """The cutoff search as it was before the shared spectral data, the short
+    estimate and the early-passing check: a 64-iteration estimate, confirmed
+    with the public ``trace_distance_truncation_bound``.  An oracle for
+    ``tail.cutoff_for_error``."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if eps < math.sqrt(tail.TAIL_FLOOR):
+        raise ValueError(f"eps {eps} lies below {math.sqrt(tail.TAIL_FLOOR)}, the square "
+                         f"root of the floor {tail.TAIL_FLOOR} on every tail bound; no "
+                         "cutoff certifies it")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
+    def ok(m: int) -> bool:
+        return tail.trace_distance_truncation_bound(state, m).bound <= eps
+
+    estimate = _full_estimate_cutoff(state, eps)
+    guess = math.ceil(estimate) if math.isfinite(estimate) else 0
+    cutoff = tail.smallest_passing(ok, guess, -1, cap)
+    if cutoff is None:
+        raise tail.CutoffCapError(f"no cutoff up to {cap} reaches truncation error {eps}; "
+                                  "the state is too energetic for a certified truncation")
+    return cutoff
+
+
+def _full_estimate_cutoff(state: GaussianState, eps: float) -> float:
+    """min over t of M*(t) = (f(t) - 2 ln eps) / (2t) by a 64-iteration
+    golden search; f is the M = 0 objective."""
+    evals, mean_rot = tail._spectral_data(state)
+    objective = tail._make_objective(evals, mean_rot, 0)
+    log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
+
+    def needed(t: float) -> float:
+        return (objective(t) - log_target) / (2.0 * t)
+
+    bracket = tail._t_bracket(mean_photon_number(state), evals, 0)
+    return tail._golden_min(needed, *bracket, iters=64)[1]

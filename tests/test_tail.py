@@ -7,7 +7,7 @@ import pytest
 
 import bosonic as b
 from bosonic import tail
-from conftest import numpy_scalar_objective, random_state
+from conftest import full_search_cutoff, log_x_minus_one, numpy_scalar_objective, random_state
 
 
 def exact_thermal_tail(n_mean: float, cutoff: int) -> float:
@@ -150,8 +150,7 @@ def test_cutoff_cap_below_one():
 
 def test_cutoff_zero_when_it_passes(monkeypatch):
     # ... unless the bound says otherwise; then 0 is the answer, cap 0 included
-    monkeypatch.setattr(b.tail, "trace_distance_truncation_bound",
-                        lambda state, cutoff: b.TailBoundResult(bound=0.0, decay_rate=0.0))
+    monkeypatch.setattr(b.tail, "_bound_passes", lambda *args: True)
     for cap in (0, 10**6):
         assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3, cap=cap) == 0
 
@@ -176,20 +175,20 @@ def test_cutoff_matches_linear_scan():
 def test_cutoff_inversion_needs_two_checks(monkeypatch):
     # the inverted exponent lands on the answer: one check passes M, one fails M - 1
     calls = []
-    bound = b.tail.trace_distance_truncation_bound
-    monkeypatch.setattr(b.tail, "trace_distance_truncation_bound",
-                        lambda state, cutoff: calls.append(cutoff) or bound(state, cutoff))
+    check = b.tail._bound_passes
+    monkeypatch.setattr(b.tail, "_bound_passes",
+                        lambda *args: calls.append(args[3]) or check(*args))
     assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3) == 23
-    assert len(calls) <= 2
+    assert calls and len(calls) <= 2
 
 
 def test_cutoff_eps_below_the_tail_floor(monkeypatch):
     # every tail bound is at least TAIL_FLOOR = 1e-300, so no cutoff reaches a
-    # truncation error below 1e-150: rejected before any bound call
+    # truncation error below 1e-150: rejected before any check
     calls = []
+    check = b.tail._bound_passes
+    monkeypatch.setattr(b.tail, "_bound_passes", lambda *args: calls.append(args) or check(*args))
     bound = b.tail.trace_distance_truncation_bound
-    monkeypatch.setattr(b.tail, "trace_distance_truncation_bound",
-                        lambda state, cutoff: calls.append(cutoff) or bound(state, cutoff))
     with pytest.raises(ValueError, match="floor 1e-300"):
         b.cutoff_for_error(b.vacuum_state(), 1e-160)
     assert calls == []
@@ -227,7 +226,7 @@ def test_optimizer_fallback_is_the_closed_form(monkeypatch):
     # x = 8N + 4, bit for bit
     rng = np.random.default_rng(5)
     states = [b.thermal_state(1.5), random_state(rng, 1), random_state(rng, 2)]
-    monkeypatch.setattr(b.tail, "_golden_min", lambda fun, lo, hi: (lo, math.inf))
+    monkeypatch.setattr(b.tail, "_golden_min", lambda fun, lo, hi, **kwargs: (lo, math.inf))
     for st in states:
         for cutoff in (0, 7, 40):
             got = b.tail_bound_optimized(st, cutoff)
@@ -298,7 +297,7 @@ def test_objective_bit_equal_to_numpy_scalar_loop(cutoff):
             assert type(got) is float
             assert got.hex() == float(want).hex(), (state, t)
             seen["gap <= 0"] += got == math.inf
-            seen["s underflows"] += math.exp(tail._log_x_minus_one(t)) == 0.0
+            seen["s underflows"] += math.exp(log_x_minus_one(t)) == 0.0
         seen["vacuum-tight"] += bool(np.any(1.0 - evals == 0.0))
     assert all(seen.values()), seen
 
@@ -316,3 +315,81 @@ def test_bounds_and_cutoffs_bit_equal_to_numpy_scalar_loop(monkeypatch):
                                 float(r.optimizer_x).hex(), r.fallback))
             got[-1] += [b.cutoff_for_error(state, eps) for eps in (1e-2, 1e-6, 1e-12)]
     assert got[0] == got[1]
+
+
+# ---------------------------------------------------------------------------
+# the shared-data, short-estimate, early-passing search against the full one
+
+
+def _search_states():
+    """The objective's states and 24 more random ones, squeezed up to 3x."""
+    rng = np.random.default_rng(77)
+    return _objective_states() + [
+        random_state(rng, modes, pure=pure, max_squeeze=3.0, max_shift=shift)
+        for modes in (1, 2, 3) for pure in (False, True) for shift in (0.0, 0.5, 2.0, 4.0)]
+
+
+def test_cutoffs_equal_to_the_full_search():
+    rng = np.random.default_rng(78)
+    cases = 0
+    for state in _search_states():
+        for eps in 10.0 ** -rng.uniform(0.05, 140.0, size=26):
+            assert b.cutoff_for_error(state, eps) == full_search_cutoff(state, eps), (state, eps)
+            cases += 1
+        for cap in (0, 3, 40):  # the cap binds, or does not, alike
+            outcomes = []
+            for search in (b.cutoff_for_error, full_search_cutoff):
+                try:
+                    outcomes.append(search(state, 1e-6, cap=cap))
+                except b.CutoffCapError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1], (state, cap)
+    assert cases >= 1000
+
+
+def _edges(bound: float) -> list[float]:
+    """eps at, one step below and one step above ``bound``, and well above
+    it, within (sqrt(TAIL_FLOOR), 1)."""
+    near = [bound, math.nextafter(bound, 0.0), math.nextafter(bound, 1.0), 4.0 * bound]
+    return [eps for eps in near if math.sqrt(tail.TAIL_FLOOR) <= eps < 1.0]
+
+
+def _check_against_public_bound(monkeypatch, states, cutoffs) -> tuple[int, int]:
+    """Assert the early-passing check equals ``bound <= eps`` at the edges of
+    each bound; returns (checks, checks that stopped early)."""
+    evaluations = []
+    make = tail._make_objective
+
+    def counted(*args):
+        objective = make(*args)
+        return lambda t: evaluations.append(t) or objective(t)
+
+    monkeypatch.setattr(tail, "_make_objective", counted)
+    checks = early = 0
+    for state in states:
+        photons = b.mean_photon_number(state)
+        evals, mean_rot = tail._spectral_data(state)
+        for cutoff in cutoffs:
+            bound = b.trace_distance_truncation_bound(state, cutoff).bound
+            for eps in _edges(bound):
+                evaluations.clear()
+                got = tail._bound_passes(photons, evals, mean_rot, cutoff, eps,
+                                         2.0 * math.log(eps))
+                assert got == (bound <= eps), (state, cutoff, eps, bound)
+                checks += 1
+                early += len(evaluations) < tail._GOLDEN_ITERS + 2
+    return checks, early
+
+
+def test_early_passing_check_equals_the_public_bound(monkeypatch):
+    checks, early = _check_against_public_bound(monkeypatch, _search_states(),
+                                                (0, 1, 4, 15, 60, 250))
+    assert checks > 500 and early > 100, (checks, early)
+
+
+def test_early_passing_check_on_the_closed_form_fallback(monkeypatch):
+    # a search that finds nothing finite: check and public bound both take
+    # the closed-form point
+    monkeypatch.setattr(tail, "_golden_min", lambda fun, lo, hi, **kwargs: (lo, math.inf))
+    checks, _ = _check_against_public_bound(monkeypatch, _search_states()[::3], (0, 5, 40, 300))
+    assert checks > 50, checks
