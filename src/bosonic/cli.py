@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 domain validation error,
-3 resource cap exceeded.  All JSON floats carry 17 significant digits so
-payloads round-trip exactly; wall-clock time is reported in a separate
-field so data payloads stay byte-identical across runs.
+3 resource cap exceeded or out of memory.  All JSON floats carry 17
+significant digits so payloads round-trip exactly; wall-clock time is
+reported in a separate field so data payloads stay byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import click
 import numpy as np
 
 from . import capacity as cap_mod
-from .fock import DimensionCapError, fock_matrix_elements, fock_to_dict
+from .fock import CAP_ENV_VAR, DimensionCapError, fock_matrix_elements, fock_to_dict
 from .states import (
     GaussianState,
     InvalidStateError,
@@ -90,6 +91,9 @@ def _guarded(body):
         return body()
     except (DimensionCapError, CutoffCapError) as exc:
         _fail(3, str(exc))
+    except MemoryError:
+        _fail(3, f"out of memory; a lower {CAP_ENV_VAR} stops a Fock basis before it "
+                 "outgrows memory, or raise eps")
     except (OSError, json.JSONDecodeError) as exc:
         _fail(1, str(exc))
     except (ValueError, TypeError) as exc:

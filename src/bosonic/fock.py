@@ -44,13 +44,13 @@ and row 0 starts from <0|rho|0> = C alone; in a photon-number block the
 F_{j,i} terms drop as well, and (p, b - e_i) keeps total(a) - total(b).  A
 product with a 0.0 factor and a sum of 0.0s are exactly 0.0 in floating
 point, so every entry outside the sector is exactly 0.0, not merely small.
-The build therefore computes only the sector's columns of each shell and
-leaves the rest at 0.0; the F_{j,i} terms of a photon-number block and the
-u terms of a sector block are left out.  Real passive mixes of thermal
-states come out as photon-number blocks; passive mixes with complex phases
-leave bra-bra F entries of about 1e-17 and fall to parity, as do zero-mean
-actively mixed states; displaced states use the whole basis.  The terms of each
-entry are summed in the row-by-row order with the same left operands, so
+The build therefore computes only the sector's entries of each shell; the
+F_{j,i} terms of a photon-number block and the u terms of a sector block
+are left out.  Real passive mixes of thermal states come out as
+photon-number blocks; passive mixes with complex phases leave bra-bra F
+entries of about 1e-17 and fall to parity, as do zero-mean actively mixed
+states; displaced states use the whole basis.  The terms of each entry are
+summed in the row-by-row order with the same left operands, so
 the block is the row-by-row block entry for entry.
 
 Row 0 keeps its scalar loop, on Python complex numbers from ``tolist()``
@@ -65,19 +65,32 @@ differently (on random v, d about 4 in 10 quotients differ in the last
 bit).  So row 0 writes numpy's formula out.  The basis-only arrays of the
 recursion (``prev``, ``div``, ``sqrt_cnt[i, prev]``, ``lower[i, prev]``)
 come with the basis tables, one table per mode count, grown on demand: the
-graded basis at cutoff M is a prefix of the one at any larger cutoff.  The
-block is then symmetrized as (out + out^H) / 2 tile by tile, over diagonal
-tiles of whole shells alone for a photon-number block.
+graded basis at cutoff M is a prefix of the one at any larger cutoff.
+
+A block stores its sectors and nothing else: one flat buffer of
+sum_s d_s^2 complex entries, sector after sector, each a d_s x d_s square
+over its basis indices in ascending order (``_Layout``).  That is one tile
+per photon-number shell, an even and an odd block for parity, and one
+dim x dim array for the whole basis.  The recursion reads and writes
+through local indices, kept with the basis tables for each kind of sector:
+the position of each index in its sector, and of the index each bra and ket
+term reads.  Where an empty mode points a term at the vacuum and the vacuum
+lies in another sector, the term read an exact 0.0 of the dense block; it
+reads one here too, a trailing column of 0.0 for the ket terms and the row
+being written, still 0.0, for the bra terms.  So every product is the one
+the dense build formed, signs of zeros included.  Each sector block is
+symmetrized as (S + S^H) / 2 tile by tile, the sectors of one index in one
+vectorized step.
 
 The block records the sector it was built in as ``FockMatrix.sector``, a
-field no constructor argument sets, so a block made by hand has none.
-``truncate_normalize`` keeps the sector and, for a photon-number block,
-divides only the diagonal tiles of whole shells: every other entry is the
-0.0 of a fresh ``np.zeros``, as 0.0 / trace would be, and its pages are
-never touched.  The trace distance takes built blocks only and reads its
-partition from their sectors (see ``bosonic.tracedist``).  Blocks are
-written out by ``fock_to_dict`` (``tracedist --dump-fock``); nothing reads
-them back.
+field no constructor argument sets, so a block made by hand has none and
+keeps its dense array.  ``FockMatrix.matrix`` assembles the dense block on
+demand, with 0.0 outside the sector; the trace sums the diagonal in basis
+order, as ``np.trace`` of the dense block does; ``truncate_normalize``
+divides the buffer.  The trace distance takes built blocks only and gets
+their sector blocks from ``sector_blocks`` (see ``bosonic.tracedist``).
+Blocks are written out by ``fock_to_dict`` (``tracedist --dump-fock``);
+nothing reads them back.
 """
 
 from __future__ import annotations
@@ -143,32 +156,51 @@ def enumerate_basis(modes: int, cutoff: int) -> list[tuple[int, ...]]:
     return [occ for total in range(cutoff + 1) for occ in _compositions(total, modes)]
 
 
-@dataclass(frozen=True)
+#: the sectors a built block may have, finest first
+SECTORS = ("number", "parity", "whole")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FockMatrix:
     """Density-matrix block on the truncated basis, plus its trace deficit.
 
-    ``sector`` is the sector ``fock_matrix_elements`` read off the kernel
-    data ("number", "parity" or "whole"), kept by ``truncate_normalize``; a
-    block made by hand has none, and no caller can set one.  Only blocks
-    with a sector have a trace distance (``bosonic.tracedist``).
+    ``FockMatrix(matrix, modes, cutoff)`` makes a block by hand from a dense
+    array.  ``sector`` is the sector ``fock_matrix_elements`` read off the
+    kernel data ("number", "parity" or "whole"), kept by
+    ``truncate_normalize``; a block made by hand has none, and no caller can
+    set one.  Only blocks with a sector have a trace distance
+    (``bosonic.tracedist``), and only they store their sectors alone.
     """
 
-    matrix: np.ndarray
     modes: int
     cutoff: int
-    sector: str | None = field(default=None, init=False, compare=False)
+    sector: str | None
+    _data: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        dim = basis_dimension(self.modes, self.cutoff)
-        if np.shape(self.matrix) != (dim, dim):
+    def __init__(self, matrix: np.ndarray, modes: int, cutoff: int):
+        dim = basis_dimension(modes, cutoff)
+        if np.shape(matrix) != (dim, dim):
             raise ValueError(
-                f"matrix of shape {np.shape(self.matrix)} does not fit the "
-                f"{dim} x {dim} basis of {self.modes} modes at cutoff {self.cutoff}"
+                f"matrix of shape {np.shape(matrix)} does not fit the "
+                f"{dim} x {dim} basis of {modes} modes at cutoff {cutoff}"
             )
+        _set_fields(self, np.asarray(matrix), modes, cutoff, None)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim block, 0.0 outside the sector.
+
+        A photon-number or parity block is assembled from its sector blocks
+        on each call; a whole-basis block and a block made by hand return
+        their one array.
+        """
+        dim = basis_dimension(self.modes, self.cutoff)
+        data = self._data if self.sector in (None, "whole") else _regrouped(self, "whole")
+        return data.reshape(dim, dim)
 
     @property
     def totals(self) -> np.ndarray:
-        """Total photon number of each basis index: the sector view.
+        """Total photon number of each basis index.
 
         Photon-number sector k is the contiguous index range
         [C(k-1+n, n), C(k+n, n)) of the graded basis, and the parity sectors
@@ -180,7 +212,25 @@ class FockMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        """The sum of the diagonal in basis order, bit for bit ``np.trace``
+        of the dense block."""
+        diag = _layout(self.modes, self.cutoff, self.sector or "whole").diag
+        return float(self._data.reshape(-1)[diag].sum().real)
+
+
+def _set_fields(block: FockMatrix, data: np.ndarray, modes: int, cutoff: int,
+                sector: str | None) -> FockMatrix:
+    for name, value in (("modes", modes), ("cutoff", cutoff), ("sector", sector),
+                        ("_data", data)):
+        object.__setattr__(block, name, value)
+    return block
+
+
+def _built(data: np.ndarray, modes: int, cutoff: int, sector: str | None) -> FockMatrix:
+    """The block whose ``sector`` blocks are stored in ``data`` (see
+    ``_Layout``), or a dense block without a sector; the sector is not an
+    argument of the constructor, so no other caller sets it."""
+    return _set_fields(object.__new__(FockMatrix), data, modes, cutoff, sector)
 
 
 def _check_dimension(modes: int, cutoff: int) -> int:
@@ -247,6 +297,15 @@ class _BasisTables(NamedTuple):
     j = first[b]: ``prev[b]`` is the index of occ_b - e_j, ``div[b, 0]`` is
     sqrt(occ_b[j]), and per mode i ``sqrt_prev[i, b]`` and ``lower_prev[i, b]``
     are ``sqrt_cnt[i, prev[b]]`` and ``lower[i, prev[b]]``.
+
+    The local tables have one row per kind of sector, in ``SECTORS`` order
+    (see ``_Layout``): ``pos[s, b]`` is the position of b in its sector;
+    ``prev_pos[s, b]`` is ``pos[s, prev[b]]``; ``bra_pos[s, i, b]`` is
+    ``pos[s, lower_prev[i, b]]``, or ``pos[s, b]`` where that index lies in
+    another sector than b (mode i of prev is empty and the vacuum lies in
+    the other parity); ``ket_pos[s, i, b]`` is ``pos[s, lower[i, b]]``, or -1
+    where that index lies outside the sector of total(b) - 1 (mode i of b is
+    empty and the vacuum lies elsewhere).
     """
 
     lower: np.ndarray
@@ -257,6 +316,10 @@ class _BasisTables(NamedTuple):
     div: np.ndarray
     sqrt_prev: np.ndarray
     lower_prev: np.ndarray
+    pos: np.ndarray
+    prev_pos: np.ndarray
+    bra_pos: np.ndarray
+    ket_pos: np.ndarray
 
 
 #: per mode count, the tables at the largest cutoff asked for so far
@@ -266,16 +329,17 @@ _TABLES: dict[int, _BasisTables] = {}
 def _basis_tables(modes: int, cutoff: int) -> _BasisTables:
     """The read-only ``_BasisTables`` of (modes, cutoff), shared by both
     blocks of a pair and by ``FockMatrix.totals``.  The graded basis at
-    cutoff M is a prefix of the basis at any M' > M, so one table per mode
-    count, rebuilt when a larger cutoff is asked for, serves every smaller
-    cutoff by prefix views."""
+    cutoff M is a prefix of the basis at any M' > M, and the entries of an
+    index are fixed by the indices up to it, so one table per mode count,
+    rebuilt when a larger cutoff is asked for, serves every smaller cutoff
+    by prefix views."""
     full = _TABLES.get(modes)
     if full is None or full.starts.size < cutoff + 2:
         full = _TABLES[modes] = _build_tables(modes, cutoff)
     dim = int(full.starts[cutoff + 1])
-    lower, sqrt_cnt, first, starts, prev, div, sqrt_prev, lower_prev = full
-    return _BasisTables(lower[:, :dim], sqrt_cnt[:, :dim], first[:dim], starts[:cutoff + 2],
-                        prev[:dim], div[:dim], sqrt_prev[:, :dim], lower_prev[:, :dim])
+    return _BasisTables(*(table[:cutoff + 2] if name == "starts" else
+                          table[:dim] if name == "div" else table[..., :dim]
+                          for name, table in zip(_BasisTables._fields, full)))
 
 
 def _build_tables(modes: int, cutoff: int) -> _BasisTables:
@@ -289,8 +353,22 @@ def _build_tables(modes: int, cutoff: int) -> _BasisTables:
     starts = np.array([basis_dimension(modes, k - 1) for k in range(cutoff + 2)])
     at = np.arange(len(basis))
     prev = lower[first, at]
+    lower_prev = lower[:, prev]
+
+    # per kind of sector, in SECTORS order: the sector of each index, the
+    # sector of total(b) - 1 (where the ket terms of row b read), and the
+    # position of each index in its sector
+    totals = np.repeat(np.arange(cutoff + 1), np.diff(starts))
+    odd = totals % 2
+    label = np.stack([totals, odd, 0 * totals])
+    ket_label = np.stack([totals - 1, 1 - odd, 0 * totals])
+    pos = np.stack([at - starts[totals],
+                    np.where(odd, np.cumsum(odd), np.cumsum(1 - odd)) - 1, at])
+    bra_pos = np.where(label[:, lower_prev] == label[:, None], pos[:, lower_prev], pos[:, None])
+    ket_pos = np.where(label[:, lower] == ket_label[:, None], pos[:, lower], -1)
+
     tables = _BasisTables(lower, sqrt_cnt, first, starts, prev, sqrt_cnt[first, at][:, None],
-                          sqrt_cnt[:, prev], lower[:, prev])
+                          sqrt_cnt[:, prev], lower_prev, pos, pos[:, prev], bra_pos, ket_pos)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -310,43 +388,96 @@ def _sector(f_mat: np.ndarray, u_vec: np.ndarray) -> str:
     return "number"
 
 
+class _Layout(NamedTuple):
+    """Where a block built in one kind of sector keeps its entries.
+
+    Sector s holds the basis indices ``members[s]`` (a slice or an index
+    array, ascending), ``sizes[s]`` of them, and is stored as a square at
+    flat offsets [``offsets[s]``, ``offsets[s + 1]``) of the block's buffer,
+    sector after sector.  ``label[b]`` is the sector of index b and
+    ``pos[b]`` its position there; ``rows[k]`` is the sector of shell k and
+    the slice of local rows it takes.  ``diag[b]`` is the flat offset of
+    entry (b, b), and ``alone`` holds the indices alone in their sector,
+    ascending.  Per sector, ``ket_pos`` and ``sqrt_cnt`` are the basis
+    tables' columns for its members.
+    """
+
+    members: list
+    sizes: list[int]
+    offsets: list[int]
+    label: np.ndarray
+    pos: np.ndarray
+    rows: list[tuple[int, slice]]
+    diag: np.ndarray
+    alone: np.ndarray
+    ket_pos: list[np.ndarray]
+    sqrt_cnt: list[np.ndarray]
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(modes: int, cutoff: int, kind: str) -> _Layout:
+    """The ``_Layout`` of a ``kind`` block on (modes, cutoff): one tile per
+    photon-number shell, an even and an odd block, or the whole basis."""
+    tables = _basis_tables(modes, cutoff)
+    starts = tables.starts.tolist()
+    totals = np.repeat(np.arange(cutoff + 1), np.diff(tables.starts))
+    if kind == "number":
+        label = totals
+        members = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    elif kind == "parity":
+        label = totals % 2
+        members = [np.flatnonzero(label == p) for p in (0, 1)]
+    else:
+        label = 0 * totals
+        members = [slice(0, starts[-1])]
+    kind_at = SECTORS.index(kind)
+    sizes = np.bincount(label, minlength=len(members))
+    offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    pos = tables.pos[kind_at]
+    rows = [(int(label[lo]), slice(int(pos[lo]), int(pos[lo]) + hi - lo))
+            for lo, hi in zip(starts[:-1], starts[1:])]
+    return _Layout(members, sizes.tolist(), offsets.tolist(), label, pos, rows,
+                   offsets[label] + pos * (sizes[label] + 1), np.flatnonzero(sizes[label] == 1),
+                   [tables.ket_pos[kind_at][:, m] for m in members],
+                   [tables.sqrt_cnt[:, m] for m in members])
+
+
+def _views(data: np.ndarray, layout: _Layout) -> list[np.ndarray]:
+    """The square sector blocks of the buffer ``data``, as views, in sector
+    order."""
+    ends = layout.offsets
+    return [data[lo:hi].reshape(d, d) for lo, hi, d in zip(ends[:-1], ends[1:], layout.sizes)]
+
+
 #: tile edge of the blockwise symmetrization
 _TILE = 256
-#: width from which a photon-number block symmetrizes a run of shells on its
-#: own; a wider run would write, and so make resident, pages of the block
-#: that hold only its zeros (256 raised the td-large peak RSS by 4 MB)
-_SHELL_RUN = 16
 
 
-def _shell_spans(shells: np.ndarray) -> list[tuple[int, int]]:
-    """Index spans of whole shells, given the shell start offsets ``shells``
-    (ending in dim): one shell, or a run of shells narrower than
-    ``_SHELL_RUN``, each.  The diagonal tiles of these spans hold every
-    entry a photon-number block may have off 0.0."""
-    dim = int(shells[-1])
-    runs = np.searchsorted(shells, range(0, dim, _SHELL_RUN))
-    edges = sorted({*shells[runs].tolist(), dim})
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _symmetrize(out: np.ndarray, shells: np.ndarray | None) -> None:
-    """out <- (out + out^H) / 2 in place, tile by tile, without a dim x dim
-    transposed temporary.  With the shell start offsets ``shells`` (a
-    photon-number block) only the diagonal tiles of ``_shell_spans`` are
-    touched: every entry between two shells is exactly 0.0 on both sides."""
-    dim = out.shape[0]
-    edges = [*range(0, dim, _TILE), dim]
-    spans = list(zip(edges[:-1], edges[1:])) if shells is None else _shell_spans(shells)
-    for a, (lo, hi) in enumerate(spans):
-        for lo2, hi2 in spans[a:a + 1] if shells is not None else spans[a:]:
-            # both tiles from the old values, each as its own sum, so that
-            # even the signs of zeros match out + out^H
-            sym = out[lo:hi, lo2:hi2] + out[lo2:hi2, lo:hi].conj().T
-            if lo2 != lo:
-                out[lo2:hi2, lo:hi] += out[lo:hi, lo2:hi2].conj().T
-                out[lo2:hi2, lo:hi] /= 2.0
-            sym /= 2.0
-            out[lo:hi, lo2:hi2] = sym
+def _symmetrize(data: np.ndarray, layout: _Layout) -> None:
+    """Each sector block S of the buffer ``data`` <- (S + S^H) / 2 in place:
+    the sectors of one index in one vectorized step, each larger one tile
+    by tile, without a transposed temporary of its size."""
+    single = layout.diag[layout.alone]
+    alone = data[single]
+    alone += alone.conj()
+    alone /= 2.0
+    data[single] = alone
+    for block in _views(data, layout):
+        dim = block.shape[0]
+        if dim < 2:
+            continue
+        edges = [*range(0, dim, _TILE), dim]
+        spans = list(zip(edges[:-1], edges[1:]))
+        for a, (lo, hi) in enumerate(spans):
+            for lo2, hi2 in spans[a:]:
+                # both tiles from the old values, each as its own sum, so
+                # that even the signs of zeros match S + S^H
+                sym = block[lo:hi, lo2:hi2] + block[lo2:hi2, lo:hi].conj().T
+                if lo2 != lo:
+                    block[lo2:hi2, lo:hi] += block[lo:hi, lo2:hi2].conj().T
+                    block[lo2:hi2, lo:hi] /= 2.0
+                sym /= 2.0
+                block[lo:hi, lo2:hi2] = sym
 
 
 def _row_zero(c0: float, f_ket: np.ndarray, u_ket: np.ndarray, cols: np.ndarray,
@@ -387,7 +518,8 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
         cutoff: maximum total photon number retained.
 
     Returns:
-        ``FockMatrix`` whose trace equals one minus the photon-number tail.
+        ``FockMatrix`` whose trace equals one minus the photon-number tail,
+        storing its sector blocks alone: 16 sum_s d_s^2 bytes.
 
     Raises:
         DimensionCapError: basis dimension exceeds ``BOSONIC_FOCK_CAP`` or 20000.
@@ -399,64 +531,70 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     require_valid(state)
     n = state.modes
     tables = _basis_tables(n, cutoff)
-    lower, sqrt_cnt, first, starts, prev, div, sqrt_prev, lower_prev = tables
 
     c0, f_mat, u_vec = _kernel_data(state)
     kind = _sector(f_mat, u_vec)
     whole, number = kind == "whole", kind == "number"
-    if number:  # rows of total k: the columns of total k
-        sector = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-    elif not whole:  # rows of total k: the columns of total k mod 2
-        halves = [np.flatnonzero(np.repeat(np.arange(cutoff + 1) % 2 == p, np.diff(starts)))
-                  for p in (0, 1)]
-        sector = [halves[k % 2] for k in range(cutoff + 1)]
-    else:
-        sector = [slice(None)] * (cutoff + 1)
+    layout = _layout(n, cutoff, kind)
+    kind_at = SECTORS.index(kind)
 
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0, 0] = c0
-    cols = np.arange(dim)[sector[0]][1:]
+    data = np.zeros(layout.offsets[-1], dtype=complex)
+    blocks = _views(data, layout)
+    blocks[0][0, 0] = c0
+    cols = np.arange(dim)[layout.members[0]][1:]
     if cols.size:
-        out[0] = _row_zero(c0, f_mat[n:, n:], u_vec[n:], cols, tables)
+        row = _row_zero(c0, f_mat[n:, n:], u_vec[n:], cols, tables)
+        blocks[0][0] = np.array(row)[layout.members[0]]
 
-    # per row a, with j = first[a]: the row prev = a - e_j it recurses from,
-    # its divisor sqrt(occ_a[j]), u_j and F[j, :], and per mode i the
-    # coefficient F[j, i] sqrt(occ_prev[i]) and the row prev - e_i of its
-    # bra-bra term (0.0 and row 0 where mode i of prev is empty)
-    u_rows = u_vec[first][:, None]
-    f_rows = f_mat[first]
-    bra = [((f_rows[:, i] * sqrt_prev[i])[:, None], lower_prev[i]) for i in range(n)]
+    # per row a, with j = first[a]: the local row of prev = a - e_j it
+    # recurses from, its divisor sqrt(occ_a[j]), u_j and F[j, :], and per
+    # mode i the coefficient F[j, i] sqrt(occ_prev[i]) and the local row of
+    # prev - e_i its bra-bra term reads (0.0 times the vacuum's row, or a's
+    # own row, where mode i of prev is empty)
+    u_rows = u_vec[tables.first][:, None]
+    f_rows = f_mat[tables.first]
+    prev_pos, div = tables.prev_pos[kind_at], tables.div
+    bra = [((f_rows[:, i] * tables.sqrt_prev[i])[:, None], tables.bra_pos[kind_at, i])
+           for i in range(n)]
 
-    def terms(rows, cols):
-        """The row-by-row recursion's terms for the rows ``rows`` of one shell
-        on the columns ``cols``, in its order and with its left operands;
-        the terms the sector makes exactly 0.0 are left out."""
+    def terms(rows, target, source, ket, sqrt_cnt):
+        """The row-by-row recursion's terms for the rows ``rows`` of one
+        shell on the columns of their sector block ``target``, reading the
+        rows they recurse from in ``source``, in the row-by-row order and
+        with its left operands; the terms the sector makes exactly 0.0 are
+        left out."""
         if whole:
-            above = out.take(prev[rows], axis=0)
+            above = source.take(prev_pos[rows], axis=0)
             yield u_rows[rows] * above
+        else:  # a last column of 0.0, which the ket index -1 reads
+            above = np.zeros((rows.stop - rows.start, source.shape[1] + 1), dtype=complex)
+            source.take(prev_pos[rows], axis=0, out=above[:, :-1], mode="clip")
         for i in range(n):
             if not number:
                 coef, src = bra[i]
-                term = out.take(src[rows], axis=0) if whole else out[src[rows, None], cols]
+                term = target.take(src[rows], axis=0)
                 yield np.multiply(coef[rows], term, out=term)
-            term = above.take(lower[i], axis=1) if whole else out[prev[rows, None], lower[i, cols]]
-            np.multiply(sqrt_cnt[i, cols], term, out=term)
+            term = above.take(ket[i], axis=1)
+            np.multiply(sqrt_cnt[i], term, out=term)
             yield np.multiply(f_rows[rows, n + i, None], term, out=term)
 
     # the other rows one shell at a time: rows of total k read rows of
-    # totals k - 1 and k - 2 only
-    bounds = starts.tolist()
+    # totals k - 1 and k - 2 only, and the shell's own rows are still 0.0
+    bounds = tables.starts.tolist()
     for k in range(1, cutoff + 1):
         rows = slice(bounds[k], bounds[k + 1])
-        shell = terms(rows, sector[k])
+        sector, local_rows = layout.rows[k]
+        target = blocks[sector]
+        shell = terms(rows, target, blocks[layout.rows[k - 1][0]], layout.ket_pos[sector],
+                      layout.sqrt_cnt[sector])
         acc = next(shell)
         for term in shell:
             acc += term
         acc /= div[rows]
-        out[rows, sector[k]] = acc
+        target[local_rows] = acc
 
-    _symmetrize(out, starts if number else None)
-    result = _with_sector(FockMatrix(matrix=out, modes=n, cutoff=cutoff), kind)
+    _symmetrize(data, layout)
+    result = _built(data, n, cutoff, kind)
     trace = result.trace
     if not trace <= 1.0 + TRACE_TOL:  # a NaN trace fails as well
         raise FockTraceError(
@@ -467,31 +605,51 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     return result
 
 
-def _with_sector(block: FockMatrix, sector: str | None) -> FockMatrix:
-    """``block`` with the sector its builder read off; the field is not an
-    argument of the constructor, so no other caller sets it."""
-    object.__setattr__(block, "sector", sector)
-    return block
+def _regrouped(block: FockMatrix, kind: str) -> np.ndarray:
+    """A buffer laid out by the sectors of ``kind``, coarser than the sector
+    of the built ``block``, holding each sector block of ``block`` where
+    ``kind`` keeps those indices and 0.0 elsewhere."""
+    src = _layout(block.modes, block.cutoff, block.sector)
+    dst = _layout(block.modes, block.cutoff, kind)
+    data = np.zeros(dst.offsets[-1], dtype=block._data.dtype)
+    data[dst.diag[src.alone]] = block._data[src.diag[src.alone]]
+    targets = _views(data, dst)
+    indices = np.arange(src.label.size)
+    for members, sub in zip(src.members, _views(block._data, src)):
+        if sub.shape[0] > 1:
+            idx = indices[members]
+            at = dst.pos[idx]
+            targets[dst.label[idx[0]]][np.ix_(at, at)] = sub
+    return data
+
+
+def sector_blocks(block: FockMatrix, kind: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A built ``block`` split by the sectors of ``kind``, its own sector or
+    a coarser one (into which it is regrouped).
+
+    Returns the diagonal entries of the sectors of one index, in basis
+    order, and the square blocks of the larger sectors, in sector order:
+    photon number k ascending, even before odd.  Every entry of the block
+    outside them is exactly 0.0.
+
+    Raises:
+        ValueError: ``kind`` is finer than the block's sector.
+    """
+    if SECTORS.index(kind) < SECTORS.index(block.sector):
+        raise ValueError(f"a {block.sector} block does not split into {kind} sectors")
+    data = block._data if kind == block.sector else _regrouped(block, kind)
+    layout = _layout(block.modes, block.cutoff, kind)
+    return (data[layout.diag[layout.alone]],
+            [sub for sub in _views(data, layout) if sub.shape[0] > 1])
 
 
 def truncate_normalize(fock: FockMatrix) -> FockMatrix:
-    """Rescale the truncated block to unit trace, keeping its sector.
-
-    A photon-number block is divided on the diagonal tiles of whole shells
-    only; every other entry is exactly 0.0 before and after, so it stays the
-    never-written 0.0 of a fresh ``np.zeros``.
-    """
+    """Rescale the truncated block to unit trace, keeping its sector: one
+    division of the stored entries."""
     tr = fock.trace
     if not tr > 0.0:  # a NaN trace fails as well
         raise ValueError(f"cannot normalize trace {tr}")
-    if fock.sector == "number":
-        out = np.zeros(fock.matrix.shape, dtype=fock.matrix.dtype)
-        for lo, hi in _shell_spans(_basis_tables(fock.modes, fock.cutoff).starts):
-            np.divide(fock.matrix[lo:hi, lo:hi], tr, out=out[lo:hi, lo:hi])
-    else:
-        out = fock.matrix / tr
-    return _with_sector(FockMatrix(matrix=out, modes=fock.modes, cutoff=fock.cutoff),
-                        fock.sector)
+    return _built(fock._data / tr, fock.modes, fock.cutoff, fock.sector)
 
 
 def beam_splitter_fock_coeffs(i: int, j: int, transmissivity: float) -> np.ndarray:

@@ -16,13 +16,14 @@ certificate is unchanged: nothing is dropped.
 
 The distance takes blocks that ``fock_matrix_elements`` built, raw or
 rescaled by ``truncate_normalize``, and nothing else: each carries the sector
-the build read off the kernel data (``FockMatrix.sector``), every entry
-outside it is exactly 0.0 by construction, and the tile-wise symmetrization
-leaves exact conjugate pairs with a real diagonal.  Their difference is
-split by the coarser of the two sectors and taken sector block by sector
-block, with no dim x dim difference, no scan for zeros and no
-re-symmetrization; a Hermitian part of an exactly Hermitian block is the
-block itself, bit for bit.
+the build read off the kernel data (``FockMatrix.sector``) and stores that
+sector's blocks alone, and the tile-wise symmetrization leaves exact
+conjugate pairs with a real diagonal.  The two blocks are split by the
+coarser of their sectors (``fock.sector_blocks``, which regroups the finer
+block) and their difference is taken sector block by sector block, with no
+dim x dim difference, no scan for zeros and no re-symmetrization; a
+Hermitian part of an exactly Hermitian block is the block itself, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    SECTORS,
     TRACE_TOL,
     FockMatrix,
     FockTraceError,
     basis_dimension,
     fock_matrix_elements,
+    sector_blocks,
     truncate_normalize,
 )
 from .states import GaussianState
@@ -48,10 +51,6 @@ __all__ = [
     "finite_trace_distance",
     "gaussian_trace_distance",
 ]
-
-#: the sectors a built block may carry, finest first
-_SECTORS = ("number", "parity", "whole")
-
 
 @dataclass(frozen=True)
 class TraceDistanceResult:
@@ -79,7 +78,7 @@ def _shared_sector(a, b) -> str:
             f"blocks live on different bases: (modes {a.modes}, cutoff {a.cutoff}) "
             f"and (modes {b.modes}, cutoff {b.cutoff})"
         )
-    return max(a.sector, b.sector, key=_SECTORS.index)
+    return max(a.sector, b.sector, key=SECTORS.index)
 
 
 def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
@@ -88,9 +87,11 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
     Both blocks, raw or after ``truncate_normalize``, must share (modes,
     cutoff).  The difference is taken and diagonalized per sector of the
     coarser of their two sectors (see the module docstring) -- photon
-    number, parity or the whole basis -- so the eigensolve costs sum d_s^3
-    instead of dim^3; size-1 sectors are read off the diagonal.  The
-    eigensolver itself is accurate to machine precision.
+    number, parity or the whole basis -- on the sector blocks
+    ``fock.sector_blocks`` hands out, the finer block regrouped, so the
+    eigensolve costs sum d_s^3 instead of dim^3 and no block is made dense
+    unless the other one is; size-1 sectors are read off the diagonal in
+    one step.  The eigensolver itself is accurate to machine precision.
 
     Raises:
         ValueError: a block was not built by ``fock_matrix_elements`` (a
@@ -98,17 +99,9 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
             live on different bases.
     """
     kind = _shared_sector(a, b)
-    totals = a.totals
-    labels = {"number": totals, "parity": totals % 2}.get(kind, np.zeros_like(totals))
-    sizes = np.bincount(labels)
-    single = np.flatnonzero(sizes[labels] == 1)
-    eigs = [(a.matrix[single, single] - b.matrix[single, single]).real]
-    for sector in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(labels == sector)
-        lo, hi = idx[0], idx[-1] + 1
-        # contiguous sectors (photon number, the whole basis) are slices
-        square = (slice(lo, hi),) * 2 if hi - lo == idx.size else np.ix_(idx, idx)
-        eigs.append(np.linalg.eigvalsh(a.matrix[square] - b.matrix[square]))
+    (alone_a, blocks_a), (alone_b, blocks_b) = sector_blocks(a, kind), sector_blocks(b, kind)
+    eigs = [(alone_a - alone_b).real]
+    eigs += [np.linalg.eigvalsh(x - y) for x, y in zip(blocks_a, blocks_b)]
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
 
 

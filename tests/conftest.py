@@ -130,6 +130,15 @@ def rowwise_fock_matrix(state: GaussianState, cutoff: int) -> np.ndarray:
     return out
 
 
+def sector_block(matrix: np.ndarray, modes: int, cutoff: int, kind: str) -> fock.FockMatrix:
+    """The block of sector ``kind`` that stores the sector blocks of the dense
+    ``matrix``, as ``fock.fock_matrix_elements`` stores the ones it builds."""
+    indices = np.arange(matrix.shape[0])
+    data = np.concatenate([matrix[np.ix_(indices[m], indices[m])].ravel()
+                           for m in fock._layout(modes, cutoff, kind).members])
+    return fock._built(data, modes, cutoff, kind)
+
+
 def log_x_minus_one(t: float) -> float:
     """ln(coth(t) - 1), stable for all t > 0."""
     return math.log(2.0) - 2.0 * t - math.log1p(-math.exp(-2.0 * t))

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import bosonic
+from bosonic import tracedist
 from bosonic.cli import main
 from conftest import scale_blocks
 
@@ -158,6 +159,21 @@ def test_tracedist_cap_exit_three(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("BOSONIC_FOCK_CAP", "5")
     res = runner.invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
     assert res.exit_code == 3
+
+
+def test_tracedist_out_of_memory_exit_three(runner, tmp_path, monkeypatch):
+    # a Fock block that outgrows memory is a resource limit, not an I/O error
+    vac = thermal_file(tmp_path, runner, 0.0, "vac.json")
+    t1 = thermal_file(tmp_path, runner, 1.0, "t1.json")
+
+    def exhausted(state, cutoff):
+        raise MemoryError()
+
+    monkeypatch.setattr(tracedist, "fock_matrix_elements", exhausted)
+    res = _char_runner().invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("error: out of memory") and "BOSONIC_FOCK_CAP" in res.stderr
+    assert res.stdout == ""
 
 
 def test_tracedist_trace_error_exit_two(runner, tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from conftest import (
     numpy_scalar_row_zero,
     random_symplectic,
     rowwise_fock_matrix,
+    sector_block,
 )
 
 
@@ -249,7 +250,20 @@ _BUILDS = [(family, modes, cutoff) for family in _SECTORS for modes in (1, 2, 3)
 def test_shell_build_matches_rowwise_oracle(family, modes, cutoff):
     st = _family_state(family, modes)
     built = b.fock_matrix_elements(st, cutoff)
-    assert np.array_equal(built.matrix, rowwise_fock_matrix(st, cutoff))
+    # the block stores its sectors alone: 16 bytes per entry of each shell
+    # tile, of the even and the odd block, or of the whole basis
+    shells = [math.comb(k + modes - 1, modes - 1) for k in range(cutoff + 1)]
+    entries = {"number": sum(d * d for d in shells),
+               "parity": sum(shells[0::2]) ** 2 + sum(shells[1::2]) ** 2,
+               "whole": sum(shells) ** 2}[built.sector]
+    assert built._data.nbytes == 16 * entries
+    # the oracle computes the entries outside the sector too, exact zeros
+    # of either sign; the assembled block holds 0.0 there
+    want = rowwise_fock_matrix(st, cutoff)
+    totals = built.totals
+    label = {"number": totals, "parity": totals % 2, "whole": 0 * totals}[built.sector]
+    want[label[:, None] != label] = 0.0
+    assert built.matrix.tobytes() == want.tobytes()
 
 
 def _row_zero_columns(kind: str, tables) -> np.ndarray:
@@ -303,6 +317,20 @@ def test_sector_of_each_family_and_its_exact_zeros(family, modes):
     assert np.all(block.matrix[outside] == 0.0)
     if kind != "whole":  # the exact zeros are the kernel's, not the build's
         assert np.all(rowwise_fock_matrix(st, block.cutoff)[outside] == 0.0)
+    # split by its own sector or a coarser one, the block is the dense one:
+    # the sectors of one index by the diagonal, the others as squares
+    dense = block.matrix
+    for coarser in fock.SECTORS[fock.SECTORS.index(kind):]:
+        label = {"number": totals, "parity": totals % 2, "whole": 0 * totals}[coarser]
+        sizes = np.bincount(label)
+        alone, squares = fock.sector_blocks(block, coarser)
+        single = np.flatnonzero(sizes[label] == 1)
+        assert alone.tobytes() == dense[single, single].tobytes()
+        assert [sq.tobytes() for sq in squares] == [dense[np.ix_(label == s, label == s)].tobytes()
+                                                     for s in np.flatnonzero(sizes > 1)]
+    for finer in fock.SECTORS[:fock.SECTORS.index(kind)]:
+        with pytest.raises(ValueError, match=f"a {kind} block does not split into {finer}"):
+            fock.sector_blocks(block, finer)
 
 
 @pytest.mark.parametrize("family", list(_SECTORS))
@@ -311,10 +339,10 @@ def test_trace_distance_bit_equal_to_rowwise_build(family, monkeypatch):
     fast = tracedist.gaussian_trace_distance(x, y, 1e-3)
 
     def rowwise(state, cutoff):
-        # a hand-made block has no sector: give it the one the kernel data
-        # select, so that both pairs take the same split
-        block = b.FockMatrix(rowwise_fock_matrix(state, cutoff), state.modes, cutoff)
-        return fock._with_sector(block, fock._sector(*fock._kernel_data(state)[1:]))
+        # a hand-made block has no sector: store the row-by-row block by the
+        # sector the kernel data select, so that both pairs take the same split
+        kind = fock._sector(*fock._kernel_data(state)[1:])
+        return sector_block(rowwise_fock_matrix(state, cutoff), state.modes, cutoff, kind)
 
     monkeypatch.setattr(tracedist, "fock_matrix_elements", rowwise)
     slow = tracedist.gaussian_trace_distance(x, y, 1e-3)
@@ -344,7 +372,8 @@ def test_basis_tables_cached_and_read_only(monkeypatch):
     assert len(builds) == 1
     tables = fock._basis_tables(2, 5)
     assert [t.shape for t in tables] == [(2, 21), (2, 21), (21,), (7,), (21,), (21, 1),
-                                         (2, 21), (2, 21)]
+                                         (2, 21), (2, 21), (3, 21), (3, 21), (3, 2, 21),
+                                         (3, 2, 21)]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
@@ -361,7 +390,26 @@ def _fresh_tables(modes: int, cutoff: int) -> list[np.ndarray]:
     starts = np.array([sum(sum(occ) < k for occ in basis) for k in range(cutoff + 2)])
     prev = lower[first, np.arange(len(basis))]
     div = sqrt_cnt[first, np.arange(len(basis))][:, None]
-    return [lower, sqrt_cnt, first, starts, prev, div, sqrt_cnt[:, prev], lower[:, prev]]
+
+    # per kind of sector: the sector of each occupation and its rank there;
+    # a bra term reads prev - e_i, or its own row where that leaves the
+    # sector, and a ket term reads occ - e_i, or -1 where that is not in
+    # the sector of total(occ) - 1
+    sector = [lambda occ: sum(occ), lambda occ: sum(occ) % 2, lambda occ: 0]
+    pos, bra, ket = [], [], []
+    for of in sector:
+        rank = {}
+        for occ in basis:
+            rank[occ] = sum(of(other) == of(occ) for other in basis[:index[occ]])
+        pos.append([rank[occ] for occ in basis])
+        bra.append([[rank[basis[lower[i, prev[a]]]] if of(basis[lower[i, prev[a]]]) == of(occ)
+                     else rank[occ] for a, occ in enumerate(basis)] for i in range(modes)])
+        ket.append([[rank[basis[lower[i, c]]]
+                     if of(basis[lower[i, c]]) == of((occ[0] - 1,) + occ[1:])
+                     else -1 for c, occ in enumerate(basis)] for i in range(modes)])
+    pos = np.array(pos)
+    return [lower, sqrt_cnt, first, starts, prev, div, sqrt_cnt[:, prev], lower[:, prev],
+            pos, pos[:, prev], np.array(bra), np.array(ket)]
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])

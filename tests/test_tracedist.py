@@ -1,12 +1,16 @@
 """Certified trace distance: exact finite cases, thermal oracles, metric laws."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import bosonic as b
-from bosonic import tracedist
+from bosonic import fock, tracedist
 from conftest import (
     interleave,
     random_orthogonal_symplectic,
@@ -138,8 +142,8 @@ def test_built_blocks_carry_their_sector_and_match_the_scan(family, modes, parti
     raw = [b.fock_matrix_elements(st, cutoff) for st in (x, y)]
     fa, fb = (b.truncate_normalize(block) for block in raw)
     assert [f.sector for f in (fa, fb)] == [f.sector for f in raw]
-    assert {fa.sector, fb.sector} <= set(tracedist._SECTORS)
-    coarser = max(fa.sector, fb.sector, key=tracedist._SECTORS.index)
+    assert {fa.sector, fb.sector} <= set(fock.SECTORS)
+    coarser = max(fa.sector, fb.sector, key=fock.SECTORS.index)
     assert coarser == partition
     assert b.finite_trace_distance(fa, fb).hex() == scanned_trace_distance(fa, fb).hex()
 
@@ -150,6 +154,32 @@ def test_number_blocks_normalize_on_their_shells_only():
     assert raw.sector == "number"
     normalized = b.truncate_normalize(raw)
     assert normalized.matrix.tobytes() == (raw.matrix / raw.trace).tobytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_number_pair_peak_memory_holds_its_sectors_only():
+    # a 2-mode photon-number pair at cutoff 70 (dim 2556): a dense block is
+    # 104.5 MB and three are live at once while the pair is built and
+    # normalized; by sector each block is 1.9 MB.  A fresh process reports
+    # the peak resident set of its own address space, VmHWM: its ru_maxrss
+    # would carry the peak of the test process it was forked from.
+    code = textwrap.dedent("""
+        import bosonic as b
+        pair = [b.tensor([b.thermal_state(0.4), b.thermal_state(0.9)]),
+                b.tensor([b.thermal_state(0.5), b.thermal_state(0.7)])]
+        blocks = [b.truncate_normalize(b.fock_matrix_elements(st, 70)) for st in pair]
+        assert [block.sector for block in blocks] == ["number"] * 2
+        with open("/proc/self/status") as fh:
+            peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+        print(b.finite_trace_distance(*blocks), peak)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(b.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    distance, peak_kib = out.stdout.split()
+    assert 0.0 < float(distance) < 1.0
+    assert int(peak_kib) * 1024 < 150e6
 
 
 def test_nan_block_traces_rejected(monkeypatch):
