@@ -204,11 +204,10 @@ class FockMatrix:
 
         Photon-number sector k is the contiguous index range
         [C(k-1+n, n), C(k+n, n)) of the graded basis, and the parity sectors
-        are the even and the odd totals; the shell starts come from the
-        cached basis tables the Fock build uses.
+        are the even and the odd totals.  A read-only view into the cached
+        basis tables the Fock build uses.
         """
-        starts = _basis_tables(self.modes, self.cutoff).starts
-        return np.repeat(np.arange(self.cutoff + 1), np.diff(starts))
+        return _basis_tables(self.modes, self.cutoff).label[0]
 
     @property
     def trace(self) -> float:
@@ -299,7 +298,8 @@ class _BasisTables(NamedTuple):
     are ``sqrt_cnt[i, prev[b]]`` and ``lower[i, prev[b]]``.
 
     The local tables have one row per kind of sector, in ``SECTORS`` order
-    (see ``_Layout``): ``pos[s, b]`` is the position of b in its sector;
+    (see ``_Layout``): ``label[s, b]`` is the sector of b (its total, the
+    parity of its total, or 0), ``pos[s, b]`` its position in that sector;
     ``prev_pos[s, b]`` is ``pos[s, prev[b]]``; ``bra_pos[s, i, b]`` is
     ``pos[s, lower_prev[i, b]]``, or ``pos[s, b]`` where that index lies in
     another sector than b (mode i of prev is empty and the vacuum lies in
@@ -316,6 +316,7 @@ class _BasisTables(NamedTuple):
     div: np.ndarray
     sqrt_prev: np.ndarray
     lower_prev: np.ndarray
+    label: np.ndarray
     pos: np.ndarray
     prev_pos: np.ndarray
     bra_pos: np.ndarray
@@ -328,7 +329,7 @@ _TABLES: dict[int, _BasisTables] = {}
 
 def _basis_tables(modes: int, cutoff: int) -> _BasisTables:
     """The read-only ``_BasisTables`` of (modes, cutoff), shared by both
-    blocks of a pair and by ``FockMatrix.totals``.  The graded basis at
+    blocks of a pair, by ``_layout`` and by ``FockMatrix.totals``.  The graded basis at
     cutoff M is a prefix of the basis at any M' > M, and the entries of an
     index are fixed by the indices up to it, so one table per mode count,
     rebuilt when a larger cutoff is asked for, serves every smaller cutoff
@@ -368,7 +369,8 @@ def _build_tables(modes: int, cutoff: int) -> _BasisTables:
     ket_pos = np.where(label[:, lower] == ket_label[:, None], pos[:, lower], -1)
 
     tables = _BasisTables(lower, sqrt_cnt, first, starts, prev, sqrt_cnt[first, at][:, None],
-                          sqrt_cnt[:, prev], lower_prev, pos, pos[:, prev], bra_pos, ket_pos)
+                          sqrt_cnt[:, prev], lower_prev, label, pos, pos[:, prev], bra_pos,
+                          ket_pos)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -414,26 +416,24 @@ class _Layout(NamedTuple):
     sqrt_cnt: list[np.ndarray]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=256)
 def _layout(modes: int, cutoff: int, kind: str) -> _Layout:
     """The ``_Layout`` of a ``kind`` block on (modes, cutoff): one tile per
-    photon-number shell, an even and an odd block, or the whole basis."""
+    photon-number shell, an even and an odd block, or the whole basis.  A
+    td-small pass of the benchmark asks for 119 such keys, all of which
+    stay cached."""
     tables = _basis_tables(modes, cutoff)
     starts = tables.starts.tolist()
-    totals = np.repeat(np.arange(cutoff + 1), np.diff(tables.starts))
+    kind_at = SECTORS.index(kind)
+    label, pos = tables.label[kind_at], tables.pos[kind_at]
     if kind == "number":
-        label = totals
         members = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
     elif kind == "parity":
-        label = totals % 2
         members = [np.flatnonzero(label == p) for p in (0, 1)]
     else:
-        label = 0 * totals
         members = [slice(0, starts[-1])]
-    kind_at = SECTORS.index(kind)
     sizes = np.bincount(label, minlength=len(members))
     offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    pos = tables.pos[kind_at]
     rows = [(int(label[lo]), slice(int(pos[lo]), int(pos[lo]) + hi - lo))
             for lo, hi in zip(starts[:-1], starts[1:])]
     return _Layout(members, sizes.tolist(), offsets.tolist(), label, pos, rows,

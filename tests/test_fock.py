@@ -257,12 +257,14 @@ def test_shell_build_matches_rowwise_oracle(family, modes, cutoff):
                "parity": sum(shells[0::2]) ** 2 + sum(shells[1::2]) ** 2,
                "whole": sum(shells) ** 2}[built.sector]
     assert built._data.nbytes == 16 * entries
-    # the oracle computes the entries outside the sector too, exact zeros
-    # of either sign; the assembled block holds 0.0 there
+    # the oracle computes the entries outside the sector too: they must be
+    # exact zeros (of either sign), which the assembled block holds as 0.0
     want = rowwise_fock_matrix(st, cutoff)
     totals = built.totals
     label = {"number": totals, "parity": totals % 2, "whole": 0 * totals}[built.sector]
-    want[label[:, None] != label] = 0.0
+    outside = label[:, None] != label
+    assert np.all(want[outside] == 0.0)
+    want[outside] = 0.0
     assert built.matrix.tobytes() == want.tobytes()
 
 
@@ -372,8 +374,8 @@ def test_basis_tables_cached_and_read_only(monkeypatch):
     assert len(builds) == 1
     tables = fock._basis_tables(2, 5)
     assert [t.shape for t in tables] == [(2, 21), (2, 21), (21,), (7,), (21,), (21, 1),
-                                         (2, 21), (2, 21), (3, 21), (3, 21), (3, 2, 21),
-                                         (3, 2, 21)]
+                                         (2, 21), (2, 21), (3, 21), (3, 21), (3, 21),
+                                         (3, 2, 21), (3, 2, 21)]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
@@ -396,8 +398,9 @@ def _fresh_tables(modes: int, cutoff: int) -> list[np.ndarray]:
     # sector, and a ket term reads occ - e_i, or -1 where that is not in
     # the sector of total(occ) - 1
     sector = [lambda occ: sum(occ), lambda occ: sum(occ) % 2, lambda occ: 0]
-    pos, bra, ket = [], [], []
+    label, pos, bra, ket = [], [], [], []
     for of in sector:
+        label.append([of(occ) for occ in basis])
         rank = {}
         for occ in basis:
             rank[occ] = sum(of(other) == of(occ) for other in basis[:index[occ]])
@@ -409,7 +412,7 @@ def _fresh_tables(modes: int, cutoff: int) -> list[np.ndarray]:
                      else -1 for c, occ in enumerate(basis)] for i in range(modes)])
     pos = np.array(pos)
     return [lower, sqrt_cnt, first, starts, prev, div, sqrt_cnt[:, prev], lower[:, prev],
-            pos, pos[:, prev], np.array(bra), np.array(ket)]
+            np.array(label), pos, pos[:, prev], np.array(bra), np.array(ket)]
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
