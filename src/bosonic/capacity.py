@@ -23,9 +23,10 @@ converse has the same shape with b = 0 (``converse_coeffs``).
 
 (a, b, c) do not depend on n.  ``bound_value`` is the one place a value
 is summed from them and ``first_max`` the one tie rule of
-``best_lower_bound``, so the CLI sweep computes each family's coefficients
-once per (method, task, channel parameter, Ns, eps) and evaluates every n
-from them, to the same bits as the per-call functions.
+``best_lower_bound``.  Both take arrays as well as scalars, so the CLI sweep
+computes each family's coefficients once per (method, task, channel
+parameter, Ns, eps) and evaluates the whole grid of n and families in a few
+float64 array operations, to the same bits as the per-call functions.
 """
 
 from __future__ import annotations
@@ -316,23 +317,30 @@ def _upper_const(eps: float) -> float:
     return math.log2(6.0) + 2.0 * math.log2((1.0 + eps) / (1.0 - eps))
 
 
-def bound_value(a: float, b: float, c: float, n: int) -> tuple[float, bool]:
+def bound_value(a, b, c, n) -> tuple[np.ndarray, np.ndarray]:
     """``a n - b sqrt(n) - c``, and whether it fell on the boundary.
 
-    The terms a n, -b sqrt(n) and -c are summed in that order.  A NaN sum is
-    only reachable at the lambda = 1 / g = 1 boundary, where the linear term
-    and the sqrt(n) coefficient both diverge: it reads +inf, and the flag
-    is set.
+    The arguments are floats or float arrays that broadcast against each
+    other; both results have the broadcast shape (0-d for scalars).  The
+    terms a n, -b sqrt(n) and -c are summed in that order, one float64
+    operation each with IEEE sqrt, so every entry has the bits of the scalar
+    expression.  A NaN sum is only reachable at the lambda = 1 / g = 1
+    boundary, where the linear term and the sqrt(n) coefficient both
+    diverge: it reads +inf, and the flag is set.
     """
-    value = a * n + -b * math.sqrt(n) + -c
-    if math.isnan(value):
-        return math.inf, True
-    return value, False
+    n = np.asarray(n, dtype=float)
+    # silent, as Python floats are: an overflow reads inf, inf - inf NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = a * n + -b * np.sqrt(n) + -c
+    boundary = np.isnan(value)
+    return np.where(boundary, np.inf, value), boundary
 
 
-def first_max(values: list[float]) -> int:
-    """Index of the first largest value: ties go to the earlier entry."""
-    return values.index(max(values))
+def first_max(values) -> np.ndarray:
+    """Index of the first largest value along the last axis: ties go to the
+    earlier entry.  The values are never NaN (``bound_value`` reads NaN as
+    +inf)."""
+    return np.argmax(values, axis=-1)
 
 
 def _assemble(
@@ -352,7 +360,7 @@ def _assemble(
     if boundary:
         note = (note + "; " if note else "") + "boundary: capacity is infinite"
     return CapacityBound(
-        value=value,
+        value=float(value),
         direction="lower",
         task=task,
         method=method,
@@ -627,7 +635,7 @@ def upper_bound_nshot(channel: Channel, n: int, eps: float, task: str = "Q2") ->
     n = check_n(n)
     a, b, c, _ = converse_coeffs(channel, eps, task)
     return CapacityBound(
-        value=bound_value(a, b, c, n)[0],
+        value=float(bound_value(a, b, c, n)[0]),
         direction="upper",
         task=task,
         method="upper",

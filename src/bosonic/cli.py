@@ -9,6 +9,7 @@ runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -377,42 +378,50 @@ def _parse_range(spec_str: str) -> list[float]:
     return [float(v) for v in vals]
 
 
-def _sweep_block(method, channel, task, ns, n_list, eps_list) -> list[str]:
-    """The value, vacuous and preconditions_met cells of the rows at one
-    (method, task, channel parameter, Ns), for every n and then every eps.
+#: the vacuous and preconditions_met cells of a row, by 2 * vacuous + met
+_FLAG_CELLS = (",false,false", ",false,true", ",true,false", ",true,true")
 
-    A bound's candidate families and their (a, b, c, n_min) are computed
-    once per eps; rows then differ only in n.  The n, eps and Ns axes are
-    checked before any block; the method, task and channel checks run in
-    the order the per-row library calls make them.
+
+def _block_coeffs(method, channel, task, ns, eps_list):
+    """The asymptotic rate, or per eps the (a, b, c, n_min) of every
+    candidate family, at one (method, task, channel parameter, Ns).
+
+    The method, task and channel checks run in the order the per-row library
+    calls make them; the n, eps and Ns axes are checked before any block.
     """
     _check_method(method)
     if method == "asymptotic":  # a bare rate: reads neither n nor eps
-        value = _rate(channel, task, ns)
-        cells = f"{_fmt_float(value)},{'true' if value < 0 else 'false'},true"
-        return [cells] * (len(n_list) * len(eps_list))
+        return _rate(channel, task, ns)
     if method == "upper":
-        candidates = [[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]
+        return [[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]
+    if method == "best":
+        families = cap_mod.best_families(type(channel), ns is not None)
     else:
-        if method == "best":
-            families = cap_mod.best_families(type(channel), ns is not None)
-        else:
-            families = [cap_mod.BOUND_FAMILIES[method]]
-            families[0].check_applies(channel, ns)
-        candidates = [[family.checked_coeffs(channel, eps, task, ns) for family in families]
-                      for eps in eps_list]
-    lower = method != "upper"
-    cells = []
-    for n in n_list:
-        for coeffs in candidates:
-            values = [cap_mod.bound_value(a, b, c, n)[0] for a, b, c, _ in coeffs]
-            best = cap_mod.first_max(values)
-            value = values[best]
-            vacuous = lower and value < 0
-            met = n >= coeffs[best][3]
-            cells.append(f"{_fmt_float(value)},{'true' if vacuous else 'false'},"
-                         f"{'true' if met else 'false'}")
-    return cells
+        families = [cap_mod.BOUND_FAMILIES[method]]
+        families[0].check_applies(channel, ns)
+    return [[family.checked_coeffs(channel, eps, task, ns) for family in families]
+            for eps in eps_list]
+
+
+def _grid_values(method, blocks, n_list, eps_list) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the rows of one (method, task), shaped (channel
+    parameter, Ns, n, eps), and their ``_FLAG_CELLS`` indices, from the
+    ``_block_coeffs`` of every (channel parameter, Ns).
+
+    A bound's whole grid is one ``bound_value`` call and one ``first_max``
+    over the family axis, so every value has the bits of the per-row call.
+    """
+    if method == "asymptotic":  # one rate per (channel parameter, Ns)
+        rates = np.array(blocks, dtype=float)[:, :, None, None]
+        value = np.broadcast_to(rates, (*rates.shape[:2], len(n_list), len(eps_list)))
+        return value, 2 * (value < 0) + 1
+    a, b, c, n_min = np.moveaxis(np.array(blocks, dtype=float), -1, 0)[:, :, :, None]
+    n = np.array(n_list, dtype=float)[:, None, None]
+    values, _ = cap_mod.bound_value(a, b, c, n)  # (parameter, Ns, n, eps, family)
+    best = cap_mod.first_max(values)[..., None]
+    value = np.take_along_axis(values, best, -1)[..., 0]
+    met = np.take_along_axis(n >= n_min, best, -1)[..., 0]
+    return value, 2 * ((method != "upper") & (value < 0)) + met
 
 
 def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> list[str]:
@@ -432,14 +441,18 @@ def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> lis
         for task in tasks:
             if method == "upper" and task == "Q":
                 continue  # the converse covers Q2/K only
-            for i, (param, param_cell) in enumerate(zip(params, param_cells)):
+            blocks = []
+            for i, param in enumerate(params):
                 if i not in channels:
                     channels[i] = make_channel(param)
-                channel = channels[i]
-                for ns, ns_cell in zip(ns_list, ns_cells):
-                    head = f"{method},{task},{direction},{param_cell},{ns_cell},"
-                    cells = _sweep_block(method, channel, task, ns, n_list, eps_list)
-                    lines += [f"{head}{mid}{tail}\n" for mid, tail in zip(n_eps_cells, cells)]
+                blocks.append([_block_coeffs(method, channels[i], task, ns, eps_list)
+                               for ns in ns_list])
+            value, flags = _grid_values(method, blocks, n_list, eps_list)
+            heads = [f"{method},{task},{direction},{param_cell},{ns_cell},"
+                     for param_cell in param_cells for ns_cell in ns_cells]
+            lines += [f"{head}{mid}{_fmt_float(v)}{_FLAG_CELLS[k]}\n"
+                      for (head, mid), v, k in zip(itertools.product(heads, n_eps_cells),
+                                                   value.ravel().tolist(), flags.ravel().tolist())]
     return lines
 
 
@@ -467,8 +480,10 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
 
     Row order follows the nested loops (method, task, channel parameter,
     Ns, n, eps).  Each family's coefficients are computed once per
-    (method, task, channel parameter, Ns, eps), so rows differ only in n.
-    The file is written only after every row is computed.
+    (method, task, channel parameter, Ns, eps); the grid of one (method,
+    task) is then evaluated as arrays, each value digit for digit the one
+    ``bosonic capacity`` reports.  The file is written only after every row
+    is computed.
     """
 
     def body():

@@ -324,6 +324,59 @@ def test_best_lower_bound_ties_go_to_table_order():
     assert b.capacity.first_max([-0.0, 0.0]) == 0
 
 
+def _scalar_bound(a, bq, c, n):
+    """The per-row rule on Python floats: a n, then - b sqrt(n), then - c,
+    with a NaN sum read as +inf and flagged."""
+    value = a * n + -bq * math.sqrt(n) + -c
+    return (math.inf, True) if math.isnan(value) else (value, False)
+
+
+@pytest.mark.filterwarnings("error")  # the scalar rule overflows and meets NaN silently
+def test_bound_value_on_arrays_has_the_scalar_bits():
+    rng = np.random.default_rng(14)
+    size = 3000
+    a = rng.uniform(-4.0, 4.0, size) * 10.0 ** rng.integers(-9, 3, size)
+    bq = rng.uniform(0.0, 60.0, size)
+    c = rng.uniform(-40.0, 40.0, size)
+    n = rng.integers(1, 10**9, size, endpoint=True)
+    n[:3] = 1, 10**9, 2**30
+    bq[::5] = 0.0  # a -0.0 sqrt(n) term
+    a[1::13], bq[1::13] = math.inf, math.inf  # inf - inf: NaN, read as +inf
+    a[2::17], bq[2::17] = -math.inf, math.inf
+    a[3::19], c[3::19] = -0.0, 0.0  # -0.0 + -0.0 + -0.0 keeps its sign
+    want = [_scalar_bound(*args) for args in zip(a.tolist(), bq.tolist(), c.tolist(), n.tolist())]
+    want_hex = [value.hex() for value, _ in want]
+    assert {"-0x0.0p+0", "inf"} <= set(want_hex) and any(flag for _, flag in want)
+
+    values, boundary = b.capacity.bound_value(a, bq, c, n)
+    assert [v.hex() for v in values.tolist()] == want_hex
+    assert boundary.tolist() == [flag for _, flag in want]
+    # broadcast as the sweep does: n along one axis, the coefficients along another
+    grid, _ = b.capacity.bound_value(a[:60, None], bq[:60, None], c[:60, None], n[None, :50])
+    assert [v.hex() for v in grid.ravel().tolist()] == [
+        _scalar_bound(*args, m)[0].hex()
+        for args in zip(a[:60].tolist(), bq[:60].tolist(), c[:60].tolist())
+        for m in n[:50].tolist()]
+    # the scalar callers get the same bits, also where a n overflows to inf
+    huge = [(3.0, 0.0, 1.0, 10**308), (-3.0, 1e300, 1e308, 10**300), (2.0, 5.0, 1.0, 10**308)]
+    for args, (value, flag) in zip(huge + list(zip(a[:300].tolist(), bq[:300].tolist(),
+                                                   c[:300].tolist(), n[:300].tolist())),
+                                   [_scalar_bound(*args) for args in huge] + want):
+        got, got_flag = b.capacity.bound_value(*args)
+        assert (float(got).hex(), bool(got_flag)) == (value.hex(), flag)
+
+
+def test_first_max_takes_the_first_of_equal_values():
+    rows = [[-0.0, 0.0, -1.0], [0.0, -0.0, -0.0], [math.inf, math.inf, 1.0],
+            [0.3, 0.3, 0.3], [-math.inf, 2.5, 2.5], [1.0, 3.0, math.inf]]
+    want = [0, 0, 0, 0, 1, 2]
+    assert [int(b.capacity.first_max(row)) for row in rows] == want
+    # along the last axis of a grid, as the sweep takes it over families
+    grid = np.array(rows)
+    assert b.capacity.first_max(grid).tolist() == want
+    assert b.capacity.first_max(np.stack([grid, grid[::-1]])).tolist() == [want, want[::-1]]
+
+
 def test_converse_has_the_bound_shape():
     # the weak converse as (a, 0, c): n Q2 + log2 6 + 2 log2((1+eps)/(1-eps))
     for channel in (PureLoss(0.3), PureLoss(1.0), PureAmplifier(2.5)):

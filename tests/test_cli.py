@@ -376,6 +376,38 @@ def test_sweep_single_values_match_library_calls(runner, tmp_path, kind, param):
     assert all(row.endswith(",true") for row in rows)
 
 
+def _random_spec(rng, lo, hi, log=False, integer=False, edges=False):
+    """A seeded range of 1-4 points between lo and hi, as a sweep flag value;
+    with ``edges`` an endpoint may sit on lo or hi."""
+    count = int(rng.integers(1, 5))
+    ends = [float(rng.uniform(lo, hi)) for _ in range(2)]
+    if edges:
+        ends = [float(rng.choice([lo, hi, end], p=[0.15, 0.15, 0.7])) for end in ends]
+    if log:
+        ends = [lo * (hi / lo) ** ((end - lo) / (hi - lo)) for end in ends]
+    if count == 1:
+        return str(int(ends[0])) if integer else repr(ends[0])
+    return f"{ends[0]!r}:{ends[1]!r}:{count}" + (":log" if log else "")
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("with_ns", [True, False])
+@pytest.mark.parametrize("kind", ["loss", "amp"])
+def test_sweep_random_grids_match_library_calls(runner, tmp_path, kind, with_ns, seed):
+    rng = np.random.default_rng([seed, int(with_ns), len(kind)])
+    methods = ["asymptotic", "aep", "improved", "best", "upper"]
+    methods += ["ec-aep", "ec-variance"] if with_ns else []
+    tasks = [str(t) for t in rng.permutation(["Q", "Q2", "K"])[:int(rng.integers(1, 4))]]
+    params = (_random_spec(rng, 0.0, 1.0, edges=True) if kind == "loss"
+              else _random_spec(rng, 1.0, 4.0, edges=True))
+    ns = _random_spec(rng, 0.0, 5.0, edges=True) if with_ns else None
+    rows, expected = _sweep_and_oracle(
+        runner, tmp_path / "sweep.csv", kind, ",".join(rng.permutation(methods)),
+        ",".join(tasks), params, ns, _random_spec(rng, 2.0, 5000.0, log=True, integer=True),
+        _random_spec(rng, 1e-3, 0.5, log=True))
+    assert rows == expected
+
+
 # a valid one-row grid; most cases below spoil one axis after a valid value,
 # so a sweep that checked only the first value of an axis would pass
 _GRID = ("--channel", "loss", "--methods", "aep", "--tasks", "Q2", "--lam", "0.5",

@@ -149,11 +149,14 @@ def test_built_blocks_carry_their_sector_and_match_the_scan(family, modes, parti
 
 
 def test_number_blocks_normalize_on_their_shells_only():
-    # the entries outside the shells stay the 0.0 they were, with their bits
+    # the entries outside the shells stay the 0.0 they were, with their bits;
+    # truncate_normalize leaves its argument as it was
     raw = b.fock_matrix_elements(b.tensor([b.thermal_state(0.4), b.thermal_state(0.9)]), 9)
     assert raw.sector == "number"
+    trace, dense = raw.trace, raw.matrix
     normalized = b.truncate_normalize(raw)
-    assert normalized.matrix.tobytes() == (raw.matrix / raw.trace).tobytes()
+    assert (raw.trace, raw.matrix.tobytes()) == (trace, dense.tobytes())
+    assert normalized.matrix.tobytes() == (dense / trace).tobytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
