@@ -49,7 +49,10 @@ from .states import (
     GaussianState,
     PureAmplifier,
     PureLoss,
+    check_eps,
     check_gain,
+    check_photons,
+    check_transmissivity,
     reduce_state,
     stinespring_output,
 )
@@ -130,27 +133,11 @@ def _check_task(task: str) -> str:
     return task
 
 
-def check_eps(eps: float) -> float:
-    """``eps`` as a float; ``ValueError`` unless 0 < eps < 1."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return float(eps)
-
-
 def check_n(n: int) -> int:
     """``n`` as an int; ``ValueError`` unless it is a positive integer."""
     if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     return int(n)
-
-
-def check_photons(photons: float) -> float:
-    """``photons`` as a float; ``ValueError`` if it is negative or not finite."""
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
-    if not math.isfinite(photons):
-        raise ValueError(f"mean photon number must be finite, got {photons}")
-    return float(photons)
 
 
 def _check_bits(k: float) -> float:
@@ -213,12 +200,8 @@ def petz_terms_pure_loss(transmissivity: float, photons: float) -> dict[str, flo
     Returns the four conditional entropies {"A|B", "A|E", "B|A", "B|E"}
     in bits, via closed forms in (lambda, N_s).
     """
-    lam = float(transmissivity)
-    ns = float(photons)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {lam}")
-    if ns < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {ns}")
+    lam = check_transmissivity(transmissivity)
+    ns = check_photons(photons)
     mu = 1.0 - lam
 
     s_lam = math.sqrt(lam * ns * (1.0 + lam * ns))
@@ -268,9 +251,7 @@ def _petz_half_rank_one(alpha: float, beta: float, gamma: float,
 def petz_terms_amplifier(gain: float, photons: float) -> dict[str, float]:
     """H_{1/2} terms {"A|B", "A|E"} of the amplifier tripartite state, in bits."""
     g = check_gain(float(gain))
-    ns = float(photons)
-    if ns < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {ns}")
+    ns = check_photons(photons)
 
     alpha = 2.0 * ns + 1.0
     nu_b = 2.0 * g * (ns + 1.0) - 1.0       # variance of the amplified arm

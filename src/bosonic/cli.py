@@ -97,9 +97,7 @@ def _guarded(body):
                  "outgrows memory, or raise eps")
     except (OSError, json.JSONDecodeError) as exc:
         _fail(1, str(exc))
-    except (ValueError, TypeError) as exc:
-        _fail(2, str(exc))
-    except RuntimeError as exc:
+    except (ValueError, TypeError, RuntimeError) as exc:
         _fail(2, str(exc))
 
 

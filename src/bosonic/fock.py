@@ -82,15 +82,15 @@ the dense build formed, signs of zeros included.  Each sector block is
 symmetrized as (S + S^H) / 2 tile by tile, the sectors of one index in one
 vectorized step.
 
-The block records the sector it was built in as ``FockMatrix.sector``, a
-field no constructor argument sets, so a block made by hand has none and
-keeps its dense array.  ``FockMatrix.matrix`` assembles the dense block on
-demand, with 0.0 outside the sector; the trace sums the diagonal in basis
-order, as ``np.trace`` of the dense block does; ``truncate_normalize``
-divides the buffer.  The trace distance takes built blocks only and gets
-their sector blocks from ``sector_blocks`` (see ``bosonic.tracedist``).
-Blocks are written out by ``fock_to_dict`` (``tracedist --dump-fock``);
-nothing reads them back.
+``FockMatrix`` has no public constructor: every block comes from
+``fock_matrix_elements`` or ``truncate_normalize`` and records the sector
+it was built in as ``FockMatrix.sector``.  ``FockMatrix.matrix`` assembles
+the dense block on demand, with 0.0 outside the sector; the trace sums the
+diagonal in basis order, as ``np.trace`` of the dense block does;
+``truncate_normalize`` divides the buffer.  The trace distance splits
+both blocks by sector with ``sector_blocks`` (see ``bosonic.tracedist``).
+Blocks are written out by ``fock_to_dict``
+(``tracedist --dump-fock``); nothing reads them back.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .states import GaussianState, require_valid
+from .states import GaussianState, check_cutoff, check_transmissivity, require_valid
 
 __all__ = [
     "DimensionCapError",
@@ -151,8 +151,7 @@ def enumerate_basis(modes: int, cutoff: int) -> list[tuple[int, ...]]:
     """Graded ordering of occupations: by total photons, then first mode high."""
     if modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = check_cutoff(cutoff)
     return [occ for total in range(cutoff + 1) for occ in _compositions(total, modes)]
 
 
@@ -164,38 +163,30 @@ SECTORS = ("number", "parity", "whole")
 class FockMatrix:
     """Density-matrix block on the truncated basis, plus its trace deficit.
 
-    ``FockMatrix(matrix, modes, cutoff)`` makes a block by hand from a dense
-    array.  ``sector`` is the sector ``fock_matrix_elements`` read off the
-    kernel data ("number", "parity" or "whole"), kept by
-    ``truncate_normalize``; a block made by hand has none, and no caller can
-    set one.  Only blocks with a sector have a trace distance
-    (``bosonic.tracedist``), and only they store their sectors alone.
+    Only ``fock_matrix_elements`` and ``truncate_normalize`` make blocks;
+    the class has no public constructor.  ``sector`` is the sector the
+    build read off the kernel data ("number", "parity" or "whole"), and
+    the block stores that sector's blocks alone (``_Layout``).
     """
 
     modes: int
     cutoff: int
-    sector: str | None
+    sector: str
     _data: np.ndarray = field(repr=False)
 
-    def __init__(self, matrix: np.ndarray, modes: int, cutoff: int):
-        dim = basis_dimension(modes, cutoff)
-        if np.shape(matrix) != (dim, dim):
-            raise ValueError(
-                f"matrix of shape {np.shape(matrix)} does not fit the "
-                f"{dim} x {dim} basis of {modes} modes at cutoff {cutoff}"
-            )
-        _set_fields(self, np.asarray(matrix), modes, cutoff, None)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FockMatrix is made by fock_matrix_elements or "
+                        "truncate_normalize, not by hand")
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense dim x dim block, 0.0 outside the sector.
 
         A photon-number or parity block is assembled from its sector blocks
-        on each call; a whole-basis block and a block made by hand return
-        their one array.
+        on each call; a whole-basis block returns its one array.
         """
         dim = basis_dimension(self.modes, self.cutoff)
-        data = self._data if self.sector in (None, "whole") else _regrouped(self, "whole")
+        data = self._data if self.sector == "whole" else _regrouped(self, "whole")
         return data.reshape(dim, dim)
 
     @property
@@ -213,23 +204,18 @@ class FockMatrix:
     def trace(self) -> float:
         """The sum of the diagonal in basis order, bit for bit ``np.trace``
         of the dense block."""
-        diag = _layout(self.modes, self.cutoff, self.sector or "whole").diag
+        diag = _layout(self.modes, self.cutoff, self.sector).diag
         return float(self._data.reshape(-1)[diag].sum().real)
 
 
-def _set_fields(block: FockMatrix, data: np.ndarray, modes: int, cutoff: int,
-                sector: str | None) -> FockMatrix:
+def _built(data: np.ndarray, modes: int, cutoff: int, sector: str) -> FockMatrix:
+    """The block whose ``sector`` blocks are stored in ``data`` (see
+    ``_Layout``)."""
+    block = object.__new__(FockMatrix)
     for name, value in (("modes", modes), ("cutoff", cutoff), ("sector", sector),
                         ("_data", data)):
         object.__setattr__(block, name, value)
     return block
-
-
-def _built(data: np.ndarray, modes: int, cutoff: int, sector: str | None) -> FockMatrix:
-    """The block whose ``sector`` blocks are stored in ``data`` (see
-    ``_Layout``), or a dense block without a sector; the sector is not an
-    argument of the constructor, so no other caller sets it."""
-    return _set_fields(object.__new__(FockMatrix), data, modes, cutoff, sector)
 
 
 def _check_dimension(modes: int, cutoff: int) -> int:
@@ -527,6 +513,7 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
         FockTraceError: the block's trace exceeds 1 + ``TRACE_TOL``, which
             no truncation of a density operator can.
     """
+    cutoff = check_cutoff(cutoff)
     dim = _check_dimension(state.modes, cutoff)
     require_valid(state)
     n = state.modes
@@ -664,9 +651,7 @@ def beam_splitter_fock_coeffs(i: int, j: int, transmissivity: float) -> np.ndarr
     """
     if i < 0 or j < 0:
         raise ValueError(f"occupations must be >= 0, got ({i}, {j})")
-    lam = float(transmissivity)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {lam}")
+    lam = check_transmissivity(transmissivity)
     mu = 1.0 - lam
     out = np.zeros(i + j + 1)
     for m in range(i + j + 1):

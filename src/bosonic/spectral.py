@@ -11,7 +11,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import GaussianState, _embedding_indices, reduce_state, symplectic_form
+from .states import (
+    GaussianState,
+    _embedding_indices,
+    check_photons,
+    check_transmissivity,
+    reduce_state,
+    symplectic_form,
+)
 
 __all__ = [
     "coherent_information",
@@ -197,8 +204,7 @@ def thermal_entropy_variance(photons: float) -> float:
     """Photon-number variance of the log-likelihood of a thermal state, in bits^2:
     ``N (N+1) log2(1 + 1/N)^2``; zero in the vacuum limit.
     """
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    photons = check_photons(photons)
     if photons == 0.0:
         return 0.0
     return float(photons * (photons + 1.0) * np.log2(1.0 + 1.0 / photons) ** 2)
@@ -225,12 +231,8 @@ def entropy_variance_pure_loss(
         closed form: at ``transmissivity = 0`` V(A|E) is the thermal variance
         of the input and V(B|E) = 0; at ``transmissivity = 1`` the roles swap.
     """
-    lam = float(transmissivity)
-    ns = float(photons)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {lam}")
-    if ns < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {ns}")
+    lam = check_transmissivity(transmissivity)
+    ns = check_photons(photons)
     cut = cut.upper()
     if cut in ("A|E", "A|B"):
         direct = True

@@ -30,7 +30,11 @@ __all__ = [
     "ValidationReport",
     "apply_transform",
     "beam_splitter",
+    "check_cutoff",
+    "check_eps",
     "check_gain",
+    "check_photons",
+    "check_transmissivity",
     "cov_norm_bound",
     "displacement",
     "mean_photon_number",
@@ -157,6 +161,54 @@ def require_valid(state: GaussianState) -> GaussianState:
 
 
 # ---------------------------------------------------------------------------
+# domain checks: the one place each rule on a parameter is stated
+
+
+def check_photons(photons: float) -> float:
+    """``photons`` as a float; ``ValueError`` if it is negative or not finite."""
+    if photons < 0:
+        raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    if not math.isfinite(photons):
+        raise ValueError(f"mean photon number must be finite, got {photons}")
+    return float(photons)
+
+
+def check_transmissivity(transmissivity: float) -> float:
+    """``transmissivity`` as a float; ``ValueError`` unless it lies in [0, 1]."""
+    lam = float(transmissivity)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {lam}")
+    return lam
+
+
+def check_gain(gain: float) -> float:
+    """``gain`` unless it is below 1 or not finite."""
+    if gain < 1.0:
+        raise ValueError(f"gain must be >= 1, got {gain}")
+    if not math.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain}")
+    return gain
+
+
+def check_eps(eps: float) -> float:
+    """``eps`` as a float; ``ValueError`` unless 0 < eps < 1."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    return float(eps)
+
+
+def check_cutoff(cutoff: int, name: str = "cutoff") -> int:
+    """``cutoff`` as an int; ``ValueError`` unless it is a non-negative integer
+    (``operator.index``: no float, however integral)."""
+    if cutoff < 0:
+        raise ValueError(f"{name} must be >= 0, got {cutoff}")
+    try:
+        return operator.index(cutoff)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {cutoff!r}") from None
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -167,8 +219,7 @@ def vacuum_state(modes: int = 1) -> GaussianState:
 
 def thermal_state(photons: float) -> GaussianState:
     """Single-mode thermal state with mean photon number ``photons``."""
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    photons = check_photons(photons)
     return GaussianState(np.zeros(2), (2.0 * photons + 1.0) * np.eye(2))
 
 
@@ -182,8 +233,7 @@ def tmsv_state(photons: float) -> GaussianState:
         Two-mode pure ``GaussianState`` whose single-mode marginals are
         ``thermal_state(photons)``.
     """
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    photons = check_photons(photons)
     a = 2.0 * photons + 1.0
     c = 2.0 * np.sqrt(photons * (photons + 1.0))
     sz = np.diag([1.0, -1.0])
@@ -238,9 +288,7 @@ def beam_splitter(transmissivity: float) -> Transform:
 
     Mode 0 of the pair carries the transmitted signal.
     """
-    lam = float(transmissivity)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {lam}")
+    lam = check_transmissivity(transmissivity)
     eye = np.eye(2)
     s = np.block(
         [
@@ -249,15 +297,6 @@ def beam_splitter(transmissivity: float) -> Transform:
         ]
     )
     return Transform(s, np.zeros(4))
-
-
-def check_gain(gain: float) -> float:
-    """``gain`` unless it is below 1 or not finite."""
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    if not math.isfinite(gain):
-        raise ValueError(f"gain must be finite, got {gain}")
-    return gain
 
 
 def two_mode_squeezer(gain: float) -> Transform:
@@ -355,8 +394,7 @@ def mean_photon_number(state: GaussianState) -> float:
 
 def cov_norm_bound(photons: float) -> float:
     """Upper bound on ``||V||_inf`` for any state of mean photon number ``photons``."""
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
+    photons = check_photons(photons)
     return 1.0 + 2.0 * photons + 2.0 * np.sqrt(photons * (photons + 1.0))
 
 
@@ -372,8 +410,7 @@ class PureLoss:
     transmissivity: float
 
     def __post_init__(self):
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {self.transmissivity}")
+        check_transmissivity(self.transmissivity)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import GaussianState, mean_photon_number
+from .states import GaussianState, check_cutoff, check_eps, check_photons, mean_photon_number
 
 __all__ = [
     "CutoffCapError",
@@ -119,8 +119,7 @@ def tail_bound_closed(state: GaussianState, cutoff: int) -> TailBoundResult:
 
     ``bound = p(8N+4) * exp(-M / (4N+2))`` with N the mean photon number.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = check_cutoff(cutoff)
     photons = mean_photon_number(state)
     evals, mean_rot = _spectral_data(state)
     log_bound = _log_closed(photons, evals, mean_rot, cutoff)
@@ -179,8 +178,7 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
     at 700/(2M + 1) nats to keep the exponential in range.  Falls back to the
     closed-form point x = 8N + 4 if the search returns nothing finite.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = check_cutoff(cutoff)
     photons = mean_photon_number(state)
     evals, mean_rot = _spectral_data(state)
     t_best, log_best = _search_log_bound(photons, evals, mean_rot, cutoff)
@@ -337,13 +335,11 @@ def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
     cutoff reaches, and ``CutoffCapError`` when even ``cap`` fails (the
     certified cutoff would not fit in memory anyway).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    eps = check_eps(eps)
     if eps < math.sqrt(TAIL_FLOOR):
         raise ValueError(f"eps {eps} lies below {math.sqrt(TAIL_FLOOR)}, the square root of "
                          f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+    cap = check_cutoff(cap, "cap")
 
     photons = mean_photon_number(state)
     evals, mean_rot = _spectral_data(state)
@@ -365,8 +361,5 @@ def cutoff_nongaussian(photons: float, eps: float) -> int:
     """Cutoff certifying truncation error ``eps`` for an arbitrary state of
     mean photon number ``photons``, via the Markov bound sqrt(N/M) and a
     three-way error split: ``ceil(9 N / eps^2)``."""
-    if photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {photons}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    photons, eps = check_photons(photons), check_eps(eps)
     return math.ceil(9.0 * photons / (eps * eps))

@@ -43,7 +43,7 @@ from .fock import (
     sector_blocks,
     truncate_normalize,
 )
-from .states import GaussianState
+from .states import GaussianState, check_eps
 from .tail import TAIL_FLOOR, cutoff_for_error, trace_distance_truncation_bound
 
 __all__ = [
@@ -70,7 +70,7 @@ class TraceDistanceResult:
 def _shared_sector(a, b) -> str:
     """The coarser of the sectors of two built blocks on one basis."""
     for name, block in (("first", a), ("second", b)):
-        if not isinstance(block, FockMatrix) or block.sector is None:
+        if not isinstance(block, FockMatrix):
             raise ValueError(f"{name} block was not built by fock_matrix_elements: "
                              "only built blocks carry the sector the distance splits by")
     if (a.modes, a.cutoff) != (b.modes, b.cutoff):
@@ -94,9 +94,8 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
     one step.  The eigensolver itself is accurate to machine precision.
 
     Raises:
-        ValueError: a block was not built by ``fock_matrix_elements`` (a
-            plain array, or a ``FockMatrix`` made by hand), or the blocks
-            live on different bases.
+        ValueError: a block is not a ``FockMatrix`` (a plain array, say),
+            or the blocks live on different bases.
     """
     kind = _shared_sector(a, b)
     (alone_a, blocks_a), (alone_b, blocks_b) = sector_blocks(a, kind), sector_blocks(b, kind)
@@ -147,8 +146,7 @@ def gaussian_trace_distance(
         raise ValueError(
             f"states live on {state_a.modes} and {state_b.modes} modes"
         )
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    eps = check_eps(eps)
     if eps / 3.0 < math.sqrt(TAIL_FLOOR):
         raise ValueError(f"eps {eps} lies below 3 x {math.sqrt(TAIL_FLOOR)}: each of the two "
                          f"truncations gets eps/3, and no cutoff certifies less than "

@@ -527,6 +527,8 @@ _NSHOT = ("--method", "aep", "--n", "100", "--eps", "0.1")
     (("complexity", *_LOSS, "--k", "nan", "--eps", "0.1"), "target bits must be finite, got nan"),
     (("complexity", *_AMP, "--g", "inf", "--k", "100", "--eps", "0.1"),
      "gain must be finite, got inf"),
+    (("state", "thermal", "--n", "nan"), "mean photon number must be finite, got nan"),
+    (("state", "tmsv", "--n", "inf"), "mean photon number must be finite, got inf"),
 ])
 def test_non_finite_inputs_exit_two(args, message):
     res = _char_runner().invoke(main, list(args))

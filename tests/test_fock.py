@@ -30,8 +30,7 @@ def test_basis_enumeration():
     assert b.enumerate_basis(1, 3) == [(0,), (1,), (2,), (3,)]
     # the sector view follows from (modes, cutoff) without the tuples
     for modes, cutoff in [(1, 3), (2, 2), (3, 4), (2, 0)]:
-        dim = b.basis_dimension(modes, cutoff)
-        block = b.FockMatrix(np.zeros((dim, dim)), modes=modes, cutoff=cutoff)
+        block = b.fock_matrix_elements(b.vacuum_state(modes), cutoff)
         assert list(block.totals) == [sum(occ) for occ in b.enumerate_basis(modes, cutoff)]
 
 
@@ -202,11 +201,16 @@ def test_invalid_state_for_fock():
 
 
 def test_fock_matrix_shape_checked_on_construction():
-    # a 4 x 4 block cannot live on the 6-dimensional basis of one mode at cutoff 5
-    with pytest.raises(ValueError, match=r"shape \(4, 4\).*6 x 6 basis"):
-        b.FockMatrix(np.eye(4) / 4, modes=1, cutoff=5)
-    with pytest.raises(ValueError, match="does not fit"):
-        b.FockMatrix(np.ones((6, 5)), modes=1, cutoff=5)
+    # only the build makes blocks, so a block always fits its basis: one mode
+    # at cutoff 5 is 6-dimensional, and no array of another shape gets in
+    built = b.fock_matrix_elements(b.vacuum_state(), 5)
+    assert built.matrix.shape == (6, 6)
+    assert b.truncate_normalize(built).matrix.shape == (6, 6)
+    for args, kwargs in [((np.eye(4) / 4,), {"modes": 1, "cutoff": 5}),
+                         ((np.ones((6, 5)), 1, 5), {}),
+                         ((built.matrix,), {"modes": 1, "cutoff": 5, "sector": "number"})]:
+        with pytest.raises(TypeError, match="not by hand"):
+            b.FockMatrix(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +345,8 @@ def test_trace_distance_bit_equal_to_rowwise_build(family, monkeypatch):
     fast = tracedist.gaussian_trace_distance(x, y, 1e-3)
 
     def rowwise(state, cutoff):
-        # a hand-made block has no sector: store the row-by-row block by the
-        # sector the kernel data select, so that both pairs take the same split
+        # store the row-by-row block by the sector the kernel data select,
+        # so that both pairs take the same split
         kind = fock._sector(*fock._kernel_data(state)[1:])
         return sector_block(rowwise_fock_matrix(state, cutoff), state.modes, cutoff, kind)
 

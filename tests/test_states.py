@@ -246,3 +246,95 @@ def test_random_symplectics_are_symplectic():
         for _ in range(5):
             s = random_symplectic(rng, modes)
             assert np.allclose(s @ om @ s.T, om, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one owner per domain rule: every public function applies the same check
+
+_LOSS = PureLoss(0.5)
+
+#: every public function that takes a mean photon number, as a function of it
+PHOTON_TAKERS = {
+    "thermal_state": b.thermal_state,
+    "tmsv_state": b.tmsv_state,
+    "cov_norm_bound": b.cov_norm_bound,
+    "thermal_entropy_variance": b.thermal_entropy_variance,
+    "entropy_variance_pure_loss": lambda n: b.entropy_variance_pure_loss(0.5, n),
+    "petz_terms_pure_loss": lambda n: b.petz_terms_pure_loss(0.5, n),
+    "petz_terms_amplifier": lambda n: b.petz_terms_amplifier(2.0, n),
+    "cutoff_nongaussian": lambda n: b.cutoff_nongaussian(n, 0.1),
+    "ec_asymptotic": lambda n: b.ec_asymptotic(_LOSS, "Q2", n),
+    "ec_aep_lower_bound": lambda n: b.ec_aep_lower_bound(_LOSS, n, 100, 0.1, "Q2"),
+    "ec_variance_lower_bound": lambda n: b.ec_variance_lower_bound(0.5, n, 100, 0.1, "Q2"),
+    "best_lower_bound": lambda n: b.best_lower_bound(_LOSS, 100, 0.1, "Q2", photons=n),
+    "channel_uses_sufficient": lambda n: b.channel_uses_sufficient(_LOSS, 10.0, 0.1, "Q2", n),
+}
+
+#: every public function that takes a transmissivity, as a function of it
+TRANSMISSIVITY_TAKERS = {
+    "beam_splitter": b.beam_splitter,
+    "PureLoss": PureLoss,
+    "petz_terms_pure_loss": lambda lam: b.petz_terms_pure_loss(lam, 1.0),
+    "entropy_variance_pure_loss": lambda lam: b.entropy_variance_pure_loss(lam, 1.0),
+    "beam_splitter_fock_coeffs": lambda lam: b.beam_splitter_fock_coeffs(1, 1, lam),
+}
+
+#: every function that checks a photon cutoff, as a function of it
+CUTOFF_TAKERS = {
+    "tail_bound_closed": lambda m: b.tail_bound_closed(b.thermal_state(0.5), m),
+    "tail_bound_optimized": lambda m: b.tail_bound_optimized(b.thermal_state(0.5), m),
+    "trace_distance_truncation_bound":
+        lambda m: b.trace_distance_truncation_bound(b.thermal_state(0.5), m),
+    "fock_matrix_elements": lambda m: b.fock_matrix_elements(b.thermal_state(0.5), m),
+    "enumerate_basis": lambda m: b.enumerate_basis(1, m),
+}
+
+
+@pytest.mark.parametrize("photons", [math.nan, math.inf])
+def test_every_photon_number_must_be_finite(photons):
+    # NaN used to come back as NaN, inf as OverflowError from cutoff_nongaussian
+    # or InvalidStateError from the state constructors
+    for name, call in PHOTON_TAKERS.items():
+        with pytest.raises(ValueError, match=f"^mean photon number must be finite, got {photons}$"):
+            call(photons)
+            pytest.fail(f"{name} took {photons} photons")
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, 2.5, 3.0])
+def test_every_cutoff_must_be_an_integer(cutoff):
+    # a float cutoff used to give a bound (or NaN), a failed min() or a
+    # TypeError from math.comb; an integral float is no integer either
+    for name, call in CUTOFF_TAKERS.items():
+        with pytest.raises(ValueError, match=rf"^cutoff must be an integer, got {cutoff}$"):
+            call(cutoff)
+            pytest.fail(f"{name} took cutoff {cutoff}")
+    with pytest.raises(ValueError, match=rf"^cap must be an integer, got {cutoff}$"):
+        b.cutoff_for_error(b.thermal_state(0.5), 0.1, cap=cutoff)
+
+
+def test_domain_messages_are_shared():
+    # one checker per rule, so every caller words a rejection alike
+    for call in PHOTON_TAKERS.values():
+        with pytest.raises(ValueError, match=r"^mean photon number must be >= 0, got -0\.5$"):
+            call(-0.5)
+    for call in TRANSMISSIVITY_TAKERS.values():
+        for lam in (-0.1, 1.5, math.nan):
+            message = rf"^transmissivity must lie in \[0, 1\], got {lam}$"
+            with pytest.raises(ValueError, match=message):
+                call(lam)
+    eps_takers = [lambda eps: b.cutoff_for_error(b.vacuum_state(), eps),
+                  lambda eps: b.cutoff_nongaussian(1.0, eps),
+                  lambda eps: b.gaussian_trace_distance(b.vacuum_state(), b.vacuum_state(), eps)]
+    for call in eps_takers:
+        for eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^eps must lie in \(0, 1\), got {eps}$"):
+                call(eps)
+    for call in CUTOFF_TAKERS.values():
+        with pytest.raises(ValueError, match="^cutoff must be >= 0, got -1$"):
+            call(-1)
+    with pytest.raises(ValueError, match="^cap must be >= 0, got -1$"):
+        b.cutoff_for_error(b.vacuum_state(), 0.1, cap=-1)
+    # numpy integers are integers
+    state = b.thermal_state(0.5)
+    assert b.tail_bound_closed(state, np.int64(3)) == b.tail_bound_closed(state, 3)
+    assert b.cutoff_for_error(state, 0.1, cap=np.int64(40)) == b.cutoff_for_error(state, 0.1)

@@ -43,16 +43,16 @@ def test_finite_trace_distance_exact_case():
 
 
 def test_finite_trace_distance_takes_built_blocks_only():
-    # only fock_matrix_elements gives a block its sector; a plain array or a
-    # hand-made block has none, however fit it is, and is refused
+    # only fock_matrix_elements gives a block its sector, and no block is
+    # made by hand; a plain array has no sector, however fit it is, and is refused
     built = b.fock_matrix_elements(b.tensor([b.thermal_state(0.5)] * 2), 1)
-    hand = b.FockMatrix(built.matrix.copy(), modes=2, cutoff=1)
-    assert built.sector == "number" and hand.sector is None
-    assert b.truncate_normalize(hand).sector is None
+    assert built.sector == b.truncate_normalize(built).sector == "number"
+    with pytest.raises(TypeError):
+        b.FockMatrix(built.matrix.copy(), modes=2, cutoff=1)
     with pytest.raises(TypeError):
         b.FockMatrix(built.matrix, modes=2, cutoff=1, sector="number")
-    for a, c, name in [(built.matrix, built.matrix, "first"), (hand, hand, "first"),
-                       (built, hand, "second"), (hand, built, "first")]:
+    for a, c, name in [(built.matrix, built.matrix, "first"), (built, built.matrix, "second"),
+                       (built.matrix, built, "first")]:
         with pytest.raises(ValueError, match=f"^{name} block was not built by fock_matrix_elements"):
             b.finite_trace_distance(a, c)
 
@@ -186,7 +186,7 @@ def test_number_pair_peak_memory_holds_its_sectors_only():
 
 
 def test_nan_block_traces_rejected(monkeypatch):
-    nan_block = b.FockMatrix(np.full((2, 2), math.nan), modes=1, cutoff=1)
+    nan_block = fock._built(np.full(4, math.nan, dtype=complex), 1, 1, "whole")
     with pytest.raises(ValueError, match="cannot normalize trace nan"):
         b.truncate_normalize(nan_block)
     # a NaN trace fails the build's check and the check against 1 - tail
