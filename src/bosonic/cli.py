@@ -381,15 +381,17 @@ _FLAG_CELLS = (",false,false", ",false,true", ",true,false", ",true,true")
 
 
 def _block_coeffs(method, channel, task, ns, eps_list):
-    """The asymptotic rate, or per eps the (a, b, c, n_min) of every
-    candidate family, at one (method, task, channel parameter, Ns).
+    """Per eps the (a, b, c, n_min) of every candidate family, at one
+    (method, task, channel parameter, Ns).  An asymptotic rate r is the one
+    row (0, 0, -r, 0): ``bound_value`` sums 0 n - 0 sqrt(n) + r to r bit for
+    bit, and n_min = 0 leaves every row's preconditions met.
 
     The method, task and channel checks run in the order the per-row library
     calls make them; the n, eps and Ns axes are checked before any block.
     """
     _check_method(method)
     if method == "asymptotic":  # a bare rate: reads neither n nor eps
-        return _rate(channel, task, ns)
+        return [[(0.0, 0.0, -_rate(channel, task, ns), 0.0)]] * len(eps_list)
     if method == "upper":
         return [[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]
     if method == "best":
@@ -406,13 +408,9 @@ def _grid_values(method, blocks, n_list, eps_list) -> tuple[np.ndarray, np.ndarr
     parameter, Ns, n, eps), and their ``_FLAG_CELLS`` indices, from the
     ``_block_coeffs`` of every (channel parameter, Ns).
 
-    A bound's whole grid is one ``bound_value`` call and one ``first_max``
+    Every method's whole grid is one ``bound_value`` call and one ``first_max``
     over the family axis, so every value has the bits of the per-row call.
     """
-    if method == "asymptotic":  # one rate per (channel parameter, Ns)
-        rates = np.array(blocks, dtype=float)[:, :, None, None]
-        value = np.broadcast_to(rates, (*rates.shape[:2], len(n_list), len(eps_list)))
-        return value, 2 * (value < 0) + 1
     a, b, c, n_min = np.moveaxis(np.array(blocks, dtype=float), -1, 0)[:, :, :, None]
     n = np.array(n_list, dtype=float)[:, None, None]
     values, _ = cap_mod.bound_value(a, b, c, n)  # (parameter, Ns, n, eps, family)

@@ -103,7 +103,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .states import GaussianState, check_cutoff, check_transmissivity, require_valid
+from .states import GaussianState, check_cutoff, check_modes, check_transmissivity, require_valid
 
 __all__ = [
     "DimensionCapError",
@@ -135,7 +135,8 @@ class FockTraceError(RuntimeError):
 
 def basis_dimension(modes: int, cutoff: int) -> int:
     """Number of n-mode occupations with total photon number <= cutoff."""
-    return math.comb(cutoff + modes, modes)
+    modes = check_modes(modes)
+    return math.comb(check_cutoff(cutoff) + modes, modes)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -149,9 +150,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_basis(modes: int, cutoff: int) -> list[tuple[int, ...]]:
     """Graded ordering of occupations: by total photons, then first mode high."""
-    if modes < 1:
-        raise ValueError(f"need at least one mode, got {modes}")
-    cutoff = check_cutoff(cutoff)
+    modes, cutoff = check_modes(modes), check_cutoff(cutoff)
     return [occ for total in range(cutoff + 1) for occ in _compositions(total, modes)]
 
 
@@ -337,7 +336,7 @@ def _build_tables(modes: int, cutoff: int) -> _BasisTables:
                       for i in range(modes)])
     sqrt_cnt = np.sqrt(np.array(basis, dtype=float).T)
     first = np.argmax(sqrt_cnt > 0.0, axis=0)
-    starts = np.array([basis_dimension(modes, k - 1) for k in range(cutoff + 2)])
+    starts = np.array([0] + [basis_dimension(modes, k) for k in range(cutoff + 1)])
     at = np.arange(len(basis))
     prev = lower[first, at]
     lower_prev = lower[:, prev]

@@ -7,6 +7,7 @@ Williamson normal form ``V = S diag(d_1, d_1, ..., d_n, d_n) S^T`` with
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -112,9 +113,12 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 
 def h_function(x: float) -> float:
-    """Bosonic entropy function ``(x+1) log2(x+1) - x log2(x)`` with h(0) = 0."""
+    """Bosonic entropy function ``(x+1) log2(x+1) - x log2(x)`` with h(0) = 0;
+    ``ValueError`` for a negative or non-finite ``x``."""
     if x < 0:
         raise ValueError(f"argument must be >= 0, got {x}")
+    if not math.isfinite(x):
+        raise ValueError(f"argument must be finite, got {x}")
     if x == 0.0:
         return 0.0
     return float((x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))

@@ -33,12 +33,15 @@ __all__ = [
     "check_cutoff",
     "check_eps",
     "check_gain",
+    "check_modes",
     "check_photons",
     "check_transmissivity",
     "cov_norm_bound",
+    "dilation",
     "displacement",
     "mean_photon_number",
     "reduce_state",
+    "require_valid",
     "state_from_dict",
     "state_to_dict",
     "stinespring_output",
@@ -61,8 +64,7 @@ class InvalidStateError(ValueError):
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form for ``modes`` modes."""
-    if modes < 1:
-        raise ValueError(f"need at least one mode, got {modes}")
+    modes = check_modes(modes)
     omega = np.zeros((2 * modes, 2 * modes))
     for j in range(modes):
         omega[2 * j, 2 * j + 1] = 1.0
@@ -195,6 +197,17 @@ def check_eps(eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return float(eps)
+
+
+def check_modes(modes: int) -> int:
+    """``modes`` as an int; ``ValueError`` unless it is an integer >= 1
+    (``operator.index``: no float, however integral)."""
+    if modes < 1:
+        raise ValueError(f"need at least one mode, got {modes}")
+    try:
+        return operator.index(modes)
+    except TypeError:
+        raise ValueError(f"modes must be an integer, got {modes!r}") from None
 
 
 def check_cutoff(cutoff: int, name: str = "cutoff") -> int:

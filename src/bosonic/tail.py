@@ -19,6 +19,13 @@ simplifies to M/(4N + 2) nats and p(x) <= 2^(n/2) e^(1/2);
 The square root of the optimized bound certifies the trace-distance error
 of a Fock-space truncation at cutoff M.
 
+Each bound has one evaluator.  A state's mean photon number, the
+eigenvalues of V and the mean rotated into V's eigenbasis are computed
+once, into one ``_Spectrum``.  ``_closed`` is the closed form,
+``_optimized`` the search (with ``_closed`` as its only fallback), and
+``_truncation`` its square root.  The public functions and the cutoff
+search all go through these.
+
 ``cutoff_for_error`` inverts the bound instead of searching M with it.  At
 fixed t = arccoth(x) the log bound f(t) - 2tM is linear in M, so the
 smallest cutoff whose bound reaches eps is the ceiling of the minimum over
@@ -29,23 +36,24 @@ A failed check (the nat cap on t shrinks the bracket at large M, or the
 minimum rounds the wrong way) only makes the search step outward.  So the
 guess need not be sharp: any guess gives the same cutoff, and a wrong one
 costs only extra checks.  The estimate therefore runs a short golden
-search (``_ESTIMATE_ITERS``), and the estimate and every check share one
-eigendecomposition of V and one mean photon number.
+search (``_ESTIMATE_ITERS``).
 
-A check is ``trace_distance_truncation_bound(state, M).bound <= eps`` on
-that shared data, with one shortcut: it passes at the first t whose log
-bound lies below 2 ln eps - 1e-9.  That is exact.  Golden section keeps
-the smaller of its two inner values, so the kept value never rises, and
-the minimum it returns is at most every value it evaluated; a log bound
-that far below 2 ln eps leaves a square-rooted bound below eps after
-rounding.  A failing check runs the whole search, and a search with no
-finite value takes the closed-form point, as the public bound does.
+A check is ``_truncation(spec, M, stop).bound <= eps``: the public
+truncation bound, with one shortcut.  The search stops at the first t
+whose log bound lies below stop = 2 ln eps - 1e-9.  That is exact.
+Golden section keeps the smaller of its two inner values, so the kept
+value never rises, and the minimum it returns is at most every value it
+evaluated; a log bound that far below 2 ln eps leaves a square-rooted
+bound below eps after rounding.  A failing check runs the whole search,
+and a search with no finite value takes the closed-form point, as the
+public bound does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,10 +106,19 @@ class TailBoundResult:
     fallback: bool = False
 
 
-def _spectral_data(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of V and the mean vector rotated into V's eigenbasis."""
+class _Spectrum(NamedTuple):
+    """What the bound reads of a state, computed once per state: the mean
+    photon number N, the eigenvalues of V (ascending) and the mean rotated
+    into V's eigenbasis."""
+
+    photons: float
+    evals: np.ndarray
+    mean_rot: np.ndarray
+
+
+def _spectrum(state: GaussianState) -> _Spectrum:
     evals, evecs = np.linalg.eigh(state.cov)
-    return evals, evecs.T @ state.mean
+    return _Spectrum(mean_photon_number(state), evals, evecs.T @ state.mean)
 
 
 def _log_prefactor(evals: np.ndarray, mean_rot: np.ndarray, x: float) -> float:
@@ -120,17 +137,15 @@ def tail_bound_closed(state: GaussianState, cutoff: int) -> TailBoundResult:
     ``bound = p(8N+4) * exp(-M / (4N+2))`` with N the mean photon number.
     """
     cutoff = check_cutoff(cutoff)
-    photons = mean_photon_number(state)
-    evals, mean_rot = _spectral_data(state)
-    log_bound = _log_closed(photons, evals, mean_rot, cutoff)
-    rate = math.log2(math.e) / (4.0 * photons + 2.0)
-    return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=rate)
+    return _closed(_spectrum(state), cutoff)
 
 
-def _log_closed(photons: float, evals: np.ndarray, mean_rot: np.ndarray, cutoff: int) -> float:
-    """ln of the closed-form bound at x = 8N + 4."""
-    x0 = 8.0 * photons + 4.0
-    return _log_prefactor(evals, mean_rot, x0) - cutoff / (4.0 * photons + 2.0)
+def _closed(spec: _Spectrum, cutoff: int) -> TailBoundResult:
+    """The closed-form bound at x = 8N + 4, also the optimized bound's fallback."""
+    scale = 4.0 * spec.photons + 2.0  # 1 / scale <= 2 arccoth(8N + 4), the exact exponent
+    log_prefactor = _log_prefactor(spec.evals, spec.mean_rot, 8.0 * spec.photons + 4.0)
+    log_bound = log_prefactor - cutoff / scale
+    return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=math.log2(math.e) / scale)
 
 
 def _clamp_exp(log_bound: float) -> float:
@@ -179,35 +194,28 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
     closed-form point x = 8N + 4 if the search returns nothing finite.
     """
     cutoff = check_cutoff(cutoff)
-    photons = mean_photon_number(state)
-    evals, mean_rot = _spectral_data(state)
-    t_best, log_best = _search_log_bound(photons, evals, mean_rot, cutoff)
+    return _optimized(_spectrum(state), cutoff)
 
+
+def _optimized(spec: _Spectrum, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
+    """The optimized bound at the golden-section minimum, or at the first
+    log bound below ``stop``; the closed form when nothing finite is found."""
+    objective = _make_objective(spec.evals, spec.mean_rot, cutoff)
+    t_best, log_best = _golden_min(objective, *_t_bracket(spec, cutoff), stop=stop)
     if not math.isfinite(log_best):
-        return replace(
-            tail_bound_closed(state, cutoff), optimizer_x=8.0 * photons + 4.0, fallback=True
-        )
-    rate = 2.0 * t_best * math.log2(math.e)
+        return replace(_closed(spec, cutoff), optimizer_x=8.0 * spec.photons + 4.0, fallback=True)
     return TailBoundResult(
         bound=_clamp_exp(log_best),
-        decay_rate=rate,
+        decay_rate=2.0 * t_best * math.log2(math.e),
         optimizer_x=_coth(t_best),
     )
 
 
-def _search_log_bound(photons: float, evals: np.ndarray, mean_rot: np.ndarray, cutoff: int,
-                      stop: float = -math.inf) -> tuple[float, float]:
-    """(t, ln bound) at the golden-section minimum over the bound's t bracket
-    at ``cutoff``, or at the first value below ``stop``."""
-    objective = _make_objective(evals, mean_rot, cutoff)
-    return _golden_min(objective, *_t_bracket(photons, evals, cutoff), stop=stop)
-
-
-def _t_bracket(photons: float, evals: np.ndarray, cutoff: int) -> tuple[float, float]:
+def _t_bracket(spec: _Spectrum, cutoff: int) -> tuple[float, float]:
     """The t = arccoth(x) interval searched for the bound at ``cutoff``."""
-    norm = float(evals[-1])
+    norm = float(spec.evals[-1])
     t_cap = _T_CAP_NATS / (2.0 * cutoff + 1.0)
-    t_lo = _arccoth(10.0 * (8.0 * photons + 4.0))
+    t_lo = _arccoth(10.0 * (8.0 * spec.photons + 4.0))
     delta = 1e-6 * (1.0 + norm)
     if norm > 1.0 + delta:
         t_hi = min(_arccoth(norm + delta), t_cap)
@@ -264,36 +272,33 @@ def _golden_min(fun, t_low: float, t_high: float, iters: int = _GOLDEN_ITERS,
 def trace_distance_truncation_bound(state: GaussianState, cutoff: int) -> TailBoundResult:
     """Certified bound on ``(1/2)||rho - rho_M||_1``: the square root of the
     optimized photon-number tail bound."""
-    tail = tail_bound_optimized(state, cutoff)
-    return replace(
-        tail, bound=min(1.0, math.sqrt(tail.bound)), decay_rate=tail.decay_rate / 2.0
-    )
+    cutoff = check_cutoff(cutoff)
+    return _truncation(_spectrum(state), cutoff)
 
 
-def _estimate_cutoff(photons: float, evals: np.ndarray, mean_rot: np.ndarray,
-                     log_target: float) -> float:
+def _truncation(spec: _Spectrum, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
+    """The square root of ``_optimized(spec, cutoff, stop)``."""
+    tail = _optimized(spec, cutoff, stop)
+    return replace(tail, bound=min(1.0, math.sqrt(tail.bound)), decay_rate=tail.decay_rate / 2.0)
+
+
+def _estimate_cutoff(spec: _Spectrum, log_target: float) -> float:
     """About min over t of M*(t) = (f(t) - log_target) / (2t), the smallest
     real M whose log bound at some t reaches ``log_target``; f is the M = 0
     objective.  A short search: the guess is only rounded up and confirmed."""
-    objective = _make_objective(evals, mean_rot, 0)
+    objective = _make_objective(spec.evals, spec.mean_rot, 0)
 
     def needed(t: float) -> float:
         return (objective(t) - log_target) / (2.0 * t)
 
-    bracket = _t_bracket(photons, evals, 0)
-    return _golden_min(needed, *bracket, iters=_ESTIMATE_ITERS)[1]
+    return _golden_min(needed, *_t_bracket(spec, 0), iters=_ESTIMATE_ITERS)[1]
 
 
-def _bound_passes(photons: float, evals: np.ndarray, mean_rot: np.ndarray, cutoff: int,
-                  eps: float, log_target: float) -> bool:
-    """``trace_distance_truncation_bound(state, cutoff).bound <= eps`` from the
-    state's mean photon number and spectral data, passing at the first log
-    bound below ``log_target = 2 ln eps`` by ``_EARLY_MARGIN`` (see the module
-    docstring)."""
-    log_best = _search_log_bound(photons, evals, mean_rot, cutoff, log_target - _EARLY_MARGIN)[1]
-    if not math.isfinite(log_best):
-        log_best = _log_closed(photons, evals, mean_rot, cutoff)
-    return min(1.0, math.sqrt(_clamp_exp(log_best))) <= eps
+def _bound_passes(spec: _Spectrum, cutoff: int, eps: float) -> bool:
+    """``trace_distance_truncation_bound(state, cutoff).bound <= eps``,
+    passing at the first log bound below 2 ln eps by ``_EARLY_MARGIN`` (see
+    the module docstring)."""
+    return _truncation(spec, cutoff, 2.0 * math.log(eps) - _EARLY_MARGIN).bound <= eps
 
 
 def smallest_passing(ok, guess: int, floor: int, cap: int | None = None) -> int | None:
@@ -341,16 +346,10 @@ def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
                          f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
     cap = check_cutoff(cap, "cap")
 
-    photons = mean_photon_number(state)
-    evals, mean_rot = _spectral_data(state)
-    log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
-
-    def ok(m: int) -> bool:
-        return _bound_passes(photons, evals, mean_rot, m, eps, log_target)
-
-    estimate = _estimate_cutoff(photons, evals, mean_rot, log_target)
+    spec = _spectrum(state)
+    estimate = _estimate_cutoff(spec, 2.0 * math.log(eps))  # the photon tail must reach eps^2
     guess = math.ceil(estimate) if math.isfinite(estimate) else 0
-    cutoff = smallest_passing(ok, guess, -1, cap)
+    cutoff = smallest_passing(lambda m: _bound_passes(spec, m, eps), guess, -1, cap)
     if cutoff is None:
         raise CutoffCapError(f"no cutoff up to {cap} reaches truncation error {eps}; "
                              "the state is too energetic for a certified truncation")

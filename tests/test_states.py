@@ -287,6 +287,14 @@ CUTOFF_TAKERS = {
         lambda m: b.trace_distance_truncation_bound(b.thermal_state(0.5), m),
     "fock_matrix_elements": lambda m: b.fock_matrix_elements(b.thermal_state(0.5), m),
     "enumerate_basis": lambda m: b.enumerate_basis(1, m),
+    "basis_dimension": lambda m: b.basis_dimension(1, m),
+}
+
+#: every public function that takes a number of modes, as a function of it
+MODE_TAKERS = {
+    "symplectic_form": b.symplectic_form,
+    "enumerate_basis": lambda modes: b.enumerate_basis(modes, 2),
+    "basis_dimension": lambda modes: b.basis_dimension(modes, 3),
 }
 
 
@@ -310,6 +318,24 @@ def test_every_cutoff_must_be_an_integer(cutoff):
             pytest.fail(f"{name} took cutoff {cutoff}")
     with pytest.raises(ValueError, match=rf"^cap must be an integer, got {cutoff}$"):
         b.cutoff_for_error(b.thermal_state(0.5), 0.1, cap=cutoff)
+
+
+@pytest.mark.parametrize("modes", [0, -1, math.nan, 1.5, 2.0])
+def test_every_mode_count_must_be_a_positive_integer(modes):
+    # 0 modes used to give a dimension of 1, 1.5 a RecursionError or a
+    # TypeError from numpy or math.comb
+    message = "need at least one mode" if modes < 1 else "modes must be an integer"
+    for name, call in MODE_TAKERS.items():
+        with pytest.raises(ValueError, match=rf"^{message}, got {modes}$"):
+            call(modes)
+            pytest.fail(f"{name} took {modes} modes")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_h_function_argument_must_be_finite(x):
+    # both used to come back as NaN
+    with pytest.raises(ValueError, match=f"^argument must be finite, got {x}$"):
+        b.h_function(x)
 
 
 def test_domain_messages_are_shared():
@@ -338,3 +364,20 @@ def test_domain_messages_are_shared():
     state = b.thermal_state(0.5)
     assert b.tail_bound_closed(state, np.int64(3)) == b.tail_bound_closed(state, 3)
     assert b.cutoff_for_error(state, 0.1, cap=np.int64(40)) == b.cutoff_for_error(state, 0.1)
+    assert b.basis_dimension(np.int64(2), np.int64(3)) == b.basis_dimension(2, 3) == 10
+
+
+# ---------------------------------------------------------------------------
+# the package API: each module's __all__, re-exported as the same objects
+
+
+def test_package_reexports_every_module_all():
+    modules = [b.states, b.spectral, b.tail, b.fock, b.tracedist, b.capacity]
+    stated = set()
+    for module in modules:
+        for name in module.__all__:
+            assert name in b.__all__ and getattr(b, name) is getattr(module, name), name
+        stated.update(module.__all__)
+    # and nothing else but the modules themselves
+    extra = set(b.__all__) - stated - {module.__name__.split(".")[-1] for module in modules}
+    assert extra == set(), extra

@@ -177,7 +177,7 @@ def test_cutoff_inversion_needs_two_checks(monkeypatch):
     calls = []
     check = b.tail._bound_passes
     monkeypatch.setattr(b.tail, "_bound_passes",
-                        lambda *args: calls.append(args[3]) or check(*args))
+                        lambda *args: calls.append(args[1]) or check(*args))
     assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3) == 23
     assert calls and len(calls) <= 2
 
@@ -280,8 +280,7 @@ def _objective_states():
 def _objective_points(state, cutoff):
     """Both ends of the bound's t bracket, points inside it, a t past the
     covariance spectrum (some gap <= 0) and one where x - 1 underflows."""
-    evals = np.linalg.eigvalsh(state.cov)
-    lo, hi = tail._t_bracket(b.mean_photon_number(state), evals, cutoff)
+    lo, hi = tail._t_bracket(tail._spectrum(state), cutoff)
     return [lo, hi, (lo + hi) / 2.0, lo + 1e-3 * (hi - lo), 2.0 * hi + 1.0, 400.0]
 
 
@@ -289,7 +288,7 @@ def _objective_points(state, cutoff):
 def test_objective_bit_equal_to_numpy_scalar_loop(cutoff):
     seen = {"vacuum-tight": 0, "gap <= 0": 0, "s underflows": 0}
     for state in _objective_states():
-        evals, mean_rot = tail._spectral_data(state)
+        _, evals, mean_rot = tail._spectrum(state)
         fast = tail._make_objective(evals, mean_rot, cutoff)
         slow = numpy_scalar_objective(evals, mean_rot, cutoff)
         for t in _objective_points(state, cutoff):
@@ -367,14 +366,12 @@ def _check_against_public_bound(monkeypatch, states, cutoffs) -> tuple[int, int]
     monkeypatch.setattr(tail, "_make_objective", counted)
     checks = early = 0
     for state in states:
-        photons = b.mean_photon_number(state)
-        evals, mean_rot = tail._spectral_data(state)
+        spec = tail._spectrum(state)
         for cutoff in cutoffs:
             bound = b.trace_distance_truncation_bound(state, cutoff).bound
             for eps in _edges(bound):
                 evaluations.clear()
-                got = tail._bound_passes(photons, evals, mean_rot, cutoff, eps,
-                                         2.0 * math.log(eps))
+                got = tail._bound_passes(spec, cutoff, eps)
                 assert got == (bound <= eps), (state, cutoff, eps, bound)
                 checks += 1
                 early += len(evaluations) < tail._GOLDEN_ITERS + 2
