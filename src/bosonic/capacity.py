@@ -14,19 +14,23 @@ The closed-form lower bounds come in four families, listed once in
 ``BOUND_FAMILIES``: "improved" (pure loss, no sqrt(n) term), "aep" (loss
 and amplifier), and the energy-constrained "ec-aep" (loss and amplifier)
 and "ec-variance" (pure loss), which need a mean photon number.  Each
-entry records the channels it covers, whether it needs photons, whether
-it carries the AEP blocklength threshold n >= 2 log2(2/eps^2), and its
-(a, b, c).  ``BoundFamily.evaluate`` turns an entry into a
-``CapacityBound``; the named bound functions, ``best_lower_bound``,
-``channel_uses_sufficient`` and the CLI all read the table.  The weak
-converse has the same shape with b = 0 (``converse_coeffs``).
+entry records the channels it covers, whether it needs photons, whether it
+is an AEP family, and its eps-free rate (a, spread).  eps enters only in
+``BoundFamily.eps_terms``, which turns the spread into (b, c, n_min) by the
+AEP rule or the entropy-variance rule.  ``BoundFamily.evaluate`` turns an
+entry into a ``CapacityBound``; the named bound functions,
+``best_lower_bound``, ``channel_uses_sufficient`` and the CLI all read the
+table.  The weak converse has the same shape with b = 0
+(``converse_coeffs``).  The energy-constrained rates refuse an input that
+puts more than 1e100 photons in an output mode, where float64 overflows.
 
 (a, b, c) do not depend on n.  ``bound_value`` is the one place a value
 is summed from them and ``first_max`` the one tie rule of
 ``best_lower_bound``.  Both take arrays as well as scalars, so the CLI sweep
-computes each family's coefficients once per (method, task, channel
-parameter, Ns, eps) and evaluates the whole grid of n and families in a few
-float64 array operations, to the same bits as the per-call functions.
+computes each family's rate once per (method, task, channel parameter, Ns)
+and its eps terms once per eps, and evaluates the whole grid of n and
+families in a few float64 array operations, to the same bits as the
+per-call functions.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .tail import smallest_passing
 __all__ = [
     "BOUND_FAMILIES",
     "BoundFamily",
+    "CONVERSE_TASKS",
     "CapacityBound",
     "TASKS",
     "aep_lower_bound_amplifier",
@@ -88,6 +93,8 @@ __all__ = [
 ]
 
 TASKS = ("Q", "Q2", "K")
+#: the tasks the weak converse covers
+CONVERSE_TASKS = ("Q2", "K")
 
 _PURITY_TOL = 1e-6
 
@@ -155,6 +162,17 @@ def _channel_params(channel: Channel) -> dict:
     return {"g": channel.gain}
 
 
+def _check_scale(method: str, channel: Channel, photons: float) -> None:
+    """``ValueError`` naming ``method``, the channel parameter and ``photons``
+    if the fullest output mode, with Ns photons on the loss channel and
+    g (Ns + 1) - 1 on the amplifier, would hold more than 1e100."""
+    fullest = photons if isinstance(channel, PureLoss) else channel.gain * (photons + 1.0) - 1.0
+    if fullest > 1e100:  # the closed forms cube it; 1e100 cubed is still a finite float64
+        (name, value), = _channel_params(channel).items()
+        raise ValueError(f"method {method} cannot evaluate {name} = {value!r} with Ns = "
+                         f"{photons!r}: an output mode would hold more than 1e+100 photons")
+
+
 # ---------------------------------------------------------------------------
 # asymptotic rates
 
@@ -176,9 +194,11 @@ def asymptotic_capacity(channel: Channel, task: str) -> float:
 
 
 def ec_asymptotic(channel: Channel, task: str, photons: float) -> float:
-    """Energy-constrained rate at input mean photon number ``photons``."""
+    """Energy-constrained rate at input mean photon number ``photons``;
+    ``ValueError`` above 1e100 photons in an output mode."""
     _check_task(task)
     ns = check_photons(photons)
+    _check_scale("asymptotic", channel, ns)
     if isinstance(channel, PureLoss):
         lam = channel.transmissivity
         if task == "Q":
@@ -268,30 +288,12 @@ def petz_terms_amplifier(gain: float, photons: float) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# shared constants of the one-shot machinery
-
-
-def _aep_threshold(eps: float) -> float:
-    return 2.0 * math.log2(2.0 / eps**2)
-
-
-def _aep_eps_terms(eps: float, task: str) -> tuple[float, float]:
-    """(sqrt(n) factor, constant) of the AEP bounds; task Q has its own pair."""
-    if task == "Q":
-        return math.sqrt(math.log2(2.0**9 / eps**2)), math.log2(2.0**18 / (3.0 * eps**4))
-    return math.sqrt(math.log2(8.0 / eps)), math.log2(16.0 / eps**2)
+# shared pieces of the one-shot machinery
 
 
 def _aep_coeff(r_first: float, r_second: float) -> float:
-    """4 log2(r1 + r2 + 1), the AEP sqrt(n) coefficient, with r = 2^(H_{1/2}/2)."""
+    """4 log2(r1 + r2 + 1), the AEP spread, with r = 2^(H_{1/2}/2)."""
     return 4.0 * math.log2(r_first + r_second + 1.0)
-
-
-def _improved_const(eps: float, task: str) -> float:
-    if task == "Q":
-        return math.log2(2.0**23 * (32.0 - eps) ** 2 / ((16.0 - eps) * eps**6))
-    se = math.sqrt(eps)
-    return math.log2(2.0**6 * 3.0 * (4.0 - se) ** 2 / ((2.0 - se) * eps**3))
 
 
 def _upper_const(eps: float) -> float:
@@ -307,7 +309,8 @@ def bound_value(a, b, c, n) -> tuple[np.ndarray, np.ndarray]:
     operation each with IEEE sqrt, so every entry has the bits of the scalar
     expression.  A NaN sum is only reachable at the lambda = 1 / g = 1
     boundary, where the linear term and the sqrt(n) coefficient both
-    diverge: it reads +inf, and the flag is set.
+    diverge (the rates refuse the huge inputs that could overflow to NaN
+    elsewhere): it reads +inf, and the flag is set.
     """
     n = np.asarray(n, dtype=float)
     # silent, as Python floats are: an overflow reads inf, inf - inf NaN
@@ -324,48 +327,27 @@ def first_max(values) -> np.ndarray:
     return np.argmax(values, axis=-1)
 
 
-def _assemble(
-    *,
-    a: float,
-    b: float,
-    c: float,
-    n: int,
-    eps: float,
-    task: str,
-    method: str,
-    params: dict,
-    preconditions_met: bool = True,
-    note: str = "",
-) -> CapacityBound:
+def _assemble(*, a: float, b: float, c: float, n_min: float, n: int, eps: float, task: str,
+              method: str, params: dict) -> CapacityBound:
+    """The lower bound at ``n``; below ``n_min`` it is flagged and noted."""
+    met = n >= n_min
+    note = "" if met else f"needs n >= {n_min:.2f}"
     value, boundary = bound_value(a, b, c, n)
     if boundary:
         note = (note + "; " if note else "") + "boundary: capacity is infinite"
-    return CapacityBound(
-        value=float(value),
-        direction="lower",
-        task=task,
-        method=method,
-        n=n,
-        eps=eps,
-        params=params,
-        breakdown={
-            "linear": a * n,
-            "sqrt": -b * math.sqrt(n),
-            "constant": -c,
-            "per_use": a,
-            "sqrt_coefficient": b,
-        },
-        preconditions_met=preconditions_met,
-        note=note,
-    )
+    breakdown = {"linear": a * n, "sqrt": -b * math.sqrt(n), "constant": -c,
+                 "per_use": a, "sqrt_coefficient": b}
+    return CapacityBound(value=float(value), direction="lower", task=task, method=method, n=n,
+                         eps=eps, params=params, breakdown=breakdown,
+                         preconditions_met=met, note=note)
 
 
 # ---------------------------------------------------------------------------
-# coefficients (a, b, c) per bound family, all called as
-# coeffs(channel, photons, eps, task)
+# eps-free rates (a, spread) per bound family, all called as
+# rate(channel, photons, task)
 
 
-def _coeffs_aep(channel: Channel, photons, eps: float, task: str):
+def _rate_aep(channel: Channel, photons, task: str):
     if isinstance(channel, PureLoss):
         lam = channel.transmissivity
         mu = 1.0 - lam
@@ -381,15 +363,14 @@ def _coeffs_aep(channel: Channel, photons, eps: float, task: str):
         gm = g - 1.0
         a = math.inf if gm == 0.0 else math.log2(g / gm)
         r = (math.sqrt(gm / g), math.inf if gm == 0.0 else math.sqrt(g / gm))
-    sqrt_log, const = _aep_eps_terms(eps, task)
-    return a, _aep_coeff(*r) * sqrt_log, const
+    return a, _aep_coeff(*r)
 
 
-def _coeffs_improved(channel: Channel, photons, eps: float, task: str):
-    return asymptotic_capacity(channel, task), 0.0, _improved_const(eps, task)
+def _rate_improved(channel: Channel, photons, task: str):
+    return asymptotic_capacity(channel, task), 0.0
 
 
-def _coeffs_ec_aep(channel: Channel, photons: float, eps: float, task: str):
+def _rate_ec_aep(channel: Channel, photons: float, task: str):
     a = ec_asymptotic(channel, task, photons)
     if isinstance(channel, PureLoss):
         terms = petz_terms_pure_loss(channel.transmissivity, photons)
@@ -397,21 +378,14 @@ def _coeffs_ec_aep(channel: Channel, photons: float, eps: float, task: str):
     else:
         terms = petz_terms_amplifier(channel.gain, photons)
         pair = ("A|B", "A|E")
-    sqrt_log, const = _aep_eps_terms(eps, task)
-    return a, _aep_coeff(*(2.0 ** (terms[h] / 2.0) for h in pair)) * sqrt_log, const
+    return a, _aep_coeff(*(2.0 ** (terms[h] / 2.0) for h in pair))
 
 
-def _coeffs_ec_variance(channel: Channel, photons: float, eps: float, task: str):
+def _rate_ec_variance(channel: Channel, photons: float, task: str):
     lam = channel.transmissivity
-    if task == "Q":
-        a = h_function(lam * photons) - h_function((1.0 - lam) * photons)
-        var = entropy_variance_pure_loss(lam, photons, "A|E")
-        b = 4.0 * math.sqrt(var / eps)
-    else:
-        a = h_function(photons) - h_function((1.0 - lam) * photons)
-        var = entropy_variance_pure_loss(lam, photons, "B|E")
-        b = math.sqrt(2.0 * var / math.sqrt(eps))
-    return a, b, _improved_const(eps, task)
+    first, cut = (lam * photons, "A|E") if task == "Q" else (photons, "B|E")
+    return (h_function(first) - h_function((1.0 - lam) * photons),
+            entropy_variance_pure_loss(lam, photons, cut))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +396,11 @@ def _coeffs_ec_variance(channel: Channel, photons: float, eps: float, task: str)
 class BoundFamily:
     """One lower-bound family ``a n - b sqrt(n) - c`` and where it applies.
 
-    ``noun`` names the bound in error messages.  ``coeffs(channel, photons,
-    eps, task)`` returns (a, b, c).  A family with ``aep_threshold`` is
-    proven for n >= 2 log2(2/eps^2) only: below that it is reported with
+    ``noun`` names the bound in error messages.  ``formula(channel, photons,
+    task)`` returns the eps-free (a, spread); ``rate`` calls it after the
+    task and photon checks, and ``eps_terms`` turns the spread into (b, c,
+    n_min) at one eps.  An AEP family (``aep_threshold``) is proven for
+    n >= 2 log2(2/eps^2) only: below that it is reported with
     ``preconditions_met`` false, and its inversion starts there.
     """
 
@@ -433,7 +409,7 @@ class BoundFamily:
     channels: tuple[type, ...]
     needs_photons: bool
     aep_threshold: bool
-    coeffs: Callable[..., tuple[float, float, float]]
+    formula: Callable[..., tuple[float, float]]
 
     def covers(self, kind: type) -> bool:
         """Whether the family applies to channels of type ``kind``."""
@@ -448,18 +424,39 @@ class BoundFamily:
         if self.needs_photons and photons is None:
             raise ValueError(f"method {self.method} needs --ns")
 
-    def checked_coeffs(
-        self, channel: Channel, eps: float, task: str, photons: float | None = None
-    ) -> tuple[float, float, float, float]:
-        """(a, b, c, n_min) at (eps, task), after the eps, task and photon
-        checks of ``evaluate``; ``n_min`` is the AEP threshold, or 0.0 for a
-        family proven at every n.  Call ``check_applies`` first."""
-        eps = check_eps(eps)
+    def rate(self, channel: Channel, task: str,
+             photons: float | None = None) -> tuple[float, float]:
+        """The eps-free (a, spread) at ``task``, after the task, photon and
+        photon-scale checks of ``evaluate``.  Call ``check_applies`` first."""
         _check_task(task)
         if self.needs_photons:
             photons = check_photons(photons)
-        a, b, c = self.coeffs(channel, photons, eps, task)
-        return a, b, c, (_aep_threshold(eps) if self.aep_threshold else 0.0)
+            _check_scale(self.method, channel, photons)
+        return self.formula(channel, photons, task)
+
+    def eps_terms(self, spread: float, eps: float, task: str) -> tuple[float, float, float]:
+        """(b, c, n_min) at an eps that passed ``check_eps``: the one home of
+        the lower bounds' eps formulas, with task Q's own under each rule.
+
+        An AEP family scales its spread by the AEP factor, and n_min is
+        2 log2(2/eps^2).  The others read it as the entropy variance V
+        ("improved" has V = 0.0, so b = 0.0), and n_min is 0.0.
+        """
+        if self.aep_threshold:
+            if task == "Q":
+                sqrt_log = math.sqrt(math.log2(2.0**9 / eps**2))
+                const = math.log2(2.0**18 / (3.0 * eps**4))
+            else:
+                sqrt_log, const = math.sqrt(math.log2(8.0 / eps)), math.log2(16.0 / eps**2)
+            return spread * sqrt_log, const, 2.0 * math.log2(2.0 / eps**2)
+        if task == "Q":
+            b = 4.0 * math.sqrt(spread / eps)
+            const = math.log2(2.0**23 * (32.0 - eps) ** 2 / ((16.0 - eps) * eps**6))
+        else:
+            se = math.sqrt(eps)
+            b = math.sqrt(2.0 * spread / se)
+            const = math.log2(2.0**6 * 3.0 * (4.0 - se) ** 2 / ((2.0 - se) * eps**3))
+        return b, const, 0.0
 
     def evaluate(
         self, channel: Channel, n: int, eps: float, task: str, photons: float | None = None
@@ -471,15 +468,12 @@ class BoundFamily:
         """
         self.check_applies(channel, photons)
         n = check_n(n)
-        a, b, c, n_min = self.checked_coeffs(channel, eps, task, photons)
-        params = _channel_params(channel)
-        if self.needs_photons:
-            params = params | {"Ns": float(photons)}
-        met = n >= n_min
-        return _assemble(
-            a=a, b=b, c=c, n=n, eps=float(eps), task=task, method=self.method, params=params,
-            preconditions_met=met, note="" if met else f"needs n >= {n_min:.2f}",
-        )
+        eps = check_eps(eps)
+        a, spread = self.rate(channel, task, photons)
+        b, c, n_min = self.eps_terms(spread, eps, task)
+        params = _channel_params(channel) | ({"Ns": float(photons)} if self.needs_photons else {})
+        return _assemble(a=a, b=b, c=c, n_min=n_min, n=n, eps=float(eps), task=task,
+                         method=self.method, params=params)
 
 
 #: every lower-bound family by method name; ``best_lower_bound`` breaks ties
@@ -488,13 +482,13 @@ BOUND_FAMILIES: dict[str, BoundFamily] = {
     family.method: family
     for family in (
         BoundFamily("improved", "improved", (PureLoss,),
-                    needs_photons=False, aep_threshold=False, coeffs=_coeffs_improved),
+                    needs_photons=False, aep_threshold=False, formula=_rate_improved),
         BoundFamily("aep", "AEP", (PureLoss, PureAmplifier),
-                    needs_photons=False, aep_threshold=True, coeffs=_coeffs_aep),
+                    needs_photons=False, aep_threshold=True, formula=_rate_aep),
         BoundFamily("ec-aep", "EC-AEP", (PureLoss, PureAmplifier),
-                    needs_photons=True, aep_threshold=True, coeffs=_coeffs_ec_aep),
+                    needs_photons=True, aep_threshold=True, formula=_rate_ec_aep),
         BoundFamily("ec-variance", "variance", (PureLoss,),
-                    needs_photons=True, aep_threshold=False, coeffs=_coeffs_ec_variance),
+                    needs_photons=True, aep_threshold=False, formula=_rate_ec_variance),
     )
 }
 
@@ -547,23 +541,18 @@ def aep_lower_bound_generic(
     b_mode, e_mode = k - 1, k
     rho_ab = reduce_state(psi, a_modes + [b_mode])
     rho_ae = reduce_state(psi, a_modes + [e_mode])
-    ab_a = list(range(k - 1))
 
     params = _channel_params(channel) | {"input_modes": k}
-    met = n >= _aep_threshold(eps)
-    sqrt_log, const = _aep_eps_terms(eps, task)
 
     def line(rate: float, extra: dict, h_pair: dict) -> CapacityBound:
-        coeff = _aep_coeff(*(2.0 ** (h / 2.0) for h in h_pair.values()))
-        return _assemble(
-            a=rate, b=coeff * sqrt_log, c=const, n=n, eps=eps, task=task,
-            method="aep-generic", params=params | extra | h_pair,
-            preconditions_met=met, note="" if met else f"needs n >= {_aep_threshold(eps):.2f}",
-        )
+        spread = _aep_coeff(*(2.0 ** (h / 2.0) for h in h_pair.values()))
+        b, c, n_min = BOUND_FAMILIES["aep"].eps_terms(spread, eps, task)
+        return _assemble(a=rate, b=b, c=c, n_min=n_min, n=n, eps=eps, task=task,
+                         method="aep-generic", params=params | extra | h_pair)
 
-    h_direct = {"H(A|B)": petz_conditional_entropy_half(rho_ab, ab_a),
-                "H(A|E)": petz_conditional_entropy_half(rho_ae, ab_a)}
-    ic_direct = coherent_information(rho_ab, ab_a)
+    h_direct = {"H(A|B)": petz_conditional_entropy_half(rho_ab, a_modes),
+                "H(A|E)": petz_conditional_entropy_half(rho_ae, a_modes)}
+    ic_direct = coherent_information(rho_ab, a_modes)
     if task == "Q":
         return line(ic_direct, {}, h_direct)
 
@@ -606,8 +595,9 @@ def converse_coeffs(
     at every n.
     """
     eps = check_eps(eps)
-    if task not in ("Q2", "K"):
-        raise ValueError(f"the weak-converse bound covers tasks Q2/K, got {task!r}")
+    if task not in CONVERSE_TASKS:
+        raise ValueError(
+            f"the weak-converse bound covers tasks {'/'.join(CONVERSE_TASKS)}, got {task!r}")
     return asymptotic_capacity(channel, "Q2"), 0.0, -_upper_const(eps), 0.0
 
 
@@ -700,7 +690,8 @@ def channel_uses_sufficient(
     for family in BOUND_FAMILIES.values():
         if not family.covers(type(channel)) or family.needs_photons != (photons is not None):
             continue
-        a, b, c, n_min = family.checked_coeffs(channel, eps, task, photons)
+        a, spread = family.rate(channel, task, photons)
+        b, c, n_min = family.eps_terms(spread, eps, task)
         if not a > 0.0:
             continue
         n = invert_sqrt_bound(a, b, c, k, min_n=math.ceil(n_min))

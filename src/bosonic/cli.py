@@ -22,7 +22,6 @@ from . import capacity as cap_mod
 from .fock import CAP_ENV_VAR, DimensionCapError, fock_matrix_elements, fock_to_dict
 from .states import (
     GaussianState,
-    InvalidStateError,
     PureAmplifier,
     PureLoss,
     beam_splitter,
@@ -382,12 +381,14 @@ _FLAG_CELLS = (",false,false", ",false,true", ",true,false", ",true,true")
 
 def _block_coeffs(method, channel, task, ns, eps_list):
     """Per eps the (a, b, c, n_min) of every candidate family, at one
-    (method, task, channel parameter, Ns).  An asymptotic rate r is the one
-    row (0, 0, -r, 0): ``bound_value`` sums 0 n - 0 sqrt(n) + r to r bit for
-    bit, and n_min = 0 leaves every row's preconditions met.
+    (method, task, channel parameter, Ns).  Each family's eps-free rate is
+    computed once here and only its eps terms once per eps.  An asymptotic
+    rate r is the one row (0, 0, -r, 0): ``bound_value`` sums 0 n - 0 sqrt(n)
+    + r to r bit for bit, and n_min = 0 leaves every row's preconditions met.
 
-    The method, task and channel checks run in the order the per-row library
-    calls make them; the n, eps and Ns axes are checked before any block.
+    The method, task, channel and photon checks run in the order the per-row
+    library calls make them; the n, eps and Ns axes are checked before any
+    block.
     """
     _check_method(method)
     if method == "asymptotic":  # a bare rate: reads neither n nor eps
@@ -399,7 +400,8 @@ def _block_coeffs(method, channel, task, ns, eps_list):
     else:
         families = [cap_mod.BOUND_FAMILIES[method]]
         families[0].check_applies(channel, ns)
-    return [[family.checked_coeffs(channel, eps, task, ns) for family in families]
+    rates = [(family, *family.rate(channel, task, ns)) for family in families]
+    return [[(a, *family.eps_terms(spread, eps, task)) for family, a, spread in rates]
             for eps in eps_list]
 
 
@@ -435,8 +437,8 @@ def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> lis
             continue  # a family skips the channel it does not cover
         direction = {"asymptotic": "exact", "upper": "upper"}.get(method, "lower")
         for task in tasks:
-            if method == "upper" and task == "Q":
-                continue  # the converse covers Q2/K only
+            if method == "upper" and task in cap_mod.TASKS and task not in cap_mod.CONVERSE_TASKS:
+                continue  # a task the converse does not cover; an unknown one is refused
             blocks = []
             for i, param in enumerate(params):
                 if i not in channels:
@@ -475,11 +477,11 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
     """Evaluate bounds over a parameter grid and write CSV.
 
     Row order follows the nested loops (method, task, channel parameter,
-    Ns, n, eps).  Each family's coefficients are computed once per
-    (method, task, channel parameter, Ns, eps); the grid of one (method,
-    task) is then evaluated as arrays, each value digit for digit the one
-    ``bosonic capacity`` reports.  The file is written only after every row
-    is computed.
+    Ns, n, eps).  Each family's eps-free rate is computed once per (method,
+    task, channel parameter, Ns) and its eps terms once per eps; the grid of
+    one (method, task) is then evaluated as arrays, each value digit for
+    digit the one ``bosonic capacity`` reports.  The file is written only
+    after every row is computed.
     """
 
     def body():

@@ -114,14 +114,18 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def h_function(x: float) -> float:
     """Bosonic entropy function ``(x+1) log2(x+1) - x log2(x)`` with h(0) = 0;
-    ``ValueError`` for a negative or non-finite ``x``."""
+    ``ValueError`` for a negative or non-finite ``x``.  From x = 100 on, where
+    the two terms cancel, it is evaluated as ``log2(x+1) + x log1p(1/x) / ln 2``,
+    accurate to a few ulps up to the largest float."""
     if x < 0:
         raise ValueError(f"argument must be >= 0, got {x}")
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
     if x == 0.0:
         return 0.0
-    return float((x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))
+    if x < 100.0:  # the direct form keeps the digits pinned results rest on
+        return float((x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))
+    return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
 
 
 def von_neumann_entropy(state: GaussianState) -> float:

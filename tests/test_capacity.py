@@ -390,6 +390,72 @@ def test_converse_has_the_bound_shape():
         b.capacity.converse_coeffs(PureLoss(0.3), 0.05, "Q")
 
 
+def test_each_bound_is_an_eps_free_rate_plus_its_eps_terms():
+    # evaluate = rate (no eps) then eps_terms (no channel), to the bit
+    cases = [(PureLoss(0.7), None), (PureLoss(0.7), 1.5), (PureAmplifier(2.5), 1.5),
+             (PureLoss(1.0), 2.0), (PureAmplifier(1.0), None)]
+    for channel, photons in cases:
+        for family in b.best_families(type(channel), photons is not None):
+            for task in b.TASKS:
+                a, spread = family.rate(channel, task, photons)
+                for eps in (1e-4, 0.05, 0.3):
+                    bq, c, n_min = family.eps_terms(spread, eps, task)
+                    for n in (5, 2000):
+                        got = family.evaluate(channel, n, eps, task, photons)
+                        want = b.capacity.bound_value(a, bq, c, n)[0]
+                        assert got.breakdown["per_use"] == a
+                        assert got.breakdown["sqrt_coefficient"] == bq
+                        assert got.breakdown["constant"] == -c
+                        assert got.value == want
+                        assert got.preconditions_met == (n >= n_min)
+    # improved is ec-variance's eps rule with a zero spread
+    improved, ec_variance = b.BOUND_FAMILIES["improved"], b.BOUND_FAMILIES["ec-variance"]
+    for task in b.TASKS:
+        assert improved.rate(PureLoss(0.7), task)[1] == 0.0
+        _, c, n_min = ec_variance.eps_terms(0.0, 0.05, task)
+        assert improved.eps_terms(0.0, 0.05, task) == (0.0, c, n_min)
+
+
+_HUGE_INPUTS = [
+    (lambda: b.ec_variance_lower_bound(0.5, 1e200, 100, 0.1, "Q2"),
+     "method ec-variance cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+    (lambda: b.ec_variance_lower_bound(0.5, 1e308, 100, 0.1, "Q"),
+     "method ec-variance cannot evaluate lambda = 0.5 with Ns = 1e+308"),
+    (lambda: b.ec_aep_lower_bound(PureLoss(0.5), 1e200, 100, 0.1, "Q2"),
+     "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+    (lambda: b.ec_aep_lower_bound(PureAmplifier(1e200), 10.0, 100, 0.1, "Q2"),
+     "method ec-aep cannot evaluate g = 1e+200 with Ns = 10.0"),
+    (lambda: b.ec_asymptotic(PureAmplifier(1e308), "Q2", 10.0),
+     "method asymptotic cannot evaluate g = 1e+308 with Ns = 10.0"),
+    (lambda: b.channel_uses_sufficient(PureLoss(0.5), 100.0, 0.1, "Q2", photons=1e200),
+     "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+    (lambda: b.best_lower_bound(PureAmplifier(2.0), 100, 0.1, "K", photons=1e200),
+     "method ec-aep cannot evaluate g = 2.0 with Ns = 1e+200"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,message", _HUGE_INPUTS)
+def test_huge_photon_numbers_and_gains_are_refused(call, message):
+    # these printed an Infinity lower bound, raised OverflowError or named
+    # neither input ("argument must be finite, got inf")
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{message}: an output mode would hold more than 1e+100 photons"
+
+
+@pytest.mark.filterwarnings("error")
+def test_photon_limit_is_inclusive_and_large_rates_are_accurate():
+    # 1e100 photons in the fullest output mode is still evaluated, and finite
+    for channel, photons in ((PureLoss(0.5), 1e100), (PureAmplifier(2.0), 4.9e99)):
+        for family in b.best_families(type(channel), photons_given=True):
+            for task in b.TASKS:
+                assert math.isfinite(family.evaluate(channel, 100, 0.1, task, photons).value)
+    # h no longer cancels: this read -4.0 where the rate is about 1 bit
+    assert b.ec_asymptotic(PureLoss(0.5), "Q2", 1e15) == pytest.approx(1.0, rel=1e-12)
+    assert b.ec_asymptotic(PureLoss(0.75), "K", 1e100) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_capacity_bound_record():
     res = b.improved_lower_bound_pure_loss(0.5, 100, 0.1, "Q2")
     d = res.to_dict()

@@ -447,6 +447,10 @@ _INVALID_GRIDS = [
                  id="lam-range-inf"),
     pytest.param(("--n", "1:inf:2"), "range endpoints must be finite, got 'inf' in '1:inf:2'",
                  id="n-range-inf"),
+    # a photon number the closed forms would overflow on
+    pytest.param(("--methods", "best", "--ns", "1e200"),
+                 "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200: "
+                 "an output mode would hold more than 1e+100 photons", id="ns-huge"),
 ]
 
 
@@ -535,6 +539,63 @@ def test_non_finite_inputs_exit_two(args, message):
     assert res.exit_code == 2
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
+
+
+_EC = ("--n", "100", "--eps", "0.1")
+_TOO_MANY = "an output mode would hold more than 1e+100 photons"
+
+
+@pytest.mark.parametrize("args,message", [
+    (("capacity", *_LOSS, "--method", "ec-variance", *_EC, "--ns", "1e200"),
+     "method ec-variance cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+    (("capacity", *_LOSS, "--method", "ec-variance", *_EC, "--ns", "1e308"),
+     "method ec-variance cannot evaluate lambda = 0.5 with Ns = 1e+308"),
+    (("capacity", *_LOSS, "--method", "ec-aep", *_EC, "--ns", "1e200"),
+     "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+    (("capacity", *_AMP, "--g", "1e200", "--method", "ec-aep", *_EC, "--ns", "10"),
+     "method ec-aep cannot evaluate g = 1e+200 with Ns = 10.0"),
+    (("capacity", *_AMP, "--g", "1e308", "--method", "asymptotic", "--ns", "10"),
+     "method asymptotic cannot evaluate g = 1e+308 with Ns = 10.0"),
+    (("complexity", *_LOSS, "--k", "100", "--eps", "0.1", "--ns", "1e200"),
+     "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+])
+def test_huge_inputs_exit_two(args, message):
+    # these printed an Infinity lower bound with a NaN breakdown, an
+    # OverflowError traceback, or "argument must be finite, got inf"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _char_runner().invoke(main, list(args))
+    assert [str(w.message) for w in caught] == []
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}: {_TOO_MANY}\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("kind,params,counted", [
+    ("loss", "0.3:0.8:2", ("entropy_variance_pure_loss", "petz_terms_pure_loss")),
+    ("amp", "1.5:3:2", ("petz_terms_amplifier",)),
+])
+def test_sweep_computes_each_rate_once_per_grid_point(tmp_path, monkeypatch, kind, params,
+                                                       counted):
+    # the eps-free part of ec-variance and ec-aep runs once per (channel
+    # parameter, Ns, task), not once per eps as well
+    calls = {name: 0 for name in counted}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(bosonic.capacity, name, counting(name, getattr(bosonic.capacity, name)))
+    flag = "--lam" if kind == "loss" else "--g"
+    res = _char_runner().invoke(main, [
+        "sweep", "--channel", kind, "--methods", "ec-variance,ec-aep", "--tasks", "Q,K",
+        flag, params, "--ns", "0.5:2:2", "--n", "10:1000:3:log", "--eps", "0.01:0.2:3",
+        "--out", str(tmp_path / "sweep.csv")])
+    assert res.exit_code == 0, res.stderr
+    assert calls == {name: 2 * 2 * 2 for name in counted}  # parameters x Ns x tasks
 
 
 def test_float_format_seventeen_digits(runner):

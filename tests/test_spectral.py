@@ -1,5 +1,6 @@
 """Williamson machinery, entropies, Petz conditional entropy, overlaps."""
 
+import decimal
 import math
 
 import numpy as np
@@ -13,6 +14,27 @@ def test_h_function_values():
     assert b.h_function(0.0) == 0.0
     assert b.h_function(1.0) == pytest.approx(2.0, abs=1e-15)
     assert b.h_function(3.0) == pytest.approx(8.0 - 3.0 * math.log2(3.0), abs=1e-14)
+
+
+def _h_oracle(x: float) -> float:
+    # the defining expression in decimal, with enough digits that (x+1) is
+    # exact and the cancellation of the two terms costs nothing
+    with decimal.localcontext() as ctx:
+        ctx.prec = 340
+        d, one = decimal.Decimal(x), decimal.Decimal(1)
+        return float(((d + one) * (d + one).ln() - d * d.ln()) / decimal.Decimal(2).ln())
+
+
+def test_h_function_matches_a_decimal_oracle_up_to_1e300():
+    # the direct form cancelled: 6% off at 1e15, 0.0 at 1e16 (true value 54.6)
+    for x in np.geomspace(1e-2, 1e300, 303).tolist() + [99.99, 100.0, 1e15, 1e16]:
+        assert b.h_function(x) == pytest.approx(_h_oracle(x), rel=2.5e-14, abs=0.0), x
+
+
+def test_h_function_keeps_the_direct_form_below_100():
+    # every pinned result evaluates h below 100, so its digits must not move
+    for x in np.geomspace(1e-3, 99.999, 500).tolist():
+        assert b.h_function(x) == float((x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))
 
 
 def test_williamson_reconstruction():
