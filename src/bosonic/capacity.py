@@ -21,15 +21,17 @@ AEP rule or the entropy-variance rule.  ``BoundFamily.evaluate`` turns an
 entry into a ``CapacityBound``; the named bound functions,
 ``best_lower_bound``, ``channel_uses_sufficient`` and the CLI all read the
 table.  The weak converse has the same shape with b = 0
-(``converse_coeffs``).  The energy-constrained rates refuse an input that
-puts more than 1e100 photons in an output mode, where float64 overflows.
+(``converse_coeffs``).  The energy-constrained rates and the Petz terms
+refuse an input that puts more than 1e100 photons in an output mode, where
+float64 overflows (``states._check_scale``).
 
 (a, b, c) do not depend on n.  ``bound_value`` is the one place a value
 is summed from them and ``first_max`` the one tie rule of
 ``best_lower_bound``.  Both take arrays as well as scalars, so the CLI sweep
-computes each family's rate once per (method, task, channel parameter, Ns)
-and its eps terms once per eps, and evaluates the whole grid of n and
-families in a few float64 array operations, to the same bits as the
+computes each family's rate once per (method, task, channel parameter, Ns),
+or once per (method, task, channel parameter) for a family that does not
+read Ns, and its eps terms once per eps, and evaluates the whole grid of n
+and families in a few float64 array operations, to the same bits as the
 per-call functions.
 """
 
@@ -53,6 +55,7 @@ from .states import (
     GaussianState,
     PureAmplifier,
     PureLoss,
+    _check_scale,
     check_eps,
     check_gain,
     check_photons,
@@ -162,17 +165,6 @@ def _channel_params(channel: Channel) -> dict:
     return {"g": channel.gain}
 
 
-def _check_scale(method: str, channel: Channel, photons: float) -> None:
-    """``ValueError`` naming ``method``, the channel parameter and ``photons``
-    if the fullest output mode, with Ns photons on the loss channel and
-    g (Ns + 1) - 1 on the amplifier, would hold more than 1e100."""
-    fullest = photons if isinstance(channel, PureLoss) else channel.gain * (photons + 1.0) - 1.0
-    if fullest > 1e100:  # the closed forms cube it; 1e100 cubed is still a finite float64
-        (name, value), = _channel_params(channel).items()
-        raise ValueError(f"method {method} cannot evaluate {name} = {value!r} with Ns = "
-                         f"{photons!r}: an output mode would hold more than 1e+100 photons")
-
-
 # ---------------------------------------------------------------------------
 # asymptotic rates
 
@@ -198,7 +190,7 @@ def ec_asymptotic(channel: Channel, task: str, photons: float) -> float:
     ``ValueError`` above 1e100 photons in an output mode."""
     _check_task(task)
     ns = check_photons(photons)
-    _check_scale("asymptotic", channel, ns)
+    _check_scale("method asymptotic", channel, ns)
     if isinstance(channel, PureLoss):
         lam = channel.transmissivity
         if task == "Q":
@@ -218,10 +210,12 @@ def petz_terms_pure_loss(transmissivity: float, photons: float) -> dict[str, flo
     """H_{1/2} terms of the pure-loss tripartite state for a TMSV input.
 
     Returns the four conditional entropies {"A|B", "A|E", "B|A", "B|E"}
-    in bits, via closed forms in (lambda, N_s).
+    in bits, via closed forms in (lambda, N_s); ``ValueError`` above 1e100
+    input photons.
     """
     lam = check_transmissivity(transmissivity)
     ns = check_photons(photons)
+    _check_scale("petz_terms_pure_loss", PureLoss(lam), ns)
     mu = 1.0 - lam
 
     s_lam = math.sqrt(lam * ns * (1.0 + lam * ns))
@@ -269,9 +263,11 @@ def _petz_half_rank_one(alpha: float, beta: float, gamma: float,
 
 
 def petz_terms_amplifier(gain: float, photons: float) -> dict[str, float]:
-    """H_{1/2} terms {"A|B", "A|E"} of the amplifier tripartite state, in bits."""
+    """H_{1/2} terms {"A|B", "A|E"} of the amplifier tripartite state, in bits;
+    ``ValueError`` above 1e100 photons in an output mode, g (Ns + 1) - 1."""
     g = check_gain(float(gain))
     ns = check_photons(photons)
+    _check_scale("petz_terms_amplifier", PureAmplifier(g), ns)
 
     alpha = 2.0 * ns + 1.0
     nu_b = 2.0 * g * (ns + 1.0) - 1.0       # variance of the amplified arm
@@ -431,7 +427,7 @@ class BoundFamily:
         _check_task(task)
         if self.needs_photons:
             photons = check_photons(photons)
-            _check_scale(self.method, channel, photons)
+            _check_scale(f"method {self.method}", channel, photons)
         return self.formula(channel, photons, task)
 
     def eps_terms(self, spread: float, eps: float, task: str) -> tuple[float, float, float]:

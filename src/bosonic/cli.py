@@ -9,7 +9,6 @@ runs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -19,7 +18,6 @@ import click
 import numpy as np
 
 from . import capacity as cap_mod
-from .fock import CAP_ENV_VAR, DimensionCapError, fock_matrix_elements, fock_to_dict
 from .states import (
     GaussianState,
     PureAmplifier,
@@ -42,7 +40,6 @@ from .tail import (
     tail_bound_closed,
     tail_bound_optimized,
 )
-from .tracedist import gaussian_trace_distance
 
 # ---------------------------------------------------------------------------
 # deterministic JSON with 17-significant-digit floats
@@ -86,14 +83,16 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _guarded(body):
+def _guarded(body, caps: tuple[type[Exception], ...] = (), memory_hint: str = ""):
+    """Run ``body`` and map its errors to the exit codes.  ``caps`` are the
+    command's resource caps besides the cutoff cap, and ``memory_hint``
+    follows the out-of-memory message."""
     try:
         return body()
-    except (DimensionCapError, CutoffCapError) as exc:
+    except (CutoffCapError, *caps) as exc:
         _fail(3, str(exc))
     except MemoryError:
-        _fail(3, f"out of memory; a lower {CAP_ENV_VAR} stops a Fock basis before it "
-                 "outgrows memory, or raise eps")
+        _fail(3, "out of memory" + memory_hint)
     except (OSError, json.JSONDecodeError) as exc:
         _fail(1, str(exc))
     except (ValueError, TypeError, RuntimeError) as exc:
@@ -251,6 +250,9 @@ def tail_cmd(path, cutoff, target_eps):
               help="Write the truncated Fock blocks to PREFIX.a.json / PREFIX.b.json.")
 def tracedist_cmd(path_a, path_b, eps, dump_prefix):
     """Certified trace distance between two Gaussian state files."""
+    # the Fock build loads for this command only
+    from .fock import CAP_ENV_VAR, DimensionCapError, fock_matrix_elements, fock_to_dict
+    from .tracedist import gaussian_trace_distance
 
     def body():
         sa = _load_state(path_a)
@@ -273,7 +275,8 @@ def tracedist_cmd(path_a, path_b, eps, dump_prefix):
             }
         )
 
-    _guarded(body)
+    _guarded(body, (DimensionCapError,), f"; a lower {CAP_ENV_VAR} stops a Fock basis before "
+                                         "it outgrows memory, or raise eps")
 
 
 # -------------------------------------------------------------- capacity ---
@@ -375,40 +378,55 @@ def _parse_range(spec_str: str) -> list[float]:
     return [float(v) for v in vals]
 
 
-#: the vacuous and preconditions_met cells of a row, by 2 * vacuous + met
-_FLAG_CELLS = (",false,false", ",false,true", ",true,false", ",true,true")
+#: the vacuous and preconditions_met cells that end a row, by 2 * vacuous + met
+_ROW_ENDS = (",false,false\n", ",false,true\n", ",true,false\n", ",true,true\n")
 
 
-def _block_coeffs(method, channel, task, ns, eps_list):
-    """Per eps the (a, b, c, n_min) of every candidate family, at one
-    (method, task, channel parameter, Ns).  Each family's eps-free rate is
-    computed once here and only its eps terms once per eps.  An asymptotic
-    rate r is the one row (0, 0, -r, 0): ``bound_value`` sums 0 n - 0 sqrt(n)
-    + r to r bit for bit, and n_min = 0 leaves every row's preconditions met.
+def _block_coeffs(method, channel, task, ns_list, eps_list):
+    """Per Ns and eps the (a, b, c, n_min) of every candidate family, at one
+    (method, task, channel parameter).  Each family's eps-free rate is
+    computed once per Ns, and only its eps terms once per eps; a family
+    that does not read Ns (``improved``, ``aep``, the converse) is computed
+    at the first Ns and reused for the rest.  An asymptotic rate r is the
+    one row (0, 0, -r, 0): ``bound_value`` sums 0 n - 0 sqrt(n) + r to r bit
+    for bit, and n_min = 0 leaves every row's preconditions met.
 
     The method, task, channel and photon checks run in the order the per-row
-    library calls make them; the n, eps and Ns axes are checked before any
-    block.
+    library calls make them, so the first error is theirs: a reused family
+    passed the same checks at the first Ns.  The n, eps and Ns axes are
+    checked before any block.
     """
     _check_method(method)
     if method == "asymptotic":  # a bare rate: reads neither n nor eps
-        return [[(0.0, 0.0, -_rate(channel, task, ns), 0.0)]] * len(eps_list)
+        return [[[(0.0, 0.0, -_rate(channel, task, ns), 0.0)]] * len(eps_list)
+                for ns in ns_list]
     if method == "upper":
-        return [[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]
+        return [[[cap_mod.converse_coeffs(channel, eps, task)] for eps in eps_list]] * len(ns_list)
     if method == "best":
-        families = cap_mod.best_families(type(channel), ns is not None)
+        families = cap_mod.best_families(type(channel), ns_list[0] is not None)
     else:
         families = [cap_mod.BOUND_FAMILIES[method]]
-        families[0].check_applies(channel, ns)
-    rates = [(family, *family.rate(channel, task, ns)) for family in families]
-    return [[(a, *family.eps_terms(spread, eps, task)) for family, a, spread in rates]
-            for eps in eps_list]
+        families[0].check_applies(channel, ns_list[0])
+    shared = {}  # by method: the eps terms of a family that does not read Ns
+    blocks = []
+    for ns in ns_list:
+        columns = []
+        for family in families:
+            terms = shared.get(family.method)
+            if terms is None:
+                a, spread = family.rate(channel, task, ns)
+                terms = [(a, *family.eps_terms(spread, eps, task)) for eps in eps_list]
+                if not family.needs_photons:
+                    shared[family.method] = terms
+            columns.append(terms)
+        blocks.append(list(zip(*columns)))  # (eps, family)
+    return blocks
 
 
-def _grid_values(method, blocks, n_list, eps_list) -> tuple[np.ndarray, np.ndarray]:
+def _grid_values(method, blocks, n_list) -> tuple[np.ndarray, np.ndarray]:
     """The values of the rows of one (method, task), shaped (channel
-    parameter, Ns, n, eps), and their ``_FLAG_CELLS`` indices, from the
-    ``_block_coeffs`` of every (channel parameter, Ns).
+    parameter, Ns, n, eps), and their ``_ROW_ENDS`` indices, from the
+    ``_block_coeffs`` of every channel parameter.
 
     Every method's whole grid is one ``bound_value`` call and one ``first_max``
     over the family axis, so every value has the bits of the per-row call.
@@ -422,15 +440,14 @@ def _grid_values(method, blocks, n_list, eps_list) -> tuple[np.ndarray, np.ndarr
     return value, 2 * ((method != "upper") & (value < 0)) + met
 
 
-def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> list[str]:
-    """The CSV rows of a sweep grid, each one string ending in a newline."""
+def _sweep_grids(methods, tasks, kind, params, ns_list, n_list, eps_list):
+    """Every (method, task) grid of a sweep, in row order, as the cells its
+    rows start with, its values shaped (channel parameter, Ns, n, eps) and
+    their ``_ROW_ENDS`` indices; the first invalid input raises before any
+    grid is returned."""
     make_channel = _channel_entry(kind)[1]
     channels = {}  # by position, built at first use as the per-row calls would
-    param_cells = [f"{_fmt_float(p)}," if kind == "loss" else f",{_fmt_float(p)}"
-                   for p in params]
-    ns_cells = ["" if ns is None else _fmt_float(ns) for ns in ns_list]
-    n_eps_cells = [f"{n},{_fmt_float(eps)}," for n in n_list for eps in eps_list]
-    lines = []
+    grids = []
     for method in methods:
         family = cap_mod.BOUND_FAMILIES.get(method)
         if family is not None and not family.covers(make_channel):
@@ -443,15 +460,43 @@ def _sweep_lines(methods, tasks, kind, params, ns_list, n_list, eps_list) -> lis
             for i, param in enumerate(params):
                 if i not in channels:
                     channels[i] = make_channel(param)
-                blocks.append([_block_coeffs(method, channels[i], task, ns, eps_list)
-                               for ns in ns_list])
-            value, flags = _grid_values(method, blocks, n_list, eps_list)
-            heads = [f"{method},{task},{direction},{param_cell},{ns_cell},"
-                     for param_cell in param_cells for ns_cell in ns_cells]
-            lines += [f"{head}{mid}{_fmt_float(v)}{_FLAG_CELLS[k]}\n"
-                      for (head, mid), v, k in zip(itertools.product(heads, n_eps_cells),
-                                                   value.ravel().tolist(), flags.ravel().tolist())]
-    return lines
+                blocks.append(_block_coeffs(method, channels[i], task, ns_list, eps_list))
+            grids.append((f"{method},{task},{direction},", *_grid_values(method, blocks, n_list)))
+    return grids
+
+
+def _fmt_floats(values: np.ndarray) -> np.ndarray:
+    """``_fmt_float`` of every entry of a float64 array, as an object array
+    of the same shape.  Each distinct bit pattern is formatted once, so 0.0
+    and -0.0 keep their own text and every NaN reads NaN."""
+    keys, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    texts = np.array([_fmt_float(x) for x in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(-1)].reshape(values.shape)
+
+
+def _sweep_text(grids, kind, params, ns_list, n_list, eps_list):
+    """The CSV rows of each grid of ``_sweep_grids``, one string per grid.
+
+    A row is joined from four pieces: its (method, task, direction, channel
+    parameter, Ns) cells, its (n, eps) cells, its value and its flag cells.
+    Every value of the sweep is formatted by one ``_fmt_floats``.
+    """
+    param_cells = [f"{_fmt_float(p)}," if kind == "loss" else f",{_fmt_float(p)}"
+                   for p in params]
+    ns_cells = ["" if ns is None else _fmt_float(ns) for ns in ns_list]
+    heads = [f"{param_cell},{ns_cell}," for param_cell in param_cells for ns_cell in ns_cells]
+    mids = np.array([f"{n},{_fmt_float(eps)}," for n in n_list for eps in eps_list], dtype=object)
+    ends = np.array(_ROW_ENDS, dtype=object)
+    texts = _fmt_floats(np.concatenate([np.empty(0), *(value.ravel() for _, value, _ in grids)]))
+    start = 0
+    for prefix, value, flags in grids:
+        pieces = np.empty((len(heads), mids.size, 4), dtype=object)
+        pieces[..., 0] = np.array([prefix + head for head in heads], dtype=object)[:, None]
+        pieces[..., 1] = mids
+        pieces[..., 2] = texts[start:start + value.size].reshape(len(heads), -1)
+        pieces[..., 3] = ends[flags].reshape(len(heads), -1)
+        start += value.size
+        yield "".join(pieces.ravel().tolist())
 
 
 _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,preconditions_met"
@@ -478,10 +523,13 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
 
     Row order follows the nested loops (method, task, channel parameter,
     Ns, n, eps).  Each family's eps-free rate is computed once per (method,
-    task, channel parameter, Ns) and its eps terms once per eps; the grid of
-    one (method, task) is then evaluated as arrays, each value digit for
-    digit the one ``bosonic capacity`` reports.  The file is written only
-    after every row is computed.
+    task, channel parameter, Ns) and its eps terms once per eps; a family
+    that does not read Ns (``improved``, ``aep``, the converse) is computed
+    once per (method, task, channel parameter).  The grid of one (method,
+    task) is then evaluated as arrays, each value digit for digit the one
+    ``bosonic capacity`` reports, and each distinct value is formatted once.
+    Nothing is written until every value is computed; then the rows of each
+    grid are written as one string.
     """
 
     def body():
@@ -518,11 +566,12 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
         out_path = pick(out, "out")
         if out_path is None:
             raise ValueError("sweep needs --out (flag or config)")
-        rows = _sweep_lines(method_list, task_list, kind, params, ns_list, n_list, eps_list)
+        grids = _sweep_grids(method_list, task_list, kind, params, ns_list, n_list, eps_list)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_SWEEP_HEADER + "\n")
-            fh.writelines(rows)
-        click.echo(f"wrote {len(rows)} rows to {out_path}")
+            for text in _sweep_text(grids, kind, params, ns_list, n_list, eps_list):
+                fh.write(text)
+        click.echo(f"wrote {sum(value.size for _, value, _ in grids)} rows to {out_path}")
 
     _guarded(body)
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from .states import (
     GaussianState,
+    PureLoss,
+    _check_scale,
     _embedding_indices,
     check_photons,
     check_transmissivity,
@@ -238,9 +240,14 @@ def entropy_variance_pure_loss(
         V(A|E) or V(B|E).  Boundary values are the analytic limits of the
         closed form: at ``transmissivity = 0`` V(A|E) is the thermal variance
         of the input and V(B|E) = 0; at ``transmissivity = 1`` the roles swap.
+
+    Raises:
+        ValueError: above 1e100 input photons, where the closed form
+            overflows.
     """
     lam = check_transmissivity(transmissivity)
     ns = check_photons(photons)
+    _check_scale("entropy_variance_pure_loss", PureLoss(lam), ns)
     cut = cut.upper()
     if cut in ("A|E", "A|B"):
         direct = True
@@ -278,4 +285,6 @@ def entropy_variance_pure_loss(
     cross = 0.0
     if mu > 0.0:
         cross = 2.0 * mu * ns * (1.0 + ns) * slope(mu * ns) * slope(ns)
-    return t1 + t2 - cross
+    # at mu = 1 (lambda = 0, or below half an ulp of it) the three terms cancel
+    # to the analytic 0 up to rounding, which may leave it a few ulps negative
+    return max(t1 + t2 - cross, 0.0)

@@ -199,6 +199,21 @@ def check_eps(eps: float) -> float:
     return float(eps)
 
 
+def _check_scale(who: str, channel: Channel, photons: float) -> None:
+    """``ValueError`` naming ``who``, the channel parameter and ``photons`` if
+    the fullest output mode of ``channel`` for ``photons`` input photons,
+    Ns on the loss channel and g (Ns + 1) - 1 on the amplifier, would hold
+    more than 1e100: the one home of the rule of every closed form that
+    reads a photon number."""
+    if isinstance(channel, PureLoss):
+        name, value, fullest = "lambda", channel.transmissivity, photons
+    else:
+        name, value, fullest = "g", channel.gain, channel.gain * (photons + 1.0) - 1.0
+    if fullest > 1e100:  # the closed forms cube it; 1e100 cubed is still a finite float64
+        raise ValueError(f"{who} cannot evaluate {name} = {value!r} with Ns = {photons!r}: "
+                         "an output mode would hold more than 1e+100 photons")
+
+
 def check_modes(modes: int) -> int:
     """``modes`` as an int; ``ValueError`` unless it is an integer >= 1
     (``operator.index``: no float, however integral)."""

@@ -431,6 +431,13 @@ _HUGE_INPUTS = [
      "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200"),
     (lambda: b.best_lower_bound(PureAmplifier(2.0), 100, 0.1, "K", photons=1e200),
      "method ec-aep cannot evaluate g = 2.0 with Ns = 1e+200"),
+    # the public closed forms refuse by the same rule, naming themselves
+    (lambda: b.petz_terms_pure_loss(0.5, 1e200),
+     "petz_terms_pure_loss cannot evaluate lambda = 0.5 with Ns = 1e+200"),
+    (lambda: b.petz_terms_amplifier(2.0, 1e200),
+     "petz_terms_amplifier cannot evaluate g = 2.0 with Ns = 1e+200"),
+    (lambda: b.entropy_variance_pure_loss(0.5, 1e200, "B|E"),
+     "entropy_variance_pure_loss cannot evaluate lambda = 0.5 with Ns = 1e+200"),
 ]
 
 
@@ -451,6 +458,10 @@ def test_photon_limit_is_inclusive_and_large_rates_are_accurate():
         for family in b.best_families(type(channel), photons_given=True):
             for task in b.TASKS:
                 assert math.isfinite(family.evaluate(channel, 100, 0.1, task, photons).value)
+    terms = [*b.petz_terms_pure_loss(0.5, 1e100).values(),
+             *b.petz_terms_amplifier(2.0, 4.9e99).values(),
+             *(b.entropy_variance_pure_loss(0.5, 1e100, cut) for cut in ("A|E", "B|E"))]
+    assert all(math.isfinite(term) for term in terms)
     # h no longer cancels: this read -4.0 where the rate is about 1 bit
     assert b.ec_asymptotic(PureLoss(0.5), "Q2", 1e15) == pytest.approx(1.0, rel=1e-12)
     assert b.ec_asymptotic(PureLoss(0.75), "K", 1e100) == pytest.approx(2.0, rel=1e-12)

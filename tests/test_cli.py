@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import collections
 import json
 import math
 import os
@@ -290,6 +291,10 @@ _SWEEP_GRIDS = {
                 "0:1:3", "0.5:2:2"),
     "amp-ns": ("amp", "asymptotic,aep,improved,ec-aep,ec-variance,best,upper",
                "1:3:3", "0.5:2:2"),
+    # Ns-free families reused over many Ns; at lambda = 0, Ns = 10 ec-variance
+    # once raised "math domain error"
+    "loss-many-ns": ("loss", "asymptotic,aep,improved,ec-aep,ec-variance,best,upper",
+                     "0:1:3", "0.1:10:7:log"),
     "loss": ("loss", "asymptotic,aep,improved,best,upper", "0:1:3", None),
     "amp": ("amp", "asymptotic,aep,improved,best,upper", "1:3:3", None),
 }
@@ -451,6 +456,10 @@ _INVALID_GRIDS = [
     pytest.param(("--methods", "best", "--ns", "1e200"),
                  "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200: "
                  "an output mode would hold more than 1e+100 photons", id="ns-huge"),
+    # the same after a valid Ns, whose Ns-free families are reused
+    pytest.param(("--methods", "best", "--ns", "1:1e200:2"),
+                 "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200: "
+                 "an output mode would hold more than 1e+100 photons", id="ns-huge-later"),
 ]
 
 
@@ -598,6 +607,57 @@ def test_sweep_computes_each_rate_once_per_grid_point(tmp_path, monkeypatch, kin
     assert calls == {name: 2 * 2 * 2 for name in counted}  # parameters x Ns x tasks
 
 
+def test_sweep_computes_ns_free_families_once_per_parameter(tmp_path, monkeypatch):
+    # improved, aep and the converse ignore Ns: over 3 Ns each runs once per
+    # (channel parameter, task), the converse once per eps as well
+    rates, calls = collections.Counter(), collections.Counter()
+    family_rate = bosonic.capacity.BoundFamily.rate
+
+    def counted_rate(self, *args, **kwargs):
+        rates[self.method] += 1
+        return family_rate(self, *args, **kwargs)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bosonic.capacity.BoundFamily, "rate", counted_rate)
+    for name in ("asymptotic_capacity", "converse_coeffs"):
+        monkeypatch.setattr(bosonic.capacity, name, counting(name, getattr(bosonic.capacity, name)))
+    res = _char_runner().invoke(main, [
+        "sweep", "--channel", "loss", "--methods", "improved,aep,best,upper", "--tasks", "Q2,K",
+        "--lam", "0.3:0.8:2", "--ns", "0.5:2:3", "--n", "10:1000:3:log", "--eps", "0.01:0.2:3",
+        "--out", str(tmp_path / "sweep.csv")])
+    assert res.exit_code == 0, res.stderr
+    params, ns, tasks, eps = 2, 3, 2, 3
+    # improved and aep alone and inside best; the EC families once per Ns
+    assert rates == {"improved": 2 * params * tasks, "aep": 2 * params * tasks,
+                     "ec-aep": params * ns * tasks, "ec-variance": params * ns * tasks}
+    assert calls["converse_coeffs"] == params * tasks * eps
+    # the rate of improved, and the converse's Q2 rate
+    assert calls["asymptotic_capacity"] == 2 * params * tasks + params * tasks * eps
+
+
+def test_fmt_floats_formats_each_distinct_value_once(monkeypatch):
+    from bosonic import cli
+
+    other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    values = np.array([1.5, 0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, 0.1, -0.0,
+                       5e-324, other_nan, 0.1, math.nan, 0.0, -math.inf, 1e20]).reshape(4, 4)
+    want = [cli._fmt_float(v) for v in values.ravel().tolist()]
+    formatted = []
+    fmt_float = cli._fmt_float
+    monkeypatch.setattr(cli, "_fmt_float", lambda x: formatted.append(x) or fmt_float(x))
+    got = cli._fmt_floats(values)
+    assert got.shape == values.shape
+    assert got.ravel().tolist() == want
+    # one call per distinct bit pattern: the two NaNs differ, 0.0 and -0.0 too
+    assert len(formatted) == 10
+    assert cli._fmt_floats(np.empty(0)).tolist() == []
+
+
 def test_float_format_seventeen_digits(runner):
     res = invoke(runner, "capacity", "--channel", "loss", "--lam", "0.1", "--task", "Q2",
                  "--method", "upper", "--n", "7", "--eps", "0.1")
@@ -643,6 +703,43 @@ def test_runs_without_scipy(tmp_path):
     lines = proc.stdout.splitlines()
     assert json.loads(lines[0])["value"] == pytest.approx(79.44, abs=0.01)
     assert json.loads(lines[1])["estimate"] == 0.0
+
+
+_LAZY_FOCK_SCRIPT = textwrap.dedent("""
+    import sys
+    from bosonic.cli import main
+
+    def loaded():
+        return sorted(m for m in sys.modules if m in ("bosonic.fock", "bosonic.tracedist"))
+
+    assert loaded() == [], loaded()
+    state, out = sys.argv[1], sys.argv[2]
+    for args in (["state", "thermal", "--n", "0.5"], ["state", "validate", state],
+                 ["tail", state, "--m", "5"],
+                 ["capacity", "--channel", "loss", "--lam", "0.5", "--task", "Q2",
+                  "--method", "best", "--n", "100", "--eps", "0.1", "--ns", "1"],
+                 ["complexity", "--channel", "amp", "--g", "2", "--task", "Q2", "--k", "100",
+                  "--eps", "0.1"],
+                 ["sweep", "--channel", "loss", "--methods", "best,upper", "--ns", "1",
+                  "--out", out]):
+        main(args, standalone_mode=False)
+    assert loaded() == [], loaded()
+    main(["tracedist", state, state, "--eps", "1e-3"], standalone_mode=False)
+    assert loaded() == ["bosonic.fock", "bosonic.tracedist"], loaded()
+""")
+
+
+def test_only_tracedist_loads_the_fock_build(tmp_path):
+    vac = write_state(tmp_path, "vac.json", {"modes": 1, "mean": [0.0, 0.0],
+                                             "cov": [[1.0, 0.0], [0.0, 1.0]]})
+    src = os.path.dirname(os.path.dirname(bosonic.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_FOCK_SCRIPT, vac,
+                           str(tmp_path / "sweep.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["estimate"] == 0.0
 
 
 # ------------------------------------------------------ characterization ---

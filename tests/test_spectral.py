@@ -214,3 +214,15 @@ def test_entropy_variance_cut_aliases_and_boundaries():
         b.thermal_entropy_variance(ns), rel=1e-12)
     with pytest.raises(ValueError):
         b.entropy_variance_pure_loss(lam, ns, "E|A")
+
+
+def test_entropy_variance_is_not_negative_at_zero_transmissivity():
+    # at lambda = 0 the three terms of V(B|E) cancel to the analytic 0, and
+    # rounding may leave a few ulps below it, which ec-variance's square root
+    # would refuse (e.g. Ns = 10, task Q2)
+    for ns in np.geomspace(1e-3, 1e3, 121):
+        for lam in (0.0, 1e-17):
+            assert b.entropy_variance_pure_loss(lam, float(ns), "B|E") >= 0.0
+    for task in b.TASKS:
+        assert math.isfinite(b.ec_variance_lower_bound(0.0, 10.0, 100, 0.1, task).value)
+
