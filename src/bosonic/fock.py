@@ -32,7 +32,8 @@ is
 and row 0 runs the same recursion along the ket index with u_{n+j} and the
 ket-ket block of F.  Rows of total k read rows of totals k - 1 and k - 2
 only, so the build runs row 0 and then one photon-number shell at a time,
-each shell's rows in one vectorized step per term.
+each shell's rows in vectorized row steps of at most ``_TILE``^2 entries
+per term (one step for most shells).
 
 Sectors come from exact zeros of the kernel data.  If u is all 0.0 the
 block is a parity block; if the bra-bra and ket-ket blocks of F are all 0.0
@@ -502,6 +503,11 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
         state: the Gaussian state.
         cutoff: maximum total photon number retained.
 
+    The rows of each photon-number shell are computed in row steps of at
+    most ``_TILE``^2 entries per term (a shell that fits one step in one),
+    so the temporaries stay O(``_TILE``^2) whatever the dimension; each
+    entry is the same products summed in the same order either way.
+
     Returns:
         ``FockMatrix`` whose trace equals one minus the photon-number tail,
         storing its sector blocks alone: 16 sum_s d_s^2 bytes.
@@ -565,19 +571,22 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
             yield np.multiply(f_rows[rows, n + i, None], term, out=term)
 
     # the other rows one shell at a time: rows of total k read rows of
-    # totals k - 1 and k - 2 only, and the shell's own rows are still 0.0
+    # totals k - 1 and k - 2 only, and the shell's own rows are still 0.0;
+    # a row reads no other row of its shell, so a shell runs in row steps
+    # of at most _TILE^2 entries per term
     bounds = tables.starts.tolist()
     for k in range(1, cutoff + 1):
-        rows = slice(bounds[k], bounds[k + 1])
         sector, local_rows = layout.rows[k]
-        target = blocks[sector]
-        shell = terms(rows, target, blocks[layout.rows[k - 1][0]], layout.ket_pos[sector],
-                      layout.sqrt_cnt[sector])
-        acc = next(shell)
-        for term in shell:
-            acc += term
-        acc /= div[rows]
-        target[local_rows] = acc
+        target, source = blocks[sector], blocks[layout.rows[k - 1][0]]
+        step, shift = max(1, _TILE**2 // target.shape[1]), local_rows.start - bounds[k]
+        for lo in range(bounds[k], bounds[k + 1], step):
+            rows = slice(lo, min(lo + step, bounds[k + 1]))
+            shell = terms(rows, target, source, layout.ket_pos[sector], layout.sqrt_cnt[sector])
+            acc = next(shell)
+            for term in shell:
+                acc += term
+            acc /= div[rows]
+            target[rows.start + shift:rows.stop + shift] = acc
 
     _symmetrize(data, layout)
     result = _built(data, n, cutoff, kind)
@@ -631,10 +640,21 @@ def sector_blocks(block: FockMatrix, kind: str) -> tuple[np.ndarray, list[np.nda
 
 def truncate_normalize(fock: FockMatrix) -> FockMatrix:
     """Rescale the truncated block to unit trace, keeping its sector: one
-    division of the stored entries."""
+    division of the stored entries into a new block; ``fock`` is left as
+    it is."""
+    return _normalized(fock, in_place=False)
+
+
+def _normalized(fock: FockMatrix, in_place: bool) -> FockMatrix:
+    """``truncate_normalize``, or with ``in_place`` ``fock`` itself divided
+    by its trace, for a caller that owns the block: ``x /= t`` gives the
+    bits of ``x / t``."""
     tr = fock.trace
     if not tr > 0.0:  # a NaN trace fails as well
         raise ValueError(f"cannot normalize trace {tr}")
+    if in_place:
+        np.divide(fock._data, tr, out=fock._data)
+        return fock
     return _built(fock._data / tr, fock.modes, fock.cutoff, fock.sector)
 
 

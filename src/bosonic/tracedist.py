@@ -24,6 +24,18 @@ block) and their difference is taken sector block by sector block, with no
 dim x dim difference, no scan for zeros and no re-symmetrization; a
 Hermitian part of an exactly Hermitian block is the block itself, bit for
 bit.
+
+Memory: ``gaussian_trace_distance`` owns both blocks it builds.  It divides
+each by its trace in place, takes the difference sector block by sector
+block into the first block's buffer (or into the regrouped copy
+``sector_blocks`` makes of it) and drops the second block before the
+eigensolve, whose working copy then reuses the second block's pages.  With
+the build's shell temporaries of O(``fock._TILE``^2) entries, a certified
+distance holds two blocks of 16 sum_s d_s^2 bytes each (two dense
+16 dim^2 blocks on the whole basis), plus the eigensolver's copy of one
+sector block.  ``finite_trace_distance`` takes the difference into new
+arrays and leaves its arguments as they are; both go through one
+eigensolve route.
 """
 
 from __future__ import annotations
@@ -38,13 +50,13 @@ from .fock import (
     TRACE_TOL,
     FockMatrix,
     FockTraceError,
+    _normalized,
     basis_dimension,
     fock_matrix_elements,
     sector_blocks,
-    truncate_normalize,
 )
 from .states import GaussianState, check_eps
-from .tail import TAIL_FLOOR, cutoff_for_error, trace_distance_truncation_bound
+from .tail import TAIL_FLOOR, _cutoff, _spectrum, _truncation
 
 __all__ = [
     "TraceDistanceResult",
@@ -99,15 +111,21 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
     """
     kind = _shared_sector(a, b)
     (alone_a, blocks_a), (alone_b, blocks_b) = sector_blocks(a, kind), sector_blocks(b, kind)
-    eigs = [(alone_a - alone_b).real]
-    eigs += [np.linalg.eigvalsh(x - y) for x, y in zip(blocks_a, blocks_b)]
+    return _half_trace_norm(alone_a - alone_b, (x - y for x, y in zip(blocks_a, blocks_b)))
+
+
+def _half_trace_norm(alone: np.ndarray, blocks) -> float:
+    """(1/2) sum |eig| of a difference split by sector: the diagonal entries
+    ``alone`` of its sectors of one index, and its larger sector blocks,
+    which ``blocks`` yields one at a time."""
+    eigs = [alone.real] + [np.linalg.eigvalsh(diff) for diff in blocks]
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
 
 
 def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMatrix:
-    """The Fock block of ``state`` rescaled to unit trace, once its raw trace
-    is checked against the truncation bound ``tail`` (a trace distance, so
-    the photon tail is at most ``tail**2``)."""
+    """The Fock block of ``state`` divided by its trace in place, once the
+    raw trace is checked against the truncation bound ``tail`` (a trace
+    distance, so the photon tail is at most ``tail**2``)."""
     raw = fock_matrix_elements(state, cutoff)
     floor = 1.0 - tail * tail
     trace = raw.trace
@@ -117,7 +135,7 @@ def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMat
             f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
             f"than {TRACE_TOL}; the block misses weight the tail cannot hold"
         )
-    return truncate_normalize(raw)
+    return _normalized(raw, in_place=True)
 
 
 def gaussian_trace_distance(
@@ -153,19 +171,26 @@ def gaussian_trace_distance(
                          f"{math.sqrt(TAIL_FLOOR)}, the square root of the floor {TAIL_FLOOR} "
                          "on every tail bound")
 
-    cutoff = max(
-        cutoff_for_error(state_a, eps / 3.0),
-        cutoff_for_error(state_b, eps / 3.0),
-    )
+    spec_a, spec_b = _spectrum(state_a), _spectrum(state_b)
+    cutoff = max(_cutoff(spec_a, eps / 3.0), _cutoff(spec_b, eps / 3.0))
     dim = basis_dimension(state_a.modes, cutoff)
 
-    tail_a = trace_distance_truncation_bound(state_a, cutoff).bound
-    tail_b = trace_distance_truncation_bound(state_b, cutoff).bound
+    tail_a = _truncation(spec_a, cutoff).bound
+    tail_b = _truncation(spec_b, cutoff).bound
 
+    # the difference goes into block a's buffer (or the regrouped copy
+    # sector_blocks makes of it), and block b is dropped before the
+    # eigensolve, whose copy then reuses b's pages: two dense blocks at most
     block_a = _normalized_block(state_a, cutoff, tail_a)
     block_b = _normalized_block(state_b, cutoff, tail_b)
-
-    estimate = finite_trace_distance(block_a, block_b)
+    kind = _shared_sector(block_a, block_b)
+    (alone, diffs), (alone_b, blocks_b) = sector_blocks(block_a, kind), sector_blocks(block_b, kind)
+    del block_a, block_b
+    alone -= alone_b
+    for diff, sub in zip(diffs, blocks_b):
+        diff -= sub
+    del alone_b, blocks_b
+    estimate = _half_trace_norm(alone, diffs)
     # symmetric eigensolve is backward stable; residual ~ dim * ulp * ||diff||
     eig_residual = dim * np.finfo(float).eps * 2.0
     certified = tail_a + tail_b + eig_residual

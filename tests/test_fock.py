@@ -272,6 +272,22 @@ def test_shell_build_matches_rowwise_oracle(family, modes, cutoff):
     assert built.matrix.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family", list(_SECTORS))
+@pytest.mark.parametrize("modes,cutoff", [(2, 9), (3, 6)])
+def test_row_steps_and_small_tiles_leave_every_entry_unchanged(family, modes, cutoff,
+                                                                monkeypatch):
+    # at fock._TILE = 2..4 a shell runs in steps of max(1, _TILE^2 // width)
+    # rows, one row at a time for the most part, and the symmetrization in
+    # tiles of 2..4: the same products summed in the same order
+    st = _family_state(family, modes)
+    want = b.fock_matrix_elements(st, cutoff)
+    assert want.sector == _SECTORS[family]
+    for tile in (2, 3, 4):
+        monkeypatch.setattr(fock, "_TILE", tile)
+        got = b.fock_matrix_elements(st, cutoff)
+        assert got._data.tobytes() == want._data.tobytes(), tile
+
+
 def _row_zero_columns(kind: str, tables) -> np.ndarray:
     """The columns of row 0 the recursion fills: none in a photon-number
     block, the even totals in a parity block, all in the whole basis; never 0."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bosonic as b
+from bosonic import spectral
 from conftest import random_state, random_symplectic
 
 
@@ -200,6 +201,26 @@ def test_thermal_entropy_variance():
     n = 2.7
     expect = n * (n + 1) * math.log2(1.0 + 1.0 / n) ** 2
     assert b.thermal_entropy_variance(n) == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("y", [1e2, 1e8, 1e14, 1e16])
+def test_log_ratio_and_thermal_variance_match_80_digit_decimal(y):
+    # log2(y) - log2(1 + y) and log2(1 + 1/y) cancel at large y: the direct
+    # forms were 1.5e-6 off at 1e8 and returned 0.0 at 1e16
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        d, ln2 = decimal.Decimal(y), decimal.Decimal(2).ln()
+        log_ratio = (d / (d + 1)).ln() / ln2
+        variance = d * (d + 1) * ((1 + 1 / d).ln() / ln2) ** 2
+    assert float(log_ratio) == pytest.approx(spectral._log_ratio(y), rel=1e-15, abs=0.0)
+    assert float(variance) == pytest.approx(b.thermal_entropy_variance(y), rel=1e-15, abs=0.0)
+
+
+def test_log_ratio_and_thermal_variance_keep_the_direct_form_below_100():
+    # pinned ec-variance results evaluate both below 100
+    for y in np.geomspace(1e-3, 99.999, 500).tolist():
+        assert spectral._log_ratio(y) == float(np.log2(y) - np.log2(1.0 + y))
+        assert b.thermal_entropy_variance(y) == float(y * (y + 1.0) * np.log2(1.0 + 1.0 / y) ** 2)
 
 
 def test_entropy_variance_cut_aliases_and_boundaries():

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bosonic as b
-from bosonic import fock, tracedist
+from bosonic import fock, tail, tracedist
 from conftest import (
     interleave,
     random_orthogonal_symplectic,
@@ -183,6 +184,59 @@ def test_number_pair_peak_memory_holds_its_sectors_only():
     distance, peak_kib = out.stdout.split()
     assert 0.0 < float(distance) < 1.0
     assert int(peak_kib) * 1024 < 150e6
+
+
+def test_whole_basis_distance_holds_two_dense_blocks_and_small_temporaries():
+    # a displaced 3-mode pair at dim 969: the two blocks, the difference
+    # taken into the first and shell temporaries of O(fock._TILE^2) entries;
+    # a third dense buffer (a separate difference, or whole shells of
+    # terms) would take the traced peak to 3 blocks.  eigvalsh's own copy
+    # is allocated outside numpy's tracked memory.
+    def displaced(shift, photons):
+        return b.GaussianState(np.array(shift), np.diag(np.repeat(1.0 + 2.0 * np.array(photons), 2)))
+
+    x = displaced([0.3, 0.1, -0.2, 0.0, 0.1, 0.2], [0.2, 0.3, 0.25])
+    y = displaced([0.0, 0.2, 0.1, -0.1, 0.0, 0.1], [0.25, 0.2, 0.3])
+    tracemalloc.start()
+    try:
+        res = b.gaussian_trace_distance(x, y, 3e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.fock_dim == 969
+    assert peak <= 2.5 * 16 * res.fock_dim**2, peak / (16 * res.fock_dim**2)
+
+
+def test_finite_distance_and_normalization_leave_their_arguments_alone():
+    # blocks of each sector, compared as they are and regrouped into the
+    # coarser sector of the other: no argument buffer changes
+    rng = np.random.default_rng(5)
+    states = [_sector_pair(family, 2, rng)[0] for family in ("thermal", "complex-passive",
+                                                             "displaced")]
+    blocks = [b.fock_matrix_elements(st, 6) for st in states]
+    assert [block.sector for block in blocks] == list(fock.SECTORS)
+    blocks += [b.truncate_normalize(block) for block in blocks]
+    saved = [block._data.tobytes() for block in blocks]
+    for x in blocks:
+        for y in blocks:
+            assert 0.0 <= b.finite_trace_distance(x, y) <= 1.0
+    assert [block._data.tobytes() for block in blocks] == saved
+
+
+def test_one_spectrum_per_state_and_the_public_cutoff_and_tails(monkeypatch):
+    x = random_state(np.random.default_rng(3), 2, max_shift=0.4)
+    y = b.tensor([b.thermal_state(0.3), b.thermal_state(0.5)])
+    seen = []
+    spectrum = tail._spectrum
+    for module in (tail, tracedist):
+        monkeypatch.setattr(module, "_spectrum", lambda st: seen.append(st) or spectrum(st))
+    res = b.gaussian_trace_distance(x, y, 1e-4)
+    assert len(seen) == 2 and seen[0] is x and seen[1] is y
+    monkeypatch.undo()
+    cutoff = max(b.cutoff_for_error(x, 1e-4 / 3.0), b.cutoff_for_error(y, 1e-4 / 3.0))
+    assert res.cutoff == cutoff
+    assert res.tail_bounds == tuple(b.trace_distance_truncation_bound(st, cutoff).bound
+                                    for st in (x, y))
 
 
 def test_nan_block_traces_rejected(monkeypatch):
