@@ -188,9 +188,9 @@ def test_number_pair_peak_memory_holds_its_sectors_only():
 
 def test_whole_basis_distance_holds_two_dense_blocks_and_small_temporaries():
     # a displaced 3-mode pair at dim 969: the two blocks, the difference
-    # taken into the first and shell temporaries of O(fock._TILE^2) entries;
-    # a third dense buffer (a separate difference, or whole shells of
-    # terms) would take the traced peak to 3 blocks.  eigvalsh's own copy
+    # taken into the first and shell temporaries of O(fock._TILE^2) entries
+    # peak at 2.34 dense blocks.  Whole shells of terms read 2.69, a
+    # normalized copy or a separate difference 3.04.  eigvalsh's own copy
     # is allocated outside numpy's tracked memory.
     def displaced(shift, photons):
         return b.GaussianState(np.array(shift), np.diag(np.repeat(1.0 + 2.0 * np.array(photons), 2)))
