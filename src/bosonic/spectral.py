@@ -212,17 +212,13 @@ def gaussian_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
 
 def thermal_entropy_variance(photons: float) -> float:
     """Photon-number variance of the log-likelihood of a thermal state, in bits^2:
-    ``N (N+1) log2(1 + 1/N)^2``; zero in the vacuum limit.  From N = 100 on,
-    where 1 + 1/N drops the digits of 1/N, the logarithm is
-    ``log1p(1/N) / ln 2``.
+    ``N (N+1) log2(1 + 1/N)^2``; zero in the vacuum limit.  The logarithm is
+    ``log1p(1/N) / ln 2``, which keeps the digits 1 + 1/N drops at large N.
     """
     photons = check_photons(photons)
     if photons == 0.0:
         return 0.0
-    if photons < 100.0:  # the direct form keeps the digits pinned results rest on
-        log_inv = np.log2(1.0 + 1.0 / photons)
-    else:
-        log_inv = math.log1p(1.0 / photons) / math.log(2.0)
+    log_inv = math.log1p(1.0 / photons) / math.log(2.0)
     return float(photons * (photons + 1.0) * log_inv ** 2)
 
 

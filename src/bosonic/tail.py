@@ -24,9 +24,7 @@ eigenvalues of V and the mean rotated into V's eigenbasis are computed
 once, into one ``_Spectrum``.  ``_closed`` is the closed form,
 ``_optimized`` the search (with ``_closed`` as its only fallback), and
 ``_truncation`` its square root.  The public functions and the cutoff
-search all go through these, and ``_cutoff`` is the search on a spectrum:
-the certified trace distance computes each state's spectrum once and hands
-it to ``_cutoff`` and ``_truncation``.
+search all go through these.
 
 ``cutoff_for_error`` inverts the bound instead of searching M with it.  At
 fixed t = arccoth(x) the log bound f(t) - 2tM is linear in M, so the
@@ -347,12 +345,8 @@ def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
         raise ValueError(f"eps {eps} lies below {math.sqrt(TAIL_FLOOR)}, the square root of "
                          f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
     cap = check_cutoff(cap, "cap")
-    return _cutoff(_spectrum(state), eps, cap)
 
-
-def _cutoff(spec: _Spectrum, eps: float, cap: int = 10**6) -> int:
-    """``cutoff_for_error`` on a state's ``_Spectrum``, for a checked eps
-    and cap."""
+    spec = _spectrum(state)
     estimate = _estimate_cutoff(spec, 2.0 * math.log(eps))  # the photon tail must reach eps^2
     guess = math.ceil(estimate) if math.isfinite(estimate) else 0
     cutoff = smallest_passing(lambda m: _bound_passes(spec, m, eps), guess, -1, cap)

@@ -56,7 +56,7 @@ from .fock import (
     sector_blocks,
 )
 from .states import GaussianState, check_eps
-from .tail import TAIL_FLOOR, _cutoff, _spectrum, _truncation
+from .tail import TAIL_FLOOR, cutoff_for_error, trace_distance_truncation_bound
 
 __all__ = [
     "TraceDistanceResult",
@@ -171,12 +171,14 @@ def gaussian_trace_distance(
                          f"{math.sqrt(TAIL_FLOOR)}, the square root of the floor {TAIL_FLOOR} "
                          "on every tail bound")
 
-    spec_a, spec_b = _spectrum(state_a), _spectrum(state_b)
-    cutoff = max(_cutoff(spec_a, eps / 3.0), _cutoff(spec_b, eps / 3.0))
+    cutoff = max(
+        cutoff_for_error(state_a, eps / 3.0),
+        cutoff_for_error(state_b, eps / 3.0),
+    )
     dim = basis_dimension(state_a.modes, cutoff)
 
-    tail_a = _truncation(spec_a, cutoff).bound
-    tail_b = _truncation(spec_b, cutoff).bound
+    tail_a = trace_distance_truncation_bound(state_a, cutoff).bound
+    tail_b = trace_distance_truncation_bound(state_b, cutoff).bound
 
     # the difference goes into block a's buffer (or the regrouped copy
     # sector_blocks makes of it), and block b is dropped before the

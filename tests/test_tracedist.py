@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bosonic as b
-from bosonic import fock, tail, tracedist
+from bosonic import fock, tracedist
 from conftest import (
     interleave,
     random_orthogonal_symplectic,
@@ -221,22 +221,6 @@ def test_finite_distance_and_normalization_leave_their_arguments_alone():
         for y in blocks:
             assert 0.0 <= b.finite_trace_distance(x, y) <= 1.0
     assert [block._data.tobytes() for block in blocks] == saved
-
-
-def test_one_spectrum_per_state_and_the_public_cutoff_and_tails(monkeypatch):
-    x = random_state(np.random.default_rng(3), 2, max_shift=0.4)
-    y = b.tensor([b.thermal_state(0.3), b.thermal_state(0.5)])
-    seen = []
-    spectrum = tail._spectrum
-    for module in (tail, tracedist):
-        monkeypatch.setattr(module, "_spectrum", lambda st: seen.append(st) or spectrum(st))
-    res = b.gaussian_trace_distance(x, y, 1e-4)
-    assert len(seen) == 2 and seen[0] is x and seen[1] is y
-    monkeypatch.undo()
-    cutoff = max(b.cutoff_for_error(x, 1e-4 / 3.0), b.cutoff_for_error(y, 1e-4 / 3.0))
-    assert res.cutoff == cutoff
-    assert res.tail_bounds == tuple(b.trace_distance_truncation_bound(st, cutoff).bound
-                                    for st in (x, y))
 
 
 def test_nan_block_traces_rejected(monkeypatch):
