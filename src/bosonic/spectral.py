@@ -277,6 +277,8 @@ def entropy_variance_pure_loss(
         return _log_ratio(y)
 
     mu = 1.0 - lam
+    if ns >= 100.0 and 0.0 < lam < 1.0:
+        return _variance_without_cancellation(lam, mu, ns, direct)
     if direct:
         # V(A|E) = V(A|B)
         t1 = var_term(lam * ns)
@@ -294,3 +296,22 @@ def entropy_variance_pure_loss(
     # at mu = 1 (lambda = 0, or below half an ulp of it) the three terms cancel
     # to the analytic 0 up to rounding, which may leave it a few ulps negative
     return max(t1 + t2 - cross, 0.0)
+
+
+def _variance_without_cancellation(lam: float, mu: float, ns: float, direct: bool) -> float:
+    """``entropy_variance_pure_loss`` for 0 < lambda < 1, where its three
+    terms cancel at large Ns.  They are x1^2 + x2^2 - 2 r x1 x2 with
+    x(y) = sqrt(y (1 + y)) log2(y / (1 + y)), so V = (x1 - x2)^2 + 2 (1 - r) x1 x2,
+    and 1 - r = (1 - r^2) / (1 + r) with 1 - r^2 in closed form.  From
+    y = 1e6 on, x(y) = -(1 - 1/(24 y^2) + ...) / ln 2: (x1 - x2)^2 is then
+    below 1e-20 V, while its rounding is not, so it is dropped there."""
+    if direct:
+        y1, den = lam * ns, (1.0 + lam * ns) * (1.0 + mu * ns)
+        r2, one_minus_r2 = lam * mu * ns * ns / den, (1.0 + ns) / den
+    else:
+        y1, den = ns, 1.0 + mu * ns
+        r2, one_minus_r2 = mu * (1.0 + ns) / den, lam / den
+    y2 = mu * ns
+    x1, x2 = (math.sqrt(y * (1.0 + y)) * _log_ratio(y) for y in (y1, y2))
+    spread = (x1 - x2) ** 2 if min(y1, y2) < 1e6 else 0.0
+    return spread + 2.0 * one_minus_r2 / (1.0 + math.sqrt(r2)) * x1 * x2

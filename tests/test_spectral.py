@@ -222,6 +222,37 @@ def test_log_ratio_keeps_the_direct_form_below_100():
         assert spectral._log_ratio(y) == float(np.log2(y) - np.log2(1.0 + y))
 
 
+def _variance_250_digits(lam, ns, cut):
+    """V(A|E) or V(B|E) as the closed form's three terms, in 250 digits: at
+    most 200 of them cancel up to Ns = 1e100."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 250
+        lam, ns, ln2 = decimal.Decimal(lam), decimal.Decimal(ns), decimal.Decimal(2).ln()
+        mu = 1 - lam
+
+        def log_ratio(y):
+            return (y / (1 + y)).ln() / ln2
+
+        def var(y):
+            return y * (1 + y) * log_ratio(y) ** 2
+
+        if cut == "A|E":
+            return var(lam * ns) + var(mu * ns) - 2 * mu * lam * ns * ns * log_ratio(mu * ns) * log_ratio(lam * ns)
+        return var(ns) + var(mu * ns) - 2 * mu * ns * (1 + ns) * log_ratio(mu * ns) * log_ratio(ns)
+
+
+@pytest.mark.parametrize("cut", ["A|E", "B|E"])
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("ns", [1e2, 1e4, 1e8, 1e14, 1e16, 1e50, 1e100])
+def test_entropy_variance_matches_decimal_at_large_photon_numbers(ns, lam, cut):
+    # t1 + t2 - cross cancels: at lambda = 0.5 V(A|E) was 6.7e-2 off at
+    # Ns = 1e16, and V(B|E) 6.1e-2 off at 1e14 and 0.0 at 1e16.  From 1e32 on
+    # the rounding of x1 - x2 alone would exceed V, were it not dropped
+    value = b.entropy_variance_pure_loss(lam, ns, cut)
+    assert value > 0.0
+    assert value == pytest.approx(float(_variance_250_digits(lam, ns, cut)), rel=1e-12, abs=0.0)
+
+
 def test_entropy_variance_cut_aliases_and_boundaries():
     lam, ns = 0.35, 1.4
     assert b.entropy_variance_pure_loss(lam, ns, "A|E") == b.entropy_variance_pure_loss(lam, ns, "A|B")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -186,17 +187,23 @@ def test_number_pair_peak_memory_holds_its_sectors_only():
     assert int(peak_kib) * 1024 < 150e6
 
 
+#: (shift, photons per mode) of the dim-969 whole-basis pair of the CI pin,
+#: d3.json against e3.json
+_WHOLE_969 = (([0.3, 0.1, -0.2, 0.0, 0.1, 0.2], [0.2, 0.3, 0.25]),
+              ([0.0, 0.2, 0.1, -0.1, 0.0, 0.1], [0.25, 0.2, 0.3]))
+
+
+def _displaced(shift, photons):
+    return b.GaussianState(np.array(shift), np.diag(np.repeat(1.0 + 2.0 * np.array(photons), 2)))
+
+
 def test_whole_basis_distance_holds_two_dense_blocks_and_small_temporaries():
     # a displaced 3-mode pair at dim 969: the two blocks, the difference
     # taken into the first and shell temporaries of O(fock._TILE^2) entries
     # peak at 2.34 dense blocks.  Whole shells of terms read 2.69, a
     # normalized copy or a separate difference 3.04.  eigvalsh's own copy
     # is allocated outside numpy's tracked memory.
-    def displaced(shift, photons):
-        return b.GaussianState(np.array(shift), np.diag(np.repeat(1.0 + 2.0 * np.array(photons), 2)))
-
-    x = displaced([0.3, 0.1, -0.2, 0.0, 0.1, 0.2], [0.2, 0.3, 0.25])
-    y = displaced([0.0, 0.2, 0.1, -0.1, 0.0, 0.1], [0.25, 0.2, 0.3])
+    x, y = (_displaced(*pair) for pair in _WHOLE_969)
     tracemalloc.start()
     try:
         res = b.gaussian_trace_distance(x, y, 3e-4)
@@ -205,6 +212,81 @@ def test_whole_basis_distance_holds_two_dense_blocks_and_small_temporaries():
         tracemalloc.stop()
     assert res.fock_dim == 969
     assert peak <= 2.5 * 16 * res.fock_dim**2, peak / (16 * res.fock_dim**2)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_whole_basis_distance_raises_the_resident_peak_by_two_dense_blocks():
+    # tracemalloc misses eigvalsh's LAPACK copy of the difference, which
+    # used to land beside block b, kept alive by a view: the resident peak
+    # rose 3.12 dense blocks above a dim-28 distance, and rises 2.31 once b
+    # is freed before the eigensolve.  A fresh process, warmed up by the
+    # small distance, reads its VmHWM before and after the dim-969 one.
+    code = textwrap.dedent(f"""
+        import numpy as np
+        import bosonic as b
+
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+
+        x, y = (b.GaussianState(np.array(shift), np.diag(np.repeat(1.0 + 2.0 * np.array(n), 2)))
+                for shift, n in {_WHOLE_969!r})
+        small = b.gaussian_trace_distance(b.thermal_state(0.5), b.thermal_state(1.0), 1e-3)
+        before = peak_kib()
+        res = b.gaussian_trace_distance(x, y, 3e-4)
+        print(small.fock_dim, res.fock_dim, before, peak_kib())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(b.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    small_dim, dim, before, after = map(int, out.stdout.split())
+    assert (small_dim, dim) == (28, 969)
+    blocks = (after - before) * 1024 / (16 * dim**2)
+    assert blocks <= 2.6, blocks
+
+
+def _lifetime_pair(kind):
+    """A pair whose shared sector is whole, parity, or parity with the
+    second block (a thermal product, split by photon number) regrouped."""
+    if kind == "whole":
+        return _sector_pair("displaced", 2, np.random.default_rng(302))
+    if kind == "parity":
+        return b.tmsv_state(0.3), b.tmsv_state(0.2)
+    return b.tmsv_state(0.3), b.tensor([b.thermal_state(0.4), b.thermal_state(0.6)])
+
+
+def _root(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("kind", ["whole", "parity", "regrouped"])
+def test_second_block_is_freed_before_the_eigensolve(monkeypatch, kind):
+    # every buffer that sector_blocks hands out for block b -- its own, or
+    # the copy it regroups b into -- is gone when the eigensolve starts, so
+    # eigvalsh's copy of the difference is the second dense block alive
+    x, y = _lifetime_pair(kind)
+    expected = b.gaussian_trace_distance(x, y, 1e-3)
+    split, solve, handed = tracedist.sector_blocks, tracedist._half_trace_norm, []
+
+    def spy_split(block, sector):
+        alone, blocks = split(block, sector)
+        handed.append((block.sector, [weakref.ref(_root(a)) for a in [alone, *blocks]]))
+        return alone, blocks
+
+    def spy_solve(alone, blocks):
+        (_, refs_a), (sector_b, refs_b) = handed
+        assert sector_b == {"whole": "whole", "parity": "parity", "regrouped": "number"}[kind]
+        assert len(refs_b) > 1 and all(ref() is None for ref in refs_b)
+        assert any(ref() is not None for ref in refs_a)
+        return solve(alone, blocks)
+
+    monkeypatch.setattr(tracedist, "sector_blocks", spy_split)
+    monkeypatch.setattr(tracedist, "_half_trace_norm", spy_solve)
+    assert b.gaussian_trace_distance(x, y, 1e-3) == expected
+    assert len(handed) == 2
 
 
 def test_finite_distance_and_normalization_leave_their_arguments_alone():
