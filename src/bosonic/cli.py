@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 domain validation error,
-3 resource cap exceeded or out of memory.  All JSON floats carry 17
+3 resource cap exceeded or out of memory, 4 a Fock block whose trace fails
+its certificate check (``FockTraceError``).  All JSON floats carry 17
 significant digits so payloads round-trip exactly; wall-clock time is
 reported in a separate field so data payloads stay byte-identical across
 runs.
@@ -251,14 +252,18 @@ def tail_cmd(path, cutoff, target_eps):
 def tracedist_cmd(path_a, path_b, eps, dump_prefix):
     """Certified trace distance between two Gaussian state files."""
     # the Fock build loads for this command only
-    from .fock import CAP_ENV_VAR, DimensionCapError, fock_matrix_elements, fock_to_dict
+    from .fock import (CAP_ENV_VAR, DimensionCapError, FockTraceError, fock_matrix_elements,
+                       fock_to_dict)
     from .tracedist import gaussian_trace_distance
 
     def body():
         sa = _load_state(path_a)
         sb = _load_state(path_b)
         start = time.perf_counter()
-        result = gaussian_trace_distance(sa, sb, eps)
+        try:
+            result = gaussian_trace_distance(sa, sb, eps)
+        except FockTraceError as exc:  # a RuntimeError, which would exit 2
+            _fail(4, str(exc))
         seconds = time.perf_counter() - start
         if dump_prefix is not None:
             for suffix, st in (("a", sa), ("b", sb)):

@@ -73,24 +73,24 @@ sum_s d_s^2 complex entries, sector after sector, each a d_s x d_s square
 over its basis indices in ascending order (``_Layout``).  That is one tile
 per photon-number shell, an even and an odd block for parity, and one
 dim x dim array for the whole basis.  The recursion reads and writes
-through local indices, kept with the basis tables for each kind of sector:
-the position of each index in its sector, and of the index each bra and ket
-term reads.  Where an empty mode points a term at the vacuum and the vacuum
-lies in another sector, the term read an exact 0.0 of the dense block; it
-reads one here too, a trailing column of 0.0 for the ket terms and the row
-being written, still 0.0, for the bra terms.  So every product is the one
-the dense build formed, signs of zeros included.  Each sector block is
-symmetrized as (S + S^H) / 2 tile by tile, the sectors of one index in one
-vectorized step.
+through local indices, which each kind's layout computes for itself from
+the kind-free basis tables: the position of each index in its sector, and
+of the index each bra and ket term reads.  Where an empty mode points a
+term at the vacuum and the vacuum lies in another sector, the term read an
+exact 0.0 of the dense block; it reads one here too, a trailing column of
+0.0 for the ket terms and the row being written, still 0.0, for the bra
+terms.  So every product is the one the dense build formed, signs of zeros
+included.  Each sector block is symmetrized as (S + S^H) / 2 tile by tile,
+the sectors of one index in one vectorized step.
 
 ``FockMatrix`` has no public constructor: every block comes from
 ``fock_matrix_elements`` or ``truncate_normalize`` and records the sector
 it was built in as ``FockMatrix.sector``.  ``FockMatrix.matrix`` assembles
 the dense block on demand, with 0.0 outside the sector; the trace sums the
 diagonal in basis order, as ``np.trace`` of the dense block does;
-``truncate_normalize`` divides the buffer.  The trace distance splits
-both blocks by sector with ``sector_blocks`` (see ``bosonic.tracedist``).
-Blocks are written out by ``fock_to_dict``
+``truncate_normalize`` divides a copy of the buffer.  The trace distance
+splits both blocks by the coarser of their sectors with ``sector_pair``
+(see ``bosonic.tracedist``).  Blocks are written out by ``fock_to_dict``
 (``tracedist --dump-fock``); nothing reads them back.
 """
 
@@ -198,7 +198,7 @@ class FockMatrix:
         are the even and the odd totals.  A read-only view into the cached
         basis tables the Fock build uses.
         """
-        return _basis_tables(self.modes, self.cutoff).label[0]
+        return _basis_tables(self.modes, self.cutoff).totals
 
     @property
     def trace(self) -> float:
@@ -272,26 +272,19 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
 
 
 class _BasisTables(NamedTuple):
-    """Index tables of the graded basis of (modes, cutoff).
+    """Index tables of the graded basis of (modes, cutoff), the same for every
+    kind of sector.
 
     Per mode i and basis index b, ``lower[i, b]`` is the index of occ_b - e_i
     and ``sqrt_cnt[i, b]`` is sqrt(occ_b[i]), both 0 where mode i is empty;
     ``first[b]`` is the first occupied mode of occ_b (0 for the vacuum).
     Shell k, the occupations of total k, is the index range
-    [starts[k], starts[k + 1]).  Per row b of the recursion, with
-    j = first[b]: ``prev[b]`` is the index of occ_b - e_j, ``div[b, 0]`` is
-    sqrt(occ_b[j]), and per mode i ``sqrt_prev[i, b]`` and ``lower_prev[i, b]``
-    are ``sqrt_cnt[i, prev[b]]`` and ``lower[i, prev[b]]``.
-
-    The local tables have one row per kind of sector, in ``SECTORS`` order
-    (see ``_Layout``): ``label[s, b]`` is the sector of b (its total, the
-    parity of its total, or 0), ``pos[s, b]`` its position in that sector;
-    ``prev_pos[s, b]`` is ``pos[s, prev[b]]``; ``bra_pos[s, i, b]`` is
-    ``pos[s, lower_prev[i, b]]``, or ``pos[s, b]`` where that index lies in
-    another sector than b (mode i of prev is empty and the vacuum lies in
-    the other parity); ``ket_pos[s, i, b]`` is ``pos[s, lower[i, b]]``, or -1
-    where that index lies outside the sector of total(b) - 1 (mode i of b is
-    empty and the vacuum lies elsewhere).
+    [starts[k], starts[k + 1]), and ``totals[b]`` is the total of occ_b.  Per
+    row b of the recursion, with j = first[b]: ``prev[b]`` is the index of
+    occ_b - e_j, ``div[b, 0]`` is sqrt(occ_b[j]), and per mode i
+    ``sqrt_prev[i, b]`` and ``lower_prev[i, b]`` are ``sqrt_cnt[i, prev[b]]``
+    and ``lower[i, prev[b]]``.  The local indices of each kind of sector are
+    in its ``_Layout``.
     """
 
     lower: np.ndarray
@@ -302,11 +295,7 @@ class _BasisTables(NamedTuple):
     div: np.ndarray
     sqrt_prev: np.ndarray
     lower_prev: np.ndarray
-    label: np.ndarray
-    pos: np.ndarray
-    prev_pos: np.ndarray
-    bra_pos: np.ndarray
-    ket_pos: np.ndarray
+    totals: np.ndarray
 
 
 #: per mode count, the tables at the largest cutoff asked for so far
@@ -340,23 +329,9 @@ def _build_tables(modes: int, cutoff: int) -> _BasisTables:
     starts = np.array([0] + [basis_dimension(modes, k) for k in range(cutoff + 1)])
     at = np.arange(len(basis))
     prev = lower[first, at]
-    lower_prev = lower[:, prev]
-
-    # per kind of sector, in SECTORS order: the sector of each index, the
-    # sector of total(b) - 1 (where the ket terms of row b read), and the
-    # position of each index in its sector
-    totals = np.repeat(np.arange(cutoff + 1), np.diff(starts))
-    odd = totals % 2
-    label = np.stack([totals, odd, 0 * totals])
-    ket_label = np.stack([totals - 1, 1 - odd, 0 * totals])
-    pos = np.stack([at - starts[totals],
-                    np.where(odd, np.cumsum(odd), np.cumsum(1 - odd)) - 1, at])
-    bra_pos = np.where(label[:, lower_prev] == label[:, None], pos[:, lower_prev], pos[:, None])
-    ket_pos = np.where(label[:, lower] == ket_label[:, None], pos[:, lower], -1)
-
     tables = _BasisTables(lower, sqrt_cnt, first, starts, prev, sqrt_cnt[first, at][:, None],
-                          sqrt_cnt[:, prev], lower_prev, label, pos, pos[:, prev], bra_pos,
-                          ket_pos)
+                          sqrt_cnt[:, prev], lower[:, prev],
+                          np.repeat(np.arange(cutoff + 1), np.diff(starts)))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -377,17 +352,25 @@ def _sector(f_mat: np.ndarray, u_vec: np.ndarray) -> str:
 
 
 class _Layout(NamedTuple):
-    """Where a block built in one kind of sector keeps its entries.
+    """Where a block built in one kind of sector keeps its entries, and the
+    local indices its recursion reads.
 
     Sector s holds the basis indices ``members[s]`` (a slice or an index
     array, ascending), ``sizes[s]`` of them, and is stored as a square at
     flat offsets [``offsets[s]``, ``offsets[s + 1]``) of the block's buffer,
-    sector after sector.  ``label[b]`` is the sector of index b and
-    ``pos[b]`` its position there; ``rows[k]`` is the sector of shell k and
-    the slice of local rows it takes.  ``diag[b]`` is the flat offset of
-    entry (b, b), and ``alone`` holds the indices alone in their sector,
-    ascending.  Per sector, ``ket_pos`` and ``sqrt_cnt`` are the basis
-    tables' columns for its members.
+    sector after sector.  ``label[b]`` is the sector of index b (its total,
+    the parity of its total, or 0) and ``pos[b]`` its position there;
+    ``rows[k]`` is the sector of shell k and the slice of local rows it
+    takes.  ``diag[b]`` is the flat offset of entry (b, b), and ``alone``
+    holds the indices alone in their sector, ascending.
+
+    Per row b of the recursion, ``prev_pos[b]`` is ``pos[prev[b]]`` and
+    ``bra_pos[i, b]`` is ``pos[lower_prev[i, b]]``, or ``pos[b]`` where that
+    index lies in another sector than b (mode i of prev is empty and the
+    vacuum lies in the other parity).  Per sector, ``ket_pos`` holds, for
+    each member b and mode i, ``pos[lower[i, b]]``, or -1 where that index
+    lies outside the sector of total(b) - 1 (mode i of b is empty and the
+    vacuum lies elsewhere), and ``sqrt_cnt`` the basis tables' columns.
     """
 
     members: list
@@ -398,6 +381,8 @@ class _Layout(NamedTuple):
     rows: list[tuple[int, slice]]
     diag: np.ndarray
     alone: np.ndarray
+    prev_pos: np.ndarray
+    bra_pos: np.ndarray
     ket_pos: list[np.ndarray]
     sqrt_cnt: list[np.ndarray]
 
@@ -405,27 +390,36 @@ class _Layout(NamedTuple):
 @functools.lru_cache(maxsize=256)
 def _layout(modes: int, cutoff: int, kind: str) -> _Layout:
     """The ``_Layout`` of a ``kind`` block on (modes, cutoff): one tile per
-    photon-number shell, an even and an odd block, or the whole basis.  A
-    td-small pass of the benchmark asks for 119 such keys, all of which
-    stay cached."""
+    photon-number shell, an even and an odd block, or the whole basis.  Its
+    index tables are read-only.  A td-small pass of the benchmark asks for
+    119 such keys, all of which stay cached."""
     tables = _basis_tables(modes, cutoff)
-    starts = tables.starts.tolist()
-    kind_at = SECTORS.index(kind)
-    label, pos = tables.label[kind_at], tables.pos[kind_at]
+    starts, totals = tables.starts.tolist(), tables.totals
+    # the sector of each index, the sector of total(b) - 1 (where the ket
+    # terms of row b read), and the position of each index in its sector
     if kind == "number":
+        label, ket_label, pos = totals, totals - 1, np.arange(totals.size) - tables.starts[totals]
         members = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
     elif kind == "parity":
+        label = totals % 2
+        ket_label, pos = 1 - label, np.where(label, np.cumsum(label), np.cumsum(1 - label)) - 1
         members = [np.flatnonzero(label == p) for p in (0, 1)]
     else:
-        members = [slice(0, starts[-1])]
+        label = ket_label = 0 * totals
+        pos, members = np.arange(totals.size), [slice(0, starts[-1])]
+    bra_pos = np.where(label[tables.lower_prev] == label, pos[tables.lower_prev], pos)
+    ket_pos = np.where(label[tables.lower] == ket_label, pos[tables.lower], -1)
     sizes = np.bincount(label, minlength=len(members))
     offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
     rows = [(int(label[lo]), slice(int(pos[lo]), int(pos[lo]) + hi - lo))
             for lo, hi in zip(starts[:-1], starts[1:])]
-    return _Layout(members, sizes.tolist(), offsets.tolist(), label, pos, rows,
-                   offsets[label] + pos * (sizes[label] + 1), np.flatnonzero(sizes[label] == 1),
-                   [tables.ket_pos[kind_at][:, m] for m in members],
-                   [tables.sqrt_cnt[:, m] for m in members])
+    layout = _Layout(members, sizes.tolist(), offsets.tolist(), label, pos, rows,
+                     offsets[label] + pos * (sizes[label] + 1), np.flatnonzero(sizes[label] == 1),
+                     pos[tables.prev], bra_pos, [ket_pos[:, m] for m in members],
+                     [tables.sqrt_cnt[:, m] for m in members])
+    for table in (label, pos, layout.prev_pos, bra_pos, *layout.ket_pos):
+        table.flags.writeable = False
+    return layout
 
 
 def _views(data: np.ndarray, layout: _Layout) -> list[np.ndarray]:
@@ -528,7 +522,6 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     kind = _sector(f_mat, u_vec)
     whole, number = kind == "whole", kind == "number"
     layout = _layout(n, cutoff, kind)
-    kind_at = SECTORS.index(kind)
 
     data = np.zeros(layout.offsets[-1], dtype=complex)
     blocks = _views(data, layout)
@@ -545,8 +538,8 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     # own row, where mode i of prev is empty)
     u_rows = u_vec[tables.first][:, None]
     f_rows = f_mat[tables.first]
-    prev_pos, div = tables.prev_pos[kind_at], tables.div
-    bra = [((f_rows[:, i] * tables.sqrt_prev[i])[:, None], tables.bra_pos[kind_at, i])
+    prev_pos, div = layout.prev_pos, tables.div
+    bra = [((f_rows[:, i] * tables.sqrt_prev[i])[:, None], layout.bra_pos[i])
            for i in range(n)]
 
     def terms(rows, target, source, ket, sqrt_cnt):
@@ -618,44 +611,53 @@ def _regrouped(block: FockMatrix, kind: str) -> np.ndarray:
     return data
 
 
-def sector_blocks(block: FockMatrix, kind: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A built ``block`` split by the sectors of ``kind``, its own sector or
-    a coarser one (into which it is regrouped).
+def sector_pair(a: FockMatrix, b: FockMatrix) -> tuple[tuple[np.ndarray, list[np.ndarray]], ...]:
+    """Two built blocks on one basis, each split by the coarser of their two
+    sectors, the finer block regrouped into it.
 
-    Returns the diagonal entries of the sectors of one index, in basis
-    order, and the square blocks of the larger sectors, in sector order:
-    photon number k ascending, even before odd.  Every entry of the block
-    outside them is exactly 0.0.
+    Per block, returns the diagonal entries of the sectors of one index, in
+    basis order, and the square blocks of the larger sectors, in sector
+    order: photon number k ascending, even before odd.  Every entry of a
+    block outside them is exactly 0.0.
 
     Raises:
-        ValueError: ``kind`` is finer than the block's sector.
+        ValueError: a block is not a ``FockMatrix`` (a plain array, say),
+            or the blocks live on different bases.
     """
-    if SECTORS.index(kind) < SECTORS.index(block.sector):
-        raise ValueError(f"a {block.sector} block does not split into {kind} sectors")
-    data = block._data if kind == block.sector else _regrouped(block, kind)
-    layout = _layout(block.modes, block.cutoff, kind)
-    return (data[layout.diag[layout.alone]],
-            [sub for sub in _views(data, layout) if sub.shape[0] > 1])
+    for name, block in (("first", a), ("second", b)):
+        if not isinstance(block, FockMatrix):
+            raise ValueError(f"{name} block was not built by fock_matrix_elements: "
+                             "only built blocks carry the sector the distance splits by")
+    if (a.modes, a.cutoff) != (b.modes, b.cutoff):
+        raise ValueError(
+            f"blocks live on different bases: (modes {a.modes}, cutoff {a.cutoff}) "
+            f"and (modes {b.modes}, cutoff {b.cutoff})"
+        )
+    kind = max(a.sector, b.sector, key=SECTORS.index)
+    layout = _layout(a.modes, a.cutoff, kind)
+
+    def split(block):
+        data = block._data if block.sector == kind else _regrouped(block, kind)
+        return (data[layout.diag[layout.alone]],
+                [sub for sub in _views(data, layout) if sub.shape[0] > 1])
+
+    return split(a), split(b)
 
 
 def truncate_normalize(fock: FockMatrix) -> FockMatrix:
     """Rescale the truncated block to unit trace, keeping its sector: one
-    division of the stored entries into a new block; ``fock`` is left as
-    it is."""
-    return _normalized(fock, in_place=False)
+    division of a copy of the stored entries; ``fock`` is left as it is."""
+    return _normalized(_built(fock._data.copy(), fock.modes, fock.cutoff, fock.sector))
 
 
-def _normalized(fock: FockMatrix, in_place: bool) -> FockMatrix:
-    """``truncate_normalize``, or with ``in_place`` ``fock`` itself divided
-    by its trace, for a caller that owns the block: ``x /= t`` gives the
+def _normalized(fock: FockMatrix) -> FockMatrix:
+    """``fock`` itself, divided by its trace in place: ``x /= t`` gives the
     bits of ``x / t``."""
     tr = fock.trace
     if not tr > 0.0:  # a NaN trace fails as well
         raise ValueError(f"cannot normalize trace {tr}")
-    if in_place:
-        np.divide(fock._data, tr, out=fock._data)
-        return fock
-    return _built(fock._data / tr, fock.modes, fock.cutoff, fock.sector)
+    np.divide(fock._data, tr, out=fock._data)
+    return fock
 
 
 def beam_splitter_fock_coeffs(i: int, j: int, transmissivity: float) -> np.ndarray:

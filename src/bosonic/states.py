@@ -308,6 +308,9 @@ class Transform:
 def displacement(shift: Sequence[float]) -> Transform:
     """Phase-space displacement by ``shift`` (length 2k)."""
     r = np.asarray(shift, dtype=float)
+    if r.ndim != 1 or r.size % 2:
+        raise ValueError("displacement shift must list an x and a p per mode (length 2k), "
+                         f"got {r.tolist()}")
     return Transform(np.eye(r.size), r)
 
 

@@ -19,7 +19,7 @@ rescaled by ``truncate_normalize``, and nothing else: each carries the sector
 the build read off the kernel data (``FockMatrix.sector``) and stores that
 sector's blocks alone, and the tile-wise symmetrization leaves exact
 conjugate pairs with a real diagonal.  The two blocks are split by the
-coarser of their sectors (``fock.sector_blocks``, which regroups the finer
+coarser of their sectors (``fock.sector_pair``, which regroups the finer
 block) and their difference is taken sector block by sector block, with no
 dim x dim difference, no scan for zeros and no re-symmetrization; a
 Hermitian part of an exactly Hermitian block is the block itself, bit for
@@ -28,7 +28,7 @@ bit.
 Memory: ``gaussian_trace_distance`` owns both blocks it builds.  It divides
 each by its trace in place and takes the difference sector block by sector
 block into the first block's buffer (or into the regrouped copy
-``sector_blocks`` makes of it); the second block lives only inside
+``sector_pair`` makes of it); the second block lives only inside
 ``_difference``, so no name or view of it reaches the eigensolve.  Blocks
 take 16 sum_s d_s^2 bytes each (16 dim^2 on the whole basis).  The peak is
 two blocks plus the build's shell temporaries of O(``fock._TILE``^2)
@@ -49,14 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    SECTORS,
     TRACE_TOL,
     FockMatrix,
     FockTraceError,
     _normalized,
     basis_dimension,
     fock_matrix_elements,
-    sector_blocks,
+    sector_pair,
 )
 from .states import GaussianState, check_eps
 from .tail import TAIL_FLOOR, cutoff_for_error, trace_distance_truncation_bound
@@ -82,20 +81,6 @@ class TraceDistanceResult:
     tail_bounds: tuple[float, float]
 
 
-def _shared_sector(a, b) -> str:
-    """The coarser of the sectors of two built blocks on one basis."""
-    for name, block in (("first", a), ("second", b)):
-        if not isinstance(block, FockMatrix):
-            raise ValueError(f"{name} block was not built by fock_matrix_elements: "
-                             "only built blocks carry the sector the distance splits by")
-    if (a.modes, a.cutoff) != (b.modes, b.cutoff):
-        raise ValueError(
-            f"blocks live on different bases: (modes {a.modes}, cutoff {a.cutoff}) "
-            f"and (modes {b.modes}, cutoff {b.cutoff})"
-        )
-    return max(a.sector, b.sector, key=SECTORS.index)
-
-
 def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
     """(1/2) sum |eig(a - b)| for two blocks built by ``fock_matrix_elements``.
 
@@ -103,7 +88,7 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
     cutoff).  The difference is taken and diagonalized per sector of the
     coarser of their two sectors (see the module docstring) -- photon
     number, parity or the whole basis -- on the sector blocks
-    ``fock.sector_blocks`` hands out, the finer block regrouped, so the
+    ``fock.sector_pair`` hands out, the finer block regrouped, so the
     eigensolve costs sum d_s^3 instead of dim^3 and no block is made dense
     unless the other one is; size-1 sectors are read off the diagonal in
     one step.  The eigensolver itself is accurate to machine precision.
@@ -112,8 +97,7 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
         ValueError: a block is not a ``FockMatrix`` (a plain array, say),
             or the blocks live on different bases.
     """
-    kind = _shared_sector(a, b)
-    (alone_a, blocks_a), (alone_b, blocks_b) = sector_blocks(a, kind), sector_blocks(b, kind)
+    (alone_a, blocks_a), (alone_b, blocks_b) = sector_pair(a, b)
     return _half_trace_norm(alone_a - alone_b, (x - y for x, y in zip(blocks_a, blocks_b)))
 
 
@@ -138,7 +122,7 @@ def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMat
             f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
             f"than {TRACE_TOL}; the block misses weight the tail cannot hold"
         )
-    return _normalized(raw, in_place=True)
+    return _normalized(raw)
 
 
 def _difference(state_a: GaussianState, state_b: GaussianState, cutoff: int,
@@ -146,13 +130,12 @@ def _difference(state_a: GaussianState, state_b: GaussianState, cutoff: int,
     """The normalized Fock blocks of ``state_a`` minus ``state_b`` at
     ``cutoff``, split by their shared sector: the diagonal entries of the
     sectors of one index and the larger sector blocks, taken in place in
-    block a's buffer (or the copy ``sector_blocks`` regroups it into).
+    block a's buffer (or the copy ``sector_pair`` regroups it into).
     Block b lives only in this call, so no name or view of it reaches the
     eigensolve."""
     block_a = _normalized_block(state_a, cutoff, tails[0])
     block_b = _normalized_block(state_b, cutoff, tails[1])
-    kind = _shared_sector(block_a, block_b)
-    (alone, diffs), (alone_b, blocks_b) = sector_blocks(block_a, kind), sector_blocks(block_b, kind)
+    (alone, diffs), (alone_b, blocks_b) = sector_pair(block_a, block_b)
     alone -= alone_b
     for diff, sub in zip(diffs, blocks_b):
         diff -= sub

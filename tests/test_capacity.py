@@ -499,6 +499,17 @@ def test_invert_sqrt_bound():
     assert n > 1e28 and f(n) >= k and f(n - 1) < k
     with pytest.raises(ValueError):
         b.invert_sqrt_bound(0.0, 1.0, 1.0, 10.0)
+    with pytest.raises(ValueError, match=r"^sqrt coefficient must be >= 0, got -0\.5$"):
+        b.invert_sqrt_bound(1.0, -0.5, 1.0, 10.0)
+    # an infinite rate clears any k at once
+    assert b.invert_sqrt_bound(math.inf, 2.0, 1.0, 10.0) == 1
+    assert b.invert_sqrt_bound(math.inf, 2.0, 1.0, 10.0, min_n=7) == 7
+
+
+@pytest.mark.parametrize("k", [0.0, -3.0])
+def test_channel_uses_sufficient_needs_positive_bits(k):
+    with pytest.raises(ValueError, match=f"^target bits must be positive, got {k}$"):
+        b.channel_uses_sufficient(PureLoss(0.5), k, 0.1, "Q2")
 
 
 def test_channel_uses_sufficient_headline():

@@ -96,6 +96,34 @@ def test_state_evolve_and_reduce(runner, tmp_path):
     assert res3.exit_code == 2
 
 
+def test_state_evolve_two_mode_squeezer_and_beam_splitter_on_chosen_modes(runner, tmp_path):
+    # each payload is the library transform of the loaded state, bit for bit
+    # through the 17-digit JSON
+    three = bosonic.tensor([bosonic.thermal_state(0.4), bosonic.tmsv_state(0.7)])
+    path = write_state(tmp_path, "three.json", bosonic.state_to_dict(three))
+    cases = [(("--two-mode-squeezer", "1.7"), bosonic.two_mode_squeezer(1.7), None),
+             (("--two-mode-squeezer", "2.5", "--modes", "2,0"), bosonic.two_mode_squeezer(2.5),
+              [2, 0]),
+             (("--beam-splitter", "0.3", "--modes", "1,2"), bosonic.beam_splitter(0.3), [1, 2]),
+             (("--beam-splitter", "0.8", "--modes", "2,0"), bosonic.beam_splitter(0.8), [2, 0])]
+    for args, transform, modes in cases:
+        res = invoke(runner, "state", "evolve", path, *args)
+        assert res.exit_code == 0, args
+        want = bosonic.apply_transform(three, transform, modes)
+        assert json.loads(res.output) == json.loads(json.dumps(bosonic.state_to_dict(want))), args
+
+
+def test_state_evolve_odd_shift_named(tmp_path):
+    # a one-number shift on a one-mode state: the shift is named, not the
+    # shape of the identity matrix built from it
+    path = write_state(tmp_path, "one.json", bosonic.state_to_dict(bosonic.thermal_state(0.5)))
+    res = _char_runner().invoke(main, ["state", "evolve", path, "--displace", "0.3"])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: displacement shift must list an x and a p per mode "
+                          "(length 2k), got [0.3]\n")
+    assert res.stdout == ""
+
+
 def test_parse_error_exit_one(runner, tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")
@@ -177,13 +205,19 @@ def test_tracedist_out_of_memory_exit_three(runner, tmp_path, monkeypatch):
     assert res.stdout == ""
 
 
-def test_tracedist_trace_error_exit_two(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("factor,fault", [(1.01, "exceeds 1 by more than"),
+                                          (0.99, "falls below 1 - tail bound")])
+def test_tracedist_trace_error_exit_four(runner, tmp_path, monkeypatch, factor, fault):
+    # a block whose trace fails its check has its own exit code, not the 2
+    # of malformed input: a trace above 1 fails the build, one below
+    # 1 - tail^2 the distance
     vac = thermal_file(tmp_path, runner, 0.0, "vac.json")
     t1 = thermal_file(tmp_path, runner, 1.0, "t1.json")
-    scale_blocks(monkeypatch, 0.99)
+    scale_blocks(monkeypatch, factor)
     res = _char_runner().invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
-    assert res.exit_code == 2
-    assert res.stderr.startswith("error: Fock block trace ")
+    assert res.exit_code == 4
+    assert res.stderr.startswith("error: Fock block trace ") and fault in res.stderr
+    assert res.stdout == ""
 
 
 def test_capacity_command(runner):
@@ -527,6 +561,37 @@ def test_eps_below_the_tail_floor_exit_two(runner, tmp_path):
 _LOSS = ("--channel", "loss", "--lam", "0.5", "--task", "Q2")
 _AMP = ("--channel", "amp", "--task", "Q2")
 _NSHOT = ("--method", "aep", "--n", "100", "--eps", "0.1")
+
+
+_OUT = ("--out", "{out}")
+
+
+@pytest.mark.parametrize("args,message", [
+    pytest.param(("sweep", *_GRID, "--lam", "1:2", *_OUT),
+                 "range must be start:stop:count[:log], got '1:2'", id="range-parts"),
+    pytest.param(("sweep", *_GRID, "--lam", "0:1:0", *_OUT), "range count must be >= 1, got 0",
+                 id="range-count"),
+    pytest.param(("sweep", *_GRID, "--lam", "0.1:1:3:lin", *_OUT),
+                 "range suffix must be 'log', got 'lin'", id="range-suffix"),
+    pytest.param(("sweep", *_GRID, "--lam", "0:1:3:log", *_OUT),
+                 "log spacing needs positive endpoints", id="range-log"),
+    pytest.param(("sweep", *_GRID[2:], *_OUT), "sweep needs --channel (flag or config)",
+                 id="sweep-channel"),
+    pytest.param(("sweep", *_GRID), "sweep needs --out (flag or config)", id="sweep-out"),
+    pytest.param(("capacity", *_LOSS, "--method", "aep"), "method aep needs --n and --eps",
+                 id="aep-no-n-eps"),
+    pytest.param(("capacity", *_LOSS, "--method", "aep", "--n", "100"),
+                 "method aep needs --n and --eps", id="aep-no-eps"),
+    pytest.param(("capacity", *_LOSS, "--method", "aep", "--eps", "0.1"),
+                 "method aep needs --n and --eps", id="aep-no-n"),
+])
+def test_domain_errors_exit_two(tmp_path, args, message):
+    out = tmp_path / "sweep.csv"
+    res = _char_runner().invoke(main, [arg.format(out=out) for arg in args])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,message", [

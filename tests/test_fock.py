@@ -339,20 +339,22 @@ def test_sector_of_each_family_and_its_exact_zeros(family, modes):
     assert np.all(block.matrix[outside] == 0.0)
     if kind != "whole":  # the exact zeros are the kernel's, not the build's
         assert np.all(rowwise_fock_matrix(st, block.cutoff)[outside] == 0.0)
-    # split by its own sector or a coarser one, the block is the dense one:
-    # the sectors of one index by the diagonal, the others as squares
-    dense = block.matrix
+    # paired with a block of its own sector or a coarser one, in either
+    # order, the block splits by the coarser sector into the dense one and
+    # its all-0.0 partner into the 0.0s: the sectors of one index by the
+    # diagonal, the others as squares
+    dense, zeros = block.matrix, np.zeros_like(block.matrix)
     for coarser in fock.SECTORS[fock.SECTORS.index(kind):]:
         label = {"number": totals, "parity": totals % 2, "whole": 0 * totals}[coarser]
         sizes = np.bincount(label)
-        alone, squares = fock.sector_blocks(block, coarser)
         single = np.flatnonzero(sizes[label] == 1)
-        assert alone.tobytes() == dense[single, single].tobytes()
-        assert [sq.tobytes() for sq in squares] == [dense[np.ix_(label == s, label == s)].tobytes()
-                                                     for s in np.flatnonzero(sizes > 1)]
-    for finer in fock.SECTORS[:fock.SECTORS.index(kind)]:
-        with pytest.raises(ValueError, match=f"a {kind} block does not split into {finer}"):
-            fock.sector_blocks(block, finer)
+        members = [label == s for s in np.flatnonzero(sizes > 1)]
+        partner = sector_block(zeros, modes, block.cutoff, coarser)
+        for splits in (fock.sector_pair(block, partner), fock.sector_pair(partner, block)[::-1]):
+            for (alone, squares), matrix in zip(splits, (dense, zeros)):
+                assert alone.tobytes() == matrix[single, single].tobytes()
+                assert [sq.tobytes() for sq in squares] == [matrix[np.ix_(m, m)].tobytes()
+                                                             for m in members]
 
 
 @pytest.mark.parametrize("family", list(_SECTORS))
@@ -385,20 +387,30 @@ def test_kernel_constants_cached_and_read_only():
 
 def test_basis_tables_cached_and_read_only(monkeypatch):
     monkeypatch.setattr(fock, "_TABLES", {})
+    fock._layout.cache_clear()
     builds = []
     build = fock._build_tables
     monkeypatch.setattr(fock, "_build_tables", lambda *args: builds.append(args) or build(*args))
     b.gaussian_trace_distance(b.thermal_state(0.3), b.thermal_state(0.5), 1e-3)
-    # the first block builds the tables; the second block and the sector
-    # view of the trace distance reuse them
+    # the first block builds the tables; the second block, its layout and
+    # the sector split of the trace distance reuse them
     assert len(builds) == 1
     tables = fock._basis_tables(2, 5)
     assert [t.shape for t in tables] == [(2, 21), (2, 21), (21,), (7,), (21,), (21, 1),
-                                         (2, 21), (2, 21), (3, 21), (3, 21), (3, 21),
-                                         (3, 2, 21), (3, 2, 21)]
+                                         (2, 21), (2, 21), (21,)]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
+    # each kind's local index tables live in its layout, read-only too
+    for kind in fock.SECTORS:
+        layout = fock._layout(2, 5, kind)
+        assert [t.shape for t in (layout.label, layout.pos, layout.prev_pos, layout.bra_pos)] == [
+            (21,), (21,), (21,), (2, 21)]
+        assert sum(t.shape[1] for t in layout.ket_pos) == 21
+        for table in (layout.label, layout.pos, layout.prev_pos, layout.bra_pos, *layout.ket_pos):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
+    assert builds[1:] == [(2, 5)]  # the layouts read the tables, not a build of their own
 
 
 def _fresh_tables(modes: int, cutoff: int) -> list[np.ndarray]:
@@ -412,34 +424,41 @@ def _fresh_tables(modes: int, cutoff: int) -> list[np.ndarray]:
     starts = np.array([sum(sum(occ) < k for occ in basis) for k in range(cutoff + 2)])
     prev = lower[first, np.arange(len(basis))]
     div = sqrt_cnt[first, np.arange(len(basis))][:, None]
+    totals = np.array([sum(occ) for occ in basis])
+    return [lower, sqrt_cnt, first, starts, prev, div, sqrt_cnt[:, prev], lower[:, prev], totals]
 
-    # per kind of sector: the sector of each occupation and its rank there;
-    # a bra term reads prev - e_i, or its own row where that leaves the
-    # sector, and a ket term reads occ - e_i, or -1 where that is not in
-    # the sector of total(occ) - 1
-    sector = [lambda occ: sum(occ), lambda occ: sum(occ) % 2, lambda occ: 0]
-    label, pos, bra, ket = [], [], [], []
-    for of in sector:
-        label.append([of(occ) for occ in basis])
-        rank = {}
-        for occ in basis:
-            rank[occ] = sum(of(other) == of(occ) for other in basis[:index[occ]])
-        pos.append([rank[occ] for occ in basis])
-        bra.append([[rank[basis[lower[i, prev[a]]]] if of(basis[lower[i, prev[a]]]) == of(occ)
-                     else rank[occ] for a, occ in enumerate(basis)] for i in range(modes)])
-        ket.append([[rank[basis[lower[i, c]]]
-                     if of(basis[lower[i, c]]) == of((occ[0] - 1,) + occ[1:])
-                     else -1 for c, occ in enumerate(basis)] for i in range(modes)])
-    pos = np.array(pos)
-    return [lower, sqrt_cnt, first, starts, prev, div, sqrt_cnt[:, prev], lower[:, prev],
-            np.array(label), pos, pos[:, prev], np.array(bra), np.array(ket)]
+
+#: the sector of an occupation, per kind of sector
+_SECTOR_OF = {"number": lambda occ: sum(occ), "parity": lambda occ: sum(occ) % 2,
+              "whole": lambda occ: 0}
+
+
+def _fresh_local_tables(modes: int, cutoff: int, kind: str) -> list[np.ndarray]:
+    """``label``, ``pos``, ``prev_pos``, ``bra_pos`` and ``ket_pos`` (all
+    members' columns, in basis order) of the ``kind`` layout, straight from
+    the enumerated basis: the sector of each occupation and its rank there;
+    a bra term reads prev - e_i, or its own row where that leaves the
+    sector, and a ket term reads occ - e_i, or -1 where that is not in the
+    sector of total(occ) - 1."""
+    basis = b.enumerate_basis(modes, cutoff)
+    lower, _, _, _, prev, *_ = _fresh_tables(modes, cutoff)
+    of = _SECTOR_OF[kind]
+    label = [of(occ) for occ in basis]
+    rank = [sum(of(other) == of(occ) for other in basis[:k]) for k, occ in enumerate(basis)]
+    bra = [[rank[lower[i, prev[a]]] if of(basis[lower[i, prev[a]]]) == of(occ) else rank[a]
+            for a, occ in enumerate(basis)] for i in range(modes)]
+    ket = [[rank[lower[i, c]] if of(basis[lower[i, c]]) == of((occ[0] - 1,) + occ[1:]) else -1
+            for c, occ in enumerate(basis)] for i in range(modes)]
+    return [np.array(label), np.array(rank), np.array(rank)[prev], np.array(bra), np.array(ket)]
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
 def test_basis_tables_grow_and_serve_prefix_views(modes, monkeypatch):
     # one table per mode count, rebuilt only for a larger cutoff; every
-    # cutoff asked for gets views equal to a fresh enumeration, read-only
+    # cutoff asked for gets views equal to a fresh enumeration, read-only,
+    # and a layout of each kind whose local tables equal one too
     monkeypatch.setattr(fock, "_TABLES", {})
+    fock._layout.cache_clear()
     builds = []
     build = fock._build_tables
     monkeypatch.setattr(fock, "_build_tables", lambda *args: builds.append(args) or build(*args))
@@ -450,4 +469,13 @@ def test_basis_tables_grow_and_serve_prefix_views(modes, monkeypatch):
             assert np.shares_memory(got, full)
             with pytest.raises(ValueError, match="read-only"):
                 got[(0,) * got.ndim] = 1
+        for kind in fock.SECTORS:
+            layout = fock._layout(modes, cutoff, kind)
+            ket = np.zeros((modes, tables.totals.size), dtype=layout.ket_pos[0].dtype)
+            for members, cols in zip(layout.members, layout.ket_pos):
+                ket[:, members] = cols
+            got = [layout.label, layout.pos, layout.prev_pos, layout.bra_pos, ket]
+            for got_t, want in zip(got, _fresh_local_tables(modes, cutoff, kind)):
+                assert got_t.dtype == want.dtype and np.array_equal(got_t, want), (
+                    cutoff, kind, got_t, want)
     assert builds == [(modes, 4), (modes, 9), (modes, 12)]

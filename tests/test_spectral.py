@@ -15,6 +15,8 @@ def test_h_function_values():
     assert b.h_function(0.0) == 0.0
     assert b.h_function(1.0) == pytest.approx(2.0, abs=1e-15)
     assert b.h_function(3.0) == pytest.approx(8.0 - 3.0 * math.log2(3.0), abs=1e-14)
+    with pytest.raises(ValueError, match=r"^argument must be >= 0, got -1\.0$"):
+        b.h_function(-1.0)
 
 
 def _h_oracle(x: float) -> float:
@@ -261,6 +263,10 @@ def test_entropy_variance_cut_aliases_and_boundaries():
         assert b.entropy_variance_pure_loss(1.0, ns, cut) == pytest.approx(
             b.thermal_entropy_variance(ns), rel=1e-12)
     assert b.entropy_variance_pure_loss(0.0, ns, "B|E") == 0.0
+    # a vacuum input carries no entropy, so no variance, at any transmissivity
+    for lam_0 in (0.0, 0.35, 1.0):
+        for cut in ("A|E", "B|E"):
+            assert b.entropy_variance_pure_loss(lam_0, 0.0, cut) == 0.0
     assert b.entropy_variance_pure_loss(0.0, ns, "A|E") == pytest.approx(
         b.thermal_entropy_variance(ns), rel=1e-12)
     with pytest.raises(ValueError):

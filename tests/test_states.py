@@ -1,6 +1,7 @@
 """States, transforms, channels, and the serialization round trip."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,11 @@ def test_displacement():
     assert np.array_equal(coh.cov, np.eye(2))
     assert np.allclose(coh.mean, shift)
     assert b.mean_photon_number(coh) == pytest.approx(1.0, abs=1e-14)
+    # a shift of odd length, or not flat, is named as given
+    for bad, shown in (([0.3], "[0.3]"), ([0.1, 0.2, 0.3], "[0.1, 0.2, 0.3]"),
+                       ([[0.1, 0.2]], "[[0.1, 0.2]]")):
+        with pytest.raises(ValueError, match=re.escape(f"(length 2k), got {shown}")):
+            b.displacement(bad)
 
 
 def test_apply_transform_on_selected_modes():

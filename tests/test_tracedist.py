@@ -264,17 +264,18 @@ def _root(array):
 
 @pytest.mark.parametrize("kind", ["whole", "parity", "regrouped"])
 def test_second_block_is_freed_before_the_eigensolve(monkeypatch, kind):
-    # every buffer that sector_blocks hands out for block b -- its own, or
+    # every buffer that sector_pair hands out for block b -- its own, or
     # the copy it regroups b into -- is gone when the eigensolve starts, so
     # eigvalsh's copy of the difference is the second dense block alive
     x, y = _lifetime_pair(kind)
     expected = b.gaussian_trace_distance(x, y, 1e-3)
-    split, solve, handed = tracedist.sector_blocks, tracedist._half_trace_norm, []
+    split, solve, handed = tracedist.sector_pair, tracedist._half_trace_norm, []
 
-    def spy_split(block, sector):
-        alone, blocks = split(block, sector)
-        handed.append((block.sector, [weakref.ref(_root(a)) for a in [alone, *blocks]]))
-        return alone, blocks
+    def spy_split(block_a, block_b):
+        splits = split(block_a, block_b)
+        for block, (alone, blocks) in zip((block_a, block_b), splits):
+            handed.append((block.sector, [weakref.ref(_root(a)) for a in [alone, *blocks]]))
+        return splits
 
     def spy_solve(alone, blocks):
         (_, refs_a), (sector_b, refs_b) = handed
@@ -283,7 +284,7 @@ def test_second_block_is_freed_before_the_eigensolve(monkeypatch, kind):
         assert any(ref() is not None for ref in refs_a)
         return solve(alone, blocks)
 
-    monkeypatch.setattr(tracedist, "sector_blocks", spy_split)
+    monkeypatch.setattr(tracedist, "sector_pair", spy_split)
     monkeypatch.setattr(tracedist, "_half_trace_norm", spy_solve)
     assert b.gaussian_trace_distance(x, y, 1e-3) == expected
     assert len(handed) == 2
