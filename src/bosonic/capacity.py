@@ -144,8 +144,9 @@ def _check_task(task: str) -> str:
 
 
 def check_n(n: int) -> int:
-    """``n`` as an int; ``ValueError`` unless it is a positive integer."""
-    if not 1 <= n < math.inf or int(n) != n:
+    """``n`` as an int; ``ValueError`` unless it is a positive integer (a
+    bool is not)."""
+    if isinstance(n, bool) or not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     return int(n)
 

@@ -109,18 +109,28 @@ def _load_state(path: str) -> GaussianState:
 _CHANNELS = {"loss": ("lam", PureLoss), "amp": ("g", PureAmplifier)}
 
 
-def _channel_entry(kind) -> tuple[str, type]:
-    if kind not in ("loss", "amp"):
-        raise ValueError(f"channel must be loss or amp, got {kind!r}")
-    return _CHANNELS[kind]
-
-
 def _parse_channel(channel: str, lam: float | None, g: float | None):
-    option, make = _channel_entry(channel)
+    option, make = _CHANNELS[channel]
     param = lam if option == "lam" else g
     if param is None:
         raise ValueError(f"--channel {channel} needs --{option}")
     return make(param)
+
+
+def _split(option: str, text: str, cast=str) -> list:
+    """The comma-separated entries of ``option``'s value, each stripped and
+    read by ``cast``; an empty or unreadable entry is a domain error that
+    names the option."""
+    values = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"{option}: empty entry in {text!r}")
+        try:
+            values.append(cast(token))
+        except ValueError:
+            raise ValueError(f"{option}: cannot read {token!r} as {cast.__name__}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +184,7 @@ def state_photon(path):
 @click.option("--keep", required=True, help="Comma-separated mode indices to keep.")
 def state_reduce(path, keep):
     def body():
-        modes = [int(tok) for tok in keep.split(",") if tok.strip() != ""]
-        _emit(state_to_dict(reduce_state(_load_state(path), modes)))
+        _emit(state_to_dict(reduce_state(_load_state(path), _split("--keep", keep, int))))
 
     _guarded(body)
 
@@ -200,11 +209,8 @@ def state_evolve(path, bs, tms, displace, modes):
         elif tms is not None:
             transform = two_mode_squeezer(tms)
         else:
-            shift = [float(tok) for tok in displace.split(",")]
-            transform = displacement(shift)
-        targets = None
-        if modes is not None:
-            targets = [int(tok) for tok in modes.split(",") if tok.strip() != ""]
+            transform = displacement(_split("--displace", displace, float))
+        targets = None if modes is None else _split("--modes", modes, int)
         _emit(state_to_dict(apply_transform(_load_state(path), transform, targets)))
 
     _guarded(body)
@@ -248,7 +254,8 @@ def tail_cmd(path, cutoff, target_eps):
 @click.argument("path_b", type=click.Path())
 @click.option("--eps", type=float, required=True, help="Certified accuracy target.")
 @click.option("--dump-fock", "dump_prefix", default=None,
-              help="Write the truncated Fock blocks to PREFIX.a.json / PREFIX.b.json.")
+              help="Write the raw (unnormalized) truncated Fock blocks to "
+                   "PREFIX.a.json / PREFIX.b.json.")
 def tracedist_cmd(path_a, path_b, eps, dump_prefix):
     """Certified trace distance between two Gaussian state files."""
     # the Fock build loads for this command only
@@ -359,27 +366,31 @@ def complexity_cmd(channel, lam, g, task, k, eps, ns):
 # ----------------------------------------------------------------- sweep ---
 
 
-def _parse_range(spec_str: str) -> list[float]:
-    """start:stop:count[:log] or a single value."""
-    parts = str(spec_str).split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) not in (3, 4):
-        raise ValueError(f"range must be start:stop:count[:log], got {spec_str!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError(f"range count must be >= 1, got {count}")
-    for text, value in zip(parts, (start, stop)):
-        if not math.isfinite(value):
-            raise ValueError(f"range endpoints must be finite, got {text!r} in {spec_str!r}")
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ValueError(f"range suffix must be 'log', got {parts[3]!r}")
-        if start <= 0 or stop <= 0:
-            raise ValueError("log spacing needs positive endpoints")
-        vals = np.geomspace(start, stop, count)
-    else:
-        vals = np.linspace(start, stop, count)
+def _parse_range(option: str, spec: str) -> list[float]:
+    """``option``'s start:stop:count[:log] or single value; a malformed
+    range is a domain error that names the option."""
+    try:
+        parts = spec.split(":")
+        if len(parts) == 1:
+            return [float(parts[0])]
+        if len(parts) not in (3, 4):
+            raise ValueError(f"range must be start:stop:count[:log], got {spec!r}")
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError(f"range count must be >= 1, got {count}")
+        for text, value in zip(parts, (start, stop)):
+            if not math.isfinite(value):
+                raise ValueError(f"range endpoints must be finite, got {text!r} in {spec!r}")
+        if len(parts) == 4:
+            if parts[3] != "log":
+                raise ValueError(f"range suffix must be 'log', got {parts[3]!r}")
+            if start <= 0 or stop <= 0:
+                raise ValueError("log spacing needs positive endpoints")
+            vals = np.geomspace(start, stop, count)
+        else:
+            vals = np.linspace(start, stop, count)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
     return [float(v) for v in vals]
 
 
@@ -450,7 +461,7 @@ def _sweep_grids(methods, tasks, kind, params, ns_list, n_list, eps_list):
     rows start with, its values shaped (channel parameter, Ns, n, eps) and
     their ``_ROW_ENDS`` indices; the first invalid input raises before any
     grid is returned."""
-    make_channel = _channel_entry(kind)[1]
+    make_channel = _CHANNELS[kind][1]
     channels = {}  # by position, built at first use as the per-row calls would
     grids = []
     for method in methods:
@@ -505,25 +516,23 @@ def _sweep_text(grids, kind, params, ns_list, n_list, eps_list):
 
 
 _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,preconditions_met"
-#: the keys a sweep config file may set: the options of the same names
-_SWEEP_CONFIG_KEYS = ("channel", "methods", "tasks", "lam", "g", "ns", "n", "eps", "out")
 
 
 @main.command("sweep")
-@click.option("--config", type=click.Path(), default=None,
-              help="JSON file with defaults for the options below.")
-@click.option("--channel", type=click.Choice(["loss", "amp"]), default=None)
-@click.option("--methods", default=None, help="Comma-separated method names.")
-@click.option("--tasks", default=None, help="Comma-separated tasks.")
-@click.option("--lam", default=None, help="Transmissivity range start:stop:count[:log].")
-@click.option("--g", default=None, help="Gain range start:stop:count[:log].")
+@click.option("--channel", required=True, type=click.Choice(["loss", "amp"]))
+@click.option("--methods", default="best", show_default=True,
+              help="Comma-separated method names.")
+@click.option("--tasks", default="Q2", show_default=True, help="Comma-separated tasks.")
+@click.option("--lam", default="0.5", show_default=True,
+              help="Transmissivity range start:stop:count[:log].")
+@click.option("--g", default="2.0", show_default=True, help="Gain range start:stop:count[:log].")
 @click.option("--ns", default=None, help="Photon-number range (optional).")
-@click.option("--n", default=None,
+@click.option("--n", default="100", show_default=True,
               help="Channel-use range; range points are truncated toward zero, "
                    "a single value must be an integer.")
-@click.option("--eps", default=None, help="Error range.")
-@click.option("--out", type=click.Path(), default=None, help="CSV output path.")
-def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
+@click.option("--eps", default="0.1", show_default=True, help="Error range.")
+@click.option("--out", required=True, type=click.Path(), help="CSV output path.")
+def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
     """Evaluate bounds over a parameter grid and write CSV.
 
     Row order follows the nested loops (method, task, channel parameter,
@@ -538,45 +547,22 @@ def sweep_cmd(config, channel, methods, tasks, lam, g, ns, n, eps, out):
     """
 
     def body():
-        conf = {}
-        if config is not None:
-            with open(config, "r", encoding="utf-8") as fh:
-                conf = json.load(fh)
-            unknown = [key for key in conf if key not in _SWEEP_CONFIG_KEYS]
-            if unknown:
-                raise ValueError(f"unknown sweep config key {unknown[0]!r}; "
-                                 f"expected one of {_SWEEP_CONFIG_KEYS}")
-
-        def pick(flag_val, key, default=None):
-            if flag_val is not None:
-                return flag_val
-            return conf.get(key, default)
-
-        kind = pick(channel, "channel")
-        if kind is None:
-            raise ValueError("sweep needs --channel (flag or config)")
-        _channel_entry(kind)  # a config file may name any channel
-        method_list = [m.strip() for m in str(pick(methods, "methods", "best")).split(",")]
-        task_list = [t.strip() for t in str(pick(tasks, "tasks", "Q2")).split(",")]
-        params = _parse_range(pick(lam, "lam", "0.5") if kind == "loss" else pick(g, "g", "2.0"))
+        method_list = _split("--methods", methods)
+        task_list = _split("--tasks", tasks)
+        params = _parse_range("--lam", lam) if channel == "loss" else _parse_range("--g", g)
         # every listed n, eps and Ns is checked, whether or not a method reads it;
         # n range points are truncated toward zero, a single n must be an integer
-        ns_raw = pick(ns, "ns")
-        ns_list = [None] if ns_raw is None else [cap_mod.check_photons(v)
-                                                 for v in _parse_range(ns_raw)]
-        n_raw = str(pick(n, "n", "100"))
-        n_list = [cap_mod.check_n(int(v) if ":" in n_raw and math.isfinite(v) else v)
-                  for v in _parse_range(n_raw)]
-        eps_list = [cap_mod.check_eps(v) for v in _parse_range(pick(eps, "eps", "0.1"))]
-        out_path = pick(out, "out")
-        if out_path is None:
-            raise ValueError("sweep needs --out (flag or config)")
-        grids = _sweep_grids(method_list, task_list, kind, params, ns_list, n_list, eps_list)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        ns_list = [None] if ns is None else [cap_mod.check_photons(v)
+                                             for v in _parse_range("--ns", ns)]
+        n_list = [cap_mod.check_n(int(v) if ":" in n and math.isfinite(v) else v)
+                  for v in _parse_range("--n", n)]
+        eps_list = [cap_mod.check_eps(v) for v in _parse_range("--eps", eps)]
+        grids = _sweep_grids(method_list, task_list, channel, params, ns_list, n_list, eps_list)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(_SWEEP_HEADER + "\n")
-            for text in _sweep_text(grids, kind, params, ns_list, n_list, eps_list):
+            for text in _sweep_text(grids, channel, params, ns_list, n_list, eps_list):
                 fh.write(text)
-        click.echo(f"wrote {sum(value.size for _, value, _ in grids)} rows to {out_path}")
+        click.echo(f"wrote {sum(value.size for _, value, _ in grids)} rows to {out}")
 
     _guarded(body)
 

@@ -259,7 +259,8 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
     f_mat = exchange - quad
     u_vec = quad @ np.concatenate([np.conj(mu), mu])
 
-    det = np.linalg.det((state.cov + np.eye(2 * n)) / 2.0)
+    with np.errstate(over="ignore"):  # an overflow takes the slogdet route below
+        det = np.linalg.det((state.cov + np.eye(2 * n)) / 2.0)
     if not (det > 0.0 and math.isfinite(det)):
         sign, logdet = np.linalg.slogdet((state.cov + np.eye(2 * n)) / 2.0)
         if sign <= 0:

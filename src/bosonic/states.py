@@ -214,26 +214,29 @@ def _check_scale(who: str, channel: Channel, photons: float) -> None:
                          "an output mode would hold more than 1e+100 photons")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer
+    (``operator.index``: no float, however integral, and no bool)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_modes(modes: int) -> int:
-    """``modes`` as an int; ``ValueError`` unless it is an integer >= 1
-    (``operator.index``: no float, however integral)."""
-    if modes < 1:
+    """``modes`` as an int; ``ValueError`` unless it is an integer >= 1."""
+    if modes < 1 and not isinstance(modes, bool):
         raise ValueError(f"need at least one mode, got {modes}")
-    try:
-        return operator.index(modes)
-    except TypeError:
-        raise ValueError(f"modes must be an integer, got {modes!r}") from None
+    return _integer(modes, "modes")
 
 
 def check_cutoff(cutoff: int, name: str = "cutoff") -> int:
-    """``cutoff`` as an int; ``ValueError`` unless it is a non-negative integer
-    (``operator.index``: no float, however integral)."""
-    if cutoff < 0:
+    """``cutoff`` as an int; ``ValueError`` unless it is a non-negative integer."""
+    if cutoff < 0 and not isinstance(cutoff, bool):
         raise ValueError(f"{name} must be >= 0, got {cutoff}")
-    try:
-        return operator.index(cutoff)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {cutoff!r}") from None
+    return _integer(cutoff, name)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,16 @@ def test_invert_sqrt_bound():
     assert b.invert_sqrt_bound(math.inf, 2.0, 1.0, 10.0, min_n=7) == 7
 
 
+@pytest.mark.parametrize("n", [0, 2.5, math.inf, True, False])
+def test_every_channel_use_count_must_be_a_positive_integer(n):
+    # True was read as one channel use
+    takers = [b.capacity.check_n, lambda n: b.upper_bound_nshot(PureLoss(0.5), n, 0.1),
+              lambda n: b.aep_lower_bound_pure_loss(0.5, n, 0.1, "Q2")]
+    for call in takers:
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+            call(n)
+
+
 @pytest.mark.parametrize("k", [0.0, -3.0])
 def test_channel_uses_sufficient_needs_positive_bits(k):
     with pytest.raises(ValueError, match=f"^target bits must be positive, got {k}$"):

@@ -282,20 +282,6 @@ def test_sweep_csv_schema_and_order(runner, tmp_path):
     assert row[3] == "" and row[4] != ""
 
 
-def test_sweep_config_precedence(runner, tmp_path):
-    conf = tmp_path / "conf.json"
-    out_a = str(tmp_path / "a.csv")
-    conf.write_text(json.dumps({"channel": "loss", "methods": "improved", "tasks": "Q2",
-                                "lam": "0.5", "n": "100", "eps": "0.1", "out": out_a}))
-    res = invoke(runner, "sweep", "--config", str(conf))
-    assert res.exit_code == 0
-    assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith("improved")
-    out_b = str(tmp_path / "b.csv")
-    res2 = invoke(runner, "sweep", "--config", str(conf), "--methods", "upper", "--out", out_b)
-    assert res2.exit_code == 0
-    assert (tmp_path / "b.csv").read_text().splitlines()[1].startswith("upper")
-
-
 def test_sweep_skips_loss_only_families_on_amp(runner, tmp_path):
     # improved and ec-variance cover the pure loss channel only: an amp sweep
     # skips their rows instead of aborting
@@ -379,10 +365,10 @@ def _sweep_and_oracle(runner, out, kind, methods, tasks, params, ns, n, eps):
         _oracle_line(m, t, kind, p, s, nv, e)
         for m in methods.split(",")
         for t in tasks.split(",")
-        for p in _parse_range(params)
-        for s in ([None] if ns is None else _parse_range(ns))
-        for nv in (int(v) for v in _parse_range(n))
-        for e in _parse_range(eps)
+        for p in _parse_range("--lam", params)
+        for s in ([None] if ns is None else _parse_range("--ns", ns))
+        for nv in (int(v) for v in _parse_range("--n", n))
+        for e in _parse_range("--eps", eps)
     ]
     expected = [line for line in expected if line is not None]
     lines = out.read_text().splitlines()
@@ -482,10 +468,22 @@ _INVALID_GRIDS = [
     pytest.param(("--channel", "amp", "--g", "inf"), "gain must be finite, got inf", id="g-inf"),
     pytest.param(("--n", "inf"), "n must be a positive integer, got inf", id="n-inf"),
     # a range endpoint is named as written, before numpy spaces the points
-    pytest.param(("--lam", "0:inf:2"), "range endpoints must be finite, got 'inf' in '0:inf:2'",
+    pytest.param(("--lam", "0:inf:2"),
+                 "--lam: range endpoints must be finite, got 'inf' in '0:inf:2'",
                  id="lam-range-inf"),
-    pytest.param(("--n", "1:inf:2"), "range endpoints must be finite, got 'inf' in '1:inf:2'",
+    pytest.param(("--n", "1:inf:2"), "--n: range endpoints must be finite, got 'inf' in '1:inf:2'",
                  id="n-range-inf"),
+    # an empty list entry or a malformed range names its option
+    pytest.param(("--methods", "aep,"), "--methods: empty entry in 'aep,'", id="methods-empty"),
+    pytest.param(("--tasks", ",Q2"), "--tasks: empty entry in ',Q2'", id="tasks-empty"),
+    pytest.param(("--eps", "0.1:0.2:0"), "--eps: range count must be >= 1, got 0",
+                 id="eps-range-count"),
+    pytest.param(("--ns", "1:x:2"), "--ns: could not convert string to float: 'x'",
+                 id="ns-range-text"),
+    pytest.param(("--n", "1:10:2.5"), "--n: invalid literal for int() with base 10: '2.5'",
+                 id="n-range-count"),
+    pytest.param(("--channel", "amp", "--g", "2:3:4:ln"),
+                 "--g: range suffix must be 'log', got 'ln'", id="g-range-suffix"),
     # a photon number the closed forms would overflow on
     pytest.param(("--methods", "best", "--ns", "1e200"),
                  "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200: "
@@ -518,20 +516,52 @@ def test_sweep_jobs_option_is_gone(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting,message", [
-    ({"methds": "upper"}, "unknown sweep config key 'methds'"),
-    ({"jobs": 2}, "unknown sweep config key 'jobs'"),
-    ({"channel": "bogus"}, "channel must be loss or amp, got 'bogus'"),
-])
-def test_sweep_config_rejects_bad_settings(tmp_path, setting, message):
+def test_sweep_config_option_is_gone(tmp_path):
+    # every sweep setting has one way in: its flag
+    assert "--config" not in _char_runner().invoke(main, ["sweep", "--help"]).stdout
     out = tmp_path / "sweep.csv"
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"channel": "loss", "lam": "0.5", "out": str(out)} | setting))
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"channel": "loss", "out": str(out)}))
     res = _char_runner().invoke(main, ["sweep", "--config", str(conf)])
     assert res.exit_code == 2
-    assert res.stderr.startswith(f"error: {message}")
-    assert res.stdout == ""
+    assert "--config" in res.stderr
     assert not out.exists()
+
+
+def test_sweep_defaults(tmp_path):
+    # what an option left out reads, byte for byte
+    defaults = ("--methods", "best", "--tasks", "Q2", "--n", "100", "--eps", "0.1")
+    for kind, param in (("loss", ("--lam", "0.5")), ("amp", ("--g", "2.0"))):
+        bare, full = tmp_path / f"{kind}-bare.csv", tmp_path / f"{kind}-full.csv"
+        assert _char_runner().invoke(main, ["sweep", "--channel", kind, "--out", str(bare)]
+                                     ).exit_code == 0
+        assert _char_runner().invoke(main, ["sweep", "--channel", kind, *defaults, *param,
+                                            "--out", str(full)]).exit_code == 0
+        assert bare.read_text() == full.read_text()
+        assert len(bare.read_text().splitlines()) == 2
+
+
+_ONE = ("--beam-splitter", "0.5")
+
+
+@pytest.mark.parametrize("args,message", [
+    (("reduce", "{two}", "--keep", "0,"), "--keep: empty entry in '0,'"),
+    (("reduce", "{two}", "--keep", "0,x"), "--keep: cannot read 'x' as int"),
+    (("evolve", "{two}", "--displace", "0.1,,0.2,0"), "--displace: empty entry in '0.1,,0.2,0'"),
+    (("evolve", "{two}", "--displace", "0.3,"), "--displace: empty entry in '0.3,'"),
+    (("evolve", "{two}", "--displace", ""), "--displace: empty entry in ''"),
+    (("evolve", "{two}", "--displace", "0.3,p"), "--displace: cannot read 'p' as float"),
+    (("evolve", "{two}", *_ONE, "--modes", "a"), "--modes: cannot read 'a' as int"),
+    (("evolve", "{two}", *_ONE, "--modes", "0,1.0"), "--modes: cannot read '1.0' as int"),
+    (("evolve", "{two}", *_ONE, "--modes", "0, ,1"), "--modes: empty entry in '0, ,1'"),
+])
+def test_state_list_options_name_themselves(tmp_path, args, message):
+    # an empty or unreadable entry of a comma list is refused, not skipped
+    two = write_state(tmp_path, "two.json", bosonic.state_to_dict(bosonic.tmsv_state(0.5)))
+    res = _char_runner().invoke(main, ["state", *(arg.format(two=two) for arg in args)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("cap", ["abc", "-1", "0"])
@@ -568,16 +598,16 @@ _OUT = ("--out", "{out}")
 
 @pytest.mark.parametrize("args,message", [
     pytest.param(("sweep", *_GRID, "--lam", "1:2", *_OUT),
-                 "range must be start:stop:count[:log], got '1:2'", id="range-parts"),
-    pytest.param(("sweep", *_GRID, "--lam", "0:1:0", *_OUT), "range count must be >= 1, got 0",
-                 id="range-count"),
+                 "--lam: range must be start:stop:count[:log], got '1:2'", id="range-parts"),
+    pytest.param(("sweep", *_GRID, "--lam", "0:1:0", *_OUT),
+                 "--lam: range count must be >= 1, got 0", id="range-count"),
     pytest.param(("sweep", *_GRID, "--lam", "0.1:1:3:lin", *_OUT),
-                 "range suffix must be 'log', got 'lin'", id="range-suffix"),
+                 "--lam: range suffix must be 'log', got 'lin'", id="range-suffix"),
     pytest.param(("sweep", *_GRID, "--lam", "0:1:3:log", *_OUT),
-                 "log spacing needs positive endpoints", id="range-log"),
-    pytest.param(("sweep", *_GRID[2:], *_OUT), "sweep needs --channel (flag or config)",
-                 id="sweep-channel"),
-    pytest.param(("sweep", *_GRID), "sweep needs --out (flag or config)", id="sweep-out"),
+                 "--lam: log spacing needs positive endpoints", id="range-log"),
+    # click's own usage errors, not the "error: " of a domain check
+    pytest.param(("sweep", *_GRID[2:], *_OUT), "Missing option '--channel'", id="sweep-channel"),
+    pytest.param(("sweep", *_GRID), "Missing option '--out'", id="sweep-out"),
     pytest.param(("capacity", *_LOSS, "--method", "aep"), "method aep needs --n and --eps",
                  id="aep-no-n-eps"),
     pytest.param(("capacity", *_LOSS, "--method", "aep", "--n", "100"),
@@ -589,7 +619,10 @@ def test_domain_errors_exit_two(tmp_path, args, message):
     out = tmp_path / "sweep.csv"
     res = _char_runner().invoke(main, [arg.format(out=out) for arg in args])
     assert res.exit_code == 2
-    assert res.stderr == f"error: {message}\n"
+    if message.startswith("Missing option"):
+        assert f"Error: {message}" in res.stderr
+    else:
+        assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
     assert not out.exists()
 

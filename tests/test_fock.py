@@ -82,6 +82,16 @@ def test_trace_is_one_minus_tail():
     assert f.trace == pytest.approx(1.0 - exact_tail, abs=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+def test_kernel_norm_past_the_det_overflow():
+    # det((V + 1) / 2) = prod (N_j + 1)^2 = 1e360 overflows; the slogdet route
+    # gives the vacuum entry prod 1 / (N_j + 1), with no numpy warning
+    photons = [1e60, 2e60, 5e59]
+    state = b.tensor([b.thermal_state(nj) for nj in photons])
+    want = math.prod(1.0 / (nj + 1.0) for nj in photons)
+    assert b.fock_matrix_elements(state, 0).trace == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_truncate_normalize():
     f = b.fock_matrix_elements(b.thermal_state(1.0), 2)
     g = b.truncate_normalize(f)

@@ -9,6 +9,7 @@ import pytest
 
 import bosonic as b
 from bosonic import GaussianState, InvalidStateError, PureAmplifier, PureLoss
+from bosonic.cli import _encode
 from conftest import random_state, random_symplectic
 
 SZ = np.diag([1.0, -1.0])
@@ -314,10 +315,11 @@ def test_every_photon_number_must_be_finite(photons):
             pytest.fail(f"{name} took {photons} photons")
 
 
-@pytest.mark.parametrize("cutoff", [math.nan, 2.5, 3.0])
+@pytest.mark.parametrize("cutoff", [math.nan, 2.5, 3.0, True, False])
 def test_every_cutoff_must_be_an_integer(cutoff):
     # a float cutoff used to give a bound (or NaN), a failed min() or a
-    # TypeError from math.comb; an integral float is no integer either
+    # TypeError from math.comb; an integral float is no integer either, and
+    # True was read as cutoff 1
     for name, call in CUTOFF_TAKERS.items():
         with pytest.raises(ValueError, match=rf"^cutoff must be an integer, got {cutoff}$"):
             call(cutoff)
@@ -326,11 +328,12 @@ def test_every_cutoff_must_be_an_integer(cutoff):
         b.cutoff_for_error(b.thermal_state(0.5), 0.1, cap=cutoff)
 
 
-@pytest.mark.parametrize("modes", [0, -1, math.nan, 1.5, 2.0])
+@pytest.mark.parametrize("modes", [0, -1, math.nan, 1.5, 2.0, True, False])
 def test_every_mode_count_must_be_a_positive_integer(modes):
     # 0 modes used to give a dimension of 1, 1.5 a RecursionError or a
-    # TypeError from numpy or math.comb
-    message = "need at least one mode" if modes < 1 else "modes must be an integer"
+    # TypeError from numpy or math.comb, and True was read as one mode
+    integral = modes < 1 and not isinstance(modes, bool)
+    message = "need at least one mode" if integral else "modes must be an integer"
     for name, call in MODE_TAKERS.items():
         with pytest.raises(ValueError, match=rf"^{message}, got {modes}$"):
             call(modes)
@@ -371,6 +374,44 @@ def test_domain_messages_are_shared():
     assert b.tail_bound_closed(state, np.int64(3)) == b.tail_bound_closed(state, 3)
     assert b.cutoff_for_error(state, 0.1, cap=np.int64(40)) == b.cutoff_for_error(state, 0.1)
     assert b.basis_dimension(np.int64(2), np.int64(3)) == b.basis_dimension(2, 3) == 10
+
+
+_NOT_A_CHANNEL = object()
+_ONE_MODE = b.thermal_state(0.5)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: b.Transform(np.eye(3), np.zeros(3)), ValueError,
+                 "symplectic matrix has bad shape (3, 3)", id="transform-matrix"),
+    pytest.param(lambda: b.Transform(np.eye(2), np.zeros(3)), ValueError,
+                 "shift shape (3,) does not match matrix (2, 2)", id="transform-shift"),
+    pytest.param(lambda: b.apply_transform(_ONE_MODE, b.displacement([1.0, 0.0]), [1]),
+                 ValueError, "target modes [1] out of range for 1-mode state", id="target-mode"),
+    pytest.param(lambda: b.tensor([]), ValueError, "tensor needs at least one state",
+                 id="tensor-empty"),
+    pytest.param(lambda: b.reduce_state(_ONE_MODE, []), ValueError,
+                 "must keep at least one mode", id="reduce-empty"),
+    pytest.param(lambda: b.dilation(_NOT_A_CHANNEL), TypeError,
+                 f"not a channel: {_NOT_A_CHANNEL!r}", id="dilation"),
+    pytest.param(lambda: b.state_from_dict({"modes": 2, "mean": [0.0, 0.0],
+                                            "cov": [[1.0, 0.0], [0.0, 1.0]]}),
+                 InvalidStateError, "declared 2 modes but mean has length 2", id="declared-modes"),
+    pytest.param(lambda: b.williamson(np.eye(3)), ValueError,
+                 "covariance must be 2n x 2n, got (3, 3)", id="williamson-shape"),
+    pytest.param(lambda: b.coherent_information(_ONE_MODE, [0]), ValueError,
+                 "cut must leave both sides non-empty", id="coherent-information-cut"),
+    pytest.param(lambda: b.petz_conditional_entropy_half(_ONE_MODE, []), ValueError,
+                 "cut must leave both sides non-empty", id="petz-cut"),
+    pytest.param(lambda: b.gaussian_overlap(_ONE_MODE, b.tmsv_state(0.5)), ValueError,
+                 "states must have the same number of modes", id="overlap-modes"),
+    pytest.param(lambda: b.beam_splitter_fock_coeffs(-1, 0, 0.5), ValueError,
+                 "occupations must be >= 0, got (-1, 0)", id="fock-coeffs"),
+    pytest.param(lambda: _encode({1j}), TypeError, "cannot serialize <class 'set'>",
+                 id="cli-encode"),
+])
+def test_rejections_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

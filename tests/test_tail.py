@@ -235,6 +235,18 @@ def test_optimizer_fallback_is_the_closed_form(monkeypatch):
             assert got.fallback and got.optimizer_x == 8.0 * b.mean_photon_number(st) + 4.0
 
 
+def test_nat_cap_below_the_bracket_start():
+    # at M = 10^6 the cap 700 / (2M + 1) on t lies below arccoth(10 (8 N + 4)),
+    # so the bracket is [t_cap / 2, t_cap]: no fallback, the bound at the floor
+    state = b.thermal_state(1.0)
+    t_lo, t_hi = tail._t_bracket(tail._spectrum(state), 10**6)
+    assert t_hi == tail._T_CAP_NATS / (2e6 + 1.0) and t_lo == t_hi / 2.0
+    optimized = b.tail_bound_optimized(state, 10**6)
+    assert not optimized.fallback
+    assert optimized.bound == tail.TAIL_FLOOR
+    assert optimized.bound <= b.tail_bound_closed(state, 10**6).bound
+
+
 def test_cutoff_nongaussian():
     assert b.cutoff_nongaussian(1.0, 0.1) == 900
     assert b.cutoff_nongaussian(2.0, 0.05) == math.ceil(9 * 2.0 / 0.05**2)
