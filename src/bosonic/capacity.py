@@ -73,7 +73,6 @@ __all__ = [
     "TASKS",
     "aep_lower_bound_amplifier",
     "aep_lower_bound_generic",
-    "aep_lower_bound_pure_loss",
     "asymptotic_capacity",
     "best_families",
     "best_lower_bound",
@@ -492,17 +491,6 @@ BOUND_FAMILIES: dict[str, BoundFamily] = {
 
 # ---------------------------------------------------------------------------
 # public bound families
-
-
-def aep_lower_bound_pure_loss(
-    transmissivity: float, n: int, eps: float, task: str
-) -> CapacityBound:
-    """Closed-form AEP lower bound for the pure loss channel (infinite energy).
-
-    Valid once n >= 2 log2(2/eps^2); below that the bound is still reported
-    but flagged.
-    """
-    return BOUND_FAMILIES["aep"].evaluate(PureLoss(transmissivity), n, eps, task)
 
 
 def aep_lower_bound_amplifier(gain: float, n: int, eps: float, task: str) -> CapacityBound:

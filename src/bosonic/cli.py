@@ -17,6 +17,7 @@ import time
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import capacity as cap_mod
 from .states import (
@@ -109,12 +110,25 @@ def _load_state(path: str) -> GaussianState:
 _CHANNELS = {"loss": ("lam", PureLoss), "amp": ("g", PureAmplifier)}
 
 
+def _check_channel_options(channel: str, given) -> None:
+    """Refuse an option among the given channel-parameter option names
+    (``lam``, ``g``) that ``channel`` does not read, with a domain error
+    that names both options: nothing would read it."""
+    option = _CHANNELS[channel][0]
+    for other in given:
+        if other != option:
+            raise ValueError(f"--{other} does not apply to --channel {channel}, "
+                             f"which reads --{option}")
+
+
 def _parse_channel(channel: str, lam: float | None, g: float | None):
+    values = {"lam": lam, "g": g}
     option, make = _CHANNELS[channel]
-    param = lam if option == "lam" else g
-    if param is None:
+    if values[option] is None:
         raise ValueError(f"--channel {channel} needs --{option}")
-    return make(param)
+    made = make(values[option])  # its value checks come first, as in sweep
+    _check_channel_options(channel, {name for name, value in values.items() if value is not None})
+    return made
 
 
 def _split(option: str, text: str, cast=str) -> list:
@@ -131,6 +145,17 @@ def _split(option: str, text: str, cast=str) -> list:
         except ValueError:
             raise ValueError(f"{option}: cannot read {token!r} as {cast.__name__}") from None
     return values
+
+
+def _distinct(option: str, text: str) -> list[str]:
+    """``_split`` of a list of names, each at most once: a repeated name is
+    a domain error that names the option, as its rows would be written
+    twice."""
+    names = _split(option, text)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{option}: {name!r} is listed twice in {text!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +349,8 @@ def _evaluate_method(method, channel, task, n, eps, photons):
 
 @main.command("capacity")
 @click.option("--channel", required=True, type=click.Choice(["loss", "amp"]))
-@click.option("--lam", type=float, default=None, help="Loss transmissivity.")
-@click.option("--g", type=float, default=None, help="Amplifier gain.")
+@click.option("--lam", type=float, default=None, help="Loss transmissivity (--channel loss).")
+@click.option("--g", type=float, default=None, help="Amplifier gain (--channel amp).")
 @click.option("--task", required=True, type=click.Choice(list(cap_mod.TASKS)))
 @click.option("--method", required=True, type=click.Choice(list(_METHODS)))
 @click.option("--n", type=int, default=None, help="Number of channel uses.")
@@ -345,8 +370,8 @@ def capacity_cmd(channel, lam, g, task, method, n, eps, ns):
 
 @main.command("complexity")
 @click.option("--channel", required=True, type=click.Choice(["loss", "amp"]))
-@click.option("--lam", type=float, default=None)
-@click.option("--g", type=float, default=None)
+@click.option("--lam", type=float, default=None, help="Loss transmissivity (--channel loss).")
+@click.option("--g", type=float, default=None, help="Amplifier gain (--channel amp).")
 @click.option("--task", required=True, type=click.Choice(list(cap_mod.TASKS)))
 @click.option("--k", type=float, required=True, help="Bits to transmit/generate.")
 @click.option("--eps", type=float, required=True)
@@ -524,8 +549,9 @@ _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,precondit
               help="Comma-separated method names.")
 @click.option("--tasks", default="Q2", show_default=True, help="Comma-separated tasks.")
 @click.option("--lam", default="0.5", show_default=True,
-              help="Transmissivity range start:stop:count[:log].")
-@click.option("--g", default="2.0", show_default=True, help="Gain range start:stop:count[:log].")
+              help="Transmissivity range start:stop:count[:log] (--channel loss).")
+@click.option("--g", default="2.0", show_default=True,
+              help="Gain range start:stop:count[:log] (--channel amp).")
 @click.option("--ns", default=None, help="Photon-number range (optional).")
 @click.option("--n", default="100", show_default=True,
               help="Channel-use range; range points are truncated toward zero, "
@@ -543,13 +569,21 @@ def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
     task) is then evaluated as arrays, each value digit for digit the one
     ``bosonic capacity`` reports, and each distinct value is formatted once.
     Nothing is written until every value is computed; then the rows of each
-    grid are written as one string.
+    grid are written as one string.  A repeated --methods or --tasks entry,
+    or a given option of the other channel, is refused.
     """
 
+    # an option left at its shown default is not given: only a given one
+    # of the other channel is refused
+    ctx = click.get_current_context()
+    given = {name for name in ("lam", "g")
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+
     def body():
-        method_list = _split("--methods", methods)
-        task_list = _split("--tasks", tasks)
-        params = _parse_range("--lam", lam) if channel == "loss" else _parse_range("--g", g)
+        method_list = _distinct("--methods", methods)
+        task_list = _distinct("--tasks", tasks)
+        option = _CHANNELS[channel][0]
+        params = _parse_range(f"--{option}", {"lam": lam, "g": g}[option])
         # every listed n, eps and Ns is checked, whether or not a method reads it;
         # n range points are truncated toward zero, a single n must be an integer
         ns_list = [None] if ns is None else [cap_mod.check_photons(v)
@@ -558,6 +592,8 @@ def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
                   for v in _parse_range("--n", n)]
         eps_list = [cap_mod.check_eps(v) for v in _parse_range("--eps", eps)]
         grids = _sweep_grids(method_list, task_list, channel, params, ns_list, n_list, eps_list)
+        # after every value check, which keeps its place before this one
+        _check_channel_options(channel, given)
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(_SWEEP_HEADER + "\n")
             for text in _sweep_text(grids, channel, params, ns_list, n_list, eps_list):

@@ -32,8 +32,8 @@ is
 and row 0 runs the same recursion along the ket index with u_{n+j} and the
 ket-ket block of F.  Rows of total k read rows of totals k - 1 and k - 2
 only, so the build runs row 0 and then one photon-number shell at a time,
-each shell's rows in vectorized row steps of at most ``_TILE``^2 entries
-per term (one step for most shells).
+each shell's rows in vectorized row steps of at most ``_TILE``^2 = 128^2
+entries (256 KiB) per term (one step for most shells).
 
 Sectors come from exact zeros of the kernel data.  If u is all 0.0 the
 block is a parity block; if the bra-bra and ket-ket blocks of F are all 0.0
@@ -80,8 +80,9 @@ term at the vacuum and the vacuum lies in another sector, the term read an
 exact 0.0 of the dense block; it reads one here too, a trailing column of
 0.0 for the ket terms and the row being written, still 0.0, for the bra
 terms.  So every product is the one the dense build formed, signs of zeros
-included.  Each sector block is symmetrized as (S + S^H) / 2 tile by tile,
-the sectors of one index in one vectorized step.
+included.  Each sector block is symmetrized as (S + S^H) / 2 in tiles of
+at most ``_TILE``^2 entries, the sectors of one index in one vectorized
+step.
 
 ``FockMatrix`` has no public constructor: every block comes from
 ``fock_matrix_elements`` or ``truncate_normalize`` and records the sector
@@ -430,8 +431,13 @@ def _views(data: np.ndarray, layout: _Layout) -> list[np.ndarray]:
     return [data[lo:hi].reshape(d, d) for lo, hi, d in zip(ends[:-1], ends[1:], layout.sizes)]
 
 
-#: tile edge of the blockwise symmetrization
-_TILE = 256
+#: tile edge of the blockwise symmetrization, and the shell row steps' bound
+#: of _TILE^2 entries per term.  128 reaches the memory floor with no slower
+#: build: a dim-969 whole-basis distance raises a fresh process's resident
+#: peak by 2.07 dense blocks at edges 64, 96 and 128 (the difference plus
+#: eigvalsh's copy), 2.14 at 192 and 2.31 at 256, while the Fock builds of a
+#: td-large pass take 0.90x their time at 256 with 96 or 128 and 1.11x at 64.
+_TILE = 128
 
 
 def _symmetrize(data: np.ndarray, layout: _Layout) -> None:
@@ -500,8 +506,10 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
 
     The rows of each photon-number shell are computed in row steps of at
     most ``_TILE``^2 entries per term (a shell that fits one step in one),
-    so the temporaries stay O(``_TILE``^2) whatever the dimension; each
-    entry is the same products summed in the same order either way.
+    and the symmetrization runs in tiles of that size, so the temporaries
+    stay O(``_TILE``^2) whatever the dimension: 256 KiB per 128^2 complex
+    entries.  Each entry is the same products summed in the same order
+    either way.
 
     Returns:
         ``FockMatrix`` whose trace equals one minus the photon-number tail,

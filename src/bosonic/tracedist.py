@@ -31,12 +31,13 @@ block into the first block's buffer (or into the regrouped copy
 ``sector_pair`` makes of it); the second block lives only inside
 ``_difference``, so no name or view of it reaches the eigensolve.  Blocks
 take 16 sum_s d_s^2 bytes each (16 dim^2 on the whole basis).  The peak is
-two blocks plus the build's shell temporaries of O(``fock._TILE``^2)
-entries, reached while the second block is built; at the eigensolve the
-difference and the eigensolver's copy of one sector block are alive.  On
-the whole basis at dim 969 a fresh process's resident peak rises 2.3 dense
-blocks above a small distance's (3.1 while a view kept the second block
-alive into the eigensolve).  ``finite_trace_distance`` takes the difference
+two blocks plus the build's shell and symmetrization temporaries of
+O(``fock._TILE``^2) entries (``_TILE`` = 128), reached while the second block is
+built; at the eigensolve the difference and the eigensolver's copy of one
+sector block are alive.  On the whole basis at dim 969 a fresh process's
+resident peak rises 2.07 dense blocks above a small distance's (2.3 with
+tiles of 256^2 entries, 3.1 while a view kept the second block alive into
+the eigensolve).  ``finite_trace_distance`` takes the difference
 into new arrays and leaves its arguments as they are; both go through one
 eigensolve route.
 """

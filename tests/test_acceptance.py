@@ -167,7 +167,7 @@ def test_criterion_07_sandwich_and_constant_gap():
                 upper = b.upper_bound_nshot(PureLoss(lam), n, eps, "Q2").value
                 lows = [
                     b.improved_lower_bound_pure_loss(lam, n, eps, "Q2").value,
-                    b.aep_lower_bound_pure_loss(lam, n, eps, "Q2").value,
+                    b.BOUND_FAMILIES["aep"].evaluate(PureLoss(lam), n, eps, "Q2").value,
                     b.ec_aep_lower_bound(PureLoss(lam), 100.0, n, eps, "Q2").value,
                     b.ec_variance_lower_bound(lam, 100.0, n, eps, "Q2").value,
                 ]
@@ -191,7 +191,7 @@ def test_criterion_09_energy_constrained_convergence():
     improved = b.improved_lower_bound_pure_loss(0.5, 100, 0.1, "Q2").value
     assert abs(ec_var - improved) <= 0.1
     ec_aep = b.ec_aep_lower_bound(PureLoss(0.5), 1e6, 100, 0.1, "Q2").value
-    aep = b.aep_lower_bound_pure_loss(0.5, 100, 0.1, "Q2").value
+    aep = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.5), 100, 0.1, "Q2").value
     assert abs(ec_aep - aep) <= 0.1
     _done(9, "energy-constrained convergence")
 

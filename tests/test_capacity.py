@@ -106,13 +106,13 @@ def test_aep_loss_q_spec_point():
               - math.sqrt(n) * 4 * math.log2(math.sqrt(1 / 3) + math.sqrt(3.0) + 1)
               * math.sqrt(math.log2(2.0**9 / eps**2))
               - math.log2(2.0**18 / (3 * eps**4)))
-    got = b.aep_lower_bound_pure_loss(lam, n, eps, "Q")
+    got = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(lam), n, eps, "Q")
     assert got.value == pytest.approx(oracle, rel=1e-12)
     assert got.direction == "lower" and got.preconditions_met
 
 
 def test_aep_loss_q2_headline():
-    got = b.aep_lower_bound_pure_loss(0.5, 100, 0.1, "Q2")
+    got = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.5), 100, 0.1, "Q2")
     assert got.value == pytest.approx(-75.8017, abs=1e-3)
     assert got.vacuous
     # full sqrt(n) multiplier: 4 log2(sqrt(1-lam) + 1/sqrt(1-lam) + 1) * sqrt(log2(8/eps))
@@ -136,23 +136,23 @@ def test_aep_threshold_flag():
     # n >= 2 log2(2/eps^2) required; below it the value is still reported
     eps = 0.1
     thr = 2 * math.log2(2.0 / eps**2)
-    low = b.aep_lower_bound_pure_loss(0.6, int(thr) - 2, eps, "Q")
+    low = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.6), int(thr) - 2, eps, "Q")
     assert not low.preconditions_met
-    high = b.aep_lower_bound_pure_loss(0.6, int(thr) + 2, eps, "Q")
+    high = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.6), int(thr) + 2, eps, "Q")
     assert high.preconditions_met
 
 
 def test_aep_boundaries_report_infinity():
-    res = b.aep_lower_bound_pure_loss(1.0, 100, 0.1, "Q2")
+    res = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(1.0), 100, 0.1, "Q2")
     assert res.value == math.inf and "infinite" in res.note
     res_a = b.aep_lower_bound_amplifier(1.0, 100, 0.1, "Q")
     assert res_a.value == math.inf
     with pytest.raises(ValueError):
-        b.aep_lower_bound_pure_loss(1.2, 100, 0.1, "Q")
+        b.BOUND_FAMILIES["aep"].evaluate(PureLoss(1.2), 100, 0.1, "Q")
 
 
 def test_aep_per_use_converges_to_capacity():
-    res = b.aep_lower_bound_pure_loss(0.75, 10**6, 0.1, "Q")
+    res = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.75), 10**6, 0.1, "Q")
     assert res.value / 10**6 == pytest.approx(math.log2(3.0), abs=0.05)
 
 
@@ -160,7 +160,7 @@ def test_generic_aep_matches_closed_forms():
     tm = b.tmsv_state(1e6)
     for task in ("Q", "Q2", "K"):
         gen = b.aep_lower_bound_generic(PureLoss(0.5), tm, 100, 0.1, task)
-        closed = b.aep_lower_bound_pure_loss(0.5, 100, 0.1, task)
+        closed = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.5), 100, 0.1, task)
         assert gen.value == pytest.approx(closed.value, abs=1e-2)
         gen_a = b.aep_lower_bound_generic(PureAmplifier(2.0), tm, 100, 0.1, task)
         closed_a = b.aep_lower_bound_amplifier(2.0, 100, 0.1, task)
@@ -242,7 +242,7 @@ def test_sandwich_and_constant_gap():
             for n in n_grid:
                 upper = b.upper_bound_nshot(PureLoss(lam), n, eps, "Q2").value
                 improved = b.improved_lower_bound_pure_loss(lam, n, eps, "Q2").value
-                aep = b.aep_lower_bound_pure_loss(lam, n, eps, "Q2").value
+                aep = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(lam), n, eps, "Q2").value
                 assert improved <= upper
                 assert aep <= upper
                 gaps.append(upper - improved)
@@ -264,7 +264,7 @@ def test_ec_aep_regressions():
 
 def test_ec_aep_converges_to_unconstrained():
     a = b.ec_aep_lower_bound(PureLoss(0.5), 1e6, 100, 0.1, "Q2").value
-    u = b.aep_lower_bound_pure_loss(0.5, 100, 0.1, "Q2").value
+    u = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.5), 100, 0.1, "Q2").value
     assert a == pytest.approx(u, abs=0.1)
 
 
@@ -510,7 +510,7 @@ def test_invert_sqrt_bound():
 def test_every_channel_use_count_must_be_a_positive_integer(n):
     # True was read as one channel use
     takers = [b.capacity.check_n, lambda n: b.upper_bound_nshot(PureLoss(0.5), n, 0.1),
-              lambda n: b.aep_lower_bound_pure_loss(0.5, n, 0.1, "Q2")]
+              lambda n: b.BOUND_FAMILIES["aep"].evaluate(PureLoss(0.5), n, 0.1, "Q2")]
     for call in takers:
         with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
             call(n)

@@ -484,6 +484,17 @@ _INVALID_GRIDS = [
                  id="n-range-count"),
     pytest.param(("--channel", "amp", "--g", "2:3:4:ln"),
                  "--g: range suffix must be 'log', got 'ln'", id="g-range-suffix"),
+    # a given option of the other channel, even at its shown default, is
+    # refused once every value passes its checks
+    pytest.param(("--g", "2.0"), "--g does not apply to --channel loss, which reads --lam",
+                 id="loss-given-g"),
+    pytest.param(("--channel", "amp", "--g", "1.5:3:2"),
+                 "--lam does not apply to --channel amp, which reads --g", id="amp-given-lam"),
+    # a repeated list entry would write its rows twice
+    pytest.param(("--tasks", "Q2,Q2"), "--tasks: 'Q2' is listed twice in 'Q2,Q2'",
+                 id="tasks-repeated"),
+    pytest.param(("--methods", "aep, upper,aep"),
+                 "--methods: 'aep' is listed twice in 'aep, upper,aep'", id="methods-repeated"),
     # a photon number the closed forms would overflow on
     pytest.param(("--methods", "best", "--ns", "1e200"),
                  "method ec-aep cannot evaluate lambda = 0.5 with Ns = 1e+200: "
@@ -614,6 +625,17 @@ _OUT = ("--out", "{out}")
                  "method aep needs --n and --eps", id="aep-no-eps"),
     pytest.param(("capacity", *_LOSS, "--method", "aep", "--eps", "0.1"),
                  "method aep needs --n and --eps", id="aep-no-n"),
+    # the other channel's parameter is refused, not dropped
+    pytest.param(("capacity", *_AMP, "--g", "2", "--lam", "0.3", *_NSHOT),
+                 "--lam does not apply to --channel amp, which reads --g", id="capacity-amp-lam"),
+    pytest.param(("capacity", *_LOSS, "--g", "2", *_NSHOT),
+                 "--g does not apply to --channel loss, which reads --lam", id="capacity-loss-g"),
+    pytest.param(("complexity", *_LOSS, "--g", "2", "--k", "100", "--eps", "0.1"),
+                 "--g does not apply to --channel loss, which reads --lam",
+                 id="complexity-loss-g"),
+    pytest.param(("complexity", *_AMP, "--lam", "0.3", "--g", "2", "--k", "100", "--eps", "0.1"),
+                 "--lam does not apply to --channel amp, which reads --g",
+                 id="complexity-amp-lam"),
 ])
 def test_domain_errors_exit_two(tmp_path, args, message):
     out = tmp_path / "sweep.csv"
