@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 domain validation error,
-3 resource cap exceeded or out of memory, 4 a Fock block whose trace fails
-its certificate check (``FockTraceError``).  All JSON floats carry 17
+Exit codes: 0 success, then one table, ``_EXIT_CODES``, for every error a
+command raises: 1 I/O or parse error, 2 domain validation error, 3 resource
+cap exceeded or out of memory, 4 a Fock block whose trace fails its
+certificate check (``FockTraceError``).  The group's ``invoke`` prints
+``error: <message>`` and exits with the first matching row's code; an error
+in no row propagates.  click's usage errors keep click's exit 2, and ``state
+validate`` exits 2 after printing a failed report.  All JSON floats carry 17
 significant digits so payloads round-trip exactly; wall-clock time is
 reported in a separate field so data payloads stay byte-identical across
 runs.
@@ -38,6 +42,8 @@ from .states import (
 )
 from .tail import (
     CutoffCapError,
+    DimensionCapError,
+    FockTraceError,
     cutoff_for_error,
     tail_bound_closed,
     tail_bound_optimized,
@@ -78,27 +84,6 @@ def _encode(obj) -> str:
 
 def _emit(payload) -> None:
     click.echo(_encode(payload))
-
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _guarded(body, caps: tuple[type[Exception], ...] = (), memory_hint: str = ""):
-    """Run ``body`` and map its errors to the exit codes.  ``caps`` are the
-    command's resource caps besides the cutoff cap, and ``memory_hint``
-    follows the out-of-memory message."""
-    try:
-        return body()
-    except (CutoffCapError, *caps) as exc:
-        _fail(3, str(exc))
-    except MemoryError:
-        _fail(3, "out of memory" + memory_hint)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(1, str(exc))
-    except (ValueError, TypeError, RuntimeError) as exc:
-        _fail(2, str(exc))
 
 
 def _load_state(path: str) -> GaussianState:
@@ -160,8 +145,40 @@ def _distinct(option: str, text: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 
+#: the exit code of each error a command raises: the first row that names
+#: its type wins, and an error in no row propagates
+_EXIT_CODES = (
+    ((CutoffCapError, DimensionCapError, MemoryError), 3),
+    ((FockTraceError,), 4),
+    ((OSError, json.JSONDecodeError), 1),
+    ((ValueError, TypeError, RuntimeError), 2),
+)
+#: what follows "out of memory", by command
+_MEMORY_HINTS = {"tracedist": "; a lower BOSONIC_FOCK_CAP stops a Fock basis before it "
+                              "outgrows memory, or raise eps"}
 
-@click.group()
+
+class _Guarded(click.Group):
+    """A group whose commands' errors end as ``error: <message>`` on stderr
+    and the exit code ``_EXIT_CODES`` gives them."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise  # click's own RuntimeErrors, --help's among them
+        except Exception as exc:
+            code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), None)
+            if code is None:
+                raise
+            message = str(exc)
+            if isinstance(exc, MemoryError):
+                message = "out of memory" + _MEMORY_HINTS.get(ctx.invoked_subcommand, "")
+            click.echo(f"error: {message}", err=True)
+            sys.exit(code)
+
+
+@click.group(cls=_Guarded)
 def main():
     """Gaussian-state numerics: tail bounds, trace distances, capacity bounds."""
 
@@ -177,41 +194,35 @@ def state():
 @state.command("thermal")
 @click.option("--n", "photons", type=float, required=True, help="Mean photon number.")
 def state_thermal(photons):
-    _guarded(lambda: _emit(state_to_dict(thermal_state(photons))))
+    _emit(state_to_dict(thermal_state(photons)))
 
 
 @state.command("tmsv")
 @click.option("--n", "photons", type=float, required=True, help="Mean photon number per arm.")
 def state_tmsv(photons):
-    _guarded(lambda: _emit(state_to_dict(tmsv_state(photons))))
+    _emit(state_to_dict(tmsv_state(photons)))
 
 
 @state.command("validate")
 @click.argument("path", type=click.Path())
 def state_validate(path):
-    def body():
-        report = validate_state(_load_state(path))
-        _emit(report.to_dict())
-        if not report.ok:
-            sys.exit(2)
-
-    _guarded(body)
+    report = validate_state(_load_state(path))
+    _emit(report.to_dict())
+    if not report.ok:
+        sys.exit(2)
 
 
 @state.command("photon")
 @click.argument("path", type=click.Path())
 def state_photon(path):
-    _guarded(lambda: _emit(mean_photon_number(_load_state(path))))
+    _emit(mean_photon_number(_load_state(path)))
 
 
 @state.command("reduce")
 @click.argument("path", type=click.Path())
 @click.option("--keep", required=True, help="Comma-separated mode indices to keep.")
 def state_reduce(path, keep):
-    def body():
-        _emit(state_to_dict(reduce_state(_load_state(path), _split("--keep", keep, int))))
-
-    _guarded(body)
+    _emit(state_to_dict(reduce_state(_load_state(path), _split("--keep", keep, int))))
 
 
 @state.command("evolve")
@@ -224,21 +235,18 @@ def state_reduce(path, keep):
               help="Comma-separated phase-space shift (length 2k).")
 @click.option("--modes", default=None, help="Comma-separated target modes.")
 def state_evolve(path, bs, tms, displace, modes):
-    def body():
-        chosen = [x for x in (bs, tms, displace) if x is not None]
-        if len(chosen) != 1:
-            raise ValueError("pick exactly one of --beam-splitter, "
-                             "--two-mode-squeezer, --displace")
-        if bs is not None:
-            transform = beam_splitter(bs)
-        elif tms is not None:
-            transform = two_mode_squeezer(tms)
-        else:
-            transform = displacement(_split("--displace", displace, float))
-        targets = None if modes is None else _split("--modes", modes, int)
-        _emit(state_to_dict(apply_transform(_load_state(path), transform, targets)))
-
-    _guarded(body)
+    chosen = [x for x in (bs, tms, displace) if x is not None]
+    if len(chosen) != 1:
+        raise ValueError("pick exactly one of --beam-splitter, "
+                         "--two-mode-squeezer, --displace")
+    if bs is not None:
+        transform = beam_splitter(bs)
+    elif tms is not None:
+        transform = two_mode_squeezer(tms)
+    else:
+        transform = displacement(_split("--displace", displace, float))
+    targets = None if modes is None else _split("--modes", modes, int)
+    _emit(state_to_dict(apply_transform(_load_state(path), transform, targets)))
 
 
 # ------------------------------------------------------------------ tail ---
@@ -251,24 +259,20 @@ def state_evolve(path, bs, tms, displace, modes):
               help="Pick the smallest cutoff certifying this truncation error.")
 def tail_cmd(path, cutoff, target_eps):
     """Photon-number tail bounds for a Gaussian state file."""
-
-    def body():
-        if (cutoff is None) == (target_eps is None):
-            raise ValueError("give exactly one of --m or --target-eps")
-        s = _load_state(path)
-        m = cutoff if cutoff is not None else cutoff_for_error(s, target_eps)
-        closed = tail_bound_closed(s, m)
-        optimized = tail_bound_optimized(s, m)
-        _emit(
-            {
-                "closed": closed.bound,
-                "optimized": optimized.bound,
-                "optimizer_x": optimized.optimizer_x,
-                "cutoff": m,
-            }
-        )
-
-    _guarded(body)
+    if (cutoff is None) == (target_eps is None):
+        raise ValueError("give exactly one of --m or --target-eps")
+    s = _load_state(path)
+    m = cutoff if cutoff is not None else cutoff_for_error(s, target_eps)
+    closed = tail_bound_closed(s, m)
+    optimized = tail_bound_optimized(s, m)
+    _emit(
+        {
+            "closed": closed.bound,
+            "optimized": optimized.bound,
+            "optimizer_x": optimized.optimizer_x,
+            "cutoff": m,
+        }
+    )
 
 
 # ------------------------------------------------------------- tracedist ---
@@ -284,36 +288,28 @@ def tail_cmd(path, cutoff, target_eps):
 def tracedist_cmd(path_a, path_b, eps, dump_prefix):
     """Certified trace distance between two Gaussian state files."""
     # the Fock build loads for this command only
-    from .fock import (CAP_ENV_VAR, DimensionCapError, FockTraceError, fock_matrix_elements,
-                       fock_to_dict)
+    from .fock import fock_matrix_elements, fock_to_dict
     from .tracedist import gaussian_trace_distance
 
-    def body():
-        sa = _load_state(path_a)
-        sb = _load_state(path_b)
-        start = time.perf_counter()
-        try:
-            result = gaussian_trace_distance(sa, sb, eps)
-        except FockTraceError as exc:  # a RuntimeError, which would exit 2
-            _fail(4, str(exc))
-        seconds = time.perf_counter() - start
-        if dump_prefix is not None:
-            for suffix, st in (("a", sa), ("b", sb)):
-                block = fock_matrix_elements(st, result.cutoff)
-                with open(f"{dump_prefix}.{suffix}.json", "w", encoding="utf-8") as fh:
-                    fh.write(_encode(fock_to_dict(block)) + "\n")
-        _emit(
-            {
-                "estimate": result.estimate,
-                "certified_error": result.certified_error,
-                "cutoff": result.cutoff,
-                "fock_dim": result.fock_dim,
-                "seconds": seconds,
-            }
-        )
-
-    _guarded(body, (DimensionCapError,), f"; a lower {CAP_ENV_VAR} stops a Fock basis before "
-                                         "it outgrows memory, or raise eps")
+    sa = _load_state(path_a)
+    sb = _load_state(path_b)
+    start = time.perf_counter()
+    result = gaussian_trace_distance(sa, sb, eps)
+    seconds = time.perf_counter() - start
+    if dump_prefix is not None:
+        for suffix, st in (("a", sa), ("b", sb)):
+            block = fock_matrix_elements(st, result.cutoff)
+            with open(f"{dump_prefix}.{suffix}.json", "w", encoding="utf-8") as fh:
+                fh.write(_encode(fock_to_dict(block)) + "\n")
+    _emit(
+        {
+            "estimate": result.estimate,
+            "certified_error": result.certified_error,
+            "cutoff": result.cutoff,
+            "fock_dim": result.fock_dim,
+            "seconds": seconds,
+        }
+    )
 
 
 # -------------------------------------------------------------- capacity ---
@@ -358,14 +354,15 @@ def _evaluate_method(method, channel, task, n, eps, photons):
 @click.option("--ns", type=float, default=None, help="Input mean photon number.")
 def capacity_cmd(channel, lam, g, task, method, n, eps, ns):
     """Evaluate one capacity bound; emits the bound with its breakdown."""
-
-    def body():
-        ch = _parse_channel(channel, lam, g)
-        result = _evaluate_method(method, ch, task, n, eps, ns)
-        payload = result.to_dict() if isinstance(result, cap_mod.CapacityBound) else result
-        _emit(payload)
-
-    _guarded(body)
+    ch = _parse_channel(channel, lam, g)
+    # every given Ns, n and eps is checked, whether or not the method reads it, as in sweep
+    for check, value in ((cap_mod.check_photons, ns), (cap_mod.check_n, n),
+                         (cap_mod.check_eps, eps)):
+        if value is not None:
+            check(value)
+    result = _evaluate_method(method, ch, task, n, eps, ns)
+    payload = result.to_dict() if isinstance(result, cap_mod.CapacityBound) else result
+    _emit(payload)
 
 
 @main.command("complexity")
@@ -378,14 +375,10 @@ def capacity_cmd(channel, lam, g, task, method, n, eps, ns):
 @click.option("--ns", type=float, default=None, help="Input mean photon number.")
 def complexity_cmd(channel, lam, g, task, k, eps, ns):
     """Channel uses that suffice, and are necessary, for k bits at error eps."""
-
-    def body():
-        ch = _parse_channel(channel, lam, g)
-        sufficient = cap_mod.channel_uses_sufficient(ch, k, eps, task, photons=ns)
-        necessary = cap_mod.channel_uses_necessary(ch, k, eps)
-        _emit({"sufficient_n": sufficient, "necessary_n": necessary})
-
-    _guarded(body)
+    ch = _parse_channel(channel, lam, g)
+    sufficient = cap_mod.channel_uses_sufficient(ch, k, eps, task, photons=ns)
+    necessary = cap_mod.channel_uses_necessary(ch, k, eps)
+    _emit({"sufficient_n": sufficient, "necessary_n": necessary})
 
 
 # ----------------------------------------------------------------- sweep ---
@@ -579,28 +572,25 @@ def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
     given = {name for name in ("lam", "g")
              if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
 
-    def body():
-        method_list = _distinct("--methods", methods)
-        task_list = _distinct("--tasks", tasks)
-        option = _CHANNELS[channel][0]
-        params = _parse_range(f"--{option}", {"lam": lam, "g": g}[option])
-        # every listed n, eps and Ns is checked, whether or not a method reads it;
-        # n range points are truncated toward zero, a single n must be an integer
-        ns_list = [None] if ns is None else [cap_mod.check_photons(v)
-                                             for v in _parse_range("--ns", ns)]
-        n_list = [cap_mod.check_n(int(v) if ":" in n and math.isfinite(v) else v)
-                  for v in _parse_range("--n", n)]
-        eps_list = [cap_mod.check_eps(v) for v in _parse_range("--eps", eps)]
-        grids = _sweep_grids(method_list, task_list, channel, params, ns_list, n_list, eps_list)
-        # after every value check, which keeps its place before this one
-        _check_channel_options(channel, given)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_SWEEP_HEADER + "\n")
-            for text in _sweep_text(grids, channel, params, ns_list, n_list, eps_list):
-                fh.write(text)
-        click.echo(f"wrote {sum(value.size for _, value, _ in grids)} rows to {out}")
-
-    _guarded(body)
+    method_list = _distinct("--methods", methods)
+    task_list = _distinct("--tasks", tasks)
+    option = _CHANNELS[channel][0]
+    params = _parse_range(f"--{option}", {"lam": lam, "g": g}[option])
+    # every listed n, eps and Ns is checked, whether or not a method reads it;
+    # n range points are truncated toward zero, a single n must be an integer
+    ns_list = [None] if ns is None else [cap_mod.check_photons(v)
+                                         for v in _parse_range("--ns", ns)]
+    n_list = [cap_mod.check_n(int(v) if ":" in n and math.isfinite(v) else v)
+              for v in _parse_range("--n", n)]
+    eps_list = [cap_mod.check_eps(v) for v in _parse_range("--eps", eps)]
+    grids = _sweep_grids(method_list, task_list, channel, params, ns_list, n_list, eps_list)
+    # after every value check, which keeps its place before this one
+    _check_channel_options(channel, given)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_SWEEP_HEADER + "\n")
+        for text in _sweep_text(grids, channel, params, ns_list, n_list, eps_list):
+            fh.write(text)
+    click.echo(f"wrote {sum(value.size for _, value, _ in grids)} rows to {out}")
 
 
 if __name__ == "__main__":

@@ -106,6 +106,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .states import GaussianState, check_cutoff, check_modes, check_transmissivity, require_valid
+from .tail import DimensionCapError, FockTraceError
 
 __all__ = [
     "DimensionCapError",
@@ -125,14 +126,6 @@ CAP_ENV_VAR = "BOSONIC_FOCK_CAP"
 
 #: slack on the block-trace invariant 1 - tail - TRACE_TOL <= trace <= 1 + TRACE_TOL
 TRACE_TOL = 1e-6
-
-
-class DimensionCapError(RuntimeError):
-    """Truncated basis would exceed the configured dimension cap."""
-
-
-class FockTraceError(RuntimeError):
-    """A Fock block's trace leaves [1 - tail bound, 1] by more than ``TRACE_TOL``."""
 
 
 def basis_dimension(modes: int, cutoff: int) -> int:

@@ -14,8 +14,10 @@ States are value objects: every operation returns a new ``GaussianState``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,6 +58,8 @@ __all__ = [
 
 #: below this margin the uncertainty relation counts as violated
 UNCERTAINTY_TOL = 1e-9
+#: the largest covariance entry: the sum of two, which symmetrizes V, stays finite
+MAX_ENTRY = sys.float_info.max / 2.0
 
 
 class InvalidStateError(ValueError):
@@ -90,9 +94,13 @@ class GaussianState:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InvalidStateError("state contains non-finite entries")
+        scale = float(np.max(np.abs(cov)))
+        if scale > MAX_ENTRY:
+            raise InvalidStateError(f"covariance entry {scale:.3e} exceeds {MAX_ENTRY:.3e}, "
+                                    "past which its symmetric part overflows")
         # rounding-level asymmetry is removed below; anything larger is bad input
         defect = float(np.max(np.abs(cov - cov.T)))
-        tol = UNCERTAINTY_TOL * max(1.0, float(np.max(np.abs(cov))))
+        tol = UNCERTAINTY_TOL * max(1.0, scale)
         if defect > tol:
             raise InvalidStateError(
                 f"covariance is not symmetric: defect {defect:.3e} exceeds {tol:.1e}"
@@ -134,8 +142,7 @@ def validate_state(state: GaussianState) -> ValidationReport:
     Margins within ``[-UNCERTAINTY_TOL, 0)`` pass with a warning
     (eigensolver noise on pure states); anything below fails.
     """
-    omega = symplectic_form(state.modes)
-    margin = float(np.min(np.linalg.eigvalsh(state.cov + 1j * omega)))
+    margin = _uncertainty_margin(state)
     ok = margin >= -UNCERTAINTY_TOL
     warnings: list[str] = []
     if ok and margin < 0.0:
@@ -153,13 +160,26 @@ def validate_state(state: GaussianState) -> ValidationReport:
 
 
 def require_valid(state: GaussianState) -> GaussianState:
-    """Return ``state`` unchanged, raising ``InvalidStateError`` if unphysical."""
-    report = validate_state(state)
-    if not report.ok:
-        raise InvalidStateError(
-            f"unphysical state: uncertainty margin {report.uncertainty_margin:.3e}"
-        )
+    """Return ``state`` unchanged, raising ``InvalidStateError`` if unphysical:
+    ``validate_state``'s test, without its report."""
+    margin = _uncertainty_margin(state)
+    if not margin >= -UNCERTAINTY_TOL:
+        raise InvalidStateError(f"unphysical state: uncertainty margin {margin:.3e}")
     return state
+
+
+def _uncertainty_margin(state: GaussianState) -> float:
+    """The smallest eigenvalue of ``V + i*Omega``, the first of ``eigvalsh``'s
+    ascending ones."""
+    return float(np.linalg.eigvalsh(state.cov + _i_omega(state.modes))[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _i_omega(modes: int) -> np.ndarray:
+    """``1j * symplectic_form(modes)``, read-only, built once per mode count."""
+    i_omega = 1j * symplectic_form(modes)
+    i_omega.flags.writeable = False
+    return i_omega
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +268,20 @@ def vacuum_state(modes: int = 1) -> GaussianState:
     return GaussianState(np.zeros(2 * modes), np.eye(2 * modes))
 
 
+def _checked_entry(photons: float, entry: float) -> float:
+    """``entry``, the covariance entry a constructor makes of ``photons``
+    that overflows first; ``ValueError`` naming ``photons`` if it exceeds
+    ``MAX_ENTRY`` (inf included), before an array multiplies it by 0."""
+    if not entry <= MAX_ENTRY:
+        raise ValueError(f"mean photon number {photons!r} overflows the covariance matrix")
+    return entry
+
+
 def thermal_state(photons: float) -> GaussianState:
     """Single-mode thermal state with mean photon number ``photons``."""
     photons = check_photons(photons)
-    return GaussianState(np.zeros(2), (2.0 * photons + 1.0) * np.eye(2))
+    a = _checked_entry(photons, 2.0 * photons + 1.0)
+    return GaussianState(np.zeros(2), a * np.eye(2))
 
 
 def tmsv_state(photons: float) -> GaussianState:
@@ -266,7 +296,8 @@ def tmsv_state(photons: float) -> GaussianState:
     """
     photons = check_photons(photons)
     a = 2.0 * photons + 1.0
-    c = 2.0 * np.sqrt(photons * (photons + 1.0))
+    # N (N + 1) overflows long before a does
+    c = _checked_entry(photons, 2.0 * np.sqrt(photons * (photons + 1.0)))
     sz = np.diag([1.0, -1.0])
     eye = np.eye(2)
     cov = np.block([[a * eye, c * sz], [c * sz, a * eye]])
@@ -421,9 +452,14 @@ def reduce_state(state: GaussianState, keep: Sequence[int]) -> GaussianState:
 
 
 def mean_photon_number(state: GaussianState) -> float:
-    """Total mean photon number ``tr(V - I)/4 + |m|^2 / 2``."""
+    """Total mean photon number ``tr(V - I)/4 + |m|^2 / 2``; ``ValueError``
+    if it overflows a float."""
     n = state.modes
-    return float((np.trace(state.cov) - 2.0 * n) / 4.0 + state.mean @ state.mean / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        photons = float((np.trace(state.cov) - 2.0 * n) / 4.0 + state.mean @ state.mean / 2.0)
+    if not math.isfinite(photons):
+        raise ValueError(f"the mean photon number of this state overflows: got {photons}")
+    return photons
 
 
 def cov_norm_bound(photons: float) -> float:

@@ -26,6 +26,18 @@ once, into one ``_Spectrum``.  ``_closed`` is the closed form,
 ``_truncation`` its square root.  The public functions and the cutoff
 search all go through these.
 
+``_spectrum``, which every public function reads, refuses a state that
+violates the uncertainty relation (below the vacuum included;
+``InvalidStateError``) and one whose mean photon number overflows a float
+(``ValueError``): the bound is proved for physical states only, and an
+overflowing photon number leaves nothing finite to bound with.
+
+The module owns the errors of a certified truncation: ``CutoffCapError``
+(no cutoff up to the cap reaches eps), ``DimensionCapError`` (the Fock
+basis at the cutoff outgrows its cap) and ``FockTraceError`` (a Fock
+block's trace fails its check).  ``bosonic.fock`` raises the last two and
+re-exports them; here they can be named without loading the Fock build.
+
 ``cutoff_for_error`` inverts the bound instead of searching M with it.  At
 fixed t = arccoth(x) the log bound f(t) - 2tM is linear in M, so the
 smallest cutoff whose bound reaches eps is the ceiling of the minimum over
@@ -57,10 +69,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import GaussianState, check_cutoff, check_eps, check_photons, mean_photon_number
+from .states import (GaussianState, check_cutoff, check_eps, check_photons, mean_photon_number,
+                     require_valid)
 
 __all__ = [
     "CutoffCapError",
+    "DimensionCapError",
+    "FockTraceError",
     "TailBoundResult",
     "cutoff_for_error",
     "cutoff_nongaussian",
@@ -85,6 +100,14 @@ TAIL_FLOOR = 1e-300
 
 class CutoffCapError(RuntimeError):
     """Requested accuracy needs a photon cutoff above the configured cap."""
+
+
+class DimensionCapError(RuntimeError):
+    """Truncated basis would exceed the configured dimension cap."""
+
+
+class FockTraceError(RuntimeError):
+    """A Fock block's trace leaves [1 - tail bound, 1] by more than ``fock.TRACE_TOL``."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +140,9 @@ class _Spectrum(NamedTuple):
 
 
 def _spectrum(state: GaussianState) -> _Spectrum:
+    """The ``_Spectrum`` of a physical state whose photon number is finite;
+    ``InvalidStateError`` or ``ValueError`` for any other."""
+    require_valid(state)
     evals, evecs = np.linalg.eigh(state.cov)
     return _Spectrum(mean_photon_number(state), evals, evecs.T @ state.mean)
 

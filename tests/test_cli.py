@@ -15,7 +15,8 @@ import pytest
 from click.testing import CliRunner
 
 import bosonic
-from bosonic import tracedist
+import bosonic.cli as cli_module
+from bosonic import capacity, tracedist
 from bosonic.cli import main
 from conftest import scale_blocks
 
@@ -217,6 +218,108 @@ def test_tracedist_trace_error_exit_four(runner, tmp_path, monkeypatch, factor, 
     res = _char_runner().invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
     assert res.exit_code == 4
     assert res.stderr.startswith("error: Fock block trace ") and fault in res.stderr
+    assert res.stdout == ""
+
+
+# one row per kind of error of cli._EXIT_CODES, as (error, exit code, message)
+_TABLE_ROWS = [
+    pytest.param(bosonic.CutoffCapError("no cutoff"), 3, "no cutoff", id="cutoff-cap"),
+    pytest.param(bosonic.DimensionCapError("too wide"), 3, "too wide", id="dimension-cap"),
+    pytest.param(MemoryError(), 3, "out of memory", id="memory"),
+    pytest.param(bosonic.FockTraceError("bad trace"), 4, "bad trace", id="fock-trace"),
+    pytest.param(OSError("disk gone"), 1, "disk gone", id="os"),
+    pytest.param(json.JSONDecodeError("bad", "{", 1), 1, "bad: line 1 column 2 (char 1)",
+                 id="json"),
+    pytest.param(ValueError("bad value"), 2, "bad value", id="value"),
+    pytest.param(TypeError("bad type"), 2, "bad type", id="type"),
+    pytest.param(RuntimeError("went wrong"), 2, "went wrong", id="runtime"),
+]
+# a command in the nested state group and a top-level one, each with the
+# name of a call its body makes and the arguments that reach it
+_GUARDED_CALLS = [
+    pytest.param(cli_module, "thermal_state", ("state", "thermal", "--n", "1"), id="state"),
+    pytest.param(capacity, "channel_uses_sufficient",
+                 ("complexity", "--channel", "loss", "--lam", "0.5", "--task", "Q2", "--k", "100",
+                  "--eps", "0.1"), id="complexity"),
+]
+
+
+def _raising(error):
+    def call(*args, **kwargs):
+        raise error
+
+    return call
+
+
+@pytest.mark.parametrize("module,name,args", _GUARDED_CALLS)
+@pytest.mark.parametrize("error,code,message", _TABLE_ROWS)
+def test_each_table_row_sets_the_exit_code(monkeypatch, module, name, args, error, code,
+                                           message):
+    monkeypatch.setattr(module, name, _raising(error))
+    res = _char_runner().invoke(main, list(args))
+    assert res.exit_code == code
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [("capacity", "--help"), ("state", "thermal", "--help")])
+def test_help_exits_zero(args):
+    # click's Exit is a RuntimeError, which the table would turn into exit 2
+    res = _char_runner().invoke(main, list(args))
+    assert res.exit_code == 0
+    assert res.stdout.startswith("Usage: ")
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("module,name,args", _GUARDED_CALLS)
+def test_an_error_outside_the_table_propagates(monkeypatch, module, name, args):
+    monkeypatch.setattr(module, name, _raising(ZeroDivisionError("division by zero")))
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        _char_runner().invoke(main, list(args), catch_exceptions=False)
+
+
+# a state that violates the uncertainty relation, one below the vacuum, and a
+# physical one whose mean photon number overflows
+_UNCERTAIN = {"modes": 1, "mean": [0, 0], "cov": [[10, 0], [0, 0.01]]}
+_SUB_VACUUM = {"modes": 1, "mean": [0, 0], "cov": [[0.5, 0], [0, 0.5]]}
+_HUGE_MEAN = {"modes": 1, "mean": [1e200, 1e200], "cov": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("payload,args,message", [
+    pytest.param(_UNCERTAIN, ("tail", "{path}", "--m", "5"),
+                 "unphysical state: uncertainty margin -8.912e-02", id="uncertainty"),
+    pytest.param(_SUB_VACUUM, ("tail", "{path}", "--m", "0"),
+                 "unphysical state: uncertainty margin -5.000e-01", id="below-vacuum-m"),
+    pytest.param(_SUB_VACUUM, ("tail", "{path}", "--target-eps", "1e-3"),
+                 "unphysical state: uncertainty margin -5.000e-01", id="below-vacuum-eps"),
+    pytest.param(_HUGE_MEAN, ("tail", "{path}", "--m", "5"),
+                 "the mean photon number of this state overflows: got inf", id="huge-tail"),
+    pytest.param(_HUGE_MEAN, ("state", "photon", "{path}"),
+                 "the mean photon number of this state overflows: got inf", id="huge-photon"),
+])
+def test_no_tail_bound_for_a_refused_state(tmp_path, payload, args, message):
+    # these printed closed 0.7033 and optimized 0.6414 (exit 0), died with an
+    # OverflowError traceback, or printed NaN or Infinity after numpy warnings
+    path = write_state(tmp_path, "state.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _char_runner().invoke(main, [arg.format(path=path) for arg in args])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("kind,photons", [("thermal", "1e308"), ("tmsv", "1e308"),
+                                          ("tmsv", "1e200")])
+def test_overflowing_photon_numbers_named_without_warning(kind, photons):
+    # these printed "RuntimeWarning: invalid value encountered in multiply"
+    # before a refusal that named no input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _char_runner().invoke(main, ["state", kind, "--n", photons])
+    assert res.exit_code == 2
+    assert res.stderr == (f"error: mean photon number {float(photons)!r} overflows the "
+                          "covariance matrix\n")
     assert res.stdout == ""
 
 
@@ -636,6 +739,21 @@ _OUT = ("--out", "{out}")
     pytest.param(("complexity", *_AMP, "--lam", "0.3", "--g", "2", "--k", "100", "--eps", "0.1"),
                  "--lam does not apply to --channel amp, which reads --g",
                  id="complexity-amp-lam"),
+    # every given --ns, --n and --eps is checked, as in sweep, whether or not
+    # the method reads it: each of these printed a result
+    pytest.param(("capacity", *_LOSS, "--method", "aep", "--n", "10", "--eps", "0.1",
+                  "--ns", "-1"), "mean photon number must be >= 0, got -1.0", id="aep-ns-negative"),
+    pytest.param(("capacity", *_LOSS, "--method", "aep", "--n", "10", "--eps", "0.1",
+                  "--ns", "nan"), "mean photon number must be finite, got nan", id="aep-ns-nan"),
+    pytest.param(("capacity", *_LOSS, "--method", "upper", "--n", "10", "--eps", "0.1",
+                  "--ns", "inf"), "mean photon number must be finite, got inf", id="upper-ns-inf"),
+    pytest.param(("capacity", *_LOSS, "--method", "asymptotic", "--n", "-5", "--eps", "7"),
+                 "n must be a positive integer, got -5", id="asymptotic-n"),
+    pytest.param(("capacity", *_LOSS, "--method", "asymptotic", "--eps", "7"),
+                 "eps must lie in (0, 1), got 7.0", id="asymptotic-eps"),
+    pytest.param(("capacity", *_LOSS, "--method", "improved", "--n", "0", "--eps", "0.1",
+                  "--ns", "-1"), "mean photon number must be >= 0, got -1.0",
+                 id="ns-before-n"),
 ])
 def test_domain_errors_exit_two(tmp_path, args, message):
     out = tmp_path / "sweep.csv"

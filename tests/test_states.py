@@ -163,6 +163,44 @@ def test_mean_photon_number_includes_displacement():
     assert b.mean_photon_number(st) == pytest.approx(1.0 + 2.0, abs=1e-14)
 
 
+def test_mean_photon_number_overflow_is_refused():
+    # it was Infinity after a numpy RuntimeWarning
+    huge = GaussianState(np.full(2, 1e200), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the mean photon number of this state overflows: "
+                                             "got inf$"):
+            b.mean_photon_number(huge)
+
+
+@pytest.mark.parametrize("make,photons,fits", [(b.thermal_state, 1e308, 4.4e307),
+                                               (b.thermal_state, 5e307, 4.4e307),
+                                               (b.tmsv_state, 1e308, 1e154),
+                                               (b.tmsv_state, 1e200, 1e154)])
+def test_overflowing_photon_numbers_are_refused_by_name(make, photons, fits):
+    # each raised a numpy RuntimeWarning, then "state contains non-finite
+    # entries", or (thermal at 5e307) made a state with an infinite covariance
+    message = f"mean photon number {photons!r} overflows the covariance matrix"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(photons)
+        assert np.all(np.isfinite(make(fits).cov))
+
+
+def test_covariance_entries_past_half_the_float_range_are_refused():
+    # the symmetric part (V + V^T) / 2 overflowed to an infinite covariance
+    # after a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStateError, match=r"^covariance entry 1\.000e\+308 exceeds "
+                                                    r"8\.988e\+307, past which its symmetric "
+                                                    r"part overflows$"):
+            GaussianState(np.zeros(2), np.diag([1e308, 1.0]))
+        edge = GaussianState(np.zeros(2), np.diag([b.states.MAX_ENTRY, 1.0]))
+    assert edge.cov[0, 0] == b.states.MAX_ENTRY
+
+
 def test_cov_norm_bound_is_sharp_for_tmsv():
     n = 1.5
     tm = b.tmsv_state(n)

@@ -1,6 +1,8 @@
 """Photon-number tail bounds: soundness against exact tails, optimizer behavior."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +269,35 @@ def test_random_states_bounded_by_one_at_zero_cutoff_decay():
 def test_invalid_cutoff():
     with pytest.raises(ValueError):
         b.tail_bound_closed(b.vacuum_state(), -1)
+
+
+#: every public tail entry point, as a function of the state
+_TAIL_CALLS = {
+    "tail_bound_closed": lambda state: b.tail_bound_closed(state, 5),
+    "tail_bound_optimized": lambda state: b.tail_bound_optimized(state, 3),
+    "trace_distance_truncation_bound": lambda state: b.trace_distance_truncation_bound(state, 0),
+    "cutoff_for_error": lambda state: b.cutoff_for_error(state, 1e-3),
+}
+
+
+@pytest.mark.parametrize("state,error,message", [
+    pytest.param(b.GaussianState(np.zeros(2), np.diag([10.0, 0.01])), b.InvalidStateError,
+                 "unphysical state: uncertainty margin -8.912e-02", id="uncertainty"),
+    pytest.param(b.GaussianState(np.zeros(2), 0.5 * np.eye(2)), b.InvalidStateError,
+                 "unphysical state: uncertainty margin -5.000e-01", id="below-vacuum"),
+    pytest.param(b.GaussianState(np.full(2, 1e200), np.eye(2)), ValueError,
+                 "the mean photon number of this state overflows: got inf", id="photon-overflow"),
+])
+def test_no_bound_for_a_refused_state(state, error, message):
+    # these gave bounds (0.7033 closed at M = 5 on the first, the 1e-300
+    # floor on the second), an OverflowError from _coth, or NaN after numpy
+    # RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in _TAIL_CALLS.items():
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call(state)
+                pytest.fail(f"{name} bounded a refused state")
 
 
 # ---------------------------------------------------------------------------
