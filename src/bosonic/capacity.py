@@ -644,7 +644,7 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
         return min_n
 
     def satisfied(m: int) -> bool:
-        return a * m - b * math.sqrt(m) - c >= k
+        return bound_value(a, b, c, m)[0] >= k
 
     disc = b * b + 4.0 * a * (c + k)
     if disc < 0.0:

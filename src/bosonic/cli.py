@@ -330,7 +330,6 @@ def _rate(channel, task, photons):
 
 
 def _evaluate_method(method, channel, task, n, eps, photons):
-    _check_method(method)
     if method == "asymptotic":
         result = {"value": _rate(channel, task, photons), "task": task, "method": "asymptotic"}
         return result if photons is None else result | {"Ns": photons}
@@ -344,7 +343,7 @@ def _evaluate_method(method, channel, task, n, eps, photons):
 
 
 @main.command("capacity")
-@click.option("--channel", required=True, type=click.Choice(["loss", "amp"]))
+@click.option("--channel", required=True, type=click.Choice(list(_CHANNELS)))
 @click.option("--lam", type=float, default=None, help="Loss transmissivity (--channel loss).")
 @click.option("--g", type=float, default=None, help="Amplifier gain (--channel amp).")
 @click.option("--task", required=True, type=click.Choice(list(cap_mod.TASKS)))
@@ -366,7 +365,7 @@ def capacity_cmd(channel, lam, g, task, method, n, eps, ns):
 
 
 @main.command("complexity")
-@click.option("--channel", required=True, type=click.Choice(["loss", "amp"]))
+@click.option("--channel", required=True, type=click.Choice(list(_CHANNELS)))
 @click.option("--lam", type=float, default=None, help="Loss transmissivity (--channel loss).")
 @click.option("--g", type=float, default=None, help="Amplifier gain (--channel amp).")
 @click.option("--task", required=True, type=click.Choice(list(cap_mod.TASKS)))
@@ -537,7 +536,7 @@ _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,precondit
 
 
 @main.command("sweep")
-@click.option("--channel", required=True, type=click.Choice(["loss", "amp"]))
+@click.option("--channel", required=True, type=click.Choice(list(_CHANNELS)))
 @click.option("--methods", default="best", show_default=True,
               help="Comma-separated method names.")
 @click.option("--tasks", default="Q2", show_default=True, help="Comma-separated tasks.")

@@ -245,7 +245,8 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
     """(C, F, u) of the Bargmann kernel for ``state``."""
     n = state.modes
     m = state.mean
-    g = np.linalg.inv(state.cov + np.eye(2 * n))
+    shifted = state.cov + np.eye(2 * n)
+    g = np.linalg.inv(shifted)
 
     r, exchange = _kernel_constants(n)
     quad = r.T @ g @ r
@@ -254,9 +255,9 @@ def _kernel_data(state: GaussianState) -> tuple[complex, np.ndarray, np.ndarray]
     u_vec = quad @ np.concatenate([np.conj(mu), mu])
 
     with np.errstate(over="ignore"):  # an overflow takes the slogdet route below
-        det = np.linalg.det((state.cov + np.eye(2 * n)) / 2.0)
+        det = np.linalg.det(shifted / 2.0)
     if not (det > 0.0 and math.isfinite(det)):
-        sign, logdet = np.linalg.slogdet((state.cov + np.eye(2 * n)) / 2.0)
+        sign, logdet = np.linalg.slogdet(shifted / 2.0)
         if sign <= 0:
             raise ValueError("covariance plus identity must be positive definite")
         norm = math.exp(-0.5 * logdet)

@@ -252,11 +252,11 @@ def check_modes(modes: int) -> int:
     return _integer(modes, "modes")
 
 
-def check_cutoff(cutoff: int, name: str = "cutoff") -> int:
+def check_cutoff(cutoff: int) -> int:
     """``cutoff`` as an int; ``ValueError`` unless it is a non-negative integer."""
     if cutoff < 0 and not isinstance(cutoff, bool):
-        raise ValueError(f"{name} must be >= 0, got {cutoff}")
-    return _integer(cutoff, name)
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    return _integer(cutoff, "cutoff")
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +418,7 @@ def apply_transform(
     full_r = np.zeros(2 * state.modes)
     full_r[coords] = transform.shift
     mean = full_s @ state.mean + full_r
-    cov = full_s @ state.cov @ full_s.T
-    return GaussianState(mean, (cov + cov.T) / 2.0)
+    return GaussianState(mean, full_s @ state.cov @ full_s.T)
 
 
 def tensor(states: Iterable[GaussianState]) -> GaussianState:

@@ -93,6 +93,8 @@ _GOLDEN_ITERS = 64
 _ESTIMATE_ITERS = 24
 # a check passes early once a log bound lies this far below 2 ln eps
 _EARLY_MARGIN = 1e-9
+# the largest cutoff ``cutoff_for_error`` tries: its Fock basis would not fit in memory anyway
+_CUTOFF_CAP = 10**6
 _LN2 = math.log(2.0)
 #: every photon-tail bound is at least this; no cutoff certifies eps below its root
 TAIL_FLOOR = 1e-300
@@ -357,27 +359,25 @@ def smallest_passing(ok, guess: int, floor: int, cap: int | None = None) -> int 
     return hi
 
 
-def cutoff_for_error(state: GaussianState, eps: float, cap: int = 10**6) -> int:
+def cutoff_for_error(state: GaussianState, eps: float) -> int:
     """Smallest cutoff M with ``trace_distance_truncation_bound <= eps``:
     the inverted exponent (see the module docstring), confirmed by
     ``smallest_passing``.
 
     Raises ``ValueError`` for an eps below sqrt(``TAIL_FLOOR``), which no
-    cutoff reaches, and ``CutoffCapError`` when even ``cap`` fails (the
-    certified cutoff would not fit in memory anyway).
+    cutoff reaches, and ``CutoffCapError`` when even ``_CUTOFF_CAP`` (10^6)
+    fails (the certified cutoff would not fit in memory anyway).
     """
     eps = check_eps(eps)
     if eps < math.sqrt(TAIL_FLOOR):
         raise ValueError(f"eps {eps} lies below {math.sqrt(TAIL_FLOOR)}, the square root of "
                          f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
-    cap = check_cutoff(cap, "cap")
-
     spec = _spectrum(state)
     estimate = _estimate_cutoff(spec, 2.0 * math.log(eps))  # the photon tail must reach eps^2
     guess = math.ceil(estimate) if math.isfinite(estimate) else 0
-    cutoff = smallest_passing(lambda m: _bound_passes(spec, m, eps), guess, -1, cap)
+    cutoff = smallest_passing(lambda m: _bound_passes(spec, m, eps), guess, -1, _CUTOFF_CAP)
     if cutoff is None:
-        raise CutoffCapError(f"no cutoff up to {cap} reaches truncation error {eps}; "
+        raise CutoffCapError(f"no cutoff up to {_CUTOFF_CAP} reaches truncation error {eps}; "
                              "the state is too energetic for a certified truncation")
     return cutoff
 

@@ -362,8 +362,6 @@ def test_every_cutoff_must_be_an_integer(cutoff):
         with pytest.raises(ValueError, match=rf"^cutoff must be an integer, got {cutoff}$"):
             call(cutoff)
             pytest.fail(f"{name} took cutoff {cutoff}")
-    with pytest.raises(ValueError, match=rf"^cap must be an integer, got {cutoff}$"):
-        b.cutoff_for_error(b.thermal_state(0.5), 0.1, cap=cutoff)
 
 
 @pytest.mark.parametrize("modes", [0, -1, math.nan, 1.5, 2.0, True, False])
@@ -405,12 +403,9 @@ def test_domain_messages_are_shared():
     for call in CUTOFF_TAKERS.values():
         with pytest.raises(ValueError, match="^cutoff must be >= 0, got -1$"):
             call(-1)
-    with pytest.raises(ValueError, match="^cap must be >= 0, got -1$"):
-        b.cutoff_for_error(b.vacuum_state(), 0.1, cap=-1)
     # numpy integers are integers
     state = b.thermal_state(0.5)
     assert b.tail_bound_closed(state, np.int64(3)) == b.tail_bound_closed(state, 3)
-    assert b.cutoff_for_error(state, 0.1, cap=np.int64(40)) == b.cutoff_for_error(state, 0.1)
     assert b.basis_dimension(np.int64(2), np.int64(3)) == b.basis_dimension(2, 3) == 10
 
 

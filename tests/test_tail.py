@@ -125,53 +125,56 @@ def test_cutoff_for_error():
     assert b.cutoff_for_error(st, 0.1) <= 29
 
 
-def test_cutoff_cap_raises():
+def test_cutoff_cap_raises(monkeypatch):
+    monkeypatch.setattr(b.tail, "_CUTOFF_CAP", 10)
     with pytest.raises(b.CutoffCapError):
-        b.cutoff_for_error(b.thermal_state(50.0), 1e-9, cap=10)
+        b.cutoff_for_error(b.thermal_state(50.0), 1e-9)
 
 
-def test_cutoff_at_the_cap_is_found():
+def test_cutoff_at_the_cap_is_found(monkeypatch):
     # the answer 23 lies strictly between the powers of two 16 and 32:
     # a cap of exactly 23 returns it, one below raises
     st = b.thermal_state(1.0)
     assert b.cutoff_for_error(st, 1e-3) == 23
     for cap in (23, 24, 31):
-        assert b.cutoff_for_error(st, 1e-3, cap=cap) == 23
+        monkeypatch.setattr(b.tail, "_CUTOFF_CAP", cap)
+        assert b.cutoff_for_error(st, 1e-3) == 23
+    monkeypatch.setattr(b.tail, "_CUTOFF_CAP", 22)
     with pytest.raises(b.CutoffCapError, match="no cutoff up to 22"):
-        b.cutoff_for_error(st, 1e-3, cap=22)
+        b.cutoff_for_error(st, 1e-3)
 
 
-def test_cutoff_cap_below_one():
-    st = b.thermal_state(0.001)
-    with pytest.raises(ValueError, match="cap must be >= 0"):
-        b.cutoff_for_error(st, 0.2, cap=-5)
+def test_cutoff_cap_below_one(monkeypatch):
     # the bound at M = 0 is 1 for every state: cap 0 fails ...
+    monkeypatch.setattr(b.tail, "_CUTOFF_CAP", 0)
     with pytest.raises(b.CutoffCapError, match="no cutoff up to 0 "):
-        b.cutoff_for_error(st, 0.2, cap=0)
+        b.cutoff_for_error(b.thermal_state(0.001), 0.2)
 
 
 def test_cutoff_zero_when_it_passes(monkeypatch):
     # ... unless the bound says otherwise; then 0 is the answer, cap 0 included
     monkeypatch.setattr(b.tail, "_bound_passes", lambda *args: True)
     for cap in (0, 10**6):
-        assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3, cap=cap) == 0
+        monkeypatch.setattr(b.tail, "_CUTOFF_CAP", cap)
+        assert b.cutoff_for_error(b.thermal_state(1.0), 1e-3) == 0
 
 
-def test_cutoff_matches_linear_scan():
+def test_cutoff_matches_linear_scan(monkeypatch):
     # the oracle: the first M of a linear scan whose bound reaches eps
     rng = np.random.default_rng(17)
     states = [b.vacuum_state(), b.thermal_state(20.0)]
     states += [random_state(rng, modes) for modes in (1, 2, 3) for _ in range(2)]
     cap = 300
+    monkeypatch.setattr(b.tail, "_CUTOFF_CAP", cap)
     for st in states:
         bounds = [b.trace_distance_truncation_bound(st, m).bound for m in range(cap + 1)]
         for eps in (0.9, 0.5, 1e-3, 1e-10, 1e-100):
             passing = [m for m, bound in enumerate(bounds) if bound <= eps]
             if passing:
-                assert b.cutoff_for_error(st, eps, cap=cap) == passing[0], (st, eps)
+                assert b.cutoff_for_error(st, eps) == passing[0], (st, eps)
             else:
                 with pytest.raises(b.CutoffCapError):
-                    b.cutoff_for_error(st, eps, cap=cap)
+                    b.cutoff_for_error(st, eps)
 
 
 def test_cutoff_inversion_needs_two_checks(monkeypatch):
@@ -371,7 +374,7 @@ def _search_states():
         for modes in (1, 2, 3) for pure in (False, True) for shift in (0.0, 0.5, 2.0, 4.0)]
 
 
-def test_cutoffs_equal_to_the_full_search():
+def test_cutoffs_equal_to_the_full_search(monkeypatch):
     rng = np.random.default_rng(78)
     cases = 0
     for state in _search_states():
@@ -380,11 +383,14 @@ def test_cutoffs_equal_to_the_full_search():
             cases += 1
         for cap in (0, 3, 40):  # the cap binds, or does not, alike
             outcomes = []
-            for search in (b.cutoff_for_error, full_search_cutoff):
-                try:
-                    outcomes.append(search(state, 1e-6, cap=cap))
-                except b.CutoffCapError as err:
-                    outcomes.append(str(err))
+            with monkeypatch.context() as patch:
+                patch.setattr(tail, "_CUTOFF_CAP", cap)
+                for search in (b.cutoff_for_error,
+                               lambda *args: full_search_cutoff(*args, cap=cap)):
+                    try:
+                        outcomes.append(search(state, 1e-6))
+                    except b.CutoffCapError as err:
+                        outcomes.append(str(err))
             assert outcomes[0] == outcomes[1], (state, cap)
     assert cases >= 1000
 
