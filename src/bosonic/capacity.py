@@ -38,6 +38,7 @@ per-call functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -292,6 +293,19 @@ def _aep_coeff(r_first: float, r_second: float) -> float:
     return 4.0 * math.log2(r_first + r_second + 1.0)
 
 
+def _log2_over(numerator: float, factor: float, eps: float, power: int) -> float:
+    """log2(numerator / (factor eps^power)) for positive numerator and factor:
+    directly while eps^power is a normal float and the quotient is finite,
+    else as log2(numerator) - log2(factor) - power log2(eps), whose terms
+    stay in range at every eps in (0, 1)."""
+    low = eps**power
+    if low >= sys.float_info.min:
+        ratio = numerator / (factor * low)
+        if ratio < math.inf:
+            return math.log2(ratio)
+    return math.log2(numerator) - math.log2(factor) - power * math.log2(eps)
+
+
 def _upper_const(eps: float) -> float:
     return math.log2(6.0) + 2.0 * math.log2((1.0 + eps) / (1.0 - eps))
 
@@ -440,18 +454,21 @@ class BoundFamily:
         """
         if self.aep_threshold:
             if task == "Q":
-                sqrt_log = math.sqrt(math.log2(2.0**9 / eps**2))
-                const = math.log2(2.0**18 / (3.0 * eps**4))
+                sqrt_log = math.sqrt(_log2_over(2.0**9, 1.0, eps, 2))
+                const = _log2_over(2.0**18, 3.0, eps, 4)
             else:
-                sqrt_log, const = math.sqrt(math.log2(8.0 / eps)), math.log2(16.0 / eps**2)
-            return spread * sqrt_log, const, 2.0 * math.log2(2.0 / eps**2)
+                sqrt_log = math.sqrt(_log2_over(8.0, 1.0, eps, 1))
+                const = _log2_over(16.0, 1.0, eps, 2)
+            return spread * sqrt_log, const, 2.0 * _log2_over(2.0, 1.0, eps, 2)
         if task == "Q":
-            b = 4.0 * math.sqrt(spread / eps)
-            const = math.log2(2.0**23 * (32.0 - eps) ** 2 / ((16.0 - eps) * eps**6))
+            ratio = spread / eps  # overflows only at a subnormal eps: then root by root
+            b = 4.0 * (math.sqrt(ratio) if ratio < math.inf else
+                       math.sqrt(spread) / math.sqrt(eps))
+            const = _log2_over(2.0**23 * (32.0 - eps) ** 2, 16.0 - eps, eps, 6)
         else:
             se = math.sqrt(eps)
             b = math.sqrt(2.0 * spread / se)
-            const = math.log2(2.0**6 * 3.0 * (4.0 - se) ** 2 / ((2.0 - se) * eps**3))
+            const = _log2_over(2.0**6 * 3.0 * (4.0 - se) ** 2, 2.0 - se, eps, 3)
         return b, const, 0.0
 
     def evaluate(
@@ -651,6 +668,9 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
         guess = min_n
     else:
         root = (b + math.sqrt(disc)) / (2.0 * a)
+        if root * root == math.inf:  # n > disc / (4 a^2), and every rate a is below 400
+            raise ValueError("the inverted bound overflows a float: more than 1e300 channel "
+                             "uses are needed")
         guess = math.ceil(root * root)
     return smallest_passing(satisfied, guess, min_n - 1)
 

@@ -328,9 +328,12 @@ class Transform:
         if not np.all(np.isfinite(r)):
             raise ValueError("shift has non-finite entries")
         omega = symplectic_form(s.shape[0] // 2)
-        defect = np.max(np.abs(s @ omega @ s.T - omega))
-        if not defect <= 1e-8:  # a NaN defect (from overflow) fails too
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+            # each entry of S Omega S^T rounds in proportion to its terms |S| |Omega| |S|^T
+            terms = np.abs(s) @ np.abs(omega) @ np.abs(s).T
+            defect = np.abs(s @ omega @ s.T - omega)
+        if not np.all(defect <= 1e-8 * np.maximum(1.0, terms)) or np.isinf(terms).any():
+            raise ValueError(f"matrix is not symplectic (defect {np.max(defect):.3e})")
         object.__setattr__(self, "symplectic", s)
         object.__setattr__(self, "shift", r)
 

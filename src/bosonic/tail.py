@@ -30,12 +30,18 @@ search all go through these.
 violates the uncertainty relation (below the vacuum included;
 ``InvalidStateError``) and one whose mean photon number overflows a float
 (``ValueError``): the bound is proved for physical states only, and an
-overflowing photon number leaves nothing finite to bound with.
+overflowing photon number leaves nothing finite to bound with.  Every other
+state gets both bounds.  Past N ~ 2.25e14 photons the bracket start
+arccoth(10 (8N + 4)) is taken as log1p(2 / (x - 1)) / 2, where the direct
+log rounds to 0; below t ~ 2.8e-17, where exp(-2t) rounds to 1, the
+objective takes ln(coth(t) - 1) as ln 2 - ln(expm1(2t)); and past N ~
+2.2e307, where 8N + 4 overflows, the closed form reads 1.  Each form holds
+only where the one before it fails, so every other bound keeps its bits.
 
 The module owns the errors of a certified truncation: ``CutoffCapError``
-(no cutoff up to the cap reaches eps), ``DimensionCapError`` (the Fock
-basis at the cutoff outgrows its cap) and ``FockTraceError`` (a Fock
-block's trace fails its check).  ``bosonic.fock`` raises the last two and
+(no cutoff up to ``_CUTOFF_CAP`` = 10^6 reaches eps), ``DimensionCapError``
+(the Fock basis at the cutoff outgrows its cap) and ``FockTraceError`` (a
+Fock block's trace fails its check).  ``bosonic.fock`` raises the last two and
 re-exports them; here they can be named without loading the Fock build.
 
 ``cutoff_for_error`` inverts the bound instead of searching M with it.  At
@@ -171,9 +177,12 @@ def tail_bound_closed(state: GaussianState, cutoff: int) -> TailBoundResult:
 def _closed(spec: _Spectrum, cutoff: int) -> TailBoundResult:
     """The closed-form bound at x = 8N + 4, also the optimized bound's fallback."""
     scale = 4.0 * spec.photons + 2.0  # 1 / scale <= 2 arccoth(8N + 4), the exact exponent
-    log_prefactor = _log_prefactor(spec.evals, spec.mean_rot, 8.0 * spec.photons + 4.0)
-    log_bound = log_prefactor - cutoff / scale
-    return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=math.log2(math.e) / scale)
+    decay_rate = math.log2(math.e) / scale
+    x = 8.0 * spec.photons + 4.0
+    if x == math.inf:  # N past ~2.2e307: p(x) has no float form, and 1 bounds every probability
+        return TailBoundResult(bound=1.0, decay_rate=decay_rate)
+    log_bound = _log_prefactor(spec.evals, spec.mean_rot, x) - cutoff / scale
+    return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=decay_rate)
 
 
 def _clamp_exp(log_bound: float) -> float:
@@ -189,10 +198,13 @@ def _make_objective(evals: np.ndarray, mean_rot: np.ndarray, cutoff: int):
     # Python floats are numpy's float64 doubles, in the same order: same bits, no scalar dispatch
     # (1 - eval, rotated mean squared) per direction; 1 - eval > 0 on squeezed/vacuum ones
     terms = list(zip((1.0 - evals).tolist(), (mean_rot**2).tolist()))
-    exp, log, log1p, inf = math.exp, math.log, math.log1p, math.inf
+    exp, expm1, log, log1p, inf = math.exp, math.expm1, math.log, math.log1p, math.inf
 
     def objective(t: float) -> float:
-        log_s = _LN2 - 2.0 * t - log1p(-exp(-2.0 * t))  # ln(coth(t) - 1), stable for t > 0
+        try:
+            log_s = _LN2 - 2.0 * t - log1p(-exp(-2.0 * t))  # ln(coth(t) - 1)
+        except ValueError:  # exp(-2t) rounds to 1 below t ~ 2.8e-17
+            log_s = _LN2 - log(expm1(2.0 * t))
         s = exp(log_s)  # x - 1; may underflow to 0 for huge t
         total = -2.0 * t * cutoff
         for lam_gap, m2 in terms:
@@ -251,13 +263,16 @@ def _t_bracket(spec: _Spectrum, cutoff: int) -> tuple[float, float]:
         # every direction is (numerically) vacuum-tight: the prefactor stays
         # bounded, so push the exponent to the cap
         t_hi = t_cap
-    if not t_hi > t_lo:  # nat cap binds at very large cutoffs
+    if not t_hi > t_lo:  # nat cap binds at very large cutoffs, or 10 (8N + 4) overflows (NaN)
         t_lo = t_hi / 2.0
     return t_lo, t_hi
 
 
 def _arccoth(x: float) -> float:
-    return 0.5 * math.log((x + 1.0) / (x - 1.0))
+    ratio = (x + 1.0) / (x - 1.0)
+    if ratio == 1.0:  # x past ~1.8e16, where the log would read 0
+        return 0.5 * math.log1p(2.0 / (x - 1.0))
+    return 0.5 * math.log(ratio)
 
 
 def _coth(t: float) -> float:

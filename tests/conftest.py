@@ -139,7 +139,10 @@ def sector_block(matrix: np.ndarray, modes: int, cutoff: int, kind: str) -> fock
 
 
 def log_x_minus_one(t: float) -> float:
-    """ln(coth(t) - 1), stable for all t > 0."""
+    """ln(coth(t) - 1) for t > 0: ln 2 - 2t - ln(1 - e^(-2t)), or ln 2 - ln(e^(2t) - 1)
+    once e^(-2t) rounds to 1."""
+    if math.exp(-2.0 * t) == 1.0:
+        return math.log(2.0) - math.log(math.expm1(2.0 * t))
     return math.log(2.0) - 2.0 * t - math.log1p(-math.exp(-2.0 * t))
 
 

@@ -1,5 +1,6 @@
 """Capacity formulas, n-shot bound families, and channel-use inversion."""
 
+import decimal
 import math
 
 import numpy as np
@@ -414,6 +415,92 @@ def test_each_bound_is_an_eps_free_rate_plus_its_eps_terms():
         assert improved.rate(PureLoss(0.7), task)[1] == 0.0
         _, c, n_min = ec_variance.eps_terms(0.0, 0.05, task)
         assert improved.eps_terms(0.0, 0.05, task) == (0.0, c, n_min)
+
+
+def _direct_eps_terms(aep: bool, spread: float, eps: float, task: str):
+    """(b, c, n_min) by the direct power forms, which hold while every power
+    of eps stays a normal float."""
+    if aep:
+        if task == "Q":
+            sqrt_log = math.sqrt(math.log2(2.0**9 / eps**2))
+            const = math.log2(2.0**18 / (3.0 * eps**4))
+        else:
+            sqrt_log, const = math.sqrt(math.log2(8.0 / eps)), math.log2(16.0 / eps**2)
+        return spread * sqrt_log, const, 2.0 * math.log2(2.0 / eps**2)
+    if task == "Q":
+        return (4.0 * math.sqrt(spread / eps),
+                math.log2(2.0**23 * (32.0 - eps) ** 2 / ((16.0 - eps) * eps**6)), 0.0)
+    se = math.sqrt(eps)
+    return (math.sqrt(2.0 * spread / se),
+            math.log2(2.0**6 * 3.0 * (4.0 - se) ** 2 / ((2.0 - se) * eps**3)), 0.0)
+
+
+def _decimal_eps_terms(aep: bool, spread: float, eps: float, task: str):
+    """(b, c, n_min) in 80-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        e, v, two = decimal.Decimal(eps), decimal.Decimal(spread), decimal.Decimal(2)
+
+        def log2(x):
+            return x.ln() / two.ln()
+
+        if aep:
+            if task == "Q":
+                terms = (v * log2(2**9 / e**2).sqrt(), log2(2**18 / (3 * e**4)))
+            else:
+                terms = (v * log2(8 / e).sqrt(), log2(16 / e**2))
+            return tuple(float(x) for x in (*terms, 2 * log2(2 / e**2)))
+        if task == "Q":
+            terms = (4 * (v / e).sqrt(), log2(2**23 * (32 - e) ** 2 / ((16 - e) * e**6)))
+        else:
+            se = e.sqrt()
+            terms = ((2 * v / se).sqrt(), log2(2**6 * 3 * (4 - se) ** 2 / ((2 - se) * e**3)))
+        return (*(float(x) for x in terms), 0.0)
+
+
+_TINY_EPS = (1e-50, 1e-53, 1e-60, 1e-78, 1e-82, 1e-109, 1e-155, 1e-163, 1e-300, 1e-308,
+             1e-310, 5e-324)
+
+
+def test_eps_terms_at_every_eps_against_decimal():
+    # eps^6, eps^4, eps^3 and eps^2 left the normal float range: a constant of
+    # inf or a ZeroDivisionError below ~1e-52 (Q, improved), ~1e-77 (Q, aep),
+    # ~1e-103 (K, improved) and ~1e-154 (K, aep); 4 sqrt(V / eps) overflowed
+    # at a subnormal eps
+    for method in ("aep", "ec-variance"):
+        family = b.BOUND_FAMILIES[method]
+        for task in b.TASKS:
+            for spread in (0.0, 1.7, 40.0):
+                for eps in (0.3, 1e-4, 1e-40, *_TINY_EPS):
+                    got = family.eps_terms(spread, eps, task)
+                    want = _decimal_eps_terms(family.aep_threshold, spread, eps, task)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (method, task, eps)
+
+
+def test_eps_terms_keep_their_bits_where_the_powers_are_normal():
+    for method in ("aep", "ec-variance"):
+        family = b.BOUND_FAMILIES[method]
+        for task in b.TASKS:
+            for spread in (0.0, 1.7, 40.0):
+                for eps in (0.999, 0.3, 0.1, 0.05, 1e-3, 1e-12, 1e-40, 1e-45):
+                    got = family.eps_terms(spread, eps, task)
+                    want = _direct_eps_terms(family.aep_threshold, spread, eps, task)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (method, eps)
+
+
+def test_bounds_and_channel_uses_at_tiny_eps():
+    # a ZeroDivisionError, or a bound of -inf, before
+    for eps in _TINY_EPS:
+        for task in b.TASKS:
+            for bound in (b.improved_lower_bound_pure_loss(0.7, 100, eps, task),
+                          b.aep_lower_bound_amplifier(2.5, 100, eps, task),
+                          b.ec_variance_lower_bound(0.7, 1.5, 100, eps, task)):
+                assert math.isfinite(bound.value), (bound.method, task, eps)
+            assert b.channel_uses_sufficient(PureLoss(0.7), 100.0, eps, task) > 100
+    # a guess past the float range is refused by name, not an OverflowError
+    with pytest.raises(ValueError, match="^the inverted bound overflows a float: more than "
+                                         "1e300 channel uses are needed$"):
+        b.channel_uses_sufficient(PureLoss(0.9), 100.0, 1e-320, "Q", photons=1000.0)
 
 
 _HUGE_INPUTS = [

@@ -702,6 +702,57 @@ def test_eps_below_the_tail_floor_exit_two(runner, tmp_path):
         assert res.stdout == ""
 
 
+def test_tail_and_tracedist_of_huge_states(tmp_path):
+    # each of these ended in "error: math domain error" (exit 2)
+    runner = _char_runner()
+    hot = thermal_file(tmp_path, runner, 3e14, "hot.json")
+    cool = thermal_file(tmp_path, runner, 0.5, "cool.json")
+    big = tmp_path / "big.json"
+    big.write_text(invoke(runner, "state", "tmsv", "--n", "1e150").stdout)
+    for path, cutoff, bound in ((hot, 10, 1.0), (cool, 10**23, 1e-300)):
+        res = runner.invoke(main, ["tail", path, "--m", str(cutoff)])
+        assert res.exit_code == 0 and res.stderr == ""
+        payload = json.loads(res.stdout)
+        assert (payload["closed"], payload["optimized"]) == (bound, bound)
+    for args in (["tail", hot, "--target-eps", "0.1"], ["tracedist", str(big), str(big),
+                                                        "--eps", "0.1"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert res.stderr.startswith("error: no cutoff up to 1000000 reaches truncation error")
+        assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("capacity", "--channel", "loss", "--lam", "0.5", "--task", "Q", "--method", "improved",
+     "--n", "100", "--eps", "1e-60"),
+    ("capacity", "--channel", "loss", "--lam", "0.5", "--task", "Q", "--method", "improved",
+     "--n", "100", "--eps", "1e-50"),
+    ("capacity", "--channel", "amp", "--g", "2", "--task", "K", "--method", "aep",
+     "--n", "100", "--eps", "1e-200"),
+    ("complexity", "--channel", "loss", "--lam", "0.5", "--task", "K", "--k", "100",
+     "--eps", "1e-300"),
+    ("sweep", "--channel", "loss", "--methods", "improved,aep,best", "--tasks", "Q,K",
+     "--eps", "1e-60", "--out", "{out}"),
+])
+def test_capacity_commands_at_tiny_eps(tmp_path, args):
+    # a ZeroDivisionError traceback (exit 1), or "constant": -Infinity
+    out = tmp_path / "sweep.csv"
+    res = _char_runner().invoke(main, [arg.format(out=out) for arg in args])
+    assert res.exit_code == 0, res.output
+    text = res.stdout + (out.read_text() if out.exists() else "")
+    assert "Infinity" not in text and "NaN" not in text
+
+
+def test_state_evolve_two_mode_squeezer_of_gain_1e8(tmp_path):
+    # refused as "matrix is not symplectic (defect 1.490e-08)" (exit 2)
+    runner = _char_runner()
+    pair = tmp_path / "pair.json"
+    pair.write_text(invoke(runner, "state", "tmsv", "--n", "1").stdout)
+    res = runner.invoke(main, ["state", "evolve", str(pair), "--two-mode-squeezer", "1e8"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert json.loads(res.stdout)["modes"] == 2
+
+
 _LOSS = ("--channel", "loss", "--lam", "0.5", "--task", "Q2")
 _AMP = ("--channel", "amp", "--task", "Q2")
 _NSHOT = ("--method", "aep", "--n", "100", "--eps", "0.1")

@@ -100,6 +100,28 @@ def test_non_finite_transforms_and_gains_rejected():
                 make(gain)
 
 
+def test_symplectic_check_scales_with_the_matrix():
+    # an absolute 1e-8 refused two_mode_squeezer(1e8) for rounding alone
+    # (defect 1.490e-08), and with it the amplifier's dilation at that gain
+    for gain in (1e8, 1e12):
+        out = b.stinespring_output(PureAmplifier(gain), b.tmsv_state(1.0))
+        assert np.allclose(b.reduce_state(out, [0]).cov, b.thermal_state(1.0).cov)
+    # a perturbed symplectic is still refused at every scale, and so is one
+    # whose scale hides a defect of its own size
+    for gain in (2.0, 1e8, 1e12):
+        s = b.two_mode_squeezer(gain).symplectic.copy()
+        s[0, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="^matrix is not symplectic"):
+            b.Transform(s, np.zeros(4))
+    with pytest.raises(ValueError, match=r"^matrix is not symplectic \(defect 1\.000e\+09\)$"):
+        b.Transform(np.diag([1e9, 1.0]), np.zeros(2))
+    # an overflowing product fails, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix is not symplectic \(defect inf\)$"):
+            b.Transform(np.diag([1e200, 1e200]), np.zeros(2))
+
+
 def test_beam_splitter_action():
     # transmitted arm of a thermal state is thermal with lam*N photons
     lam, n = 0.7, 2.0

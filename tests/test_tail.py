@@ -1,5 +1,6 @@
 """Photon-number tail bounds: soundness against exact tails, optimizer behavior."""
 
+import decimal
 import math
 import re
 import warnings
@@ -252,6 +253,62 @@ def test_nat_cap_below_the_bracket_start():
     assert optimized.bound <= b.tail_bound_closed(state, 10**6).bound
 
 
+def test_bounds_where_arccoth_of_the_bracket_start_rounds_to_zero():
+    # past N ~ 2.25e14 photons (x = 10 (8N + 4) ~ 1.8e16) the bracket started
+    # at arccoth(x) = 0.0, where the objective took log1p(-1): every bound and
+    # the cutoff search raised "math domain error"
+    for state in (b.thermal_state(3e14), b.tmsv_state(1e150)):
+        assert tail._t_bracket(tail._spectrum(state), 10)[0] > 0.0
+        assert b.tail_bound_closed(state, 10).bound == 1.0
+        assert b.tail_bound_optimized(state, 10).bound == 1.0
+        with pytest.raises(b.CutoffCapError, match="^no cutoff up to 1000000 reaches"):
+            b.cutoff_for_error(state, 0.1)
+
+
+def test_arccoth_past_the_rounding_edge_against_decimal():
+    # from x ~ 1.8e16 on, (x + 1) / (x - 1) rounds to 1 and its log to 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400  # (x + 1) / (x - 1) - 1 is down to 1e-308
+        for x in (1.8014398509481984e16, 2.4e16, 1e20, 1.6e152, 1e300, 1.7e308):
+            exact = decimal.Decimal(x)
+            want = float(((exact + 1) / (exact - 1)).ln() / 2)
+            assert tail._arccoth(x) == pytest.approx(want, rel=1e-15, abs=0.0), x
+
+
+def test_objective_where_exp_of_minus_two_t_rounds_to_one():
+    # the objective took log1p(-exp(-2t)) = log1p(-1.0) below t ~ 2.8e-17:
+    # "math domain error" at the nat cap of a cutoff of 10^23
+    spec = tail._spectrum(b.thermal_state(1.0))  # V = 3 I
+    objective = tail._make_objective(spec.evals, spec.mean_rot, 10**23)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400  # x is up to 1e300
+        for t in (2e-17, 1e-20, 3.5e-21, 1e-100, 1e-300):
+            dt = decimal.Decimal(t)
+            x = 1 + 2 / ((2 * dt).exp() - 1)  # coth(t)
+            want = -2 * dt * 10**23 - ((x - 3) / (x - 1)).ln() / 2
+            assert objective(t) == pytest.approx(float(want), rel=1e-14), t
+
+
+def test_bound_at_the_floor_for_a_cutoff_of_ten_to_the_23():
+    # the nat cap 700 / (2M + 1) put t where exp(-2t) rounds to 1: a math
+    # domain error, where M = 10^16 read the floor
+    state = b.thermal_state(0.5)
+    assert b.tail_bound_optimized(state, 10**23).bound == tail.TAIL_FLOOR
+    assert b.tail_bound_closed(state, 10**23).bound == tail.TAIL_FLOOR
+    assert b.trace_distance_truncation_bound(state, 10**23).bound == math.sqrt(tail.TAIL_FLOOR)
+
+
+def test_closed_bound_where_eight_n_plus_four_overflows():
+    # past N ~ 2.2e307 the closed form's x = 8N + 4 is inf, and p(x) read NaN
+    # after "invalid value encountered in subtract"
+    for photons in (2.3e307, 4.4e307):
+        state = b.thermal_state(photons)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert b.tail_bound_closed(state, 10).bound == 1.0
+            assert b.tail_bound_optimized(state, 10).bound == 1.0
+
+
 def test_cutoff_nongaussian():
     assert b.cutoff_nongaussian(1.0, 0.1) == 900
     assert b.cutoff_nongaussian(2.0, 0.05) == math.ceil(9 * 2.0 / 0.05**2)
@@ -325,9 +382,10 @@ def _objective_states():
 
 def _objective_points(state, cutoff):
     """Both ends of the bound's t bracket, points inside it, a t past the
-    covariance spectrum (some gap <= 0) and one where x - 1 underflows."""
+    covariance spectrum (some gap <= 0), one where x - 1 underflows and one
+    where exp(-2t) rounds to 1."""
     lo, hi = tail._t_bracket(tail._spectrum(state), cutoff)
-    return [lo, hi, (lo + hi) / 2.0, lo + 1e-3 * (hi - lo), 2.0 * hi + 1.0, 400.0]
+    return [lo, hi, (lo + hi) / 2.0, lo + 1e-3 * (hi - lo), 2.0 * hi + 1.0, 400.0, 1e-20]
 
 
 @pytest.mark.parametrize("cutoff", [0, 7, 60])
