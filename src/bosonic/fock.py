@@ -20,8 +20,8 @@ where X exchanges conj(alpha) and beta and mu = (m_x + i m_p) / sqrt(2).
 Taylor coefficients of the kernel obey a three-term recurrence over the
 combined bra/ket multi-index; running it on sqrt(k! l!)-scaled coefficients
 yields <k|rho|l> directly and keeps every intermediate bounded by 1.  A
-block's trace is 1 - P(N > M); one above 1 + ``TRACE_TOL`` raises
-``FockTraceError``.
+block's trace is 1 - P(N > M); ``_checked_trace`` is the one block-trace
+rule, which the build applies with no floor and ``tracedist`` with 1 - t^2.
 
 Entry (a, b), a != 0, with j the first occupied mode of a and p = a - e_j,
 is
@@ -84,15 +84,10 @@ included.  Each sector block is symmetrized as (S + S^H) / 2 in tiles of
 at most ``_TILE``^2 entries, the sectors of one index in one vectorized
 step.
 
-``FockMatrix`` has no public constructor: every block comes from
-``fock_matrix_elements`` or ``truncate_normalize`` and records the sector
-it was built in as ``FockMatrix.sector``.  ``FockMatrix.matrix`` assembles
-the dense block on demand, with 0.0 outside the sector; the trace sums the
-diagonal in basis order, as ``np.trace`` of the dense block does;
-``truncate_normalize`` divides a copy of the buffer.  The trace distance
-splits both blocks by the coarser of their sectors with ``sector_pair``
-(see ``bosonic.tracedist``).  Blocks are written out by ``fock_to_dict``
-(``tracedist --dump-fock``); nothing reads them back.
+Each ``FockMatrix`` records the sector it was built in; the trace distance
+splits two blocks by the coarser of their sectors with ``sector_pair`` (see
+``bosonic.tracedist``), and ``fock_to_dict`` writes a block out
+(``tracedist --dump-fock``); nothing reads blocks back.
 """
 
 from __future__ import annotations
@@ -124,7 +119,7 @@ DEFAULT_DIM_CAP = 20000
 #: environment override for the basis-dimension cap
 CAP_ENV_VAR = "BOSONIC_FOCK_CAP"
 
-#: slack on the block-trace invariant 1 - tail - TRACE_TOL <= trace <= 1 + TRACE_TOL
+#: slack of the block-trace rule floor - TRACE_TOL <= trace <= 1 + TRACE_TOL (``_checked_trace``)
 TRACE_TOL = 1e-6
 
 
@@ -512,8 +507,8 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     Raises:
         DimensionCapError: basis dimension exceeds ``BOSONIC_FOCK_CAP`` or 20000.
         ValueError: ``BOSONIC_FOCK_CAP`` is set but not a positive integer.
-        FockTraceError: the block's trace exceeds 1 + ``TRACE_TOL``, which
-            no truncation of a density operator can.
+        FockTraceError: the block's trace is NaN or exceeds 1 +
+            ``TRACE_TOL`` (``_checked_trace``, with no floor).
     """
     cutoff = check_cutoff(cutoff)
     dim = _check_dimension(state.modes, cutoff)
@@ -585,15 +580,22 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
             target[rows.start + shift:rows.stop + shift] = acc
 
     _symmetrize(data, layout)
-    result = _built(data, n, cutoff, kind)
-    trace = result.trace
-    if not trace <= 1.0 + TRACE_TOL:  # a NaN trace fails as well
-        raise FockTraceError(
-            f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
-            f"Fock block trace {trace!r} exceeds 1 by more than {TRACE_TOL}; "
-            "the block is not a truncation of a density operator"
-        )
-    return result
+    return _checked_trace(_built(data, n, cutoff, kind))
+
+
+def _checked_trace(block: FockMatrix, floor: float = -math.inf) -> FockMatrix:
+    """``block`` if its trace lies in [``floor``, 1] up to ``TRACE_TOL``, the
+    block-trace rule; ``FockTraceError`` otherwise, a NaN trace included."""
+    trace = block.trace
+    if floor - TRACE_TOL <= trace <= 1.0 + TRACE_TOL:
+        return block
+    raise FockTraceError(
+        f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
+        f"Fock block trace {trace!r} exceeds 1 by more than {TRACE_TOL}; "
+        "the block is not a truncation of a density operator" if trace > 1.0 else
+        f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
+        f"than {TRACE_TOL}; the block misses weight the tail cannot hold"
+    )
 
 
 def _regrouped(block: FockMatrix, kind: str) -> np.ndarray:

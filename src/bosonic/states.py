@@ -5,6 +5,9 @@ Conventions used throughout the package:
 * Quadratures are interleaved, ``R = (x_1, p_1, ..., x_n, p_n)``.
 * The vacuum covariance matrix is the identity, so a thermal state with
   mean photon number ``N`` has covariance ``(2N + 1) * I``.
+* The mean is ``m = <R>`` with ``x = (a + a^dag)/sqrt(2)`` (``p`` alike) per
+  mode, so ``|alpha>`` has ``m = sqrt(2) (Re alpha, Im alpha)`` and
+  ``N = tr(V - I)/4 + |m|^2/2``.
 * The symplectic form is ``Omega = direct_sum([[0, 1], [-1, 0]])`` and a
   physical covariance matrix satisfies ``V + i*Omega >= 0``.
 
@@ -56,10 +59,12 @@ __all__ = [
     "validate_state",
 ]
 
-#: below this margin the uncertainty relation counts as violated
+#: relative slack of the symmetry and uncertainty checks (``_tolerance``)
 UNCERTAINTY_TOL = 1e-9
 #: the largest covariance entry: the sum of two, which symmetrizes V, stays finite
 MAX_ENTRY = sys.float_info.max / 2.0
+# the largest cutoff: 2M + 1, which the tail bound divides by, stays finite
+_MAX_CUTOFF = int(sys.float_info.max / 2.0)
 
 
 class InvalidStateError(ValueError):
@@ -100,7 +105,7 @@ class GaussianState:
                                     "past which its symmetric part overflows")
         # rounding-level asymmetry is removed below; anything larger is bad input
         defect = float(np.max(np.abs(cov - cov.T)))
-        tol = UNCERTAINTY_TOL * max(1.0, scale)
+        tol = _tolerance(scale)
         if defect > tol:
             raise InvalidStateError(
                 f"covariance is not symmetric: defect {defect:.3e} exceeds {tol:.1e}"
@@ -139,45 +144,43 @@ class ValidationReport:
 def validate_state(state: GaussianState) -> ValidationReport:
     """Check the uncertainty relation ``V + i*Omega >= 0``.
 
-    Margins within ``[-UNCERTAINTY_TOL, 0)`` pass with a warning
-    (eigensolver noise on pure states); anything below fails.
+    Margins within ``[-tol, 0)`` pass with a warning (eigensolver noise on
+    pure states), where tol = ``UNCERTAINTY_TOL * max(1, lam)`` scales with
+    the largest eigenvalue ``lam`` of ``V + i*Omega``, as the noise does.
     """
-    margin = _uncertainty_margin(state)
-    ok = margin >= -UNCERTAINTY_TOL
-    warnings: list[str] = []
-    if ok and margin < 0.0:
-        warnings.append(
-            f"uncertainty margin {margin:.3e} is negative but within tolerance "
-            f"{UNCERTAINTY_TOL:.1e}"
-        )
-    return ValidationReport(
-        ok=ok,
-        modes=state.modes,
-        symmetry_defect=0.0,
-        uncertainty_margin=margin,
-        warnings=tuple(warnings),
-    )
+    ok, margin, tol = _physicality(state)
+    note = (f"uncertainty margin {margin:.3e} is negative but within tolerance {tol:.3e}, "
+            "scaled with the largest eigenvalue of V + i*Omega")
+    return ValidationReport(ok, state.modes, symmetry_defect=0.0, uncertainty_margin=margin,
+                            warnings=(note,) if ok and margin < 0.0 else ())
 
 
 def require_valid(state: GaussianState) -> GaussianState:
     """Return ``state`` unchanged, raising ``InvalidStateError`` if unphysical:
     ``validate_state``'s test, without its report."""
-    margin = _uncertainty_margin(state)
-    if not margin >= -UNCERTAINTY_TOL:
+    ok, margin, _ = _physicality(state)
+    if not ok:
         raise InvalidStateError(f"unphysical state: uncertainty margin {margin:.3e}")
     return state
 
 
-def _uncertainty_margin(state: GaussianState) -> float:
-    """The smallest eigenvalue of ``V + i*Omega``, the first of ``eigvalsh``'s
-    ascending ones."""
-    return float(np.linalg.eigvalsh(state.cov + _i_omega(state.modes))[0])
+def _tolerance(scale: float) -> float:
+    """``UNCERTAINTY_TOL * max(1, scale)``, a NaN scale read as 1."""
+    return UNCERTAINTY_TOL * scale if scale > 1.0 else UNCERTAINTY_TOL
+
+
+def _physicality(state: GaussianState) -> tuple[bool, float, float]:
+    """The one uncertainty test: (passes, margin, tol), from the smallest and
+    the largest eigenvalue of ``V + i*Omega``; a NaN margin fails."""
+    eigs = np.linalg.eigvalsh(state.cov + _i_omega(len(state.cov))).tolist()
+    margin, tol = eigs[0], _tolerance(eigs[-1])
+    return margin >= -tol, margin, tol
 
 
 @functools.lru_cache(maxsize=None)
-def _i_omega(modes: int) -> np.ndarray:
-    """``1j * symplectic_form(modes)``, read-only, built once per mode count."""
-    i_omega = 1j * symplectic_form(modes)
+def _i_omega(dim: int) -> np.ndarray:
+    """``1j * symplectic_form(dim // 2)``, read-only, built once per dimension."""
+    i_omega = 1j * symplectic_form(dim // 2)
     i_omega.flags.writeable = False
     return i_omega
 
@@ -253,10 +256,14 @@ def check_modes(modes: int) -> int:
 
 
 def check_cutoff(cutoff: int) -> int:
-    """``cutoff`` as an int; ``ValueError`` unless it is a non-negative integer."""
+    """``cutoff`` as an int; ``ValueError`` unless it is an integer in [0, ``_MAX_CUTOFF``]."""
     if cutoff < 0 and not isinstance(cutoff, bool):
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    return _integer(cutoff, "cutoff")
+    cutoff = _integer(cutoff, "cutoff")
+    if cutoff > _MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds {_MAX_CUTOFF:.3e}, past which 2M + 1 "
+                         "overflows a float")
+    return cutoff
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ public bound does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -115,7 +116,7 @@ class DimensionCapError(RuntimeError):
 
 
 class FockTraceError(RuntimeError):
-    """A Fock block's trace leaves [1 - tail bound, 1] by more than ``fock.TRACE_TOL``."""
+    """A Fock block's trace fails the block-trace rule, ``fock._checked_trace``."""
 
 
 @dataclass(frozen=True)
@@ -400,6 +401,11 @@ def cutoff_for_error(state: GaussianState, eps: float) -> int:
 def cutoff_nongaussian(photons: float, eps: float) -> int:
     """Cutoff certifying truncation error ``eps`` for an arbitrary state of
     mean photon number ``photons``, via the Markov bound sqrt(N/M) and a
-    three-way error split: ``ceil(9 N / eps^2)``."""
+    three-way error split: ``ceil(9 N / eps^2)``, refused if it overflows a float."""
     photons, eps = check_photons(photons), check_eps(eps)
-    return math.ceil(9.0 * photons / (eps * eps))
+    square = eps * eps  # below the normal range it loses digits: divide twice there
+    ratio = 9.0 * photons / square if square >= sys.float_info.min else 9.0 * photons / eps / eps
+    if ratio == math.inf:
+        raise ValueError(f"cutoff_nongaussian cannot evaluate N = {photons!r} with eps = "
+                         f"{eps!r}: 9 N / eps^2 overflows a float")
+    return math.ceil(ratio)

@@ -4,7 +4,9 @@ The target accuracy eps is split three ways: a photon cutoff M is chosen so
 that truncating either state costs at most eps/3 in trace distance, and the
 exact finite-dimensional distance between the renormalized truncated blocks
 is then within eps/3 + eps/3 of the true value.  The realized certificate
-(reported in the result) is usually far smaller than eps.
+(reported in the result) is usually far smaller than eps.  Each raw block's
+trace must lie in [1 - t^2, 1], t its state's truncation bound: the
+block-trace rule, whose one home is ``fock._checked_trace``.
 
 The difference of the two blocks is diagonalized per exactly decoupled
 sector.  Zero-mean phase-insensitive states commute with the total photon
@@ -35,11 +37,9 @@ two blocks plus the build's shell and symmetrization temporaries of
 O(``fock._TILE``^2) entries (``_TILE`` = 128), reached while the second block is
 built; at the eigensolve the difference and the eigensolver's copy of one
 sector block are alive.  On the whole basis at dim 969 a fresh process's
-resident peak rises 2.07 dense blocks above a small distance's (2.3 with
-tiles of 256^2 entries, 3.1 while a view kept the second block alive into
-the eigensolve).  ``finite_trace_distance`` takes the difference
-into new arrays and leaves its arguments as they are; both go through one
-eigensolve route.
+resident peak rises 2.07 dense blocks above a small distance's.
+``finite_trace_distance`` takes the difference into new arrays and leaves
+its arguments as they are; both go through one eigensolve route.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    TRACE_TOL,
     FockMatrix,
-    FockTraceError,
+    _checked_trace,
     _normalized,
     basis_dimension,
     fock_matrix_elements,
@@ -86,13 +85,9 @@ def finite_trace_distance(a: FockMatrix, b: FockMatrix) -> float:
     """(1/2) sum |eig(a - b)| for two blocks built by ``fock_matrix_elements``.
 
     Both blocks, raw or after ``truncate_normalize``, must share (modes,
-    cutoff).  The difference is taken and diagonalized per sector of the
-    coarser of their two sectors (see the module docstring) -- photon
-    number, parity or the whole basis -- on the sector blocks
-    ``fock.sector_pair`` hands out, the finer block regrouped, so the
-    eigensolve costs sum d_s^3 instead of dim^3 and no block is made dense
-    unless the other one is; size-1 sectors are read off the diagonal in
-    one step.  The eigensolver itself is accurate to machine precision.
+    cutoff).  The difference is diagonalized per sector of the coarser of
+    their sectors, on the sector blocks ``fock.sector_pair`` hands out (see
+    the module docstring); size-1 sectors are read off the diagonal.
 
     Raises:
         ValueError: a block is not a ``FockMatrix`` (a plain array, say),
@@ -111,29 +106,16 @@ def _half_trace_norm(alone: np.ndarray, blocks) -> float:
 
 
 def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMatrix:
-    """The Fock block of ``state`` divided by its trace in place, once the
-    raw trace is checked against the truncation bound ``tail`` (a trace
-    distance, so the photon tail is at most ``tail**2``)."""
-    raw = fock_matrix_elements(state, cutoff)
-    floor = 1.0 - tail * tail
-    trace = raw.trace
-    if not trace >= floor - TRACE_TOL:  # a NaN trace fails as well
-        raise FockTraceError(
-            f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
-            f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
-            f"than {TRACE_TOL}; the block misses weight the tail cannot hold"
-        )
-    return _normalized(raw)
+    """The Fock block of ``state`` divided by its trace in place, once its raw
+    trace passes the block-trace rule with the floor 1 - ``tail``^2."""
+    return _normalized(_checked_trace(fock_matrix_elements(state, cutoff), 1.0 - tail * tail))
 
 
 def _difference(state_a: GaussianState, state_b: GaussianState, cutoff: int,
                 tails: tuple[float, float]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The normalized Fock blocks of ``state_a`` minus ``state_b`` at
-    ``cutoff``, split by their shared sector: the diagonal entries of the
-    sectors of one index and the larger sector blocks, taken in place in
-    block a's buffer (or the copy ``sector_pair`` regroups it into).
-    Block b lives only in this call, so no name or view of it reaches the
-    eigensolve."""
+    ``cutoff``, split by their shared sector as ``sector_pair`` does, taken
+    in place in block a's buffer (see the module docstring's memory note)."""
     block_a = _normalized_block(state_a, cutoff, tails[0])
     block_b = _normalized_block(state_b, cutoff, tails[1])
     (alone, diffs), (alone_b, blocks_b) = sector_pair(block_a, block_b)
@@ -160,8 +142,8 @@ def gaussian_trace_distance(
     Raises:
         DimensionCapError: a Fock block would exceed the dimension cap,
             ``BOSONIC_FOCK_CAP`` or 20000.
-        FockTraceError: a raw block's trace leaves [1 - tail^2, 1] by more
-            than ``TRACE_TOL``.
+        FockTraceError: a raw block's trace fails ``fock``'s block-trace
+            rule (``fock._checked_trace``) with the floor 1 - tail^2.
         ValueError: eps lies outside (0, 1), or below 3 sqrt(``TAIL_FLOOR``),
             which no cutoff certifies.
     """

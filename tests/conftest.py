@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from bosonic import GaussianState, fock, tail
+from bosonic import GaussianState, fock, symplectic_form, tail
 
 
 def interleave(mat_xxpp: np.ndarray) -> np.ndarray:
@@ -279,3 +279,44 @@ def _full_estimate_cutoff(state: GaussianState, eps: float) -> float:
 
     bracket = tail._t_bracket(spec, 0)
     return tail._golden_min(needed, *bracket, iters=64)[1]
+
+
+def gaussian_fidelity(rho: GaussianState, sigma: GaussianState) -> float:
+    """Root fidelity ||sqrt(rho) sqrt(sigma)||_1 of two Gaussian states in
+    closed form (Banchi, Braunstein & Pirandola, PRL 115, 260501 (2015)):
+
+        F = F_tot exp(-d^T (V1 + V2)^-1 d / 4) / det(V1 + V2)^(1/4),
+        F_tot^4 = det(2 (sqrt(I + (W Omega)^-2 / 4) + I) W),
+        W = Omega^T (V1 + V2)^-1 (Omega / 4 + V2 Omega V1),
+
+    with d the difference of the means.  The paper's vacuum covariance is
+    I / 2 and this package's is I, so V1, V2 are half of ``cov``; both take
+    the mean as <R> with x = (a + a^dag) / sqrt(2), so the means carry over
+    as they are.  The matrix square root (W Omega is not normal) is taken
+    through ``eig``.  On pure states its argument is singular and about 1e-9
+    of F is lost (F(psi, psi) reads 1 + 6e-10), so it is meant for mixed
+    pairs.
+    """
+    v1, v2 = rho.cov / 2.0, sigma.cov / 2.0
+    omega = symplectic_form(rho.modes)
+    eye = np.eye(2 * rho.modes)
+    sum_inv = np.linalg.inv(v1 + v2)
+    w_aux = omega.T @ sum_inv @ (omega / 4.0 + v2 @ omega @ v1)
+    inv = np.linalg.inv(w_aux @ omega)
+    vals, vecs = np.linalg.eig(eye + inv @ inv / 4.0)
+    root = vecs @ np.diag(np.sqrt(vals.astype(complex))) @ np.linalg.inv(vecs)
+    f_tot = np.linalg.det(2.0 * (root + eye) @ w_aux) ** 0.25
+    d = sigma.mean - rho.mean
+    fid = f_tot * np.exp(-d @ sum_inv @ d / 4.0) / np.linalg.det(v1 + v2) ** 0.25
+    return float(fid.real)
+
+
+def fock_fidelity(a: fock.FockMatrix, b: fock.FockMatrix) -> float:
+    """Root fidelity ||sqrt(a) sqrt(b)||_1 of two Fock blocks: the sum of
+    the singular values of the product of their square roots, each root
+    through ``eigh`` with rounding-level negative eigenvalues set to 0."""
+    roots = []
+    for block in (a, b):
+        vals, vecs = np.linalg.eigh(block.matrix)
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    return float(np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False)))

@@ -753,6 +753,50 @@ def test_state_evolve_two_mode_squeezer_of_gain_1e8(tmp_path):
     assert json.loads(res.stdout)["modes"] == 2
 
 
+def test_squeezed_state_of_gain_1e8_is_validated_and_bounded(tmp_path):
+    # refused by state validate (exit 2) and by tail ("unphysical state:
+    # uncertainty margin -1.196e-07"): the tolerance was 1e-9, whatever ||V||
+    runner = _char_runner()
+    pair, squeezed, pushed = (tmp_path / name for name in ("pair.json", "squeezed.json",
+                                                           "pushed.json"))
+    pair.write_text(invoke(runner, "state", "tmsv", "--n", "1").stdout)
+    squeezed.write_text(runner.invoke(main, ["state", "evolve", str(pair),
+                                             "--two-mode-squeezer", "1e8"]).stdout)
+    res = runner.invoke(main, ["state", "validate", str(squeezed)])
+    assert res.exit_code == 0 and res.stderr == ""
+    report = json.loads(res.stdout)
+    assert report["ok"] is True
+    [warning] = report["warnings"]
+    assert "within tolerance 2.331e+00, scaled with the largest eigenvalue" in warning
+    res = runner.invoke(main, ["tail", str(squeezed), "--m", "10"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert json.loads(res.stdout)["cutoff"] == 10
+    # the same state with its margin pushed 3 below, past the scaled tolerance
+    payload = json.loads(squeezed.read_text())
+    payload["cov"] = (np.array(payload["cov"]) - 3.0 * np.eye(4)).tolist()
+    pushed.write_text(json.dumps(payload))
+    with pytest.raises(bosonic.InvalidStateError, match="^unphysical state: uncertainty margin"):
+        bosonic.require_valid(bosonic.state_from_dict(payload))
+    res = runner.invoke(main, ["state", "validate", str(pushed)])
+    assert res.exit_code == 2 and json.loads(res.stdout)["ok"] is False
+    res = runner.invoke(main, ["tail", str(pushed), "--m", "10"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: unphysical state: uncertainty margin -3.000e+00")
+
+
+@pytest.mark.parametrize("cutoff", [10**308, 10**309], ids=["1e308", "1e309"])
+def test_tail_cutoffs_past_the_float_range_are_named(tmp_path, cutoff):
+    # 10^308 ended in "error: math domain error" (2M + 1 overflowed in the
+    # search bracket), 10^309 in an OverflowError traceback (exit 1)
+    runner = _char_runner()
+    path = thermal_file(tmp_path, runner, 1.0)
+    res = runner.invoke(main, ["tail", path, "--m", str(cutoff)])
+    assert res.exit_code == 2
+    assert res.stderr == (f"error: cutoff {cutoff} exceeds 8.988e+307, past which 2M + 1 "
+                          "overflows a float\n")
+    assert res.stdout == ""
+
+
 _LOSS = ("--channel", "loss", "--lam", "0.5", "--task", "Q2")
 _AMP = ("--channel", "amp", "--task", "Q2")
 _NSHOT = ("--method", "aep", "--n", "100", "--eps", "0.1")

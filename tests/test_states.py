@@ -10,6 +10,7 @@ import pytest
 import bosonic as b
 from bosonic import GaussianState, InvalidStateError, PureAmplifier, PureLoss
 from bosonic.cli import _encode
+from bosonic.states import UNCERTAINTY_TOL
 from conftest import random_state, random_symplectic
 
 SZ = np.diag([1.0, -1.0])
@@ -38,18 +39,48 @@ def test_tmsv_structure():
     assert np.array_equal(red.cov, b.thermal_state(n).cov)
 
 
+def _physical(state: GaussianState) -> bool:
+    """``validate_state(state).ok``, asserted to be ``require_valid``'s verdict too."""
+    ok = b.validate_state(state).ok
+    try:
+        assert b.require_valid(state) is state
+        valid = True
+    except InvalidStateError:
+        valid = False
+    assert ok is valid
+    return ok
+
+
 def test_state_validation():
-    assert b.validate_state(b.vacuum_state()).ok
+    assert _physical(b.vacuum_state())
     bad = GaussianState(np.zeros(2), 0.5 * np.eye(2))
     rep = b.validate_state(bad)
-    assert not rep.ok
+    assert not _physical(bad)
     assert rep.uncertainty_margin == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(InvalidStateError):
         b.require_valid(bad)
     # near-boundary dips only warn
     almost = GaussianState(np.zeros(2), (1.0 - 1e-10) * np.eye(2))
     rep2 = b.validate_state(almost)
-    assert rep2.ok and rep2.warnings
+    assert _physical(almost) and rep2.warnings
+
+
+def test_uncertainty_tolerance_scales_with_the_state():
+    # a pure state of entries near 1e9: its margin -1.196e-07 is eigensolver
+    # noise, and a fixed tolerance of 1e-9 refused it
+    squeezed = b.apply_transform(b.tmsv_state(1.0), b.two_mode_squeezer(1e8))
+    top = np.linalg.eigvalsh(squeezed.cov + 1j * b.symplectic_form(2))[-1]
+    tol = UNCERTAINTY_TOL * top
+    assert 2.3 < tol < 2.4
+    rep = b.validate_state(squeezed)
+    assert _physical(squeezed) and -1e-6 < rep.uncertainty_margin < 0.0
+    assert rep.warnings == (f"uncertainty margin {rep.uncertainty_margin:.3e} is negative but "
+                            f"within tolerance {tol:.3e}, scaled with the largest eigenvalue "
+                            "of V + i*Omega",)
+    # the margin pushed just inside the scaled tolerance passes, just past it fails
+    for factor, ok in ((0.9, True), (1.1, False)):
+        pushed = GaussianState(squeezed.mean, squeezed.cov - factor * tol * np.eye(4))
+        assert _physical(pushed) is ok
 
 
 def test_asymmetric_covariance_rejected():

@@ -4,12 +4,13 @@ import decimal
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import bosonic as b
-from bosonic import tail
+from bosonic import states, tail
 from conftest import full_search_cutoff, log_x_minus_one, numpy_scalar_objective, random_state
 
 
@@ -314,6 +315,29 @@ def test_cutoff_nongaussian():
     assert b.cutoff_nongaussian(2.0, 0.05) == math.ceil(9 * 2.0 / 0.05**2)
     with pytest.raises(ValueError):
         b.cutoff_nongaussian(1.0, 0.0)
+
+
+def test_cutoff_nongaussian_at_the_edges_of_the_float_range():
+    # eps^2 underflowed to 0 (a ZeroDivisionError), and an overflowing
+    # 9 N / eps^2 met math.ceil(inf) (an OverflowError)
+    for photons, eps in ((1.0, 1e-200), (1e308, 0.5)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot evaluate N = {photons!r} with eps = {eps!r}: 9 N / eps^2 overflows")):
+            b.cutoff_nongaussian(photons, eps)
+    # a subnormal eps^2 keeps 3 digits; the answer keeps all of them
+    exact = Fraction(9) * Fraction(1e-300) / Fraction(1e-160) ** 2
+    assert abs(b.cutoff_nongaussian(1e-300, 1e-160) - exact) <= 1e-14 * exact
+    assert b.cutoff_nongaussian(0.0, 1e-200) == 0
+
+
+def test_bound_cutoffs_end_where_two_m_plus_one_overflows():
+    state = b.thermal_state(1.0)
+    calls = (b.tail_bound_closed, b.tail_bound_optimized, b.trace_distance_truncation_bound)
+    for call in calls:  # the largest cutoff taken reads the floor
+        assert call(state, states._MAX_CUTOFF).bound <= math.sqrt(tail.TAIL_FLOOR)
+        for cutoff in (states._MAX_CUTOFF + 1, 10**308, 10**309):
+            with pytest.raises(ValueError, match=f"^cutoff {cutoff} exceeds 8.988e\\+307, "):
+                call(state, cutoff)
 
 
 def test_random_states_bounded_by_one_at_zero_cutoff_decay():

@@ -14,6 +14,8 @@ import pytest
 import bosonic as b
 from bosonic import fock, tracedist
 from conftest import (
+    fock_fidelity,
+    gaussian_fidelity,
     interleave,
     random_orthogonal_symplectic,
     random_state,
@@ -427,6 +429,37 @@ def test_thermal_product_under_common_active_symplectic():
         mixed = b.gaussian_trace_distance(b.apply_transform(x, s), b.apply_transform(y, s), 1e-2)
         slack = mixed.certified_error + plain.certified_error
         assert abs(mixed.estimate - plain.estimate) <= slack
+
+
+_MIXED_FAMILIES = ("thermal", "complex-passive", "active", "displaced")
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, 30), (2, 24)])
+@pytest.mark.parametrize("family", _MIXED_FAMILIES)
+def test_gaussian_fidelity_matches_the_fock_blocks(family, modes, cutoff):
+    # the closed form against ||sqrt(rho') sqrt(sigma')||_1 of the normalized
+    # blocks.  A normalized truncation lies within Bures angle arcsin(t) of
+    # its state (Uhlmann: F(rho, rho') >= sqrt(1 - P(N > M)) >= sqrt(1 - t^2)),
+    # and the angle is a metric with |cos A - cos A'| <= |A - A'|
+    x, y = _sector_pair(family, modes, np.random.default_rng(500 + modes))
+    fa, fb = (b.truncate_normalize(b.fock_matrix_elements(st, cutoff)) for st in (x, y))
+    ta, tb = (b.trace_distance_truncation_bound(st, cutoff).bound for st in (x, y))
+    slack = math.asin(ta) + math.asin(tb) + 1e-9  # and the roots' rounding
+    assert abs(gaussian_fidelity(x, y) - fock_fidelity(fa, fb)) <= slack
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("family", _MIXED_FAMILIES)
+def test_fidelity_brackets_mixed_pair_distances(family, modes):
+    # 1 - F <= D <= sqrt(1 - F^2) (Fuchs and van de Graaf), with F from the
+    # Gaussian closed form: a two-sided check that does not use the Fock path
+    rng = np.random.default_rng(900 + modes)
+    for _ in range(3):
+        x, y = _sector_pair(family, modes, rng)
+        res = b.gaussian_trace_distance(x, y, 1e-3)
+        fid = gaussian_fidelity(x, y)
+        slack = res.certified_error + 1e-9  # and the closed form's rounding
+        assert 1.0 - fid - slack <= res.estimate <= math.sqrt(1.0 - fid * fid) + slack
 
 
 def test_two_mode_pure_pairs_match_overlap_identity():
