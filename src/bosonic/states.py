@@ -59,8 +59,12 @@ __all__ = [
     "validate_state",
 ]
 
-#: relative slack of the symmetry and uncertainty checks (``_tolerance``)
+#: slack of the symmetry check (times max(1, max|V|)) and least slack of the
+#: uncertainty margin
 UNCERTAINTY_TOL = 1e-9
+#: the eigensolver's rounding on V + i*Omega, per dimension and per unit of its
+#: largest eigenvalue: 64 ulps
+_EIG_ROUNDING = 64 * sys.float_info.epsilon
 #: the largest covariance entry: the sum of two, which symmetrizes V, stays finite
 MAX_ENTRY = sys.float_info.max / 2.0
 # the largest cutoff: 2M + 1, which the tail bound divides by, stays finite
@@ -105,7 +109,7 @@ class GaussianState:
                                     "past which its symmetric part overflows")
         # rounding-level asymmetry is removed below; anything larger is bad input
         defect = float(np.max(np.abs(cov - cov.T)))
-        tol = _tolerance(scale)
+        tol = UNCERTAINTY_TOL * max(1.0, scale)
         if defect > tol:
             raise InvalidStateError(
                 f"covariance is not symmetric: defect {defect:.3e} exceeds {tol:.1e}"
@@ -145,12 +149,13 @@ def validate_state(state: GaussianState) -> ValidationReport:
     """Check the uncertainty relation ``V + i*Omega >= 0``.
 
     Margins within ``[-tol, 0)`` pass with a warning (eigensolver noise on
-    pure states), where tol = ``UNCERTAINTY_TOL * max(1, lam)`` scales with
-    the largest eigenvalue ``lam`` of ``V + i*Omega``, as the noise does.
+    pure states).  tol is the eigensolver's rounding, 64 ulps per dimension
+    of the largest eigenvalue ``lam`` of ``V + i*Omega``, and at least
+    ``UNCERTAINTY_TOL``; an overflowing ``lam`` fails.
     """
     ok, margin, tol = _physicality(state)
     note = (f"uncertainty margin {margin:.3e} is negative but within tolerance {tol:.3e}, "
-            "scaled with the largest eigenvalue of V + i*Omega")
+            "the rounding of the largest eigenvalue of V + i*Omega")
     return ValidationReport(ok, state.modes, symmetry_defect=0.0, uncertainty_margin=margin,
                             warnings=(note,) if ok and margin < 0.0 else ())
 
@@ -164,17 +169,16 @@ def require_valid(state: GaussianState) -> GaussianState:
     return state
 
 
-def _tolerance(scale: float) -> float:
-    """``UNCERTAINTY_TOL * max(1, scale)``, a NaN scale read as 1."""
-    return UNCERTAINTY_TOL * scale if scale > 1.0 else UNCERTAINTY_TOL
-
-
 def _physicality(state: GaussianState) -> tuple[bool, float, float]:
     """The one uncertainty test: (passes, margin, tol), from the smallest and
-    the largest eigenvalue of ``V + i*Omega``; a NaN margin fails."""
-    eigs = np.linalg.eigvalsh(state.cov + _i_omega(len(state.cov))).tolist()
-    margin, tol = eigs[0], _tolerance(eigs[-1])
-    return margin >= -tol, margin, tol
+    the largest eigenvalue of ``V + i*Omega``; a NaN margin or an infinite
+    tol fails."""
+    dim = len(state.cov)
+    eigs = np.linalg.eigvalsh(state.cov + _i_omega(dim)).tolist()
+    margin, tol = eigs[0], _EIG_ROUNDING * dim * eigs[-1]
+    if tol < UNCERTAINTY_TOL:
+        tol = UNCERTAINTY_TOL
+    return -tol <= margin and tol < math.inf, margin, tol
 
 
 @functools.lru_cache(maxsize=None)

@@ -767,7 +767,7 @@ def test_squeezed_state_of_gain_1e8_is_validated_and_bounded(tmp_path):
     report = json.loads(res.stdout)
     assert report["ok"] is True
     [warning] = report["warnings"]
-    assert "within tolerance 2.331e+00, scaled with the largest eigenvalue" in warning
+    assert "within tolerance 1.325e-04, the rounding of the largest eigenvalue" in warning
     res = runner.invoke(main, ["tail", str(squeezed), "--m", "10"])
     assert res.exit_code == 0 and res.stderr == ""
     assert json.loads(res.stdout)["cutoff"] == 10

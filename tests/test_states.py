@@ -63,6 +63,9 @@ def test_state_validation():
     almost = GaussianState(np.zeros(2), (1.0 - 1e-10) * np.eye(2))
     rep2 = b.validate_state(almost)
     assert _physical(almost) and rep2.warnings
+    # the floor UNCERTAINTY_TOL, far above the rounding of a vacuum-sized state
+    for dip, ok in ((0.9 * UNCERTAINTY_TOL, True), (1.1 * UNCERTAINTY_TOL, False)):
+        assert _physical(GaussianState(np.zeros(4), (1.0 - dip) * np.eye(4))) is ok
 
 
 def test_uncertainty_tolerance_scales_with_the_state():
@@ -70,17 +73,26 @@ def test_uncertainty_tolerance_scales_with_the_state():
     # noise, and a fixed tolerance of 1e-9 refused it
     squeezed = b.apply_transform(b.tmsv_state(1.0), b.two_mode_squeezer(1e8))
     top = np.linalg.eigvalsh(squeezed.cov + 1j * b.symplectic_form(2))[-1]
-    tol = UNCERTAINTY_TOL * top
-    assert 2.3 < tol < 2.4
+    tol = 64 * 4 * np.finfo(float).eps * top  # 64 ulps per dimension of the top eigenvalue
+    assert 1.3e-4 < tol < 1.4e-4
     rep = b.validate_state(squeezed)
     assert _physical(squeezed) and -1e-6 < rep.uncertainty_margin < 0.0
     assert rep.warnings == (f"uncertainty margin {rep.uncertainty_margin:.3e} is negative but "
-                            f"within tolerance {tol:.3e}, scaled with the largest eigenvalue "
-                            "of V + i*Omega",)
+                            f"within tolerance {tol:.3e}, the rounding of the largest "
+                            "eigenvalue of V + i*Omega",)
     # the margin pushed just inside the scaled tolerance passes, just past it fails
     for factor, ok in ((0.9, True), (1.1, False)):
         pushed = GaussianState(squeezed.mean, squeezed.cov - factor * tol * np.eye(4))
         assert _physical(pushed) is ok
+    # a margin of -2.1 (negative covariance eigenvalues), a 5e8-photon mode next
+    # to a sub-vacuum one, and a state whose top eigenvalue overflows, so that no
+    # margin can be told from rounding: each is refused
+    big = 0.9 * b.states.MAX_ENTRY
+    overflowing = np.eye(6)
+    overflowing[::2, ::2] += big  # three x quadratures correlated; V + i*Omega >= 0
+    assert np.linalg.eigvalsh(overflowing + 1j * b.symplectic_form(3))[-1] == np.inf
+    for cov in (squeezed.cov - 2.1 * np.eye(4), np.diag([1e9, 1e9, 0.5, 0.5]), overflowing):
+        assert not _physical(GaussianState(np.zeros(len(cov)), cov))
 
 
 def test_asymmetric_covariance_rejected():
