@@ -522,7 +522,10 @@ def aep_lower_bound_generic(
 
     The last mode of ``input_state`` is sent through the channel; the rest
     act as the reference system A.  For "Q" the direct line A>B is used; for
-    "Q2"/"K" the better of the direct and reverse lines.
+    "Q2"/"K" the better of the direct and reverse lines.  The reverse line
+    refuses a channel (an amplifier of gain ~1e7 and up) that leaves the
+    smallest covariance eigenvalue of rho_BE within one ulp of its largest,
+    where the closed forms still answer.
     """
     n = check_n(n)
     eps = check_eps(eps)
@@ -559,6 +562,12 @@ def aep_lower_bound_generic(
         return line(ic_direct, {}, h_direct)
 
     rho_be = reduce_state(psi, [b_mode, e_mode])
+    low, high = np.linalg.eigvalsh(rho_be.cov)[[0, -1]]
+    if low <= sys.float_info.epsilon * high:  # Williamson's form needs V_BE > 0 resolved
+        name, value = _channel_params(channel).popitem()
+        raise ValueError(f"aep_lower_bound_generic cannot evaluate {name} = {value!r}: the "
+                         f"smallest covariance eigenvalue of rho_BE, {low:.3e}, lies within "
+                         f"one ulp of its largest, {high:.3e}; BOUND_FAMILIES['aep'] answers")
     h_reverse = {"H(B|A)": petz_conditional_entropy_half(rho_ab, [k - 1]),
                  "H(B|E)": petz_conditional_entropy_half(rho_be, [0])}
     direct = line(ic_direct, {"line": "direct"}, h_direct)

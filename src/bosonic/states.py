@@ -11,7 +11,8 @@ Conventions used throughout the package:
 * The symplectic form is ``Omega = direct_sum([[0, 1], [-1, 0]])`` and a
   physical covariance matrix satisfies ``V + i*Omega >= 0``.
 
-States are value objects: every operation returns a new ``GaussianState``.
+States are value objects: every operation returns a new ``GaussianState``,
+and each state computes its uncertainty verdict and V's eigenbasis once.
 """
 
 from __future__ import annotations
@@ -125,6 +126,40 @@ class GaussianState:
     def modes(self) -> int:
         return self.mean.size // 2
 
+    @functools.cached_property
+    def _verdict(self) -> tuple[bool, float, float]:
+        """(passes, margin, tol) of ``validate_state``'s test: ``_margin_test`` on
+        V + i*Omega, then on D^(-1/2) (V + i*Omega) D^(-1/2); margin and tol
+        are the first's."""
+        matrix = self.cov + 1j * symplectic_form(self.modes)
+        ok, margin, tol = _margin_test(matrix)
+        if ok:
+            with np.errstate(all="ignore"):  # a diagonal entry <= 0 or an overflow: NaN or inf
+                scale = 1.0 / np.sqrt(np.diag(self.cov))
+                scaled = scale[:, None] * matrix * scale
+            ok = bool(np.isfinite(scaled).all()) and _margin_test(scaled)[0]
+        return ok, margin, tol
+
+    @functools.cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues of V, ascending, and the mean in V's eigenbasis; read-only."""
+        evals, evecs = np.linalg.eigh(self.cov)
+        mean_rot = evecs.T @ self.mean
+        evals.flags.writeable = mean_rot.flags.writeable = False
+        return evals, mean_rot
+
+
+def _margin_test(matrix: np.ndarray) -> tuple[bool, float, float]:
+    """(passes, margin, tol) of the Hermitian ``matrix``: its smallest
+    eigenvalue, the margin, must lie above -tol, the eigensolver's rounding
+    (64 ulps per dimension of its largest eigenvalue, at least
+    ``UNCERTAINTY_TOL``); a NaN margin or an infinite tol fails."""
+    eigs = np.linalg.eigvalsh(matrix).tolist()
+    margin, tol = eigs[0], _EIG_ROUNDING * len(matrix) * eigs[-1]
+    if tol < UNCERTAINTY_TOL:
+        tol = UNCERTAINTY_TOL
+    return -tol <= margin and tol < math.inf, margin, tol
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -146,14 +181,17 @@ class ValidationReport:
 
 
 def validate_state(state: GaussianState) -> ValidationReport:
-    """Check the uncertainty relation ``V + i*Omega >= 0``.
+    """Check the uncertainty relation ``V + i*Omega >= 0``, and again on its
+    congruence ``D^(-1/2) (V + i*Omega) D^(-1/2)``, D = diag(V), whose
+    rounding does not grow with a huge mode beside a sub-vacuum one.
 
-    Margins within ``[-tol, 0)`` pass with a warning (eigensolver noise on
-    pure states).  tol is the eigensolver's rounding, 64 ulps per dimension
-    of the largest eigenvalue ``lam`` of ``V + i*Omega``, and at least
-    ``UNCERTAINTY_TOL``; an overflowing ``lam`` fails.
+    Each smallest eigenvalue must lie above -tol, tol the eigensolver's
+    rounding: 64 ulps per dimension of that matrix's largest eigenvalue, and
+    at least ``UNCERTAINTY_TOL``.  A diagonal entry <= 0 or an overflowing
+    eigenvalue fails.  The margin reported is that of V + i*Omega; within
+    ``[-tol, 0)`` it passes with a warning (eigensolver noise on pure states).
     """
-    ok, margin, tol = _physicality(state)
+    ok, margin, tol = state._verdict
     note = (f"uncertainty margin {margin:.3e} is negative but within tolerance {tol:.3e}, "
             "the rounding of the largest eigenvalue of V + i*Omega")
     return ValidationReport(ok, state.modes, symmetry_defect=0.0, uncertainty_margin=margin,
@@ -163,30 +201,10 @@ def validate_state(state: GaussianState) -> ValidationReport:
 def require_valid(state: GaussianState) -> GaussianState:
     """Return ``state`` unchanged, raising ``InvalidStateError`` if unphysical:
     ``validate_state``'s test, without its report."""
-    ok, margin, _ = _physicality(state)
+    ok, margin, _ = state._verdict
     if not ok:
         raise InvalidStateError(f"unphysical state: uncertainty margin {margin:.3e}")
     return state
-
-
-def _physicality(state: GaussianState) -> tuple[bool, float, float]:
-    """The one uncertainty test: (passes, margin, tol), from the smallest and
-    the largest eigenvalue of ``V + i*Omega``; a NaN margin or an infinite
-    tol fails."""
-    dim = len(state.cov)
-    eigs = np.linalg.eigvalsh(state.cov + _i_omega(dim)).tolist()
-    margin, tol = eigs[0], _EIG_ROUNDING * dim * eigs[-1]
-    if tol < UNCERTAINTY_TOL:
-        tol = UNCERTAINTY_TOL
-    return -tol <= margin and tol < math.inf, margin, tol
-
-
-@functools.lru_cache(maxsize=None)
-def _i_omega(dim: int) -> np.ndarray:
-    """``1j * symplectic_form(dim // 2)``, read-only, built once per dimension."""
-    i_omega = 1j * symplectic_form(dim // 2)
-    i_omega.flags.writeable = False
-    return i_omega
 
 
 # ---------------------------------------------------------------------------

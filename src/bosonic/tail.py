@@ -19,9 +19,9 @@ simplifies to M/(4N + 2) nats and p(x) <= 2^(n/2) e^(1/2);
 The square root of the optimized bound certifies the trace-distance error
 of a Fock-space truncation at cutoff M.
 
-Each bound has one evaluator.  A state's mean photon number, the
-eigenvalues of V and the mean rotated into V's eigenbasis are computed
-once, into one ``_Spectrum``.  ``_closed`` is the closed form,
+Each bound has one evaluator.  It reads a state's ``_Spectrum``: the mean
+photon number, the eigenvalues of V and the mean rotated into V's
+eigenbasis, which the state computes once.  ``_closed`` is the closed form,
 ``_optimized`` the search (with ``_closed`` as its only fallback), and
 ``_truncation`` its square root.  The public functions and the cutoff
 search all go through these.
@@ -150,10 +150,10 @@ class _Spectrum(NamedTuple):
 
 def _spectrum(state: GaussianState) -> _Spectrum:
     """The ``_Spectrum`` of a physical state whose photon number is finite;
-    ``InvalidStateError`` or ``ValueError`` for any other."""
+    ``InvalidStateError`` or ``ValueError`` for any other.  Only the checks
+    run here: the state computes its verdict and eigenbasis once."""
     require_valid(state)
-    evals, evecs = np.linalg.eigh(state.cov)
-    return _Spectrum(mean_photon_number(state), evals, evecs.T @ state.mean)
+    return _Spectrum(mean_photon_number(state), *state._eig)
 
 
 def _log_prefactor(evals: np.ndarray, mean_rot: np.ndarray, x: float) -> float:

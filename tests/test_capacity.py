@@ -184,6 +184,21 @@ def test_generic_aep_rejects_mixed_input():
         b.aep_lower_bound_generic(PureLoss(0.5), b.vacuum_state(), 100, 0.1, "Q")
 
 
+def test_generic_aep_names_its_gain_limit():
+    # past g ~ 1e7 the smallest covariance eigenvalue of rho_BE (~1/g) sinks
+    # into the rounding of its largest (~g): refused by name, where the closed
+    # form still answers
+    tm = b.tmsv_state(1.0)
+    for task in ("Q2", "K"):
+        with pytest.raises(ValueError, match=r"cannot evaluate g = 100000000\.0: .* rho_BE"):
+            b.aep_lower_bound_generic(PureAmplifier(1e8), tm, 100, 0.1, task)
+        assert math.isfinite(b.BOUND_FAMILIES["aep"].evaluate(PureAmplifier(1e8), 100, 0.1,
+                                                               task).value)
+    # the direct line reads no rho_BE, and a gain below the limit answers
+    assert math.isfinite(b.aep_lower_bound_generic(PureAmplifier(1e8), tm, 100, 0.1, "Q").value)
+    assert math.isfinite(b.aep_lower_bound_generic(PureAmplifier(1e6), tm, 100, 0.1, "Q2").value)
+
+
 def test_generic_aep_below_threshold_flag():
     tm = b.tmsv_state(1.0)
     res = b.aep_lower_bound_generic(PureLoss(0.5), tm, 4, 0.1, "Q")

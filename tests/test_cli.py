@@ -61,13 +61,44 @@ def test_state_photon_tmsv(runner, tmp_path):
 
 
 def test_state_validate_failure_exit_code(runner, tmp_path):
-    bad = write_state(tmp_path, "bad.json",
-                      {"modes": 1, "mean": [0.0, 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]]})
-    res = runner.invoke(main, ["state", "validate", bad])
-    assert res.exit_code == 2
-    report = json.loads(res.output)
-    assert report["ok"] is False
-    assert report["uncertainty_margin"] == pytest.approx(-0.5, abs=1e-12)
+    # a sub-vacuum mode, alone and beside a 1e13 mode whose rounding hides it normwise
+    for cov in ([[0.5, 0.0], [0.0, 0.5]], np.diag([1e13, 1e13, 0.5, 0.5]).tolist()):
+        bad = write_state(tmp_path, "bad.json",
+                          {"modes": len(cov) // 2, "mean": [0.0] * len(cov), "cov": cov})
+        res = runner.invoke(main, ["state", "validate", bad])
+        assert res.exit_code == 2
+        report = json.loads(res.output)
+        assert report["ok"] is False
+        assert report["uncertainty_margin"] == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_one_verdict_and_one_spectrum_per_state(runner, tmp_path, monkeypatch):
+    # each state runs its uncertainty test (the eigenvalues of V + i*Omega and
+    # of its congruence by diag(V)^(-1/2)) and the eigendecomposition of V once,
+    # however many checks, bounds and Fock builds read them
+    calls = collections.Counter()
+    for name in ("eigvalsh", "eigh"):
+        def spy(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def solves():
+        counts = {key: n for key, n in calls.items() if key[1] != "bosonic.tracedist"}
+        calls.clear()
+        return counts
+
+    rng = np.random.default_rng(7)
+    pair = [bosonic.apply_transform(
+        bosonic.tensor([bosonic.thermal_state(n), bosonic.thermal_state(2 * n)]),
+        bosonic.beam_splitter(rng.uniform())) for n in (0.2, 0.4)]
+    bosonic.gaussian_trace_distance(*pair, 1e-3)
+    assert solves() == {("eigvalsh", "bosonic.states"): 4, ("eigh", "bosonic.states"): 2}
+    path = write_state(tmp_path, "pair.json", bosonic.state_to_dict(pair[0]))
+    invoke(runner, "tail", path, "--target-eps", "1e-3")  # the cutoff search, then both bounds
+    assert solves() == {("eigvalsh", "bosonic.states"): 2, ("eigh", "bosonic.states"): 1}
+    assert invoke(runner, "state", "validate", path).exit_code == 0
+    assert solves() == {("eigvalsh", "bosonic.states"): 2}
 
 
 def test_state_validate_rejects_asymmetric_covariance(runner, tmp_path):

@@ -125,6 +125,106 @@ def test_displaced_two_mode_state():
         assert f.matrix[idx[(0, k)], idx[(0, k)]].real == pytest.approx(expect, abs=1e-13)
 
 
+# --- a circuit oracle that does not use the Bargmann kernel: two thermal modes
+# in a padded Fock space of _LEVELS levels each, every gate exp(-iH) taken
+# through eigh of its generator H in ladder operators, beside the symplectic
+# map of the same gate, R -> S R + d with R = (x_1, p_1, x_2, p_2) and
+# x = (a + a^dag)/sqrt(2)
+
+_LEVELS = 22
+_LADDER = np.diag(np.sqrt(np.arange(1.0, _LEVELS)), 1).astype(complex)
+
+
+def _on_mode(op: np.ndarray, mode: int) -> np.ndarray:
+    """A one-mode operator of the padded space, on ``mode`` of the two."""
+    eye = np.eye(_LEVELS)
+    return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
+
+
+def _one_mode_symplectic(block, mode: int) -> b.Transform:
+    s = np.eye(4)
+    s[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = block
+    return b.Transform(s, np.zeros(4))
+
+
+def _squeezer(mode, r):
+    a = _LADDER  # exp(r (a^2 - a^dag^2) / 2): x -> e^-r x, p -> e^r p
+    return (_on_mode(0.5j * r * (a @ a - a.T @ a.T), mode),
+            _one_mode_symplectic(np.diag([math.exp(-r), math.exp(r)]), mode))
+
+
+def _phase(mode, theta):
+    c, s = math.cos(theta), math.sin(theta)  # a -> e^(-i theta) a
+    return (_on_mode(theta * _LADDER.T @ _LADDER, mode),
+            _one_mode_symplectic([[c, s], [-s, c]], mode))
+
+
+def _splitter(theta, phi):
+    # a_1 -> cos a_1 - i e^(i phi) sin a_2, a_2 -> cos a_2 - i e^(-i phi) sin a_1
+    a1, a2 = _on_mode(_LADDER, 0), _on_mode(_LADDER, 1)
+    h = theta * (np.exp(1j * phi) * a1.conj().T @ a2 + np.exp(-1j * phi) * a1 @ a2.conj().T)
+    c, s = math.cos(theta), math.sin(theta)
+    w = np.array([[c, -1j * np.exp(1j * phi) * s], [-1j * np.exp(-1j * phi) * s, c]])
+    # per mode pair, a -> w a acts on (x, p) as Re w I + Im w [[0, -1], [1, 0]]
+    sym = np.kron(w.real, np.eye(2)) + np.kron(w.imag, [[0.0, -1.0], [1.0, 0.0]])
+    return h, b.Transform(sym, np.zeros(4))
+
+
+def _two_mode_squeezer(r):
+    a1, a2 = _on_mode(_LADDER, 0), _on_mode(_LADDER, 1)  # a_1 -> cosh a_1 + sinh a_2^dag
+    return 1j * r * (a1.conj().T @ a2.conj().T - a1 @ a2), b.two_mode_squeezer(math.cosh(r) ** 2)
+
+
+def _displacement(mode, alpha):
+    shift = np.zeros(4)  # a -> a + alpha: m = sqrt(2) (Re alpha, Im alpha)
+    shift[2 * mode:2 * mode + 2] = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+    h = 1j * (alpha * _LADDER.T - np.conj(alpha) * _LADDER)
+    return _on_mode(h, mode), b.displacement(shift)
+
+
+_CIRCUITS = {
+    "squeeze-phase-split-tms-displace": ((0.2, 0.1), lambda: [
+        _squeezer(0, 0.3), _phase(0, 0.7), _splitter(0.6, 0.9), _two_mode_squeezer(0.25),
+        _displacement(1, 0.3 + 0.2j)]),
+    "displace-split-squeeze-phase": ((0.1, 0.3), lambda: [
+        _displacement(0, -0.2 + 0.4j), _splitter(1.1, -0.4), _squeezer(1, -0.25),
+        _phase(1, 2.0)]),
+    "tms-split-displace": ((0.0, 0.15), lambda: [
+        _two_mode_squeezer(0.3), _splitter(0.4, 2.3), _displacement(0, 0.25j)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CIRCUITS))
+def test_fock_block_matches_padded_circuit(name):
+    # every entry of total <= 6 against the circuit run on padded Fock
+    # states, with no Bargmann data; the padding is checked by the padded
+    # state's first and second moments against the GaussianState's
+    photons, gates = _CIRCUITS[name]
+    weights = [n**np.arange(_LEVELS) / (n + 1.0) ** np.arange(1, _LEVELS + 1) for n in photons]
+    rho = np.diag(np.kron(*weights)).astype(complex)
+    state = b.tensor([b.thermal_state(n) for n in photons])
+    for h, transform in gates():
+        vals, vecs = np.linalg.eigh(h)
+        u = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+        rho = u @ rho @ u.conj().T
+        state = b.apply_transform(state, transform)
+
+    quads = []
+    for mode in (0, 1):
+        a = _on_mode(_LADDER, mode)
+        quads += [(a + a.conj().T) / math.sqrt(2.0), (a - a.conj().T) / (1j * math.sqrt(2.0))]
+    mean = np.array([np.sum(rho.T * q).real for q in quads])
+    second = np.array([[np.sum((rho @ q1).T * q2).real for q2 in quads] for q1 in quads])
+    cov = second + second.T - 2.0 * np.outer(mean, mean)
+    assert np.max(np.abs(mean - state.mean)) < 1e-6
+    assert np.max(np.abs(cov - state.cov)) < 1e-6
+
+    cutoff = 6
+    rows = [n0 * _LEVELS + n1 for n0, n1 in b.enumerate_basis(2, cutoff)]
+    got = b.fock_matrix_elements(state, cutoff).matrix
+    assert np.max(np.abs(got - rho[np.ix_(rows, rows)])) < 1e-8
+
+
 def test_hermiticity_and_psd_of_output():
     st = b.GaussianState(np.array([0.3, -0.2]), 2.2 * np.eye(2))
     f = b.fock_matrix_elements(st, 25)

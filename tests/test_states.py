@@ -95,6 +95,38 @@ def test_uncertainty_tolerance_scales_with_the_state():
         assert not _physical(GaussianState(np.zeros(len(cov)), cov))
 
 
+def test_sub_vacuum_mode_next_to_a_huge_one_refused():
+    # the normwise margin -0.5 lies within the 1e13 mode's rounding, 0.568;
+    # the congruence by diag(V)^(-1/2) shows the sub-vacuum mode at -1
+    hidden = GaussianState(np.zeros(4), np.diag([1e13, 1e13, 0.5, 0.5]))
+    top = np.linalg.eigvalsh(hidden.cov + 1j * b.symplectic_form(2))[-1]
+    assert 64 * 4 * np.finfo(float).eps * top > 0.5
+    assert b.validate_state(hidden).to_dict() == {
+        "ok": False, "modes": 2, "symmetry_defect": 0.0, "uncertainty_margin": -0.5,
+        "warnings": []}
+    assert not _physical(hidden)
+    with pytest.raises(InvalidStateError, match="uncertainty margin -5.000e-01"):
+        b.tail_bound_optimized(hidden, 10)
+    # beside a 1e14 mode (normwise tolerance 5.7) the normwise test passes; a
+    # diagonal entry <= 0, or one so small that the scaled matrix overflows,
+    # then fails the scaled test, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for low in ([0.0, 1.0], [-1.0, 1.0], [1e-320, 1e-320]):
+            state = GaussianState(np.zeros(4), np.diag([1e14, 1e14] + low))
+            assert -5.0 < b.validate_state(state).uncertainty_margin < 0.0
+            assert not _physical(state)
+    # scaling keeps every physical state physical: one squeezed to a diagonal
+    # entry of 1e-8 and one amplified to 1.2e9 pass, and report the normwise margin
+    rng = np.random.default_rng(27)
+    squeezed = b.apply_transform(b.tensor([b.thermal_state(0.0), b.thermal_state(0.5)]),
+                                 b.Transform(np.diag([1e4, 1e-4, 1e-4, 1e4]), np.zeros(4)))
+    amplified = b.apply_transform(b.tmsv_state(1.0), b.two_mode_squeezer(1e8))
+    for state in (squeezed, amplified, random_state(rng, 3, pure=True)):
+        margin = np.linalg.eigvalsh(state.cov + 1j * b.symplectic_form(state.modes))[0]
+        assert _physical(state) and b.validate_state(state).uncertainty_margin == margin
+
+
 def test_asymmetric_covariance_rejected():
     skew = [[1.5, 5.0], [-5.0, 1.5]]
     with pytest.raises(InvalidStateError, match="not symmetric"):
