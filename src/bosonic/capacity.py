@@ -523,9 +523,10 @@ def aep_lower_bound_generic(
     The last mode of ``input_state`` is sent through the channel; the rest
     act as the reference system A.  For "Q" the direct line A>B is used; for
     "Q2"/"K" the better of the direct and reverse lines.  The reverse line
-    refuses a channel (an amplifier of gain ~1e7 and up) that leaves the
-    smallest covariance eigenvalue of rho_BE within one ulp of its largest,
-    where the closed forms still answer.
+    refuses, naming the channel parameter, a channel whose rho_BE covariance
+    ``spectral.williamson`` finds not positive definite once rounded (an
+    amplifier from g ~ 3e7 on a TMSV(1) input), where the closed forms
+    still answer.
     """
     n = check_n(n)
     eps = check_eps(eps)
@@ -562,14 +563,14 @@ def aep_lower_bound_generic(
         return line(ic_direct, {}, h_direct)
 
     rho_be = reduce_state(psi, [b_mode, e_mode])
-    low, high = np.linalg.eigvalsh(rho_be.cov)[[0, -1]]
-    if low <= sys.float_info.epsilon * high:  # Williamson's form needs V_BE > 0 resolved
+    try:
+        h_be = petz_conditional_entropy_half(rho_be, [0])
+    except ValueError as exc:  # spectral.williamson's rule: V_BE > 0 as computed
         name, value = _channel_params(channel).popitem()
         raise ValueError(f"aep_lower_bound_generic cannot evaluate {name} = {value!r}: the "
-                         f"smallest covariance eigenvalue of rho_BE, {low:.3e}, lies within "
-                         f"one ulp of its largest, {high:.3e}; BOUND_FAMILIES['aep'] answers")
-    h_reverse = {"H(B|A)": petz_conditional_entropy_half(rho_ab, [k - 1]),
-                 "H(B|E)": petz_conditional_entropy_half(rho_be, [0])}
+                         f"rounding of rho_BE leaves its {exc}; BOUND_FAMILIES['aep'] "
+                         "answers") from exc
+    h_reverse = {"H(B|A)": petz_conditional_entropy_half(rho_ab, [k - 1]), "H(B|E)": h_be}
     direct = line(ic_direct, {"line": "direct"}, h_direct)
     reverse = line(coherent_information(rho_ab, [k - 1]), {"line": "reverse"}, h_reverse)
     return direct if direct.value >= reverse.value else reverse

@@ -129,13 +129,14 @@ class GaussianState:
     @functools.cached_property
     def _verdict(self) -> tuple[bool, float, float]:
         """(passes, margin, tol) of ``validate_state``'s test: ``_margin_test`` on
-        V + i*Omega, then on D^(-1/2) (V + i*Omega) D^(-1/2); margin and tol
-        are the first's."""
+        V + i*Omega, then on D^(-1/2) (V + i*Omega) D^(-1/2), D each mode's
+        mean variance; margin and tol are the first's."""
         matrix = self.cov + 1j * symplectic_form(self.modes)
         ok, margin, tol = _margin_test(matrix)
         if ok:
-            with np.errstate(all="ignore"):  # a diagonal entry <= 0 or an overflow: NaN or inf
-                scale = 1.0 / np.sqrt(np.diag(self.cov))
+            diag = np.diag(self.cov)
+            with np.errstate(all="ignore"):  # a mode's trace <= 0 or an overflow: NaN or inf
+                scale = np.repeat(1.0 / np.sqrt((diag[0::2] + diag[1::2]) / 2.0), 2)
                 scaled = scale[:, None] * matrix * scale
             ok = bool(np.isfinite(scaled).all()) and _margin_test(scaled)[0]
         return ok, margin, tol
@@ -182,13 +183,16 @@ class ValidationReport:
 
 def validate_state(state: GaussianState) -> ValidationReport:
     """Check the uncertainty relation ``V + i*Omega >= 0``, and again on its
-    congruence ``D^(-1/2) (V + i*Omega) D^(-1/2)``, D = diag(V), whose
-    rounding does not grow with a huge mode beside a sub-vacuum one.
+    congruence ``D^(-1/2) (V + i*Omega) D^(-1/2)``, D holding each mode's
+    mean variance ``tr V_j / 2`` on both its quadratures.  The congruence's
+    rounding does not grow with a huge mode beside a sub-vacuum one, and a
+    mode's own rounding stays an ulp of its mean variance, however small
+    one quadrature is.
 
     Each smallest eigenvalue must lie above -tol, tol the eigensolver's
     rounding: 64 ulps per dimension of that matrix's largest eigenvalue, and
-    at least ``UNCERTAINTY_TOL``.  A diagonal entry <= 0 or an overflowing
-    eigenvalue fails.  The margin reported is that of V + i*Omega; within
+    at least ``UNCERTAINTY_TOL``.  A mode whose trace is <= 0 or an
+    overflowing eigenvalue fails.  The margin reported is that of V + i*Omega; within
     ``[-tol, 0)`` it passes with a warning (eigensolver noise on pure states).
     """
     ok, margin, tol = state._verdict

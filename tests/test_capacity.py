@@ -186,11 +186,12 @@ def test_generic_aep_rejects_mixed_input():
 
 def test_generic_aep_names_its_gain_limit():
     # past g ~ 1e7 the smallest covariance eigenvalue of rho_BE (~1/g) sinks
-    # into the rounding of its largest (~g): refused by name, where the closed
-    # form still answers
+    # into the rounding of its largest (~g), and spectral.williamson finds the
+    # covariance not positive definite: refused by name, where the closed form
+    # still answers
     tm = b.tmsv_state(1.0)
     for task in ("Q2", "K"):
-        with pytest.raises(ValueError, match=r"cannot evaluate g = 100000000\.0: .* rho_BE"):
+        with pytest.raises(ValueError, match=r"cannot evaluate g = 100000000\.0: .* rho_BE .*not positive"):
             b.aep_lower_bound_generic(PureAmplifier(1e8), tm, 100, 0.1, task)
         assert math.isfinite(b.BOUND_FAMILIES["aep"].evaluate(PureAmplifier(1e8), 100, 0.1,
                                                                task).value)

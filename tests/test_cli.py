@@ -74,8 +74,8 @@ def test_state_validate_failure_exit_code(runner, tmp_path):
 
 def test_one_verdict_and_one_spectrum_per_state(runner, tmp_path, monkeypatch):
     # each state runs its uncertainty test (the eigenvalues of V + i*Omega and
-    # of its congruence by diag(V)^(-1/2)) and the eigendecomposition of V once,
-    # however many checks, bounds and Fock builds read them
+    # of its congruence by the modes' mean variances) and the eigendecomposition
+    # of V once, however many checks, bounds and Fock builds read them
     calls = collections.Counter()
     for name in ("eigvalsh", "eigh"):
         def spy(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):

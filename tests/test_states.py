@@ -97,7 +97,7 @@ def test_uncertainty_tolerance_scales_with_the_state():
 
 def test_sub_vacuum_mode_next_to_a_huge_one_refused():
     # the normwise margin -0.5 lies within the 1e13 mode's rounding, 0.568;
-    # the congruence by diag(V)^(-1/2) shows the sub-vacuum mode at -1
+    # the congruence by each mode's mean variance shows the sub-vacuum mode at -1
     hidden = GaussianState(np.zeros(4), np.diag([1e13, 1e13, 0.5, 0.5]))
     top = np.linalg.eigvalsh(hidden.cov + 1j * b.symplectic_form(2))[-1]
     assert 64 * 4 * np.finfo(float).eps * top > 0.5
@@ -107,9 +107,13 @@ def test_sub_vacuum_mode_next_to_a_huge_one_refused():
     assert not _physical(hidden)
     with pytest.raises(InvalidStateError, match="uncertainty margin -5.000e-01"):
         b.tail_bound_optimized(hidden, 10)
+    # so is a sub-vacuum pair, each of whose modes alone is physical
+    pair = np.zeros((6, 6))
+    pair[:2, :2], pair[2:, 2:] = 1e13 * np.eye(2), b.tmsv_state(1.0).cov - 0.6 * np.eye(4)
+    assert not _physical(GaussianState(np.zeros(6), pair))
     # beside a 1e14 mode (normwise tolerance 5.7) the normwise test passes; a
-    # diagonal entry <= 0, or one so small that the scaled matrix overflows,
-    # then fails the scaled test, with no numpy warning
+    # mode with a zero variance, a trace <= 0, or one so small that the scaled
+    # matrix overflows then fails the scaled test, with no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for low in ([0.0, 1.0], [-1.0, 1.0], [1e-320, 1e-320]):
@@ -125,6 +129,22 @@ def test_sub_vacuum_mode_next_to_a_huge_one_refused():
     for state in (squeezed, amplified, random_state(rng, 3, pure=True)):
         margin = np.linalg.eigvalsh(state.cov + 1j * b.symplectic_form(state.modes))[0]
         assert _physical(state) and b.validate_state(state).uncertainty_margin == margin
+
+
+def test_cancelling_variance_stays_physical():
+    # a balanced beam splitter leaves each mode of a TMSV with p = a - c ~
+    # 1/(4N), whose rounding (an ulp of a ~ 2N) is far above an ulp of p: the
+    # scaled test reads it against the mode's mean variance, not against p
+    for photons in np.logspace(2.0, 6.0, 41):
+        split = b.apply_transform(b.tmsv_state(photons), b.beam_splitter(0.5))
+        assert split.cov[1, 1] < 1.0 / photons and _physical(split)
+    # a squeezer that undoes the TMSV (after a phase flip of mode 1) leaves
+    # the vacuum up to the rounding of its N^2 terms
+    flip = b.Transform(np.diag([1.0, 1.0, -1.0, -1.0]), np.zeros(4))
+    for photons in (1.0, 10.0, 100.0, 1000.0):
+        undone = b.apply_transform(b.apply_transform(b.tmsv_state(photons), flip),
+                                   b.two_mode_squeezer(photons + 1.0))
+        assert np.max(np.abs(undone.cov - np.eye(4))) < 1e-9 and _physical(undone)
 
 
 def test_asymmetric_covariance_rejected():
