@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 #: the re-exported modules; the last two load on first use
 _MODULES = ("states", "spectral", "tail", "capacity", "fock", "tracedist")
-_LAZY = _MODULES[-2:]
 
 
 def _load_lazy() -> None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -122,19 +122,9 @@ class CapacityBound:
         return self.direction == "lower" and self.value < 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "direction": self.direction,
-            "task": self.task,
-            "method": self.method,
-            "n": self.n,
-            "eps": self.eps,
-            "params": self.params,
-            "breakdown": self.breakdown,
-            "preconditions_met": self.preconditions_met,
-            "vacuous": self.vacuous,
-            "note": self.note,
-        }
+        payload = asdict(self)
+        note = payload.pop("note")  # last, after the derived ``vacuous``
+        return payload | {"vacuous": self.vacuous, "note": note}
 
 
 def _check_task(task: str) -> str:

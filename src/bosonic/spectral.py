@@ -41,10 +41,6 @@ __all__ = [
 _PURE_SNAP = 1e-10
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.T) / 2.0
-
-
 def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Williamson normal form of a positive definite covariance matrix.
 
@@ -63,6 +59,10 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises
     ------
+    InvalidStateError
+        If ``cov`` fails ``GaussianState``'s rule on a covariance: an entry
+        that is not finite or exceeds ``MAX_ENTRY``, or an asymmetry above
+        rounding.  The form is that of the symmetric part the state stores.
     ValueError
         If ``cov`` is not 2n x 2n or not positive definite.
 
@@ -82,7 +82,7 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
         raise ValueError(f"covariance must be 2n x 2n, got {cov.shape}")
     n = cov.shape[0] // 2
-    evals, evecs = np.linalg.eigh(_symmetrize(cov))
+    evals, evecs = np.linalg.eigh(GaussianState(np.zeros(2 * n), cov).cov)
     if evals[0] <= 0.0:
         raise ValueError(f"covariance not positive definite (min eigenvalue {evals[0]:.3e})")
     w = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
@@ -162,8 +162,8 @@ def v_sqrt(cov: np.ndarray) -> np.ndarray:
     s, d = williamson(cov)
     d = np.where(np.abs(d - 1.0) <= _PURE_SNAP, 1.0, d)
     mapped = d + np.sqrt(np.maximum(d * d - 1.0, 0.0))
-    diag = np.repeat(mapped, 2)
-    return _symmetrize(s @ np.diag(diag) @ s.T)
+    w = s @ np.diag(np.repeat(mapped, 2)) @ s.T
+    return (w + w.T) / 2.0
 
 
 def petz_conditional_entropy_half(state: GaussianState, a_modes: Sequence[int]) -> float:

@@ -12,7 +12,8 @@ Conventions used throughout the package:
   physical covariance matrix satisfies ``V + i*Omega >= 0``.
 
 States are value objects: every operation returns a new ``GaussianState``,
-and each state computes its uncertainty verdict and V's eigenbasis once.
+and each state computes its uncertainty verdict, V's eigenbasis and its mean
+photon number once.
 """
 
 from __future__ import annotations
@@ -140,6 +141,16 @@ class GaussianState:
                 scaled = scale[:, None] * matrix * scale
             ok = bool(np.isfinite(scaled).all()) and _margin_test(scaled)[0]
         return ok, margin, tol
+
+    @functools.cached_property
+    def _photons(self) -> float:
+        """``mean_photon_number``: ``tr(V - I)/4 + |m|^2 / 2``, refused if it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            photons = float((np.trace(self.cov) - 2.0 * self.modes) / 4.0
+                            + self.mean @ self.mean / 2.0)
+        if not math.isfinite(photons):
+            raise ValueError(f"the mean photon number of this state overflows: got {photons}")
+        return photons
 
     @functools.cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -441,7 +452,9 @@ def apply_transform(
         modes: the k target mode indices; defaults to ``range(k)``.
 
     Returns:
-        The transformed ``GaussianState``.
+        The transformed ``GaussianState``.  Its covariance is the symmetric
+        part of ``S V S^T``: the product's rounding is no asymmetry of the
+        input, so it is not held to ``GaussianState``'s symmetry rule.
     """
     k = transform.modes
     if modes is None:
@@ -453,8 +466,9 @@ def apply_transform(
     full_s[np.ix_(coords, coords)] = transform.symplectic
     full_r = np.zeros(2 * state.modes)
     full_r[coords] = transform.shift
-    mean = full_s @ state.mean + full_r
-    return GaussianState(mean, full_s @ state.cov @ full_s.T)
+    cov = full_s @ state.cov @ full_s.T
+    # halved before the sum, which would overflow past MAX_ENTRY
+    return GaussianState(full_s @ state.mean + full_r, cov / 2.0 + cov.T / 2.0)
 
 
 def tensor(states: Iterable[GaussianState]) -> GaussianState:
@@ -489,12 +503,7 @@ def reduce_state(state: GaussianState, keep: Sequence[int]) -> GaussianState:
 def mean_photon_number(state: GaussianState) -> float:
     """Total mean photon number ``tr(V - I)/4 + |m|^2 / 2``; ``ValueError``
     if it overflows a float."""
-    n = state.modes
-    with np.errstate(over="ignore", invalid="ignore"):
-        photons = float((np.trace(state.cov) - 2.0 * n) / 4.0 + state.mean @ state.mean / 2.0)
-    if not math.isfinite(photons):
-        raise ValueError(f"the mean photon number of this state overflows: got {photons}")
-    return photons
+    return state._photons
 
 
 def cov_norm_bound(photons: float) -> float:

@@ -19,17 +19,17 @@ simplifies to M/(4N + 2) nats and p(x) <= 2^(n/2) e^(1/2);
 The square root of the optimized bound certifies the trace-distance error
 of a Fock-space truncation at cutoff M.
 
-Each bound has one evaluator.  It reads a state's ``_Spectrum``: the mean
-photon number, the eigenvalues of V and the mean rotated into V's
-eigenbasis, which the state computes once.  ``_closed`` is the closed form,
-``_optimized`` the search (with ``_closed`` as its only fallback), and
-``_truncation`` its square root.  The public functions and the cutoff
-search all go through these.
+Each bound has one evaluator, which reads three facts of the
+``GaussianState``: its mean photon number, the eigenvalues of V and the
+mean rotated into V's eigenbasis, each computed once per state.
+``_closed`` is the closed form, ``_optimized`` the search (with ``_closed``
+as its only fallback), and ``_truncation`` its square root.  The public
+functions and the cutoff search all go through these.
 
-``_spectrum``, which every public function reads, refuses a state that
+``_checked``, which every public function calls first, refuses a state that
 violates the uncertainty relation (below the vacuum included;
-``InvalidStateError``) and one whose mean photon number overflows a float
-(``ValueError``): the bound is proved for physical states only, and an
+``InvalidStateError``) and then one whose mean photon number overflows a
+float (``ValueError``): the bound is proved for physical states only, and an
 overflowing photon number leaves nothing finite to bound with.  Every other
 state gets both bounds.  Past N ~ 2.25e14 photons the bracket start
 arccoth(10 (8N + 4)) is taken as log1p(2 / (x - 1)) / 2, where the direct
@@ -56,7 +56,7 @@ guess need not be sharp: any guess gives the same cutoff, and a wrong one
 costs only extra checks.  The estimate therefore runs a short golden
 search (``_ESTIMATE_ITERS``).
 
-A check is ``_truncation(spec, M, stop).bound <= eps``: the public
+A check is ``_truncation(state, M, stop).bound <= eps``: the public
 truncation bound, with one shortcut.  The search stops at the first t
 whose log bound lies below stop = 2 ln eps - 1e-9.  That is exact.
 Golden section keeps the smaller of its two inner values, so the kept
@@ -72,7 +72,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,22 +137,12 @@ class TailBoundResult:
     fallback: bool = False
 
 
-class _Spectrum(NamedTuple):
-    """What the bound reads of a state, computed once per state: the mean
-    photon number N, the eigenvalues of V (ascending) and the mean rotated
-    into V's eigenbasis."""
-
-    photons: float
-    evals: np.ndarray
-    mean_rot: np.ndarray
-
-
-def _spectrum(state: GaussianState) -> _Spectrum:
-    """The ``_Spectrum`` of a physical state whose photon number is finite;
-    ``InvalidStateError`` or ``ValueError`` for any other.  Only the checks
-    run here: the state computes its verdict and eigenbasis once."""
-    require_valid(state)
-    return _Spectrum(mean_photon_number(state), *state._eig)
+def _checked(state: GaussianState) -> GaussianState:
+    """``state`` if it is physical and its photon number is finite;
+    ``InvalidStateError``, then ``ValueError``, for any other.  Only the
+    checks run here: the state computes its verdict and photon number once."""
+    mean_photon_number(require_valid(state))
+    return state
 
 
 def _log_prefactor(evals: np.ndarray, mean_rot: np.ndarray, x: float) -> float:
@@ -172,17 +161,17 @@ def tail_bound_closed(state: GaussianState, cutoff: int) -> TailBoundResult:
     ``bound = p(8N+4) * exp(-M / (4N+2))`` with N the mean photon number.
     """
     cutoff = check_cutoff(cutoff)
-    return _closed(_spectrum(state), cutoff)
+    return _closed(_checked(state), cutoff)
 
 
-def _closed(spec: _Spectrum, cutoff: int) -> TailBoundResult:
+def _closed(state: GaussianState, cutoff: int) -> TailBoundResult:
     """The closed-form bound at x = 8N + 4, also the optimized bound's fallback."""
-    scale = 4.0 * spec.photons + 2.0  # 1 / scale <= 2 arccoth(8N + 4), the exact exponent
+    scale = 4.0 * state._photons + 2.0  # 1 / scale <= 2 arccoth(8N + 4), the exact exponent
     decay_rate = math.log2(math.e) / scale
-    x = 8.0 * spec.photons + 4.0
+    x = 8.0 * state._photons + 4.0
     if x == math.inf:  # N past ~2.2e307: p(x) has no float form, and 1 bounds every probability
         return TailBoundResult(bound=1.0, decay_rate=decay_rate)
-    log_bound = _log_prefactor(spec.evals, spec.mean_rot, x) - cutoff / scale
+    log_bound = _log_prefactor(*state._eig, x) - cutoff / scale
     return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=decay_rate)
 
 
@@ -235,16 +224,17 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
     closed-form point x = 8N + 4 if the search returns nothing finite.
     """
     cutoff = check_cutoff(cutoff)
-    return _optimized(_spectrum(state), cutoff)
+    return _optimized(_checked(state), cutoff)
 
 
-def _optimized(spec: _Spectrum, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
+def _optimized(state: GaussianState, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
     """The optimized bound at the golden-section minimum, or at the first
     log bound below ``stop``; the closed form when nothing finite is found."""
-    objective = _make_objective(spec.evals, spec.mean_rot, cutoff)
-    t_best, log_best = _golden_min(objective, *_t_bracket(spec, cutoff), stop=stop)
+    objective = _make_objective(*state._eig, cutoff)
+    t_best, log_best = _golden_min(objective, *_t_bracket(state, cutoff), stop=stop)
     if not math.isfinite(log_best):
-        return replace(_closed(spec, cutoff), optimizer_x=8.0 * spec.photons + 4.0, fallback=True)
+        return replace(_closed(state, cutoff), optimizer_x=8.0 * state._photons + 4.0,
+                       fallback=True)
     return TailBoundResult(
         bound=_clamp_exp(log_best),
         decay_rate=2.0 * t_best * math.log2(math.e),
@@ -252,11 +242,11 @@ def _optimized(spec: _Spectrum, cutoff: int, stop: float = -math.inf) -> TailBou
     )
 
 
-def _t_bracket(spec: _Spectrum, cutoff: int) -> tuple[float, float]:
+def _t_bracket(state: GaussianState, cutoff: int) -> tuple[float, float]:
     """The t = arccoth(x) interval searched for the bound at ``cutoff``."""
-    norm = float(spec.evals[-1])
+    norm = float(state._eig[0][-1])  # ||V||_inf, V's largest eigenvalue
     t_cap = _T_CAP_NATS / (2.0 * cutoff + 1.0)
-    t_lo = _arccoth(10.0 * (8.0 * spec.photons + 4.0))
+    t_lo = _arccoth(10.0 * (8.0 * state._photons + 4.0))
     delta = 1e-6 * (1.0 + norm)
     if norm > 1.0 + delta:
         t_hi = min(_arccoth(norm + delta), t_cap)
@@ -317,32 +307,32 @@ def trace_distance_truncation_bound(state: GaussianState, cutoff: int) -> TailBo
     """Certified bound on ``(1/2)||rho - rho_M||_1``: the square root of the
     optimized photon-number tail bound."""
     cutoff = check_cutoff(cutoff)
-    return _truncation(_spectrum(state), cutoff)
+    return _truncation(_checked(state), cutoff)
 
 
-def _truncation(spec: _Spectrum, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
-    """The square root of ``_optimized(spec, cutoff, stop)``."""
-    tail = _optimized(spec, cutoff, stop)
+def _truncation(state: GaussianState, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
+    """The square root of ``_optimized(state, cutoff, stop)``."""
+    tail = _optimized(state, cutoff, stop)
     return replace(tail, bound=min(1.0, math.sqrt(tail.bound)), decay_rate=tail.decay_rate / 2.0)
 
 
-def _estimate_cutoff(spec: _Spectrum, log_target: float) -> float:
+def _estimate_cutoff(state: GaussianState, log_target: float) -> float:
     """About min over t of M*(t) = (f(t) - log_target) / (2t), the smallest
     real M whose log bound at some t reaches ``log_target``; f is the M = 0
     objective.  A short search: the guess is only rounded up and confirmed."""
-    objective = _make_objective(spec.evals, spec.mean_rot, 0)
+    objective = _make_objective(*state._eig, 0)
 
     def needed(t: float) -> float:
         return (objective(t) - log_target) / (2.0 * t)
 
-    return _golden_min(needed, *_t_bracket(spec, 0), iters=_ESTIMATE_ITERS)[1]
+    return _golden_min(needed, *_t_bracket(state, 0), iters=_ESTIMATE_ITERS)[1]
 
 
-def _bound_passes(spec: _Spectrum, cutoff: int, eps: float) -> bool:
+def _bound_passes(state: GaussianState, cutoff: int, eps: float) -> bool:
     """``trace_distance_truncation_bound(state, cutoff).bound <= eps``,
     passing at the first log bound below 2 ln eps by ``_EARLY_MARGIN`` (see
     the module docstring)."""
-    return _truncation(spec, cutoff, 2.0 * math.log(eps) - _EARLY_MARGIN).bound <= eps
+    return _truncation(state, cutoff, 2.0 * math.log(eps) - _EARLY_MARGIN).bound <= eps
 
 
 def smallest_passing(ok, guess: int, floor: int, cap: int | None = None) -> int | None:
@@ -388,10 +378,10 @@ def cutoff_for_error(state: GaussianState, eps: float) -> int:
     if eps < math.sqrt(TAIL_FLOOR):
         raise ValueError(f"eps {eps} lies below {math.sqrt(TAIL_FLOOR)}, the square root of "
                          f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
-    spec = _spectrum(state)
-    estimate = _estimate_cutoff(spec, 2.0 * math.log(eps))  # the photon tail must reach eps^2
+    state = _checked(state)
+    estimate = _estimate_cutoff(state, 2.0 * math.log(eps))  # the photon tail must reach eps^2
     guess = math.ceil(estimate) if math.isfinite(estimate) else 0
-    cutoff = smallest_passing(lambda m: _bound_passes(spec, m, eps), guess, -1, _CUTOFF_CAP)
+    cutoff = smallest_passing(lambda m: _bound_passes(state, m, eps), guess, -1, _CUTOFF_CAP)
     if cutoff is None:
         raise CutoffCapError(f"no cutoff up to {_CUTOFF_CAP} reaches truncation error {eps}; "
                              "the state is too energetic for a certified truncation")

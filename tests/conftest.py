@@ -270,14 +270,13 @@ def full_search_cutoff(state: GaussianState, eps: float, cap: int = 10**6) -> in
 def _full_estimate_cutoff(state: GaussianState, eps: float) -> float:
     """min over t of M*(t) = (f(t) - 2 ln eps) / (2t) by a 64-iteration
     golden search; f is the M = 0 objective."""
-    spec = tail._spectrum(state)
-    objective = tail._make_objective(spec.evals, spec.mean_rot, 0)
+    objective = tail._make_objective(*tail._checked(state)._eig, 0)
     log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
 
     def needed(t: float) -> float:
         return (objective(t) - log_target) / (2.0 * t)
 
-    bracket = tail._t_bracket(spec, 0)
+    bracket = tail._t_bracket(state, 0)
     return tail._golden_min(needed, *bracket, iters=64)[1]
 
 

@@ -74,14 +74,15 @@ def test_state_validate_failure_exit_code(runner, tmp_path):
 
 def test_one_verdict_and_one_spectrum_per_state(runner, tmp_path, monkeypatch):
     # each state runs its uncertainty test (the eigenvalues of V + i*Omega and
-    # of its congruence by the modes' mean variances) and the eigendecomposition
-    # of V once, however many checks, bounds and Fock builds read them
+    # of its congruence by the modes' mean variances), the eigendecomposition
+    # of V and its photon-number sum (the trace of V) once, however many
+    # checks, bounds and Fock builds read them
     calls = collections.Counter()
-    for name in ("eigvalsh", "eigh"):
-        def spy(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np, "trace")):
+        def spy(*args, _name=name, _solve=getattr(owner, name), **kwargs):
             calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
             return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(owner, name, spy)
 
     def solves():
         counts = {key: n for key, n in calls.items() if key[1] != "bosonic.tracedist"}
@@ -93,10 +94,12 @@ def test_one_verdict_and_one_spectrum_per_state(runner, tmp_path, monkeypatch):
         bosonic.tensor([bosonic.thermal_state(n), bosonic.thermal_state(2 * n)]),
         bosonic.beam_splitter(rng.uniform())) for n in (0.2, 0.4)]
     bosonic.gaussian_trace_distance(*pair, 1e-3)
-    assert solves() == {("eigvalsh", "bosonic.states"): 4, ("eigh", "bosonic.states"): 2}
+    assert solves() == {("eigvalsh", "bosonic.states"): 4, ("eigh", "bosonic.states"): 2,
+                        ("trace", "bosonic.states"): 2}
     path = write_state(tmp_path, "pair.json", bosonic.state_to_dict(pair[0]))
     invoke(runner, "tail", path, "--target-eps", "1e-3")  # the cutoff search, then both bounds
-    assert solves() == {("eigvalsh", "bosonic.states"): 2, ("eigh", "bosonic.states"): 1}
+    assert solves() == {("eigvalsh", "bosonic.states"): 2, ("eigh", "bosonic.states"): 1,
+                        ("trace", "bosonic.states"): 1}
     assert invoke(runner, "state", "validate", path).exit_code == 0
     assert solves() == {("eigvalsh", "bosonic.states"): 2}
 

@@ -97,6 +97,16 @@ def test_symplectic_eigenvalues_reject_non_positive_definite():
             b.symplectic_eigenvalues(cov)
 
 
+def test_williamson_holds_its_argument_to_the_state_rule():
+    # an asymmetric matrix was averaged without a word (nu = 1.984 here);
+    # it is refused as GaussianState refuses it
+    with pytest.raises(b.InvalidStateError,
+                       match=r"^covariance is not symmetric: defect 5\.000e-01 exceeds 2\.0e-09$"):
+        b.williamson([[2.0, 0.5], [0.0, 2.0]])
+    with pytest.raises(b.InvalidStateError, match="^state contains non-finite entries$"):
+        b.symplectic_eigenvalues(np.diag([1.0, np.nan]))
+
+
 def test_entropy_known_values():
     assert b.von_neumann_entropy(b.vacuum_state()) == pytest.approx(0.0, abs=1e-12)
     assert b.von_neumann_entropy(b.thermal_state(1.0)) == pytest.approx(2.0, abs=1e-12)

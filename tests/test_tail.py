@@ -246,7 +246,7 @@ def test_nat_cap_below_the_bracket_start():
     # at M = 10^6 the cap 700 / (2M + 1) on t lies below arccoth(10 (8 N + 4)),
     # so the bracket is [t_cap / 2, t_cap]: no fallback, the bound at the floor
     state = b.thermal_state(1.0)
-    t_lo, t_hi = tail._t_bracket(tail._spectrum(state), 10**6)
+    t_lo, t_hi = tail._t_bracket(state, 10**6)
     assert t_hi == tail._T_CAP_NATS / (2e6 + 1.0) and t_lo == t_hi / 2.0
     optimized = b.tail_bound_optimized(state, 10**6)
     assert not optimized.fallback
@@ -259,7 +259,7 @@ def test_bounds_where_arccoth_of_the_bracket_start_rounds_to_zero():
     # at arccoth(x) = 0.0, where the objective took log1p(-1): every bound and
     # the cutoff search raised "math domain error"
     for state in (b.thermal_state(3e14), b.tmsv_state(1e150)):
-        assert tail._t_bracket(tail._spectrum(state), 10)[0] > 0.0
+        assert tail._t_bracket(state, 10)[0] > 0.0
         assert b.tail_bound_closed(state, 10).bound == 1.0
         assert b.tail_bound_optimized(state, 10).bound == 1.0
         with pytest.raises(b.CutoffCapError, match="^no cutoff up to 1000000 reaches"):
@@ -279,8 +279,7 @@ def test_arccoth_past_the_rounding_edge_against_decimal():
 def test_objective_where_exp_of_minus_two_t_rounds_to_one():
     # the objective took log1p(-exp(-2t)) = log1p(-1.0) below t ~ 2.8e-17:
     # "math domain error" at the nat cap of a cutoff of 10^23
-    spec = tail._spectrum(b.thermal_state(1.0))  # V = 3 I
-    objective = tail._make_objective(spec.evals, spec.mean_rot, 10**23)
+    objective = tail._make_objective(*b.thermal_state(1.0)._eig, 10**23)  # V = 3 I
     with decimal.localcontext() as ctx:
         ctx.prec = 400  # x is up to 1e300
         for t in (2e-17, 1e-20, 3.5e-21, 1e-100, 1e-300):
@@ -408,7 +407,7 @@ def _objective_points(state, cutoff):
     """Both ends of the bound's t bracket, points inside it, a t past the
     covariance spectrum (some gap <= 0), one where x - 1 underflows and one
     where exp(-2t) rounds to 1."""
-    lo, hi = tail._t_bracket(tail._spectrum(state), cutoff)
+    lo, hi = tail._t_bracket(state, cutoff)
     return [lo, hi, (lo + hi) / 2.0, lo + 1e-3 * (hi - lo), 2.0 * hi + 1.0, 400.0, 1e-20]
 
 
@@ -416,7 +415,7 @@ def _objective_points(state, cutoff):
 def test_objective_bit_equal_to_numpy_scalar_loop(cutoff):
     seen = {"vacuum-tight": 0, "gap <= 0": 0, "s underflows": 0}
     for state in _objective_states():
-        _, evals, mean_rot = tail._spectrum(state)
+        evals, mean_rot = state._eig
         fast = tail._make_objective(evals, mean_rot, cutoff)
         slow = numpy_scalar_objective(evals, mean_rot, cutoff)
         for t in _objective_points(state, cutoff):
@@ -497,12 +496,11 @@ def _check_against_public_bound(monkeypatch, states, cutoffs) -> tuple[int, int]
     monkeypatch.setattr(tail, "_make_objective", counted)
     checks = early = 0
     for state in states:
-        spec = tail._spectrum(state)
         for cutoff in cutoffs:
             bound = b.trace_distance_truncation_bound(state, cutoff).bound
             for eps in _edges(bound):
                 evaluations.clear()
-                got = tail._bound_passes(spec, cutoff, eps)
+                got = tail._bound_passes(state, cutoff, eps)
                 assert got == (bound <= eps), (state, cutoff, eps, bound)
                 checks += 1
                 early += len(evaluations) < tail._GOLDEN_ITERS + 2
