@@ -163,17 +163,21 @@ def _channel_params(channel: Channel) -> dict:
 def asymptotic_capacity(channel: Channel, task: str) -> float:
     """Unconstrained capacity in bits per use; +inf at lambda = 1 or g = 1."""
     _check_task(task)
+    return max(0.0, _per_use_rate(channel, task))
+
+
+def _per_use_rate(channel: Channel, task: str) -> float:
+    """The AEP family's per-use rate a, unclamped: below 0 for Q over loss
+    under lambda = 1/2, -inf at lambda = 0; +inf at lambda = 1 or g = 1."""
     if isinstance(channel, PureLoss):
         lam = channel.transmissivity
         if lam == 1.0:
             return math.inf
         if task == "Q":
-            return max(0.0, math.log2(lam / (1.0 - lam))) if lam > 0.0 else 0.0
+            return math.log2(lam / (1.0 - lam)) if lam > 0.0 else -math.inf
         return math.log2(1.0 / (1.0 - lam))
     g = channel.gain
-    if g == 1.0:
-        return math.inf
-    return math.log2(g / (g - 1.0))
+    return math.inf if g == 1.0 else math.log2(g / (g - 1.0))
 
 
 def ec_asymptotic(channel: Channel, task: str, photons: float) -> float:
@@ -352,18 +356,15 @@ def _rate_aep(channel: Channel, photons, task: str):
         lam = channel.transmissivity
         mu = 1.0 - lam
         if task == "Q":
-            a = math.log2(lam / mu) if 0.0 < lam < 1.0 else (math.inf if lam == 1.0 else -math.inf)
             r = (math.sqrt(mu / lam) if lam > 0.0 else math.inf,
                  math.sqrt(lam / mu) if mu > 0.0 else math.inf)
         else:
-            a = math.inf if lam == 1.0 else math.log2(1.0 / mu)
             r = (math.sqrt(mu), math.inf if mu == 0.0 else math.sqrt(1.0 / mu))
     else:
         g = channel.gain
         gm = g - 1.0
-        a = math.inf if gm == 0.0 else math.log2(g / gm)
         r = (math.sqrt(gm / g), math.inf if gm == 0.0 else math.sqrt(g / gm))
-    return a, _aep_coeff(*r)
+    return _per_use_rate(channel, task), _aep_coeff(*r)
 
 
 def _rate_improved(channel: Channel, photons, task: str):

@@ -21,7 +21,6 @@ import time
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import capacity as cap_mod
 from .states import (
@@ -91,28 +90,29 @@ def _load_state(path: str) -> GaussianState:
         return state_from_dict(json.load(fh))
 
 
-#: channel name -> (the option that sets its parameter, the channel type)
-_CHANNELS = {"loss": ("lam", PureLoss), "amp": ("g", PureAmplifier)}
+#: channel name -> (the option that sets its parameter, the channel type,
+#: sweep's default range of that parameter)
+_CHANNELS = {"loss": ("lam", PureLoss, "0.5"), "amp": ("g", PureAmplifier, "2.0")}
 
 
-def _check_channel_options(channel: str, given) -> None:
-    """Refuse an option among the given channel-parameter option names
-    (``lam``, ``g``) that ``channel`` does not read, with a domain error
-    that names both options: nothing would read it."""
+def _check_channel_options(channel: str, values: dict) -> None:
+    """Refuse a given channel-parameter option, one whose value in ``values``
+    (by option name) is not None, that ``channel`` does not read, with a
+    domain error that names both options: nothing would read it."""
     option = _CHANNELS[channel][0]
-    for other in given:
-        if other != option:
+    for other, value in values.items():
+        if value is not None and other != option:
             raise ValueError(f"--{other} does not apply to --channel {channel}, "
                              f"which reads --{option}")
 
 
 def _parse_channel(channel: str, lam: float | None, g: float | None):
     values = {"lam": lam, "g": g}
-    option, make = _CHANNELS[channel]
+    option, make, _ = _CHANNELS[channel]
     if values[option] is None:
         raise ValueError(f"--channel {channel} needs --{option}")
     made = make(values[option])  # its value checks come first, as in sweep
-    _check_channel_options(channel, {name for name, value in values.items() if value is not None})
+    _check_channel_options(channel, values)
     return made
 
 
@@ -540,10 +540,10 @@ _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,precondit
 @click.option("--methods", default="best", show_default=True,
               help="Comma-separated method names.")
 @click.option("--tasks", default="Q2", show_default=True, help="Comma-separated tasks.")
-@click.option("--lam", default="0.5", show_default=True,
-              help="Transmissivity range start:stop:count[:log] (--channel loss).")
-@click.option("--g", default="2.0", show_default=True,
-              help="Gain range start:stop:count[:log] (--channel amp).")
+@click.option("--lam", default=None, help="Transmissivity range start:stop:count[:log] "
+              f"(--channel loss).  [default: {_CHANNELS['loss'][2]}]")
+@click.option("--g", default=None, help="Gain range start:stop:count[:log] "
+              f"(--channel amp).  [default: {_CHANNELS['amp'][2]}]")
 @click.option("--ns", default=None, help="Photon-number range (optional).")
 @click.option("--n", default="100", show_default=True,
               help="Channel-use range; range points are truncated toward zero, "
@@ -564,17 +564,11 @@ def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
     grid are written as one string.  A repeated --methods or --tasks entry,
     or a given option of the other channel, is refused.
     """
-
-    # an option left at its shown default is not given: only a given one
-    # of the other channel is refused
-    ctx = click.get_current_context()
-    given = {name for name in ("lam", "g")
-             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
-
+    values = {"lam": lam, "g": g}
     method_list = _distinct("--methods", methods)
     task_list = _distinct("--tasks", tasks)
-    option = _CHANNELS[channel][0]
-    params = _parse_range(f"--{option}", {"lam": lam, "g": g}[option])
+    option, _, default = _CHANNELS[channel]
+    params = _parse_range(f"--{option}", default if values[option] is None else values[option])
     # every listed n, eps and Ns is checked, whether or not a method reads it;
     # n range points are truncated toward zero, a single n must be an integer
     ns_list = [None] if ns is None else [cap_mod.check_photons(v)
@@ -584,7 +578,7 @@ def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
     eps_list = [cap_mod.check_eps(v) for v in _parse_range("--eps", eps)]
     grids = _sweep_grids(method_list, task_list, channel, params, ns_list, n_list, eps_list)
     # after every value check, which keeps its place before this one
-    _check_channel_options(channel, given)
+    _check_channel_options(channel, values)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_SWEEP_HEADER + "\n")
         for text in _sweep_text(grids, channel, params, ns_list, n_list, eps_list):

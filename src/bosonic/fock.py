@@ -21,7 +21,8 @@ Taylor coefficients of the kernel obey a three-term recurrence over the
 combined bra/ket multi-index; running it on sqrt(k! l!)-scaled coefficients
 yields <k|rho|l> directly and keeps every intermediate bounded by 1.  A
 block's trace is 1 - P(N > M); ``_checked_trace`` is the one block-trace
-rule, which the build applies with no floor and ``tracedist`` with 1 - t^2.
+rule, up to the certificate's 2 dim ulp, which the build applies with no
+floor and ``tracedist`` with 1 - t^2.
 
 Entry (a, b), a != 0, with j the first occupied mode of a and p = a - e_j,
 is
@@ -118,9 +119,6 @@ __all__ = [
 DEFAULT_DIM_CAP = 20000
 #: environment override for the basis-dimension cap
 CAP_ENV_VAR = "BOSONIC_FOCK_CAP"
-
-#: slack of the block-trace rule floor - TRACE_TOL <= trace <= 1 + TRACE_TOL (``_checked_trace``)
-TRACE_TOL = 1e-6
 
 
 def basis_dimension(modes: int, cutoff: int) -> int:
@@ -507,8 +505,8 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     Raises:
         DimensionCapError: basis dimension exceeds ``BOSONIC_FOCK_CAP`` or 20000.
         ValueError: ``BOSONIC_FOCK_CAP`` is set but not a positive integer.
-        FockTraceError: the block's trace is NaN or exceeds 1 +
-            ``TRACE_TOL`` (``_checked_trace``, with no floor).
+        FockTraceError: the block's trace is NaN or exceeds 1 by more
+            than 2 dim ulp (``_checked_trace``, with no floor).
     """
     cutoff = check_cutoff(cutoff)
     dim = _check_dimension(state.modes, cutoff)
@@ -583,18 +581,25 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     return _checked_trace(_built(data, n, cutoff, kind))
 
 
+def _rounding_slack(dim: int) -> float:
+    """2 dim ulp: the block-trace rule's slack and the certified distance's
+    eigensolve term (backward stable, residual ~ dim ulp ||diff||)."""
+    return float(dim * np.finfo(float).eps * 2.0)
+
+
 def _checked_trace(block: FockMatrix, floor: float = -math.inf) -> FockMatrix:
-    """``block`` if its trace lies in [``floor``, 1] up to ``TRACE_TOL``, the
-    block-trace rule; ``FockTraceError`` otherwise, a NaN trace included."""
+    """``block`` if its trace lies in [``floor``, 1] up to ``_rounding_slack``,
+    the block-trace rule; ``FockTraceError`` otherwise, a NaN trace included."""
     trace = block.trace
-    if floor - TRACE_TOL <= trace <= 1.0 + TRACE_TOL:
+    slack = _rounding_slack(basis_dimension(block.modes, block.cutoff))
+    if floor - slack <= trace <= 1.0 + slack:
         return block
     raise FockTraceError(
         f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
-        f"Fock block trace {trace!r} exceeds 1 by more than {TRACE_TOL}; "
+        f"Fock block trace {trace!r} exceeds 1 by more than 2 dim ulp = {slack!r}; "
         "the block is not a truncation of a density operator" if trace > 1.0 else
         f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
-        f"than {TRACE_TOL}; the block misses weight the tail cannot hold"
+        f"than 2 dim ulp = {slack!r}; the block misses weight the tail cannot hold"
     )
 
 

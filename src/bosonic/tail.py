@@ -44,7 +44,9 @@ The module owns the errors of a certified truncation: ``CutoffCapError``
 Fock block's trace fails its check).  ``bosonic.fock`` raises the last two and
 re-exports them; here they can be named without loading the Fock build.
 
-``cutoff_for_error`` inverts the bound instead of searching M with it.  At
+No cutoff certifies an eps, or a share of one, below sqrt(``TAIL_FLOOR``):
+``_certifiable`` is that rule's one home.  ``cutoff_for_error`` inverts the
+bound instead of searching M with it.  At
 fixed t = arccoth(x) the log bound f(t) - 2tM is linear in M, so the
 smallest cutoff whose bound reaches eps is the ceiling of the minimum over
 t of M*(t) = (f(t) - 2 ln eps) / (2t): one golden search.  Two bound
@@ -365,6 +367,17 @@ def smallest_passing(ok, guess: int, floor: int, cap: int | None = None) -> int 
     return hi
 
 
+def _certifiable(eps: float, parts: int) -> float:
+    """``check_eps(eps)``, refused when its share eps / ``parts`` lies below
+    sqrt(``TAIL_FLOOR``), which no cutoff certifies: the one floor rule."""
+    eps, root = check_eps(eps), math.sqrt(TAIL_FLOOR)
+    if eps / parts < root:
+        share = "" if parts == 1 else f" gives each of {parts} parts {eps / parts}, which"
+        raise ValueError(f"eps {eps}{share} lies below {root}, the square root of the floor "
+                         f"{TAIL_FLOOR} on every tail bound; no cutoff certifies it")
+    return eps
+
+
 def cutoff_for_error(state: GaussianState, eps: float) -> int:
     """Smallest cutoff M with ``trace_distance_truncation_bound <= eps``:
     the inverted exponent (see the module docstring), confirmed by
@@ -374,10 +387,7 @@ def cutoff_for_error(state: GaussianState, eps: float) -> int:
     cutoff reaches, and ``CutoffCapError`` when even ``_CUTOFF_CAP`` (10^6)
     fails (the certified cutoff would not fit in memory anyway).
     """
-    eps = check_eps(eps)
-    if eps < math.sqrt(TAIL_FLOOR):
-        raise ValueError(f"eps {eps} lies below {math.sqrt(TAIL_FLOOR)}, the square root of "
-                         f"the floor {TAIL_FLOOR} on every tail bound; no cutoff certifies it")
+    eps = _certifiable(eps, 1)
     state = _checked(state)
     estimate = _estimate_cutoff(state, 2.0 * math.log(eps))  # the photon tail must reach eps^2
     guess = math.ceil(estimate) if math.isfinite(estimate) else 0

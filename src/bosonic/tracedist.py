@@ -3,10 +3,12 @@
 The target accuracy eps is split three ways: a photon cutoff M is chosen so
 that truncating either state costs at most eps/3 in trace distance, and the
 exact finite-dimensional distance between the renormalized truncated blocks
-is then within eps/3 + eps/3 of the true value.  The realized certificate
-(reported in the result) is usually far smaller than eps.  Each raw block's
-trace must lie in [1 - t^2, 1], t its state's truncation bound: the
-block-trace rule, whose one home is ``fock._checked_trace``.
+is then within eps/3 + eps/3 of the true value (``tail._certifiable`` refuses
+an eps whose third no cutoff reaches).  The realized certificate t_a + t_b +
+2 dim ulp, t the truncation bounds, is usually far smaller than eps.  Each
+raw block's trace must lie in [1 - t^2, 1] up to the same 2 dim ulp
+(``fock._rounding_slack``): the block-trace rule, whose one home is
+``fock._checked_trace``.
 
 The difference of the two blocks is diagonalized per exactly decoupled
 sector.  Zero-mean phase-insensitive states commute with the total photon
@@ -44,7 +46,6 @@ its arguments as they are; both go through one eigensolve route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,13 @@ from .fock import (
     FockMatrix,
     _checked_trace,
     _normalized,
+    _rounding_slack,
     basis_dimension,
     fock_matrix_elements,
     sector_pair,
 )
-from .states import GaussianState, check_eps
-from .tail import TAIL_FLOOR, cutoff_for_error, trace_distance_truncation_bound
+from .states import GaussianState
+from .tail import _certifiable, cutoff_for_error, trace_distance_truncation_bound
 
 __all__ = [
     "TraceDistanceResult",
@@ -151,13 +153,7 @@ def gaussian_trace_distance(
         raise ValueError(
             f"states live on {state_a.modes} and {state_b.modes} modes"
         )
-    eps = check_eps(eps)
-    if eps / 3.0 < math.sqrt(TAIL_FLOOR):
-        raise ValueError(f"eps {eps} lies below 3 x {math.sqrt(TAIL_FLOOR)}: each of the two "
-                         f"truncations gets eps/3, and no cutoff certifies less than "
-                         f"{math.sqrt(TAIL_FLOOR)}, the square root of the floor {TAIL_FLOOR} "
-                         "on every tail bound")
-
+    eps = _certifiable(eps, 3)
     cutoff = max(
         cutoff_for_error(state_a, eps / 3.0),
         cutoff_for_error(state_b, eps / 3.0),
@@ -168,13 +164,9 @@ def gaussian_trace_distance(
     tail_b = trace_distance_truncation_bound(state_b, cutoff).bound
 
     estimate = _half_trace_norm(*_difference(state_a, state_b, cutoff, (tail_a, tail_b)))
-    # symmetric eigensolve is backward stable; residual ~ dim * ulp * ||diff||
-    eig_residual = dim * np.finfo(float).eps * 2.0
-    certified = tail_a + tail_b + eig_residual
-
     return TraceDistanceResult(
         estimate=min(max(estimate, 0.0), 1.0),
-        certified_error=float(certified),
+        certified_error=tail_a + tail_b + _rounding_slack(dim),
         cutoff=cutoff,
         fock_dim=dim,
         tail_bounds=(tail_a, tail_b),

@@ -240,16 +240,24 @@ def test_tracedist_out_of_memory_exit_three(runner, tmp_path, monkeypatch):
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("factor,fault", [(1.01, "exceeds 1 by more than"),
-                                          (0.99, "falls below 1 - tail bound")])
-def test_tracedist_trace_error_exit_four(runner, tmp_path, monkeypatch, factor, fault):
+@pytest.mark.parametrize("factor,photons,eps,fault", [
+    pytest.param(1.01, (0.0, 1.0), "1e-3", "exceeds 1 by more than",
+                 id="1.01-exceeds 1 by more than"),
+    pytest.param(0.99, (0.0, 1.0), "1e-3", "falls below 1 - tail bound",
+                 id="0.99-falls below 1 - tail bound"),
+    # 1e-9 off, where the certificate claims 7.4e-14
+    pytest.param(1.0 + 1e-9, (0.01, 0.02), "1e-12", "exceeds 1 by more than 2 dim ulp",
+                 id="1e-9-over"),
+])
+def test_tracedist_trace_error_exit_four(runner, tmp_path, monkeypatch, factor, photons, eps,
+                                         fault):
     # a block whose trace fails its check has its own exit code, not the 2
     # of malformed input: a trace above 1 fails the build, one below
     # 1 - tail^2 the distance
-    vac = thermal_file(tmp_path, runner, 0.0, "vac.json")
-    t1 = thermal_file(tmp_path, runner, 1.0, "t1.json")
+    a = thermal_file(tmp_path, runner, photons[0], "a.json")
+    c = thermal_file(tmp_path, runner, photons[1], "c.json")
     scale_blocks(monkeypatch, factor)
-    res = _char_runner().invoke(main, ["tracedist", vac, t1, "--eps", "1e-3"])
+    res = _char_runner().invoke(main, ["tracedist", a, c, "--eps", eps])
     assert res.exit_code == 4
     assert res.stderr.startswith("error: Fock block trace ") and fault in res.stderr
     assert res.stdout == ""
@@ -621,6 +629,8 @@ _INVALID_GRIDS = [
                  id="n-range-count"),
     pytest.param(("--channel", "amp", "--g", "2:3:4:ln"),
                  "--g: range suffix must be 'log', got 'ln'", id="g-range-suffix"),
+    # an empty value is given, not left at the default
+    pytest.param(("--lam", ""), "--lam: could not convert string to float: ''", id="lam-empty"),
     # a given option of the other channel, even at its shown default, is
     # refused once every value passes its checks
     pytest.param(("--g", "2.0"), "--g does not apply to --channel loss, which reads --lam",
@@ -734,6 +744,15 @@ def test_eps_below_the_tail_floor_exit_two(runner, tmp_path):
         assert "floor 1e-300 on every tail bound" in res.stderr
         assert "1e-160" in res.stderr  # the eps as given, not a third of it
         assert res.stdout == ""
+
+
+def test_eps_below_the_tail_floor_in_the_library():
+    # the same rule, one home in bosonic.tail, names the eps as given
+    s = bosonic.thermal_state(0.5)
+    for call in (lambda: bosonic.cutoff_for_error(s, 1e-160),
+                 lambda: bosonic.gaussian_trace_distance(s, s, 1e-160)):
+        with pytest.raises(ValueError, match="eps 1e-160 .*floor 1e-300 on every tail bound"):
+            call()
 
 
 def test_tail_and_tracedist_of_huge_states(tmp_path):

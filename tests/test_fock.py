@@ -82,6 +82,38 @@ def test_trace_is_one_minus_tail():
     assert f.trace == pytest.approx(1.0 - exact_tail, abs=1e-13)
 
 
+def _near_vacuum_states(rng, modes):
+    """States 1e-12 to 1e-3 photons per mode above the vacuum: thermal,
+    passively mixed, displaced, squeezed pure and actively mixed thermal
+    ones.  Each mode is squeezed by a set amount, so no pure state lies
+    within rounding of the vacuum: a covariance rounded below it has a
+    cutoff-0 trace above 1, which the rule refuses."""
+    zero = np.zeros(2 * modes)
+    for photons in (1e-12, 1e-9, 1e-6, 1e-3):
+        thermal = np.diag(np.repeat(1.0 + 2.0 * photons * rng.uniform(0.7, 1.3, modes), 2))
+        o = random_orthogonal_symplectic(rng, modes)
+        r = math.asinh(math.sqrt(photons)) * rng.uniform(0.8, 1.2, modes)
+        s = random_orthogonal_symplectic(rng, modes) @ interleave(
+            np.diag(np.concatenate([np.exp(r), np.exp(-r)])))
+        shift = o @ rng.normal(size=2 * modes) * math.sqrt(photons)
+        for mean, cov in ((zero, thermal), (zero, o @ thermal @ o.T),
+                          (shift, o @ thermal @ o.T), (zero, s @ s.T),
+                          (zero, s @ thermal @ s.T)):
+            yield b.GaussianState(mean, cov)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_near_vacuum_blocks_within_the_rounding_slack(modes):
+    # where the trace lies closest to 1 and the dimension is smallest, the
+    # block-trace rule's 2 dim ulp still refuses no block
+    rng = np.random.default_rng(60 + modes)
+    for _ in range(3):
+        for state in _near_vacuum_states(rng, modes):
+            for cutoff in range(4):
+                block = b.fock_matrix_elements(state, cutoff)
+                assert block.trace - 1.0 <= fock._rounding_slack(b.basis_dimension(modes, cutoff))
+
+
 @pytest.mark.filterwarnings("error")
 def test_kernel_norm_past_the_det_overflow():
     # det((V + 1) / 2) = prod (N_j + 1)^2 = 1e360 overflows; the slogdet route

@@ -362,6 +362,8 @@ def test_certificate_composition():
     tail_sum = sum(res.tail_bounds)
     assert res.certified_error >= tail_sum
     assert res.certified_error <= eps
+    # the numerical term is the block-trace rule's slack at the result's dimension
+    assert res.certified_error == tail_sum + fock._rounding_slack(res.fock_dim)
 
 
 def test_symmetry_range_and_identity():
@@ -473,9 +475,18 @@ def test_two_mode_pure_pairs_match_overlap_identity():
         assert abs(res.estimate - exact) <= res.certified_error
 
 
-@pytest.mark.parametrize("factor,defect", [(1.01, "exceeds 1"), (0.99, "falls below 1 - tail")])
-def test_block_trace_invariant_both_sides(monkeypatch, factor, defect):
+@pytest.mark.parametrize("factor,photons,eps,defect", [
+    pytest.param(1.01, (0.5, 1.0), 1e-3, "exceeds 1", id="1.01-exceeds 1"),
+    pytest.param(0.99, (0.5, 1.0), 1e-3, "falls below 1 - tail", id="0.99-falls below 1 - tail"),
+    # a defect of 1e-9 against a certificate of 7.4e-14: the slack is the
+    # certificate's own 2 dim ulp, not a fixed tolerance
+    pytest.param(1.0 + 1e-9, (0.01, 0.02), 1e-12, "exceeds 1 by more than 2 dim ulp",
+                 id="1e-9-over"),
+    pytest.param(1.0 - 1e-9, (0.01, 0.02), 1e-12,
+                 "falls below 1 - tail bound = 1.0 by more than 2 dim ulp", id="1e-9-under"),
+])
+def test_block_trace_invariant_both_sides(monkeypatch, factor, photons, eps, defect):
     # a block may neither hold more than the state nor lose more than the tail
     scale_blocks(monkeypatch, factor)
     with pytest.raises(b.FockTraceError, match=defect):
-        b.gaussian_trace_distance(b.thermal_state(0.5), b.thermal_state(1.0), 1e-3)
+        b.gaussian_trace_distance(*map(b.thermal_state, photons), eps)
