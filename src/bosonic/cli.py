@@ -90,9 +90,8 @@ def _load_state(path: str) -> GaussianState:
         return state_from_dict(json.load(fh))
 
 
-#: channel name -> (the option that sets its parameter, the channel type,
-#: sweep's default range of that parameter)
-_CHANNELS = {"loss": ("lam", PureLoss, "0.5"), "amp": ("g", PureAmplifier, "2.0")}
+#: channel name -> (the option that sets its parameter, the channel type)
+_CHANNELS = {"loss": ("lam", PureLoss), "amp": ("g", PureAmplifier)}
 
 
 def _check_channel_options(channel: str, values: dict) -> None:
@@ -108,7 +107,7 @@ def _check_channel_options(channel: str, values: dict) -> None:
 
 def _parse_channel(channel: str, lam: float | None, g: float | None):
     values = {"lam": lam, "g": g}
-    option, make, _ = _CHANNELS[channel]
+    option, make = _CHANNELS[channel]
     if values[option] is None:
         raise ValueError(f"--channel {channel} needs --{option}")
     made = make(values[option])  # its value checks come first, as in sweep
@@ -534,16 +533,19 @@ def _sweep_text(grids, kind, params, ns_list, n_list, eps_list):
 
 _SWEEP_HEADER = "method,task,direction,lambda,g,Ns,n,eps,value,vacuous,preconditions_met"
 
+#: sweep's range of each channel parameter when its option is not given
+_SWEEP_DEFAULTS = {"lam": "0.5", "g": "2.0"}
+
 
 @main.command("sweep")
 @click.option("--channel", required=True, type=click.Choice(list(_CHANNELS)))
 @click.option("--methods", default="best", show_default=True,
               help="Comma-separated method names.")
 @click.option("--tasks", default="Q2", show_default=True, help="Comma-separated tasks.")
-@click.option("--lam", default=None, help="Transmissivity range start:stop:count[:log] "
-              f"(--channel loss).  [default: {_CHANNELS['loss'][2]}]")
-@click.option("--g", default=None, help="Gain range start:stop:count[:log] "
-              f"(--channel amp).  [default: {_CHANNELS['amp'][2]}]")
+@click.option("--lam", help="Transmissivity range start:stop:count[:log] "
+              f"(--channel loss; default {_SWEEP_DEFAULTS['lam']}).")
+@click.option("--g", help="Gain range start:stop:count[:log] "
+              f"(--channel amp; default {_SWEEP_DEFAULTS['g']}).")
 @click.option("--ns", default=None, help="Photon-number range (optional).")
 @click.option("--n", default="100", show_default=True,
               help="Channel-use range; range points are truncated toward zero, "
@@ -567,8 +569,9 @@ def sweep_cmd(channel, methods, tasks, lam, g, ns, n, eps, out):
     values = {"lam": lam, "g": g}
     method_list = _distinct("--methods", methods)
     task_list = _distinct("--tasks", tasks)
-    option, _, default = _CHANNELS[channel]
-    params = _parse_range(f"--{option}", default if values[option] is None else values[option])
+    option = _CHANNELS[channel][0]
+    params = _parse_range(f"--{option}", _SWEEP_DEFAULTS[option] if values[option] is None
+                          else values[option])
     # every listed n, eps and Ns is checked, whether or not a method reads it;
     # n range points are truncated toward zero, a single n must be an integer
     ns_list = [None] if ns is None else [cap_mod.check_photons(v)

@@ -21,8 +21,8 @@ Taylor coefficients of the kernel obey a three-term recurrence over the
 combined bra/ket multi-index; running it on sqrt(k! l!)-scaled coefficients
 yields <k|rho|l> directly and keeps every intermediate bounded by 1.  A
 block's trace is 1 - P(N > M); ``_checked_trace`` is the one block-trace
-rule, up to the certificate's 2 dim ulp, which the build applies with no
-floor and ``tracedist`` with 1 - t^2.
+rule, up to the certificate's numerical term (``_rounding_slack``), which
+the build applies with no floor and ``tracedist`` with 1 - t^2.
 
 Entry (a, b), a != 0, with j the first occupied mode of a and p = a - e_j,
 is
@@ -506,7 +506,7 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
         DimensionCapError: basis dimension exceeds ``BOSONIC_FOCK_CAP`` or 20000.
         ValueError: ``BOSONIC_FOCK_CAP`` is set but not a positive integer.
         FockTraceError: the block's trace is NaN or exceeds 1 by more
-            than 2 dim ulp (``_checked_trace``, with no floor).
+            than ``_rounding_slack`` (``_checked_trace``, with no floor).
     """
     cutoff = check_cutoff(cutoff)
     dim = _check_dimension(state.modes, cutoff)
@@ -581,25 +581,33 @@ def fock_matrix_elements(state: GaussianState, cutoff: int) -> FockMatrix:
     return _checked_trace(_built(data, n, cutoff, kind))
 
 
-def _rounding_slack(dim: int) -> float:
-    """2 dim ulp: the block-trace rule's slack and the certified distance's
-    eigensolve term (backward stable, residual ~ dim ulp ||diff||)."""
-    return float(dim * np.finfo(float).eps * 2.0)
+def _rounding_slack(*blocks: FockMatrix) -> float:
+    """The numerical term of a certified distance between raw ``blocks`` on
+    one basis, and for one block the block-trace rule's slack: 2 dim ulp, the
+    eigensolve's (backward stable, residual ~ dim ulp ||diff||), plus what
+    each vacuum entry C exceeds 1 by.  C tops 1 only on a covariance that the
+    validity test accepts below the vacuum, by its tolerance or by rounding,
+    whose cutoff-0 block (trace C) no density operator has."""
+    slack = float(basis_dimension(blocks[0].modes, blocks[0].cutoff) * np.finfo(float).eps * 2.0)
+    for block in blocks:
+        vacuum = block._data.reshape(-1)[_layout(block.modes, block.cutoff, block.sector).diag[0]]
+        slack += max(0.0, float(vacuum.real) - 1.0)
+    return slack
 
 
 def _checked_trace(block: FockMatrix, floor: float = -math.inf) -> FockMatrix:
     """``block`` if its trace lies in [``floor``, 1] up to ``_rounding_slack``,
     the block-trace rule; ``FockTraceError`` otherwise, a NaN trace included."""
     trace = block.trace
-    slack = _rounding_slack(basis_dimension(block.modes, block.cutoff))
+    slack = _rounding_slack(block)
     if floor - slack <= trace <= 1.0 + slack:
         return block
     raise FockTraceError(
         f"Fock block trace {trace!r} is not a number" if math.isnan(trace) else
-        f"Fock block trace {trace!r} exceeds 1 by more than 2 dim ulp = {slack!r}; "
+        f"Fock block trace {trace!r} exceeds 1 by more than its rounding slack {slack!r}; "
         "the block is not a truncation of a density operator" if trace > 1.0 else
         f"Fock block trace {trace!r} falls below 1 - tail bound = {floor!r} by more "
-        f"than 2 dim ulp = {slack!r}; the block misses weight the tail cannot hold"
+        f"than its rounding slack {slack!r}; the block misses weight the tail cannot hold"
     )
 
 

@@ -5,10 +5,10 @@ that truncating either state costs at most eps/3 in trace distance, and the
 exact finite-dimensional distance between the renormalized truncated blocks
 is then within eps/3 + eps/3 of the true value (``tail._certifiable`` refuses
 an eps whose third no cutoff reaches).  The realized certificate t_a + t_b +
-2 dim ulp, t the truncation bounds, is usually far smaller than eps.  Each
-raw block's trace must lie in [1 - t^2, 1] up to the same 2 dim ulp
-(``fock._rounding_slack``): the block-trace rule, whose one home is
-``fock._checked_trace``.
+s, t the truncation bounds and s the raw blocks' ``fock._rounding_slack``
+(2 dim ulp, plus what a vacuum entry exceeds 1 by), is usually far smaller
+than eps.  Each raw block's trace must lie in [1 - t^2, 1] up to its own
+slack: the block-trace rule, whose one home is ``fock._checked_trace``.
 
 The difference of the two blocks is diagonalized per exactly decoupled
 sector.  Zero-mean phase-insensitive states commute with the total photon
@@ -73,7 +73,7 @@ class TraceDistanceResult:
     """Certified estimate of (1/2)||rho - sigma||_1.
 
     ``certified_error`` bounds |estimate - true distance|; it collects the
-    two truncation tails and the eigensolver residual.
+    two truncation tails and the numerical term, ``fock._rounding_slack``.
     """
 
     estimate: float
@@ -107,24 +107,21 @@ def _half_trace_norm(alone: np.ndarray, blocks) -> float:
     return float(np.sum(np.abs(np.concatenate(eigs)))) / 2.0
 
 
-def _normalized_block(state: GaussianState, cutoff: int, tail: float) -> FockMatrix:
-    """The Fock block of ``state`` divided by its trace in place, once its raw
-    trace passes the block-trace rule with the floor 1 - ``tail``^2."""
-    return _normalized(_checked_trace(fock_matrix_elements(state, cutoff), 1.0 - tail * tail))
-
-
 def _difference(state_a: GaussianState, state_b: GaussianState, cutoff: int,
-                tails: tuple[float, float]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The normalized Fock blocks of ``state_a`` minus ``state_b`` at
-    ``cutoff``, split by their shared sector as ``sector_pair`` does, taken
-    in place in block a's buffer (see the module docstring's memory note)."""
-    block_a = _normalized_block(state_a, cutoff, tails[0])
-    block_b = _normalized_block(state_b, cutoff, tails[1])
-    (alone, diffs), (alone_b, blocks_b) = sector_pair(block_a, block_b)
+                tails: tuple[float, float]) -> tuple[np.ndarray, list[np.ndarray], float]:
+    """The Fock blocks of ``state_a`` minus ``state_b`` at ``cutoff``, each
+    divided by its trace in place once its raw trace passes the block-trace
+    rule with the floor 1 - tail^2, split by their shared sector as
+    ``sector_pair`` does and taken in place in block a's buffer (see the
+    module docstring's memory note); and the raw blocks' ``_rounding_slack``."""
+    raw = [_checked_trace(fock_matrix_elements(state, cutoff), 1.0 - tail * tail)
+           for state, tail in zip((state_a, state_b), tails)]
+    slack = _rounding_slack(*raw)
+    (alone, diffs), (alone_b, blocks_b) = sector_pair(*map(_normalized, raw))
     alone -= alone_b
     for diff, sub in zip(diffs, blocks_b):
         diff -= sub
-    return alone, diffs
+    return alone, diffs, slack
 
 
 def gaussian_trace_distance(
@@ -163,10 +160,11 @@ def gaussian_trace_distance(
     tail_a = trace_distance_truncation_bound(state_a, cutoff).bound
     tail_b = trace_distance_truncation_bound(state_b, cutoff).bound
 
-    estimate = _half_trace_norm(*_difference(state_a, state_b, cutoff, (tail_a, tail_b)))
+    alone, diffs, slack = _difference(state_a, state_b, cutoff, (tail_a, tail_b))
+    estimate = _half_trace_norm(alone, diffs)
     return TraceDistanceResult(
         estimate=min(max(estimate, 0.0), 1.0),
-        certified_error=tail_a + tail_b + _rounding_slack(dim),
+        certified_error=tail_a + tail_b + slack,
         cutoff=cutoff,
         fock_dim=dim,
         tail_bounds=(tail_a, tail_b),

@@ -246,7 +246,7 @@ def test_tracedist_out_of_memory_exit_three(runner, tmp_path, monkeypatch):
     pytest.param(0.99, (0.0, 1.0), "1e-3", "falls below 1 - tail bound",
                  id="0.99-falls below 1 - tail bound"),
     # 1e-9 off, where the certificate claims 7.4e-14
-    pytest.param(1.0 + 1e-9, (0.01, 0.02), "1e-12", "exceeds 1 by more than 2 dim ulp",
+    pytest.param(1.0 + 1e-9, (0.01, 0.02), "1e-12", "exceeds 1 by more than its rounding slack",
                  id="1e-9-over"),
 ])
 def test_tracedist_trace_error_exit_four(runner, tmp_path, monkeypatch, factor, photons, eps,
@@ -736,23 +736,22 @@ def test_bad_fock_cap_setting_exit_two(runner, tmp_path, monkeypatch, cap):
 
 
 def test_eps_below_the_tail_floor_exit_two(runner, tmp_path):
-    # no cutoff certifies a truncation error below sqrt(1e-300) = 1e-150
+    # no cutoff certifies a truncation error below sqrt(1e-300) = 1e-150; the
+    # library's refusal, whose one rule lives in bosonic.tail, is the CLI's
     a = thermal_file(tmp_path, runner, 0.5)
-    for args in (["tail", a, "--target-eps", "1e-160"], ["tracedist", a, a, "--eps", "1e-160"]):
+    s = bosonic.thermal_state(0.5)
+    for args, call in ((["tail", a, "--target-eps", "1e-160"],
+                        lambda: bosonic.cutoff_for_error(s, 1e-160)),
+                       (["tracedist", a, a, "--eps", "1e-160"],
+                        lambda: bosonic.gaussian_trace_distance(s, s, 1e-160))):
+        with pytest.raises(ValueError) as refusal:
+            call()
         res = _char_runner().invoke(main, args)
         assert res.exit_code == 2
+        assert res.stderr == f"error: {refusal.value}\n"
         assert "floor 1e-300 on every tail bound" in res.stderr
         assert "1e-160" in res.stderr  # the eps as given, not a third of it
         assert res.stdout == ""
-
-
-def test_eps_below_the_tail_floor_in_the_library():
-    # the same rule, one home in bosonic.tail, names the eps as given
-    s = bosonic.thermal_state(0.5)
-    for call in (lambda: bosonic.cutoff_for_error(s, 1e-160),
-                 lambda: bosonic.gaussian_trace_distance(s, s, 1e-160)):
-        with pytest.raises(ValueError, match="eps 1e-160 .*floor 1e-300 on every tail bound"):
-            call()
 
 
 def test_tail_and_tracedist_of_huge_states(tmp_path):

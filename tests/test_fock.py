@@ -83,11 +83,12 @@ def test_trace_is_one_minus_tail():
 
 
 def _near_vacuum_states(rng, modes):
-    """States 1e-12 to 1e-3 photons per mode above the vacuum: thermal,
+    """States 1e-12 to 1e-3 photons per mode above the vacuum (thermal,
     passively mixed, displaced, squeezed pure and actively mixed thermal
-    ones.  Each mode is squeezed by a set amount, so no pure state lies
-    within rounding of the vacuum: a covariance rounded below it has a
-    cutoff-0 trace above 1, which the rule refuses."""
+    ones), and states that the validity test accepts below it: the vacuum
+    rounded through a passive transform and through a symplectic with no
+    squeezing, and (1 - 5e-10) I, inside the tolerance 1e-9, plain and
+    passively mixed."""
     zero = np.zeros(2 * modes)
     for photons in (1e-12, 1e-9, 1e-6, 1e-3):
         thermal = np.diag(np.repeat(1.0 + 2.0 * photons * rng.uniform(0.7, 1.3, modes), 2))
@@ -100,18 +101,50 @@ def _near_vacuum_states(rng, modes):
                           (shift, o @ thermal @ o.T), (zero, s @ s.T),
                           (zero, s @ thermal @ s.T)):
             yield b.GaussianState(mean, cov)
+    o = random_orthogonal_symplectic(rng, modes)
+    s = random_symplectic(rng, modes, max_squeeze=1.0)
+    below = (1.0 - 5e-10) * np.eye(2 * modes)
+    for cov in (o @ o.T, s @ s.T, below, o @ below @ o.T):
+        yield b.GaussianState(zero, cov)
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
 def test_near_vacuum_blocks_within_the_rounding_slack(modes):
     # where the trace lies closest to 1 and the dimension is smallest, the
-    # block-trace rule's 2 dim ulp still refuses no block
+    # block-trace rule refuses no block: past what the vacuum entry exceeds
+    # 1 by, no trace exceeds 1 by more than 2 dim ulp
     rng = np.random.default_rng(60 + modes)
     for _ in range(3):
         for state in _near_vacuum_states(rng, modes):
             for cutoff in range(4):
                 block = b.fock_matrix_elements(state, cutoff)
-                assert block.trace - 1.0 <= fock._rounding_slack(b.basis_dimension(modes, cutoff))
+                excess = max(0.0, block.matrix[0, 0].real - 1.0)
+                dim = b.basis_dimension(modes, cutoff)
+                assert block.trace - 1.0 - excess <= 2 * dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("modes", [1, 3, 8])
+@pytest.mark.parametrize("below", [
+    pytest.param((8.9e-16, 7.8e-16), id="rounded vacuum"),
+    pytest.param((5e-10, 5e-10), id="within the tolerance"),
+])
+def test_blocks_of_a_covariance_accepted_below_the_vacuum(modes, below):
+    # the vacuum entry C = det((V + I)/2)^(-1/2), the cutoff-0 block's trace,
+    # tops 1 here; the rule allows that excess beside 2 dim ulp, and a
+    # distance adds it to its certificate
+    ulp = np.finfo(float).eps
+    state = b.GaussianState(np.zeros(2 * modes), np.diag(np.tile(1.0 - np.array(below), modes)))
+    assert b.validate_state(state).ok
+    excess = b.fock_matrix_elements(state, 0).trace - 1.0
+    assert excess == pytest.approx(modes * sum(below) / 4.0, rel=0.3)
+    for cutoff in range(1, 3):
+        block = b.fock_matrix_elements(state, cutoff)
+        assert block.matrix[0, 0].real - 1.0 == excess
+        assert fock._rounding_slack(block) == 2 * b.basis_dimension(modes, cutoff) * ulp + excess
+    if modes < 8:
+        other = b.tensor([b.thermal_state(0.5)] * modes)
+        res = b.gaussian_trace_distance(state, other, 1e-3)
+        assert res.certified_error == sum(res.tail_bounds) + (2 * res.fock_dim * ulp + excess)
 
 
 @pytest.mark.filterwarnings("error")

@@ -362,8 +362,9 @@ def test_certificate_composition():
     tail_sum = sum(res.tail_bounds)
     assert res.certified_error >= tail_sum
     assert res.certified_error <= eps
-    # the numerical term is the block-trace rule's slack at the result's dimension
-    assert res.certified_error == tail_sum + fock._rounding_slack(res.fock_dim)
+    # the numerical term is the block-trace rule's slack for the two raw blocks
+    blocks = (b.fock_matrix_elements(s, res.cutoff) for s in (a, c))
+    assert res.certified_error == tail_sum + fock._rounding_slack(*blocks)
 
 
 def test_symmetry_range_and_identity():
@@ -479,11 +480,12 @@ def test_two_mode_pure_pairs_match_overlap_identity():
     pytest.param(1.01, (0.5, 1.0), 1e-3, "exceeds 1", id="1.01-exceeds 1"),
     pytest.param(0.99, (0.5, 1.0), 1e-3, "falls below 1 - tail", id="0.99-falls below 1 - tail"),
     # a defect of 1e-9 against a certificate of 7.4e-14: the slack is the
-    # certificate's own 2 dim ulp, not a fixed tolerance
-    pytest.param(1.0 + 1e-9, (0.01, 0.02), 1e-12, "exceeds 1 by more than 2 dim ulp",
+    # certificate's own numerical term, not a fixed tolerance
+    pytest.param(1.0 + 1e-9, (0.01, 0.02), 1e-12, "exceeds 1 by more than its rounding slack",
                  id="1e-9-over"),
     pytest.param(1.0 - 1e-9, (0.01, 0.02), 1e-12,
-                 "falls below 1 - tail bound = 1.0 by more than 2 dim ulp", id="1e-9-under"),
+                 "falls below 1 - tail bound = 1.0 by more than its rounding slack",
+                 id="1e-9-under"),
 ])
 def test_block_trace_invariant_both_sides(monkeypatch, factor, photons, eps, defect):
     # a block may neither hold more than the state nor lose more than the tail
