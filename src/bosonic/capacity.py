@@ -49,7 +49,6 @@ from .spectral import (
     entropy_variance_pure_loss,
     h_function,
     petz_conditional_entropy_half,
-    symplectic_eigenvalues,
 )
 from .states import (
     Channel,
@@ -515,7 +514,7 @@ def aep_lower_bound_generic(
     act as the reference system A.  For "Q" the direct line A>B is used; for
     "Q2"/"K" the better of the direct and reverse lines.  The reverse line
     refuses, naming the channel parameter, a channel whose rho_BE covariance
-    ``spectral.williamson`` finds not positive definite once rounded (an
+    the Williamson form finds not positive definite once rounded (an
     amplifier from g ~ 3e7 on a TMSV(1) input), where the closed forms
     still answer.
     """
@@ -524,7 +523,7 @@ def aep_lower_bound_generic(
     _check_task(task)
     if input_state.modes < 2:
         raise ValueError("input must carry a reference system (at least 2 modes)")
-    d = symplectic_eigenvalues(input_state.cov)
+    d = input_state._williamson[1]
     # eigensolver noise on the symplectic spectrum grows with the energy scale
     purity_defect = float(np.max(np.abs(d - 1.0)))
     if purity_defect > _PURITY_TOL * (1.0 + np.linalg.norm(input_state.cov, 2)):
@@ -556,7 +555,7 @@ def aep_lower_bound_generic(
     rho_be = reduce_state(psi, [b_mode, e_mode])
     try:
         h_be = petz_conditional_entropy_half(rho_be, [0])
-    except ValueError as exc:  # spectral.williamson's rule: V_BE > 0 as computed
+    except ValueError as exc:  # the Williamson form's rule: V_BE > 0 as computed
         name, value = _channel_params(channel).popitem()
         raise ValueError(f"aep_lower_bound_generic cannot evaluate {name} = {value!r}: the "
                          f"rounding of rho_BE leaves its {exc}; BOUND_FAMILIES['aep'] "

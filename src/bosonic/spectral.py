@@ -20,7 +20,6 @@ from .states import (
     check_photons,
     check_transmissivity,
     reduce_state,
-    symplectic_form,
 )
 
 __all__ = [
@@ -76,28 +75,13 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and ``K q_b = d_j q_a``; eigenvectors of a repeated ``d_j`` give mutually
     orthogonal pairs because ``v`` and its conjugate lie in opposite
     eigenspaces.  Then ``Q^T K Q`` has blocks ``[[0, d_j], [-d_j, 0]]`` and
-    ``S = W Q D^(-1/2)``.
+    ``S = W Q D^(-1/2)``.  ``S`` and ``d`` are the read-only record of the
+    state ``cov`` makes, which computes them once from V's eigendecomposition.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
         raise ValueError(f"covariance must be 2n x 2n, got {cov.shape}")
-    n = cov.shape[0] // 2
-    evals, evecs = np.linalg.eigh(GaussianState(np.zeros(2 * n), cov).cov)
-    if evals[0] <= 0.0:
-        raise ValueError(f"covariance not positive definite (min eigenvalue {evals[0]:.3e})")
-    w = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    omega = symplectic_form(n)
-    skew = w @ omega @ w
-    skew = (skew - skew.T) / 2.0
-    lam, vecs = np.linalg.eigh(1j * skew)
-    d = -lam[:n]
-    q = np.empty((2 * n, 2 * n))
-    q[:, 0::2] = np.sqrt(2.0) * vecs[:, :n].real
-    q[:, 1::2] = np.sqrt(2.0) * vecs[:, :n].imag
-
-    scale = np.repeat(1.0 / np.sqrt(d), 2)
-    s = w @ q @ np.diag(scale)
-    return s, d
+    return GaussianState(np.zeros(len(cov)), cov)._williamson
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -132,8 +116,7 @@ def h_function(x: float) -> float:
 
 def von_neumann_entropy(state: GaussianState) -> float:
     """Entropy in bits, ``sum_i h((d_i - 1)/2)`` over symplectic eigenvalues."""
-    d = symplectic_eigenvalues(state.cov)
-    return float(sum(h_function(max(di - 1.0, 0.0) / 2.0) for di in d))
+    return float(sum(h_function(max(di - 1.0, 0.0) / 2.0) for di in state._williamson[1]))
 
 
 def coherent_information(state: GaussianState, a_modes: Sequence[int]) -> float:
@@ -159,7 +142,11 @@ def v_sqrt(cov: np.ndarray) -> np.ndarray:
     Williamson form by mapping each symplectic eigenvalue ``d`` to
     ``d + sqrt(d^2 - 1)``.  Pure directions (``d = 1``) stay fixed.
     """
-    s, d = williamson(cov)
+    return _sqrt_cov(*williamson(cov))
+
+
+def _sqrt_cov(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``v_sqrt`` of the covariance whose Williamson form is (``s``, ``d``)."""
     d = np.where(np.abs(d - 1.0) <= _PURE_SNAP, 1.0, d)
     mapped = d + np.sqrt(np.maximum(d * d - 1.0, 0.0))
     w = s @ np.diag(np.repeat(mapped, 2)) @ s.T
@@ -182,8 +169,8 @@ def petz_conditional_entropy_half(state: GaussianState, a_modes: Sequence[int]) 
     b = [m for m in range(state.modes) if m not in a]
     if not a or not b:
         raise ValueError("cut must leave both sides non-empty")
-    w_ab = v_sqrt(state.cov)
-    w_b = v_sqrt(reduce_state(state, b).cov)
+    w_ab = _sqrt_cov(*state._williamson)
+    w_b = _sqrt_cov(*reduce_state(state, b)._williamson)
     bc = _embedding_indices(b, state.modes)
     w_ab_on_b = w_ab[np.ix_(bc, bc)]
 
@@ -231,6 +218,11 @@ def _log_ratio(x: float) -> float:
     return -math.log1p(1.0 / x) / math.log(2.0)
 
 
+# each cut of entropy_variance_pure_loss, spelled exactly, and whether it picks
+# the direct line (A|E = A|B) or the reverse one (B|E = B|A)
+_CUT_LINES = {"A|E": True, "A|B": True, "B|E": False, "B|A": False}
+
+
 def entropy_variance_pure_loss(
     transmissivity: float, photons: float, cut: str = "A|E"
 ) -> float:
@@ -239,8 +231,8 @@ def entropy_variance_pure_loss(
     Args:
         transmissivity: beam-splitter transmissivity in [0, 1].
         photons: mean photon number of the TMSV input.
-        cut: "A|E" (= "A|B") or "B|E" (= "B|A"); the two coincide for a
-            tripartite purification.
+        cut: "A|E" (= "A|B") or "B|E" (= "B|A"), spelled exactly; the two
+            coincide for a tripartite purification.
 
     Returns:
         V(A|E) or V(B|E).  Boundary values are the analytic limits of the
@@ -248,19 +240,15 @@ def entropy_variance_pure_loss(
         of the input and V(B|E) = 0; at ``transmissivity = 1`` the roles swap.
 
     Raises:
-        ValueError: above 1e100 input photons, where the closed form
-            overflows.
+        ValueError: for any other cut, and above 1e100 input photons, where
+            the closed form overflows.
     """
     lam = check_transmissivity(transmissivity)
     ns = check_photons(photons)
     _check_scale("entropy_variance_pure_loss", PureLoss(lam), ns)
-    cut = cut.upper()
-    if cut in ("A|E", "A|B"):
-        direct = True
-    elif cut in ("B|E", "B|A"):
-        direct = False
-    else:
-        raise ValueError(f"cut must be one of A|E, A|B, B|E, B|A; got {cut!r}")
+    direct = _CUT_LINES.get(cut) if isinstance(cut, str) else None
+    if direct is None:
+        raise ValueError(f"cut must be one of {', '.join(_CUT_LINES)}; got {cut!r}")
     if ns == 0.0:
         return 0.0
 

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   physical covariance matrix satisfies ``V + i*Omega >= 0``.
 
 States are value objects: every operation returns a new ``GaussianState``,
-and each state computes its uncertainty verdict, V's eigenbasis and its mean
-photon number once.
+and each state computes its uncertainty verdict, V's eigendecomposition, its
+mean photon number and its Williamson form once.
 """
 
 from __future__ import annotations
@@ -153,12 +153,30 @@ class GaussianState:
         return photons
 
     @functools.cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues of V, ascending, and the mean in V's eigenbasis; read-only."""
+    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """V's eigenvalues, ascending, the mean in its eigenbasis and the eigenbasis; read-only."""
         evals, evecs = np.linalg.eigh(self.cov)
         mean_rot = evecs.T @ self.mean
-        evals.flags.writeable = mean_rot.flags.writeable = False
-        return evals, mean_rot
+        evals.flags.writeable = mean_rot.flags.writeable = evecs.flags.writeable = False
+        return evals, mean_rot, evecs
+
+    @functools.cached_property
+    def _williamson(self) -> tuple[np.ndarray, np.ndarray]:
+        """``spectral.williamson``'s (S, d), read-only; ``ValueError`` unless V > 0."""
+        evals, _, evecs = self._eig
+        if evals[0] <= 0.0:
+            raise ValueError(f"covariance not positive definite (min eigenvalue {evals[0]:.3e})")
+        n = self.modes
+        w = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
+        skew = w @ symplectic_form(n) @ w
+        lam, vecs = np.linalg.eigh(1j * ((skew - skew.T) / 2.0))
+        d = -lam[:n]
+        q = np.empty((2 * n, 2 * n))
+        q[:, 0::2] = np.sqrt(2.0) * vecs[:, :n].real
+        q[:, 1::2] = np.sqrt(2.0) * vecs[:, :n].imag
+        s = w @ q @ np.diag(np.repeat(1.0 / np.sqrt(d), 2))
+        s.flags.writeable = d.flags.writeable = False
+        return s, d
 
 
 def _margin_test(matrix: np.ndarray) -> tuple[bool, float, float]:

@@ -173,7 +173,7 @@ def _closed(state: GaussianState, cutoff: int) -> TailBoundResult:
     x = 8.0 * state._photons + 4.0
     if x == math.inf:  # N past ~2.2e307: p(x) has no float form, and 1 bounds every probability
         return TailBoundResult(bound=1.0, decay_rate=decay_rate)
-    log_bound = _log_prefactor(*state._eig, x) - cutoff / scale
+    log_bound = _log_prefactor(*state._eig[:2], x) - cutoff / scale
     return TailBoundResult(bound=_clamp_exp(log_bound), decay_rate=decay_rate)
 
 
@@ -232,7 +232,7 @@ def tail_bound_optimized(state: GaussianState, cutoff: int) -> TailBoundResult:
 def _optimized(state: GaussianState, cutoff: int, stop: float = -math.inf) -> TailBoundResult:
     """The optimized bound at the golden-section minimum, or at the first
     log bound below ``stop``; the closed form when nothing finite is found."""
-    objective = _make_objective(*state._eig, cutoff)
+    objective = _make_objective(*state._eig[:2], cutoff)
     t_best, log_best = _golden_min(objective, *_t_bracket(state, cutoff), stop=stop)
     if not math.isfinite(log_best):
         return replace(_closed(state, cutoff), optimizer_x=8.0 * state._photons + 4.0,
@@ -269,8 +269,8 @@ def _arccoth(x: float) -> float:
 
 
 def _coth(t: float) -> float:
-    if t > 20.0:  # tanh saturates; avoids 1/1.0 rounding
-        return 1.0 + 2.0 / math.expm1(2.0 * t)
+    if t > 20.0:  # 1 + 2 / expm1(2t) rounds to 1.0 here, and expm1 overflows past t ~ 354.9
+        return 1.0
     return 1.0 / math.tanh(t)
 
 
@@ -322,7 +322,7 @@ def _estimate_cutoff(state: GaussianState, log_target: float) -> float:
     """About min over t of M*(t) = (f(t) - log_target) / (2t), the smallest
     real M whose log bound at some t reaches ``log_target``; f is the M = 0
     objective.  A short search: the guess is only rounded up and confirmed."""
-    objective = _make_objective(*state._eig, 0)
+    objective = _make_objective(*state._eig[:2], 0)
 
     def needed(t: float) -> float:
         return (objective(t) - log_target) / (2.0 * t)

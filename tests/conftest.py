@@ -1,6 +1,7 @@
 """Shared helpers: seeded random Gaussian states and symplectics, and the
 earlier implementations the faster ones must match bit for bit."""
 
+import collections
 import math
 
 import numpy as np
@@ -46,6 +47,43 @@ def random_state(rng: np.random.Generator, modes: int, pure: bool = False,
     cov = s @ np.diag(d_diag) @ s.T
     mean = rng.uniform(-max_shift, max_shift, size=2 * modes)
     return GaussianState(mean, cov)
+
+
+def eigh_counter(monkeypatch, cov: np.ndarray) -> collections.Counter:
+    """Count the ``np.linalg.eigh`` calls from here on: "V" those on a real
+    matrix equal to ``cov``, "williamson" those on a complex matrix of its
+    shape, which the Williamson form of a state of as many modes solves."""
+    calls = collections.Counter()
+    solve = np.linalg.eigh
+
+    def spy(matrix, *args, **kwargs):
+        if np.shape(matrix) == cov.shape:
+            if np.iscomplexobj(matrix):
+                calls["williamson"] += 1
+            elif np.array_equal(matrix, cov):
+                calls["V"] += 1
+        return solve(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def reference_williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Williamson form (S, d) by ``spectral.williamson``'s algorithm as it
+    ran before the state held it, on a symmetric positive definite ``cov``:
+    its own eigensolve of V, then of i V^(1/2) Omega V^(1/2).  An oracle for
+    ``GaussianState._williamson``, which must match it bit for bit."""
+    n = cov.shape[0] // 2
+    evals, evecs = np.linalg.eigh(cov)
+    w = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
+    skew = w @ symplectic_form(n) @ w
+    skew = (skew - skew.T) / 2.0
+    lam, vecs = np.linalg.eigh(1j * skew)
+    d = -lam[:n]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = np.sqrt(2.0) * vecs[:, :n].real
+    q[:, 1::2] = np.sqrt(2.0) * vecs[:, :n].imag
+    return w @ q @ np.diag(np.repeat(1.0 / np.sqrt(d), 2)), d
 
 
 def photon_distribution(state: GaussianState, points: int = 1 << 11) -> np.ndarray:
@@ -270,7 +308,7 @@ def full_search_cutoff(state: GaussianState, eps: float, cap: int = 10**6) -> in
 def _full_estimate_cutoff(state: GaussianState, eps: float) -> float:
     """min over t of M*(t) = (f(t) - 2 ln eps) / (2t) by a 64-iteration
     golden search; f is the M = 0 objective."""
-    objective = tail._make_objective(*tail._checked(state)._eig, 0)
+    objective = tail._make_objective(*tail._checked(state)._eig[:2], 0)
     log_target = 2.0 * math.log(eps)  # the photon tail must reach eps^2
 
     def needed(t: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 import bosonic as b
 from bosonic import PureAmplifier, PureLoss
+from conftest import eigh_counter
 
 
 # --------------------------------------------------------------- asymptotic
@@ -205,6 +206,18 @@ def test_generic_aep_below_threshold_flag():
     res = b.aep_lower_bound_generic(PureLoss(0.5), tm, 4, 0.1, "Q")
     assert not res.preconditions_met
     assert math.isfinite(res.value)
+
+
+@pytest.mark.parametrize("channel", [PureLoss(0.7), PureAmplifier(1.5)])
+@pytest.mark.parametrize("task, two_mode_states", [("Q", 3), ("Q2", 4), ("K", 4)])
+def test_aep_generic_computes_the_joint_williamson_form_once(monkeypatch, channel, task,
+                                                             two_mode_states):
+    # rho_AB feeds two Petz entropies and two coherent informations (one each
+    # for Q); it, like the input, rho_AE and rho_BE, is solved once per call
+    rho_ab = b.reduce_state(b.stinespring_output(channel, b.tmsv_state(1.0)), [0, 1])
+    calls = eigh_counter(monkeypatch, rho_ab.cov)
+    b.aep_lower_bound_generic(channel, b.tmsv_state(1.0), 100, 0.1, task)
+    assert calls == {"V": 1, "williamson": two_mode_states}
 
 
 # ------------------------------------------------- improved and upper bound

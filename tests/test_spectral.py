@@ -8,7 +8,7 @@ import pytest
 
 import bosonic as b
 from bosonic import spectral
-from conftest import random_state, random_symplectic
+from conftest import eigh_counter, random_state, random_symplectic, reference_williamson
 
 
 def test_h_function_values():
@@ -105,6 +105,38 @@ def test_williamson_holds_its_argument_to_the_state_rule():
         b.williamson([[2.0, 0.5], [0.0, 2.0]])
     with pytest.raises(b.InvalidStateError, match="^state contains non-finite entries$"):
         b.symplectic_eigenvalues(np.diag([1.0, np.nan]))
+
+
+def test_state_williamson_form_is_the_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for modes in (1, 2, 3, 4):
+        for pure in (False, True):
+            for _ in range(5):
+                st = random_state(rng, modes, pure=pure)
+                s_ref, d_ref = reference_williamson(st.cov)
+                for s, d in (st._williamson, b.williamson(st.cov)):
+                    assert (s.tobytes(), d.tobytes()) == (s_ref.tobytes(), d_ref.tobytes())
+                    assert not (s.flags.writeable or d.flags.writeable)
+                d_ref = np.where(np.abs(d_ref - 1.0) <= spectral._PURE_SNAP, 1.0, d_ref)
+                mapped = d_ref + np.sqrt(np.maximum(d_ref * d_ref - 1.0, 0.0))
+                w = s_ref @ np.diag(np.repeat(mapped, 2)) @ s_ref.T
+                assert b.v_sqrt(st.cov).tobytes() == ((w + w.T) / 2.0).tobytes()
+
+
+def test_one_eigendecomposition_and_one_williamson_form_per_state(monkeypatch):
+    # the tail bound, the entropy, the Petz entropy and the coherent
+    # information all read the state's record: V was eigendecomposed 4 times
+    # and its Williamson form computed 3 times
+    rng = np.random.default_rng(7)
+    st = b.apply_transform(b.tensor([b.thermal_state(0.2), b.thermal_state(0.4)]),
+                           b.beam_splitter(rng.uniform()))
+    calls = eigh_counter(monkeypatch, st.cov)
+    b.tail_bound_optimized(st, 5)
+    b.von_neumann_entropy(st)
+    b.petz_conditional_entropy_half(st, [0])
+    b.coherent_information(st, [0])
+    assert calls == {"V": 1, "williamson": 1}
+    assert not any(arr.flags.writeable for arr in (*st._eig, *st._williamson))
 
 
 def test_entropy_known_values():
@@ -279,8 +311,10 @@ def test_entropy_variance_cut_aliases_and_boundaries():
             assert b.entropy_variance_pure_loss(lam_0, 0.0, cut) == 0.0
     assert b.entropy_variance_pure_loss(0.0, ns, "A|E") == pytest.approx(
         b.thermal_entropy_variance(ns), rel=1e-12)
-    with pytest.raises(ValueError):
-        b.entropy_variance_pure_loss(lam, ns, "E|A")
+    # the four cuts are spelled exactly: no case folding, and no crash on a non-string
+    for cut in ("E|A", "a|e", None, 3):
+        with pytest.raises(ValueError, match=r"^cut must be one of A\|E, A\|B, B\|E, B\|A; got "):
+            b.entropy_variance_pure_loss(lam, ns, cut)
 
 
 def test_entropy_variance_is_not_negative_at_zero_transmissivity():

@@ -279,7 +279,7 @@ def test_arccoth_past_the_rounding_edge_against_decimal():
 def test_objective_where_exp_of_minus_two_t_rounds_to_one():
     # the objective took log1p(-exp(-2t)) = log1p(-1.0) below t ~ 2.8e-17:
     # "math domain error" at the nat cap of a cutoff of 10^23
-    objective = tail._make_objective(*b.thermal_state(1.0)._eig, 10**23)  # V = 3 I
+    objective = tail._make_objective(*b.thermal_state(1.0)._eig[:2], 10**23)  # V = 3 I
     with decimal.localcontext() as ctx:
         ctx.prec = 400  # x is up to 1e300
         for t in (2e-17, 1e-20, 3.5e-21, 1e-100, 1e-300):
@@ -296,6 +296,26 @@ def test_bound_at_the_floor_for_a_cutoff_of_ten_to_the_23():
     assert b.tail_bound_optimized(state, 10**23).bound == tail.TAIL_FLOOR
     assert b.tail_bound_closed(state, 10**23).bound == tail.TAIL_FLOOR
     assert b.trace_distance_truncation_bound(state, 10**23).bound == math.sqrt(tail.TAIL_FLOOR)
+
+
+def test_coth_past_where_expm1_overflows():
+    # 1 + 2 / expm1(2t) is 1.0 from t = 20 on; expm1 overflowed past t ~ 354.9
+    assert tail._coth(20.0) == 1.0 / math.tanh(20.0)
+    for t in (20.5, 354.0, 355.0, 700.0, 1e300):
+        assert tail._coth(t) == 1.0
+
+
+def test_distances_between_rounded_vacua_complete():
+    # vacua through random passive symplectics, rounded below the vacuum: the
+    # bound search reaches t = 700 at cutoff 0, where 58 of these 600
+    # distances raised OverflowError from coth
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        pair = [random_state(rng, 1 + i % 3, pure=True, max_squeeze=1.0, max_shift=0.0)
+                for _ in range(2)]
+        for eps in (1e-3, 1e-8):
+            result = b.gaussian_trace_distance(*pair, eps)
+            assert result.estimate < 1e-12 and result.certified_error <= eps
 
 
 def test_closed_bound_where_eight_n_plus_four_overflows():
@@ -415,7 +435,7 @@ def _objective_points(state, cutoff):
 def test_objective_bit_equal_to_numpy_scalar_loop(cutoff):
     seen = {"vacuum-tight": 0, "gap <= 0": 0, "s underflows": 0}
     for state in _objective_states():
-        evals, mean_rot = state._eig
+        evals, mean_rot, _ = state._eig
         fast = tail._make_objective(evals, mean_rot, cutoff)
         slow = numpy_scalar_objective(evals, mean_rot, cutoff)
         for t in _objective_points(state, cutoff):
