@@ -45,10 +45,11 @@ from typing import Callable
 import numpy as np
 
 from .spectral import (
-    coherent_information,
+    _cut,
+    _petz_half,
     entropy_variance_pure_loss,
     h_function,
-    petz_conditional_entropy_half,
+    von_neumann_entropy,
 )
 from .states import (
     Channel,
@@ -332,11 +333,12 @@ def first_max(values) -> np.ndarray:
 
 def _assemble(*, a: float, b: float, c: float, n_min: float, n: int, eps: float, task: str,
               method: str, params: dict) -> CapacityBound:
-    """The lower bound at ``n``; below ``n_min`` it is flagged and noted."""
+    """The lower bound at ``n``; below ``n_min`` it is flagged and noted, and
+    an infinite per-use rate ``a`` (lambda = 1, g = 1) is noted as well."""
     met = n >= n_min
     note = "" if met else f"needs n >= {n_min:.2f}"
-    value, boundary = bound_value(a, b, c, n)
-    if boundary:
+    value = bound_value(a, b, c, n)[0]
+    if a == math.inf:
         note = (note + "; " if note else "") + "boundary: capacity is infinite"
     breakdown = {"linear": a * n, "sqrt": -b * math.sqrt(n), "constant": -c,
                  "per_use": a, "sqrt_coefficient": b}
@@ -535,8 +537,9 @@ def aep_lower_bound_generic(
     psi = stinespring_output(channel, input_state)
     a_modes = list(range(k - 1))
     b_mode, e_mode = k - 1, k
-    rho_ab = reduce_state(psi, a_modes + [b_mode])
-    rho_ae = reduce_state(psi, a_modes + [e_mode])
+    # psi reduced once to each subsystem read; the functionals share the marginals
+    rho_ab, rho_ae, rho_b, rho_e = (reduce_state(psi, keep) for keep in
+                                    (a_modes + [b_mode], a_modes + [e_mode], [b_mode], [e_mode]))
 
     params = _channel_params(channel) | {"input_modes": k}
 
@@ -546,23 +549,25 @@ def aep_lower_bound_generic(
         return _assemble(a=rate, b=b, c=c, n_min=n_min, n=n, eps=eps, task=task,
                          method="aep-generic", params=params | extra | h_pair)
 
-    h_direct = {"H(A|B)": petz_conditional_entropy_half(rho_ab, a_modes),
-                "H(A|E)": petz_conditional_entropy_half(rho_ae, a_modes)}
-    ic_direct = coherent_information(rho_ab, a_modes)
+    h_direct = {"H(A|B)": _petz_half(rho_ab, _cut(rho_ab, a_modes, rho_b)),
+                "H(A|E)": _petz_half(rho_ae, _cut(rho_ae, a_modes, rho_e))}
+    # coherent informations I_c(A>B) = S(B) - S(AB) and I_c(B>A) = S(A) - S(AB)
+    ic_direct = von_neumann_entropy(rho_b) - von_neumann_entropy(rho_ab)
     if task == "Q":
         return line(ic_direct, {}, h_direct)
 
-    rho_be = reduce_state(psi, [b_mode, e_mode])
+    rho_a, rho_be = reduce_state(psi, a_modes), reduce_state(psi, [b_mode, e_mode])
     try:
-        h_be = petz_conditional_entropy_half(rho_be, [0])
+        h_be = _petz_half(rho_be, _cut(rho_be, [0], rho_e))
     except ValueError as exc:  # the Williamson form's rule: V_BE > 0 as computed
         name, value = _channel_params(channel).popitem()
         raise ValueError(f"aep_lower_bound_generic cannot evaluate {name} = {value!r}: the "
                          f"rounding of rho_BE leaves its {exc}; BOUND_FAMILIES['aep'] "
                          "answers") from exc
-    h_reverse = {"H(B|A)": petz_conditional_entropy_half(rho_ab, [k - 1]), "H(B|E)": h_be}
+    h_reverse = {"H(B|A)": _petz_half(rho_ab, _cut(rho_ab, [k - 1], rho_a)), "H(B|E)": h_be}
+    ic_reverse = von_neumann_entropy(rho_a) - von_neumann_entropy(rho_ab)
     direct = line(ic_direct, {"line": "direct"}, h_direct)
-    reverse = line(coherent_information(rho_ab, [k - 1]), {"line": "reverse"}, h_reverse)
+    reverse = line(ic_reverse, {"line": "reverse"}, h_reverse)
     return direct if direct.value >= reverse.value else reverse
 
 

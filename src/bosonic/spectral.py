@@ -3,6 +3,11 @@
 All entropies are in bits (base-2 logarithms).  The workhorse is the
 Williamson normal form ``V = S diag(d_1, d_1, ..., d_n, d_n) S^T`` with
 ``S`` symplectic and symplectic eigenvalues ``d_i >= 1``.
+
+A bipartite functional takes subsystem A as a mode list, read by the one
+rule of ``states`` for mode lists: distinct integers in [0, n), with no
+float, however integral, and no bool.  B is the complement in ascending
+order, and a cut that leaves either side empty is refused.
 """
 
 from __future__ import annotations
@@ -122,13 +127,24 @@ def von_neumann_entropy(state: GaussianState) -> float:
 def coherent_information(state: GaussianState, a_modes: Sequence[int]) -> float:
     """Coherent information ``I_c(A>B) = S(B) - S(AB)`` of a bipartite state.
 
-    ``a_modes`` selects subsystem A; B is the complement.
+    ``a_modes`` selects subsystem A, a cut as the module docstring states;
+    B is the complement.
     """
-    a = sorted(a_modes)
-    b = [m for m in range(state.modes) if m not in a]
-    if not a or not b:
+    return von_neumann_entropy(_cut(state, a_modes)[1]) - von_neumann_entropy(state)
+
+
+def _cut(state: GaussianState, a_modes: Sequence[int],
+         rho_b: GaussianState | None = None) -> tuple[np.ndarray, GaussianState]:
+    """The cut of ``state`` into A, the mode list ``a_modes`` (read by
+    ``states._embedding_indices``), and B, the other modes in ascending
+    order: B's quadratures in ``state`` and rho_B, which is ``rho_b`` if the
+    caller has reduced ``state`` to B already.  ``ValueError`` unless both
+    sides are non-empty."""
+    a = _embedding_indices(a_modes, state.modes)
+    b = np.setdiff1d(np.arange(2 * state.modes), a)
+    if not a.size or not b.size:
         raise ValueError("cut must leave both sides non-empty")
-    return von_neumann_entropy(reduce_state(state, b)) - von_neumann_entropy(state)
+    return b, reduce_state(state, b[0::2] // 2) if rho_b is None else rho_b
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +174,22 @@ def petz_conditional_entropy_half(state: GaussianState, a_modes: Sequence[int]) 
 
     Args:
         state: bipartite Gaussian state on A union B.
-        a_modes: mode indices of subsystem A; B is the complement.
+        a_modes: mode indices of subsystem A, a cut as the module docstring
+            states; B is the complement.
 
     Returns:
         ``log2( sqrt(det W_AB * det W_B) / det((W_AB|_B + W_B)/2) )`` where
         ``W = v_sqrt(V)`` and ``|_B`` restricts to the B quadratures.  First
         moments drop out.
     """
-    a = sorted(set(a_modes))
-    b = [m for m in range(state.modes) if m not in a]
-    if not a or not b:
-        raise ValueError("cut must leave both sides non-empty")
+    return _petz_half(state, _cut(state, a_modes))
+
+
+def _petz_half(state: GaussianState, cut: tuple[np.ndarray, GaussianState]) -> float:
+    """``petz_conditional_entropy_half`` of ``state`` across ``cut``, a ``_cut`` of it."""
+    bc, rho_b = cut
     w_ab = _sqrt_cov(*state._williamson)
-    w_b = _sqrt_cov(*reduce_state(state, b)._williamson)
-    bc = _embedding_indices(b, state.modes)
+    w_b = _sqrt_cov(*rho_b._williamson)
     w_ab_on_b = w_ab[np.ix_(bc, bc)]
 
     _, logdet_ab = np.linalg.slogdet(w_ab)

@@ -444,7 +444,13 @@ def two_mode_squeezer(gain: float) -> Transform:
 
 
 def _embedding_indices(modes: Sequence[int], total: int) -> np.ndarray:
+    """The quadratures (2m, 2m + 1) of each of ``modes``, in the order given:
+    the one reader of a mode list.  ``ValueError`` naming the list unless
+    each mode is an integer (``_integer``: no float, however integral, and
+    no bool), the modes are distinct and each lies in [0, ``total``)."""
     idx = list(modes)
+    for m in idx:
+        _integer(m, f"each of the modes {idx}")
     if len(set(idx)) != len(idx):
         raise ValueError(f"target modes must be distinct, got {idx}")
     if any(m < 0 or m >= total for m in idx):
@@ -467,7 +473,9 @@ def apply_transform(
     Args:
         state: input state.
         transform: k-mode affine transform.
-        modes: the k target mode indices; defaults to ``range(k)``.
+        modes: the k target mode indices, distinct integers in
+            [0, ``state.modes``) (no float, however integral, and no bool);
+            defaults to ``range(k)``.
 
     Returns:
         The transformed ``GaussianState``.  Its covariance is the symmetric
@@ -506,7 +514,12 @@ def tensor(states: Iterable[GaussianState]) -> GaussianState:
 
 
 def reduce_state(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Partial trace keeping ``keep``; the order given becomes the new mode order."""
+    """Partial trace keeping ``keep``; the order given becomes the new mode order.
+
+    ``keep`` lists distinct integer modes in [0, ``state.modes``): a float,
+    however integral, a bool, a repeat or a mode out of range is refused
+    with a ``ValueError`` that names the list.
+    """
     keep = list(keep)
     if not keep:
         raise ValueError("must keep at least one mode")
@@ -597,8 +610,12 @@ def state_from_dict(payload: dict) -> GaussianState:
 
     ``modes`` must be an integer (not a bool), and ``mean`` and ``cov``
     arrays of integers or floats: strings, booleans and fractional mode
-    counts are rejected, not converted.
+    counts are rejected, not converted, and so is a payload that is not a
+    JSON object.
     """
+    if not isinstance(payload, dict):
+        raise InvalidStateError("malformed state payload: a state needs an object with "
+                                f"modes, mean and cov, got a {type(payload).__name__}")
     try:
         modes = payload["modes"]
         if isinstance(modes, bool):

@@ -1,5 +1,6 @@
 """Capacity formulas, n-shot bound families, and channel-use inversion."""
 
+import collections
 import decimal
 import math
 
@@ -148,7 +149,12 @@ def test_aep_boundaries_report_infinity():
     res = b.BOUND_FAMILIES["aep"].evaluate(PureLoss(1.0), 100, 0.1, "Q2")
     assert res.value == math.inf and "infinite" in res.note
     res_a = b.aep_lower_bound_amplifier(1.0, 100, 0.1, "Q")
-    assert res_a.value == math.inf
+    assert res_a.value == math.inf and "infinite" in res_a.note
+    # improved reads +inf with a finite sqrt(n) term, no inf - inf: the note
+    # follows the infinite per-use rate, not a NaN sum
+    for task in ("Q", "Q2", "K"):
+        res_i = b.BOUND_FAMILIES["improved"].evaluate(PureLoss(1.0), 100, 0.1, task)
+        assert res_i.value == math.inf and res_i.note == "boundary: capacity is infinite"
     with pytest.raises(ValueError):
         b.BOUND_FAMILIES["aep"].evaluate(PureLoss(1.2), 100, 0.1, "Q")
 
@@ -218,6 +224,62 @@ def test_aep_generic_computes_the_joint_williamson_form_once(monkeypatch, channe
     calls = eigh_counter(monkeypatch, rho_ab.cov)
     b.aep_lower_bound_generic(channel, b.tmsv_state(1.0), 100, 0.1, task)
     assert calls == {"V": 1, "williamson": two_mode_states}
+
+
+# aep_lower_bound_generic(channel, TMSV(1), 1000, 0.01, task) as recorded while
+# each functional still reduced its own marginals: float.hex of the value, of
+# the breakdown's linear, sqrt, constant, per_use and sqrt_coefficient, and of
+# the winning line's two Petz entropies (Q2 and K agree)
+_AEP_GENERIC_PINS = {
+    ("loss", "Q"): ("-0x1.caa198b6cf700p+8", "0x1.443a4dde00635p+9", "-0x1.0a062960e423cp+10",
+                    "-0x1.57ec7779fd3cdp+5", "0x1.4c025c062542ep-1", "0x1.0d328acd05d78p+5",
+                    "-0x1.545723e88f71bp-3", "0x1.28efcd4c03a7cp+0"),
+    ("loss", "Q2"): ("0x1.258a99220c28cp+8", "0x1.ed6c2fe41edf9p+9", "-0x1.52020f90ba625p+9",
+                     "-0x1.149a784bcd1b9p+4", "0x1.f943c68b6332cp-1", "0x1.560a43d8c58abp+4",
+                     "-0x1.991108a11a5a1p-1", "0x1.3e303ce99b8c7p+0"),
+    ("amp", "Q"): ("-0x1.120e896238194p+8", "0x1.797199abbf9a6p+9", "-0x1.ecfa16e53bd33p+9",
+                   "-0x1.57ec7779fd3cdp+5", "0x1.82809d5be7048p-1", "0x1.f2db890f3253fp+4",
+                   "-0x1.557359984caa7p-1", "0x1.b8142f10dcd35p-1"),
+    ("amp", "Q2"): ("0x1.642a39f81b66ap+6", "0x1.797199abbf9a6p+9", "-0x1.44477eaa5dc4bp+9",
+                    "-0x1.149a784bcd1b9p+4", "0x1.82809d5be7048p-1", "0x1.4825c636f6799p+4",
+                    "-0x1.557359984caa7p-1", "0x1.b8142f10dcd35p-1"),
+}
+
+
+@pytest.mark.parametrize("name, channel", [("loss", PureLoss(0.7)), ("amp", PureAmplifier(1.5))])
+@pytest.mark.parametrize("task, eighs", [("Q", 10), ("Q2", 14), ("K", 14)])
+def test_aep_generic_reduces_each_subsystem_once(monkeypatch, name, channel, task, eighs):
+    # psi is reduced once to each of A, B, E, AB, AE and BE: the six one-mode
+    # marginals the functionals rebuilt had three distinct covariances, and
+    # eigh ran 12 times on Q and 20 on Q2 and K
+    calls = collections.Counter()
+    solve = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls["eigh"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    res = b.aep_lower_bound_generic(channel, b.tmsv_state(1.0), 1000, 0.01, task)
+    assert calls["eigh"] == eighs
+    # bit for bit the public functionals, each reducing its own marginals
+    psi = b.stinespring_output(channel, b.tmsv_state(1.0))
+    rho_ab, rho_ae, rho_be = (b.reduce_state(psi, keep) for keep in ([0, 1], [0, 2], [1, 2]))
+    if res.params.get("line", "direct") == "direct":
+        h = {"H(A|B)": b.petz_conditional_entropy_half(rho_ab, [0]),
+             "H(A|E)": b.petz_conditional_entropy_half(rho_ae, [0])}
+        rate = b.coherent_information(rho_ab, [0])
+    else:
+        h = {"H(B|A)": b.petz_conditional_entropy_half(rho_ab, [1]),
+             "H(B|E)": b.petz_conditional_entropy_half(rho_be, [0])}
+        rate = b.coherent_information(rho_ab, [1])
+    assert {key: res.params[key].hex() for key in h} == {key: v.hex() for key, v in h.items()}
+    assert res.breakdown["per_use"].hex() == rate.hex()
+    # and the recorded bits, up to the last digits another LAPACK may move
+    got = (res.value, *(res.breakdown[key] for key in ("linear", "sqrt", "constant", "per_use",
+                                                       "sqrt_coefficient")), *h.values())
+    pins = _AEP_GENERIC_PINS[name, "Q" if task == "Q" else "Q2"]
+    assert got == pytest.approx(tuple(map(float.fromhex, pins)), rel=1e-14, abs=0.0)
 
 
 # ------------------------------------------------- improved and upper bound
@@ -349,6 +411,7 @@ def test_best_lower_bound_ties_go_to_table_order():
     for task in ("Q", "Q2", "K"):
         best = b.best_lower_bound(PureLoss(1.0), 100, 0.1, task, photons=1.0)
         assert best.value == math.inf and best.method == "improved"
+        assert best.note == "boundary: capacity is infinite"
         assert b.capacity.bound_value(math.inf, math.inf, 1.0, 100) == (math.inf, True)
     assert b.capacity.first_max([1.0, 3.0, 3.0, -math.inf]) == 1
     assert b.capacity.first_max([-0.0, 0.0]) == 0

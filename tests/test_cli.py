@@ -722,6 +722,17 @@ def test_state_list_options_name_themselves(tmp_path, args, message):
     assert res.stdout == ""
 
 
+def test_state_file_that_is_no_object_exit_two(tmp_path):
+    # a JSON list used to fail with "list indices must be integers or slices, not str"
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    res = _char_runner().invoke(main, ["state", "validate", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: malformed state payload: a state needs an object with "
+                          "modes, mean and cov, got a list\n")
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("cap", ["abc", "-1", "0"])
 def test_bad_fock_cap_setting_exit_two(runner, tmp_path, monkeypatch, cap):
     vac = thermal_file(tmp_path, runner, 0.0, "vac.json")

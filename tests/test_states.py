@@ -426,6 +426,37 @@ def test_state_from_dict_rejects_what_it_would_have_to_convert(field, value, rea
         b.state_from_dict(payload)
 
 
+_TMSV = b.tmsv_state(1.0)
+#: every reader of a mode list, each on the two-mode TMSV(1)
+MODE_LIST_TAKERS = {
+    "reduce_state": lambda modes: b.reduce_state(_TMSV, modes),
+    "apply_transform": lambda modes: b.apply_transform(
+        _TMSV, b.displacement([1.0, 0.0] * len(modes)), modes),
+    "coherent_information": lambda modes: b.coherent_information(_TMSV, modes),
+    "petz_conditional_entropy_half": lambda modes: b.petz_conditional_entropy_half(_TMSV, modes),
+}
+
+
+@pytest.mark.parametrize("taker", MODE_LIST_TAKERS)
+@pytest.mark.parametrize("modes", [[0.5], [True], [-1], [5], [0, 0]], ids=str)
+def test_every_mode_list_is_read_by_one_rule(taker, modes):
+    # [0.5] was read as the (p_0, x_1) block, [True] as mode 1, [5] and [-1]
+    # as an empty A (entropies of 0.0), [0, 0] as [0] by the Petz entropy,
+    # and reduce_state(s, [1.5]) raised a bare IndexError
+    with pytest.raises(ValueError, match=re.escape(str(modes))):
+        MODE_LIST_TAKERS[taker](modes)
+
+
+def test_numpy_integer_modes_are_modes():
+    for call in MODE_LIST_TAKERS.values():
+        got, want = call([np.int64(1)]), call([1])
+        if isinstance(want, GaussianState):
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+        else:
+            assert got.hex() == want.hex()
+
+
 def test_random_symplectics_are_symplectic():
     rng = np.random.default_rng(3)
     for modes in (1, 2, 3):
@@ -571,6 +602,9 @@ _ONE_MODE = b.thermal_state(0.5)
     pytest.param(lambda: b.state_from_dict({"modes": 2, "mean": [0.0, 0.0],
                                             "cov": [[1.0, 0.0], [0.0, 1.0]]}),
                  InvalidStateError, "declared 2 modes but mean has length 2", id="declared-modes"),
+    pytest.param(lambda: b.state_from_dict([1, 2]), InvalidStateError,
+                 "malformed state payload: a state needs an object with modes, mean and cov, "
+                 "got a list", id="state-not-object"),
     pytest.param(lambda: b.williamson(np.eye(3)), ValueError,
                  "covariance must be 2n x 2n, got (3, 3)", id="williamson-shape"),
     pytest.param(lambda: b.coherent_information(_ONE_MODE, [0]), ValueError,
