@@ -260,7 +260,7 @@ def _petz_half_rank_one(alpha: float, beta: float, gamma: float,
 def petz_terms_amplifier(gain: float, photons: float) -> dict[str, float]:
     """H_{1/2} terms {"A|B", "A|E"} of the amplifier tripartite state, in bits;
     ``ValueError`` above 1e100 photons in an output mode, g (Ns + 1) - 1."""
-    g = check_gain(float(gain))
+    g = check_gain(gain)
     ns = check_photons(photons)
     _check_scale("petz_terms_amplifier", PureAmplifier(g), ns)
 
@@ -304,24 +304,23 @@ def _upper_const(eps: float) -> float:
     return math.log2(6.0) + 2.0 * math.log2((1.0 + eps) / (1.0 - eps))
 
 
-def bound_value(a, b, c, n) -> tuple[np.ndarray, np.ndarray]:
-    """``a n - b sqrt(n) - c``, and whether it fell on the boundary.
+def bound_value(a, b, c, n) -> np.ndarray:
+    """``a n - b sqrt(n) - c``.
 
     The arguments are floats or float arrays that broadcast against each
-    other; both results have the broadcast shape (0-d for scalars).  The
+    other; the result has the broadcast shape (0-d for scalars).  The
     terms a n, -b sqrt(n) and -c are summed in that order, one float64
     operation each with IEEE sqrt, so every entry has the bits of the scalar
     expression.  A NaN sum is only reachable at the lambda = 1 / g = 1
     boundary, where the linear term and the sqrt(n) coefficient both
     diverge (the rates refuse the huge inputs that could overflow to NaN
-    elsewhere): it reads +inf, and the flag is set.
+    elsewhere): it reads +inf.
     """
     n = np.asarray(n, dtype=float)
     # silent, as Python floats are: an overflow reads inf, inf - inf NaN
     with np.errstate(over="ignore", invalid="ignore"):
         value = a * n + -b * np.sqrt(n) + -c
-    boundary = np.isnan(value)
-    return np.where(boundary, np.inf, value), boundary
+    return np.where(np.isnan(value), np.inf, value)
 
 
 def first_max(values) -> np.ndarray:
@@ -337,7 +336,7 @@ def _assemble(*, a: float, b: float, c: float, n_min: float, n: int, eps: float,
     an infinite per-use rate ``a`` (lambda = 1, g = 1) is noted as well."""
     met = n >= n_min
     note = "" if met else f"needs n >= {n_min:.2f}"
-    value = bound_value(a, b, c, n)[0]
+    value = bound_value(a, b, c, n)
     if a == math.inf:
         note = (note + "; " if note else "") + "boundary: capacity is infinite"
     breakdown = {"linear": a * n, "sqrt": -b * math.sqrt(n), "constant": -c,
@@ -613,7 +612,7 @@ def upper_bound_nshot(channel: Channel, n: int, eps: float, task: str = "Q2") ->
     n = check_n(n)
     a, b, c, _ = converse_coeffs(channel, eps, task)
     return CapacityBound(
-        value=float(bound_value(a, b, c, n)[0]),
+        value=float(bound_value(a, b, c, n)),
         direction="upper",
         task=task,
         method="upper",
@@ -666,7 +665,7 @@ def invert_sqrt_bound(a: float, b: float, c: float, k: float, min_n: int = 1) ->
         return min_n
 
     def satisfied(m: int) -> bool:
-        return bound_value(a, b, c, m)[0] >= k
+        return bound_value(a, b, c, m) >= k
 
     disc = b * b + 4.0 * a * (c + k)
     if disc < 0.0:

@@ -465,7 +465,7 @@ def _grid_values(method, blocks, n_list) -> tuple[np.ndarray, np.ndarray]:
     """
     a, b, c, n_min = np.moveaxis(np.array(blocks, dtype=float), -1, 0)[:, :, :, None]
     n = np.array(n_list, dtype=float)[:, None, None]
-    values, _ = cap_mod.bound_value(a, b, c, n)  # (parameter, Ns, n, eps, family)
+    values = cap_mod.bound_value(a, b, c, n)  # (parameter, Ns, n, eps, family)
     best = cap_mod.first_max(values)[..., None]
     value = np.take_along_axis(values, best, -1)[..., 0]
     met = np.take_along_axis(n >= n_min, best, -1)[..., 0]

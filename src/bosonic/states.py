@@ -262,12 +262,12 @@ def check_transmissivity(transmissivity: float) -> float:
 
 
 def check_gain(gain: float) -> float:
-    """``gain`` unless it is below 1 or not finite."""
+    """``gain`` as a float; ``ValueError`` if it is below 1 or not finite."""
     if gain < 1.0:
         raise ValueError(f"gain must be >= 1, got {gain}")
     if not math.isfinite(gain):
         raise ValueError(f"gain must be finite, got {gain}")
-    return gain
+    return float(gain)
 
 
 def check_eps(eps: float) -> float:
@@ -431,7 +431,7 @@ def beam_splitter(transmissivity: float) -> Transform:
 
 def two_mode_squeezer(gain: float) -> Transform:
     """Two-mode squeezer of gain ``gain >= 1``; mode 0 carries the amplified signal."""
-    g = check_gain(float(gain))
+    g = check_gain(gain)
     sz = np.diag([1.0, -1.0])
     eye = np.eye(2)
     s = np.block(
@@ -452,9 +452,9 @@ def _embedding_indices(modes: Sequence[int], total: int) -> np.ndarray:
     for m in idx:
         _integer(m, f"each of the modes {idx}")
     if len(set(idx)) != len(idx):
-        raise ValueError(f"target modes must be distinct, got {idx}")
+        raise ValueError(f"modes must be distinct, got {idx}")
     if any(m < 0 or m >= total for m in idx):
-        raise ValueError(f"target modes {idx} out of range for {total}-mode state")
+        raise ValueError(f"modes {idx} out of range for a {total}-mode state")
     coords = []
     for m in idx:
         coords.extend((2 * m, 2 * m + 1))
@@ -555,7 +555,7 @@ class PureLoss:
     transmissivity: float
 
     def __post_init__(self):
-        check_transmissivity(self.transmissivity)
+        object.__setattr__(self, "transmissivity", check_transmissivity(self.transmissivity))
 
 
 @dataclass(frozen=True)
@@ -566,7 +566,7 @@ class PureAmplifier:
     gain: float
 
     def __post_init__(self):
-        check_gain(self.gain)
+        object.__setattr__(self, "gain", check_gain(self.gain))
 
 
 Channel = PureLoss | PureAmplifier

@@ -1,6 +1,7 @@
 """Capacity formulas, n-shot bound families, and channel-use inversion."""
 
 import collections
+import dataclasses
 import decimal
 import math
 
@@ -412,16 +413,16 @@ def test_best_lower_bound_ties_go_to_table_order():
         best = b.best_lower_bound(PureLoss(1.0), 100, 0.1, task, photons=1.0)
         assert best.value == math.inf and best.method == "improved"
         assert best.note == "boundary: capacity is infinite"
-        assert b.capacity.bound_value(math.inf, math.inf, 1.0, 100) == (math.inf, True)
+        assert b.capacity.bound_value(math.inf, math.inf, 1.0, 100) == math.inf
     assert b.capacity.first_max([1.0, 3.0, 3.0, -math.inf]) == 1
     assert b.capacity.first_max([-0.0, 0.0]) == 0
 
 
 def _scalar_bound(a, bq, c, n):
     """The per-row rule on Python floats: a n, then - b sqrt(n), then - c,
-    with a NaN sum read as +inf and flagged."""
+    with a NaN sum read as +inf."""
     value = a * n + -bq * math.sqrt(n) + -c
-    return (math.inf, True) if math.isnan(value) else (value, False)
+    return math.inf if math.isnan(value) else value
 
 
 @pytest.mark.filterwarnings("error")  # the scalar rule overflows and meets NaN silently
@@ -438,25 +439,26 @@ def test_bound_value_on_arrays_has_the_scalar_bits():
     a[2::17], bq[2::17] = -math.inf, math.inf
     a[3::19], c[3::19] = -0.0, 0.0  # -0.0 + -0.0 + -0.0 keeps its sign
     want = [_scalar_bound(*args) for args in zip(a.tolist(), bq.tolist(), c.tolist(), n.tolist())]
-    want_hex = [value.hex() for value, _ in want]
-    assert {"-0x0.0p+0", "inf"} <= set(want_hex) and any(flag for _, flag in want)
+    want_hex = [value.hex() for value in want]
+    assert {"-0x0.0p+0", "inf"} <= set(want_hex)
 
-    values, boundary = b.capacity.bound_value(a, bq, c, n)
+    # one array of the bounds alone, the NaN sums of the inf - inf rows read as +inf
+    values = b.capacity.bound_value(a, bq, c, n)
+    assert isinstance(values, np.ndarray) and values.shape == (size,)
     assert [v.hex() for v in values.tolist()] == want_hex
-    assert boundary.tolist() == [flag for _, flag in want]
     # broadcast as the sweep does: n along one axis, the coefficients along another
-    grid, _ = b.capacity.bound_value(a[:60, None], bq[:60, None], c[:60, None], n[None, :50])
+    grid = b.capacity.bound_value(a[:60, None], bq[:60, None], c[:60, None], n[None, :50])
     assert [v.hex() for v in grid.ravel().tolist()] == [
-        _scalar_bound(*args, m)[0].hex()
+        _scalar_bound(*args, m).hex()
         for args in zip(a[:60].tolist(), bq[:60].tolist(), c[:60].tolist())
         for m in n[:50].tolist()]
     # the scalar callers get the same bits, also where a n overflows to inf
     huge = [(3.0, 0.0, 1.0, 10**308), (-3.0, 1e300, 1e308, 10**300), (2.0, 5.0, 1.0, 10**308)]
-    for args, (value, flag) in zip(huge + list(zip(a[:300].tolist(), bq[:300].tolist(),
-                                                   c[:300].tolist(), n[:300].tolist())),
-                                   [_scalar_bound(*args) for args in huge] + want):
-        got, got_flag = b.capacity.bound_value(*args)
-        assert (float(got).hex(), bool(got_flag)) == (value.hex(), flag)
+    for args, value in zip(huge + list(zip(a[:300].tolist(), bq[:300].tolist(),
+                                           c[:300].tolist(), n[:300].tolist())),
+                           [_scalar_bound(*args) for args in huge] + want):
+        got = b.capacity.bound_value(*args)
+        assert got.shape == () and float(got).hex() == value.hex()
 
 
 def test_first_max_takes_the_first_of_equal_values():
@@ -495,7 +497,7 @@ def test_each_bound_is_an_eps_free_rate_plus_its_eps_terms():
                     bq, c, n_min = family.eps_terms(spread, eps, task)
                     for n in (5, 2000):
                         got = family.evaluate(channel, n, eps, task, photons)
-                        want = b.capacity.bound_value(a, bq, c, n)[0]
+                        want = b.capacity.bound_value(a, bq, c, n)
                         assert got.breakdown["per_use"] == a
                         assert got.breakdown["sqrt_coefficient"] == bq
                         assert got.breakdown["constant"] == -c
@@ -658,6 +660,29 @@ def test_capacity_bound_record():
         b.improved_lower_bound_pure_loss(0.5, 0, 0.1, "Q")
     with pytest.raises(ValueError):
         b.improved_lower_bound_pure_loss(0.5, 100, 1.0, "Q")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,param", [
+    pytest.param(kind, param, id=f"{kind.__name__}-{type(param).__name__}")
+    for kind, values in ((PureLoss, (np.float32(0.7), 1, np.float64(0.7))),
+                         (PureAmplifier, (np.float32(1.3), 2, np.float64(1.3))))
+    for param in values])
+def test_channels_keep_the_float_they_checked(kind, param):
+    # the raw argument was stored: a float32 lambda = 0.7 computed aep in
+    # float32 (1030.5939197084292 for 1030.5938992148958), params carried
+    # np.float32(0.7), and ec-aep on a float32 gain warned "overflow
+    # encountered in cast"
+    channel, same = kind(param), kind(float(param))
+    assert channel == same and type(dataclasses.astuple(channel)[0]) is float
+    bounds = [(family.evaluate(channel, 1000, 0.01, task, 1.5),
+               family.evaluate(same, 1000, 0.01, task, 1.5))
+              for family in b.best_families(kind, True) for task in b.TASKS]
+    bounds += [(b.upper_bound_nshot(channel, 1000, 0.01), b.upper_bound_nshot(same, 1000, 0.01))]
+    for got, want in bounds:
+        assert got.value.hex() == want.value.hex(), got.method
+        assert got.params == want.params
+        assert all(type(value) is float for value in got.params.values())
 
 
 # --------------------------------------------------------------- inversion

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
 import collections
+import hashlib
 import json
 import math
 import os
@@ -325,6 +326,7 @@ def test_an_error_outside_the_table_propagates(monkeypatch, module, name, args):
 _UNCERTAIN = {"modes": 1, "mean": [0, 0], "cov": [[10, 0], [0, 0.01]]}
 _SUB_VACUUM = {"modes": 1, "mean": [0, 0], "cov": [[0.5, 0], [0, 0.5]]}
 _HUGE_MEAN = {"modes": 1, "mean": [1e200, 1e200], "cov": [[1, 0], [0, 1]]}
+_FRACTIONAL_MODES = {"modes": 1.5, "mean": [0, 0], "cov": [[1, 0], [0, 1]]}
 
 
 @pytest.mark.parametrize("payload,args,message", [
@@ -338,6 +340,10 @@ _HUGE_MEAN = {"modes": 1, "mean": [1e200, 1e200], "cov": [[1, 0], [0, 1]]}
                  "the mean photon number of this state overflows: got inf", id="huge-tail"),
     pytest.param(_HUGE_MEAN, ("state", "photon", "{path}"),
                  "the mean photon number of this state overflows: got inf", id="huge-photon"),
+    # a malformed file is rejected, not repaired
+    pytest.param(_FRACTIONAL_MODES, ("state", "validate", "{path}"),
+                 "malformed state payload: 'float' object cannot be interpreted as an integer",
+                 id="fractional-modes"),
 ])
 def test_no_tail_bound_for_a_refused_state(tmp_path, payload, args, message):
     # these printed closed 0.7033 and optimized 0.6414 (exit 0), died with an
@@ -349,6 +355,37 @@ def test_no_tail_bound_for_a_refused_state(tmp_path, payload, args, message):
     assert res.exit_code == 2
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
+
+
+# a covariance rounded below the vacuum, which state validate accepts, and a
+# TMSV of 1e4 photons with mode 1 phase-flipped, which a squeezer of gain
+# 10001 undoes up to the rounding of its ~1e8 terms
+_ROUNDED_VACUUM = {"modes": 1, "mean": [0, 0],
+                   "cov": [[0.9999999999999991, 0], [0, 0.9999999999999992]]}
+_TMSV_1E4 = bosonic.state_to_dict(bosonic.tmsv_state(1e4))
+_FLIPPED_TMSV = dict(_TMSV_1E4, cov=[[-v if (i < 2) != (j < 2) else v for j, v in enumerate(row)]
+                                     for i, row in enumerate(_TMSV_1E4["cov"])])
+
+
+@pytest.mark.parametrize("payload,args,key,value", [
+    pytest.param(_ROUNDED_VACUUM, ("tail", "{path}", "--m", "0"), "cutoff", 0,
+                 id="rounded-vacuum-tail"),
+    pytest.param(_ROUNDED_VACUUM, ("tracedist", "{path}", "{path}", "--eps", "1e-3"), "estimate",
+                 0.0, id="rounded-vacuum-tracedist"),
+    pytest.param(_FLIPPED_TMSV, ("state", "evolve", "{path}", "--two-mode-squeezer", "10001"),
+                 "modes", 2, id="undone-tmsv"),
+])
+def test_states_at_the_edge_of_rounding_are_read(tmp_path, payload, args, key, value):
+    # the rounded vacuum's bound search reached t = 700 at cutoff 0, where
+    # coth overflowed (an OverflowError traceback); the undone TMSV exited 2
+    # with "covariance is not symmetric" before a transform's output was its
+    # symmetric part
+    path = write_state(tmp_path, "state.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _char_runner().invoke(main, [arg.format(path=path) for arg in args])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert json.loads(res.stdout)[key] == value
 
 
 @pytest.mark.parametrize("kind,photons", [("thermal", "1e308"), ("tmsv", "1e308"),
@@ -1247,6 +1284,99 @@ def test_cli_characterization(tmp_path):
     bad += [f"sweep --channel {ch}" for ch in expected["sweeps"]
             if not _same(_parsed(actual["sweeps"][ch]), _parsed(expected["sweeps"][ch]))]
     assert not bad, f"{len(bad)} calls changed, first: {bad[:3]}"
+
+
+# ------------------------------------------------------------------ pins ---
+#
+# Bytes captured with numpy 2.4.6 and checked against it alone: another numpy
+# or BLAS may move a last digit.  The sweep CSVs by sha256 (array evaluation
+# of the grid, the Ns-free families reused across Ns and each distinct value
+# formatted once must not move a digit; both grids reach the lambda = 1 /
+# g = 1 Infinity rows), the tail and complexity payloads as printed, and the
+# estimate, cutoff and Fock dimension of certified distances in each sector
+# (a cheaper cutoff search or Fock build must not move a bit).  A change
+# meant to move one of these edits its row here.
+
+_PIN_AXES = ("--tasks", "Q,Q2,K", "--n", "5:2000:6:log", "--eps", "0.01:0.2:3")
+_PIN_NS = ("--ns", "0.5:2:3")
+# each state file, in order: a payload, or the CLI call that prints it
+_PIN_STATES = {
+    "a": ("state", "thermal", "--n", "0.5"),
+    "c": ("state", "evolve", "{a}", "--displace", "0.3,0.1"),  # every parity coupled
+    "t3": ("state", "tmsv", "--n", "0.3"),
+    "t2": ("state", "tmsv", "--n", "0.2"),
+    "p": {"modes": 2, "mean": [0, 0, 0, 0], "cov": np.diag([1.6, 1.6, 2.2, 2.2]).tolist()},
+    "q": ("state", "evolve", "{p}", "--beam-splitter", "0.3", "--modes", "0,1"),
+    # two displaced 3-mode states: a whole-basis pair at dim 969
+    "d3": {"modes": 3, "mean": [0.3, 0.1, -0.2, 0, 0.1, 0.2],
+           "cov": np.diag([1.4, 1.4, 1.6, 1.6, 1.5, 1.5]).tolist()},
+    "e3": {"modes": 3, "mean": [0, 0.2, 0.1, -0.1, 0, 0.1],
+           "cov": np.diag([1.5, 1.5, 1.4, 1.4, 1.6, 1.6]).tolist()},
+}
+_PINS = [
+    pytest.param(("sweep", "--channel", "loss", "--methods",
+                  "asymptotic,aep,improved,ec-aep,ec-variance,best,upper", *_PIN_AXES, *_PIN_NS,
+                  "--lam", "0:1:5", "--out", "{out}"),
+                 "8c4aa28d8e211bd81ac79e3400e40e5fccdd3a4303211c69280dee9999a1dfbb", id="loss-csv"),
+    pytest.param(("sweep", "--channel", "amp", "--methods", "asymptotic,aep,ec-aep,best,upper",
+                  *_PIN_AXES, *_PIN_NS, "--g", "1:3:5", "--out", "{out}"),
+                 "ccf2c9dff69b5f68c07d8925335d18eef00bd3656e4250f447fd6a6500d9dd30", id="amp-csv"),
+    pytest.param(("sweep", "--channel", "loss", "--methods", "aep,improved,best,upper", *_PIN_AXES,
+                  "--lam", "0:1:5", "--out", "{out}"),
+                 "a66f46f92f68cc8224dbc4dc55bd5f4f64eee5f4acb71041314dcade1c00ab86", id="no-ns-csv"),
+    pytest.param(("sweep", "--channel", "amp", "--methods", "asymptotic,aep,ec-aep,best,upper",
+                  *_PIN_AXES, "--ns", "0.1:10:7:log", "--g", "1:3:5", "--out", "{out}"),
+                 "f9386d4a5fc3259a0bf2b2d304c859a5070d44e7321fef4566c2a81a4e5fd467",
+                 id="many-ns-csv"),
+    pytest.param(("tail", "{c}", "--m", "10"),
+                 '{"closed": 0.10098973751859945, "optimized": 0.00022083401397868856, '
+                 '"optimizer_x": 2.1826174489435104, "cutoff": 10}', id="tail-displaced"),
+    pytest.param(("tail", "{a}", "--target-eps", "1e-12"), {"cutoff": 53}, id="tail-cutoff"),
+    pytest.param(("tracedist", "{a}", "{c}", "--eps", "1e-10"),
+                 {"estimate": 0.13148215089542908, "cutoff": 49}, id="tracedist-whole"),
+    pytest.param(("tracedist", "{t3}", "{t2}", "--eps", "1e-4"),
+                 {"estimate": 0.089734567215554742, "cutoff": 31, "fock_dim": 528},
+                 id="tracedist-parity"),
+    pytest.param(("tracedist", "{p}", "{q}", "--eps", "1e-4"),
+                 {"estimate": 0.13299567649623256, "cutoff": 24, "fock_dim": 325},
+                 id="tracedist-number"),
+    pytest.param(("tracedist", "{d3}", "{e3}", "--eps", "3e-4"),
+                 {"estimate": 0.24303892414553063, "cutoff": 16, "fock_dim": 969},
+                 id="tracedist-969"),
+    pytest.param(("complexity", "--channel", "loss", "--lam", "0.8", "--task", "Q", "--k", "1000",
+                  "--eps", "0.01", "--ns", "2"),
+                 '{"sufficient_n": 2010, "necessary_n": 430}', id="complexity-ns"),
+    pytest.param(("complexity", "--channel", "amp", "--g", "1.5", "--task", "Q2", "--k", "300",
+                  "--eps", "0.02"),
+                 '{"sufficient_n": 480, "necessary_n": 188}', id="complexity"),
+]
+
+
+@pytest.fixture(scope="module")
+def pin_states(tmp_path_factory):
+    folder, runner, paths = tmp_path_factory.mktemp("pins"), _char_runner(), {}
+    for name, spec in _PIN_STATES.items():
+        if not isinstance(spec, dict):
+            res = runner.invoke(main, [arg.format(**paths) for arg in spec])
+            assert res.exit_code == 0, res.stderr
+            spec = json.loads(res.stdout)
+        paths[name] = write_state(folder, f"{name}.json", spec)
+    return paths
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="pinned on numpy 2.4.6")
+@pytest.mark.parametrize("args,pinned", _PINS)
+def test_cli_pinned_bytes(pin_states, tmp_path, args, pinned):
+    out = tmp_path / "out.csv"
+    res = _char_runner().invoke(main, [arg.format(out=out, **pin_states) for arg in args])
+    assert res.exit_code == 0 and res.stderr == ""
+    if "--out" in args:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
+    elif isinstance(pinned, dict):
+        payload = json.loads(res.stdout)
+        assert {key: payload[key] for key in pinned} == pinned
+    else:
+        assert res.stdout == pinned + "\n"
 
 
 if __name__ == "__main__":

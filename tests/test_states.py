@@ -592,7 +592,7 @@ _ONE_MODE = b.thermal_state(0.5)
     pytest.param(lambda: b.Transform(np.eye(2), np.zeros(3)), ValueError,
                  "shift shape (3,) does not match matrix (2, 2)", id="transform-shift"),
     pytest.param(lambda: b.apply_transform(_ONE_MODE, b.displacement([1.0, 0.0]), [1]),
-                 ValueError, "target modes [1] out of range for 1-mode state", id="target-mode"),
+                 ValueError, "modes [1] out of range for a 1-mode state", id="target-mode"),
     pytest.param(lambda: b.tensor([]), ValueError, "tensor needs at least one state",
                  id="tensor-empty"),
     pytest.param(lambda: b.reduce_state(_ONE_MODE, []), ValueError,

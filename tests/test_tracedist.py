@@ -495,37 +495,53 @@ def test_block_trace_invariant_both_sides(monkeypatch, factor, photons, eps, def
 
 
 def _reference_block(mpmath, state: b.GaussianState, cutoff: int):
-    """The normalized 1-mode Fock block of ``state`` at ``cutoff`` in mpmath's working
-    precision, from the float entries of its mean and covariance read exactly:
-    the kernel data of the ``fock`` docstring, G = (V + I)^-1, quad = r^T G r,
-    F = X - quad, u = quad (conj(mu), mu) and C = det((V + I)/2)^(-1/2)
-    exp(-m^T G m), then its recursion, row 0 along the ket index, and its
-    division by its trace."""
-    mp = mpmath.mp
+    """The normalized Fock block of ``state`` at ``cutoff``, over
+    ``enumerate_basis``, in mpmath's working precision, from the float entries
+    of its mean and covariance read exactly: the kernel data of the ``fock``
+    docstring, G = (V + I)^-1, quad = r^T G r, F = X - quad,
+    u = quad (conj(mu), mu) and C = det((V + I)/2)^(-1/2) exp(-m^T G m), then
+    its recursion, row 0 along the ket index, and its division by its trace."""
+    mp, n = mpmath.mp, state.modes
     m = mpmath.matrix([mp.mpf(x) for x in state.mean])
-    g = (mpmath.matrix(state.cov.tolist()) + mpmath.eye(2)) ** -1
-    r = mpmath.matrix([[1, 1], [1j, -1j]])
+    g = (mpmath.matrix(state.cov.tolist()) + mpmath.eye(2 * n)) ** -1
+    r = mpmath.matrix(2 * n, 2 * n)  # sqrt(2) (x_i, p_i) = r (conj(alpha), beta)
+    for i in range(n):
+        r[2 * i, i], r[2 * i, n + i], r[2 * i + 1, i], r[2 * i + 1, n + i] = 1, 1, 1j, -1j
     quad = r.T * g * r
-    mu = (m[0] + 1j * m[1]) / mp.sqrt(2)
-    f = mpmath.matrix([[0, 1], [1, 0]]) - quad
-    u = quad * mpmath.matrix([mp.conj(mu), mu])
-    c0 = mp.exp(-(m.T * g * m)[0]) * mp.sqrt(mpmath.det(g)) * 2
-    rho = mpmath.matrix(cutoff + 1, cutoff + 1)
-    rho[0, 0] = c0
-    for col in range(1, cutoff + 1):
-        val = u[1] * rho[0, col - 1]
-        if col > 1:
-            val += f[1, 1] * mp.sqrt(col - 1) * rho[0, col - 2]
-        rho[0, col] = val / mp.sqrt(col)
-    for row in range(1, cutoff + 1):
-        for col in range(cutoff + 1):
-            val = u[0] * rho[row - 1, col]
-            if row > 1:
-                val += f[0, 0] * mp.sqrt(row - 1) * rho[row - 2, col]
-            if col > 0:
-                val += f[0, 1] * mp.sqrt(col) * rho[row - 1, col - 1]
-            rho[row, col] = val / mp.sqrt(row)
-    return rho / sum(rho[k, k] for k in range(cutoff + 1))
+    mu = [(m[2 * i] + 1j * m[2 * i + 1]) / mp.sqrt(2) for i in range(n)]
+    f = -quad
+    for i in range(n):
+        f[i, n + i] += 1
+        f[n + i, i] += 1
+    u = quad * mpmath.matrix([mp.conj(x) for x in mu] + mu)
+    basis = b.enumerate_basis(n, cutoff)
+    index = {occ: k for k, occ in enumerate(basis)}
+
+    def lowered(occ, i):
+        return occ[:i] + (occ[i] - 1,) + occ[i + 1:]
+
+    rho = mpmath.matrix(len(basis), len(basis))
+    rho[0, 0] = mp.exp(-(m.T * g * m)[0]) * mp.sqrt(mpmath.det(g)) * 2**n
+    for col, ket in enumerate(basis[1:], 1):
+        j = next(i for i, k in enumerate(ket) if k)
+        q = lowered(ket, j)
+        val = u[n + j] * rho[0, index[q]]
+        for i in range(n):
+            if q[i]:
+                val += f[n + j, n + i] * mp.sqrt(q[i]) * rho[0, index[lowered(q, i)]]
+        rho[0, col] = val / mp.sqrt(ket[j])
+    for row, bra in enumerate(basis[1:], 1):
+        j = next(i for i, k in enumerate(bra) if k)
+        p = lowered(bra, j)
+        for col, ket in enumerate(basis):
+            val = u[j] * rho[index[p], col]
+            for i in range(n):
+                if p[i]:
+                    val += f[j, i] * mp.sqrt(p[i]) * rho[index[lowered(p, i)], col]
+                if ket[i]:
+                    val += f[j, n + i] * mp.sqrt(ket[i]) * rho[index[p], index[lowered(ket, i)]]
+            rho[row, col] = val / mp.sqrt(bra[j])
+    return rho / sum(rho[k, k] for k in range(len(basis)))
 
 
 def test_distances_match_a_40_digit_reference_within_their_numerical_term():
@@ -533,15 +549,18 @@ def test_distances_match_a_40_digit_reference_within_their_numerical_term():
     # against the same steps at 40 digits: the difference must lie within the
     # certificate's numerical term, 2 dim ulp plus any vacuum excess.  Pure
     # and mixed, displaced pairs (the whole basis) and zero-mean ones (parity
-    # blocks); the differences measured at most 0.06 of the term
+    # blocks); the differences measured at most 0.06 of the term.  Eight
+    # 1-mode pairs (shift <= 3, cutoffs 8-40), then six 2-mode pairs (shift <= 1,
+    # cutoffs 3-8), each mode squeezed by a factor of at most 2.5
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(31)
     with mpmath.workdps(40):
-        for i in range(8):
-            pure, shift = i % 2 == 0, 3.0 if i % 4 < 2 else 0.0
-            pair = [random_state(rng, 1, pure=pure, max_squeeze=2.5, max_shift=shift)
+        for i in range(14):
+            modes = 1 if i < 8 else 2
+            pure, shift = i % 2 == 0, (3.0 if modes == 1 else 1.0) if i % 4 < 2 else 0.0
+            pair = [random_state(rng, modes, pure=pure, max_squeeze=2.5, max_shift=shift)
                     for _ in range(2)]
-            cutoff = int(rng.integers(8, 41))
+            cutoff = int(rng.integers(8, 41) if modes == 1 else rng.integers(3, 9))
             raw = [fock.fock_matrix_elements(st, cutoff) for st in pair]
             estimate = b.finite_trace_distance(*map(b.truncate_normalize, raw))
             ref_a, ref_b = (_reference_block(mpmath, st, cutoff) for st in pair)
@@ -549,4 +568,5 @@ def test_distances_match_a_40_digit_reference_within_their_numerical_term():
             eigs = mpmath.eighe((diff + diff.H) / 2, eigvals_only=True)
             reference = sum(abs(e) for e in eigs) / 2
             term = fock._rounding_slack(*raw)
-            assert abs(estimate - reference) <= term, (i, pure, cutoff, estimate, reference, term)
+            assert abs(estimate - reference) <= term, (i, modes, pure, cutoff, estimate,
+                                                        reference, term)
